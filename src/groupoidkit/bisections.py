@@ -17,7 +17,7 @@ continuous.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import filterfalse, product as iproduct
 
 from .core import FiniteGroupoid, FiniteTopology, topology_from_subbase
 from .errors import OutOfDomain
@@ -70,8 +70,9 @@ def is_valid_bisection(G: FiniteGroupoid, T0: FiniteTopology, s: LocalBisection)
     m = s.as_dict()
     if not T0.is_open(s.domain):
         return False
+    arrows = set(G.arrows)
     for p, a in m.items():
-        if a not in set(G.arrows) or G.src[a] != p:
+        if a not in arrows or G.src[a] != p:
             return False
     beta = {p: G.tgt[a] for (p, a) in m.items()}
     if len(set(beta.values())) != len(beta):
@@ -203,30 +204,87 @@ class InverseSemigroup:
         }
 
 
+def _left_columns(G: FiniteGroupoid, arrows: list, arr_index: dict, tgt: list, seeds: list) -> list:
+    """col[a][i] = index of g_i(beta a) . a, or -1 off dom g_i; col[-1] is all -1."""
+    columns = []
+    for a, b in enumerate(arrows):
+        y = tgt[a]
+        columns.append(tuple([
+            arr_index[G.comp[(arrows[g[y]], b)]] if g[y] >= 0 else -1 for g in seeds
+        ]))
+    columns.append((-1,) * len(seeds))
+    return columns
+
+
+def _close_codes(seeds: list, columns: list, max_elements: int | None) -> list:
+    """Seeds, then every new left product by a seed, in order of discovery."""
+    seen = set(seeds)
+    elements = list(seeds)
+    for t in elements:  # grows as new products are appended
+        products = zip(*map(columns.__getitem__, t))  # g_i * t for every seed g_i
+        fresh = dict.fromkeys(filterfalse(seen.__contains__, products))
+        if fresh:
+            seen.update(fresh)
+            if max_elements is not None and len(seen) > max_elements:
+                raise OverflowError(f"semigroup closure exceeded {max_elements} elements")
+            elements.extend(fresh)
+    return elements
+
+
 def generate_semigroup(G: FiniteGroupoid, gens, max_elements: int | None = None) -> InverseSemigroup:
     """Close gens and their relative inverses under the * product.
 
     Left multiplication by the inverse-closed seed reaches every finite
-    product, so the work queue stays linear in the closure size.  Raises
-    OverflowError beyond max_elements (used by tests to skip oversized
-    corpus instances rather than stall).
+    product, so each element is multiplied once by every seed.  Raises
+    OverflowError exactly when the closure exceeds max_elements (used by
+    tests to skip oversized corpus instances rather than stall).
+
+    The closure runs on integer codes.  With objects and arrows numbered
+    in repr order, a bisection s is the tuple c over object positions with
+    c[x] the arrow index of s(x), or -1 off the domain.  Left translation
+    by the seeds g_0, g_1, ... is one int column per arrow index a,
+    col[a][i] = index of g_i(beta a) . a or -1, plus a trailing all -1
+    column for a = -1.  Then (g_i * t)[x] = col[t[x]][i], so zipping the
+    columns that t selects yields g_i * t for every seed at once.  Cost:
+    |closure| * |seeds| products.  Memory: |seeds| * (|arrows| + 1) ints
+    for the columns plus one tuple of |objects| ints per element.  Codes
+    are decoded once, at the end, and a code equal to a generator decodes
+    to that generator's object.
     """
-    seed = set(gens)
-    for s in list(seed):
-        seed.add(relative_inverse(G, s))
-    seen = set(seed)
-    queue = list(seed)
-    seed_list = sorted(seed, key=lambda s: (len(s.domain), s.values))
-    while queue:
-        t = queue.pop()
-        for g in seed_list:
-            st = compose_bisections(G, g, t)
-            if st not in seen:
-                if max_elements is not None and len(seen) >= max_elements:
-                    raise OverflowError(f"semigroup closure exceeded {max_elements} elements")
-                seen.add(st)
-                queue.append(st)
-    return InverseSemigroup(G, tuple(sorted(seen, key=lambda s: (len(s.domain), s.values))))
+    objects = sorted(G.objects, key=repr)
+    arrows = sorted(G.arrows, key=repr)
+    obj_index = {x: i for i, x in enumerate(objects)}
+    arr_index = {a: i for i, a in enumerate(arrows)}
+    tgt = [obj_index[G.tgt[a]] for a in arrows]
+    inv = [arr_index[G.inv[a]] for a in arrows]
+
+    given: dict = {}  # code -> the caller's generator
+    for s in gens:
+        code = [-1] * len(objects)
+        for x, a in s.values:
+            code[obj_index[x]] = arr_index[a]
+        given.setdefault(tuple(code), s)
+
+    def relative_inverse_code(code):
+        out = [-1] * len(objects)
+        for a in code:
+            if a >= 0:
+                out[tgt[a]] = inv[a]
+        return tuple(out)
+
+    seeds = list(set(given).union(map(relative_inverse_code, given)))
+    # the helpers free the columns and the seen set before decoding starts
+    elements = _close_codes(seeds, _left_columns(G, arrows, arr_index, tgt, seeds), max_elements)
+
+    def decode(code):
+        s = given.get(code)
+        if s is None:
+            pairs = [(objects[x], arrows[a]) for x, a in enumerate(code) if a >= 0]
+            s = LocalBisection(frozenset(p for p, _ in pairs), tuple(pairs))
+        return s
+
+    out = sorted(map(decode, elements), key=lambda s: (len(s.domain), s.values))
+    return InverseSemigroup(G, tuple(out))
 
 
 def inverse_semigroup_laws(S: InverseSemigroup) -> list:

@@ -304,9 +304,8 @@ def cmd_cube(args) -> int:
     started = time.time()
     D, _ = _load_double(_read_json(args.path))
     cube_doc = _read_json(args.cube)
-    catalogue = square_catalogue(D)
+    cube = cube_from_dict(cube_doc, square_catalogue(D))
     try:
-        cube = cube_from_dict(cube_doc, catalogue)
         verdict = is_commutative_cube(D, cube)
     except GroupoidKitError as exc:
         _emit("cube", [args.path, args.cube], {"error": str(exc)}, started)

@@ -42,10 +42,6 @@ def make_germ(base, mapping: dict) -> Germ:
     return Germ(base, tuple(sorted(mapping.items(), key=lambda kv: repr(kv[0]))))
 
 
-def germ_source(D: LocalGroupoidData, g: Germ):
-    return g.base
-
-
 def germ_target(D: LocalGroupoidData, g: Germ):
     return D.G.tgt[g.value]
 
@@ -61,8 +57,9 @@ def is_valid_germ(D: LocalGroupoidData, g: Germ) -> bool:
     m = g.as_dict()
     if set(m) != set(U):
         return False
+    arrows = set(G.arrows)
     for p, a in m.items():
-        if a not in set(G.arrows) or G.src[a] != p:
+        if a not in arrows or G.src[a] != p:
             return False
     beta = _beta(D, m)
     if len(set(beta.values())) != len(beta):

@@ -1,12 +1,15 @@
 """Local bisections, the inverse semigroup, sectionability, extendibility."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import (
     cyclic_window,
     full_window,
     identity_window,
     sierpinski_pair_data,
+    swap2_groupoid,
     swap3_groupoid,
 )
 from groupoidkit.bisections import (
@@ -25,8 +28,9 @@ from groupoidkit.bisections import (
     relative_inverse,
     w_bisections,
 )
-from groupoidkit.core import discrete_topology, pair_groupoid
+from groupoidkit.core import action_groupoid, cyclic_group, discrete_topology, pair_groupoid
 from groupoidkit.errors import OutOfDomain
+from groupoidkit.presentations import local_data
 
 
 def swap3_data():
@@ -265,3 +269,108 @@ class TestClosureBudget:
         D = mobius_model(3)
         with pytest.raises(OverflowError):
             generate_semigroup(D.G, w_bisections(D), max_elements=50)
+
+
+def reference_closure(G, gens):
+    """The object-path closure: left multiplication by the inverse-closed seed."""
+    seed = set(gens) | {relative_inverse(G, s) for s in gens}
+    seen = set(seed)
+    queue = list(seed)
+    while queue:
+        t = queue.pop()
+        for g in seed:
+            gt = compose_bisections(G, g, t)
+            if gt not in seen:
+                seen.add(gt)
+                queue.append(gt)
+    return tuple(sorted(seen, key=lambda s: (len(s.domain), s.values)))
+
+
+def chain_window(n):
+    """Pair groupoid on n points with window: identities and neighbour arrows."""
+    pts = "abcdefgh"[:n]
+    G = pair_groupoid(list(pts))
+    W = sorted(
+        a for a in G.arrows
+        if a.startswith("id:") or abs(pts.index(a[0]) - pts.index(a[2])) == 1
+    )
+    return local_data(G, W, discrete_topology(W))
+
+
+SEMIGROUP_CORPUS = {
+    "c4-window": lambda: cyclic_window(4, 1),
+    "c8-window-2": lambda: cyclic_window(8, 2),
+    "sierpinski": sierpinski_pair_data,
+    "swap2-full": lambda: full_window(swap2_groupoid()),
+    "swap3-full": swap3_data,
+    "pair4-chain": lambda: chain_window(4),
+    "pair5-chain": lambda: chain_window(5),
+    "no-objects": lambda: full_window(pair_groupoid([])),
+}
+
+
+def cyclic_action_groupoid(n, step):
+    """C_n acting on the points of ``step``, the generator moving p to step[p]."""
+    act = {}
+    for p in step:
+        q = p
+        for k in range(n):
+            act[(k, p)] = q
+            q = step[q]
+    return action_groupoid(cyclic_group(n), sorted(step), act)
+
+
+SMALL_GROUPOIDS = [
+    lambda: pair_groupoid(["a"]),
+    lambda: pair_groupoid(["a", "b"]),
+    lambda: pair_groupoid(["a", "b", "c"]),
+    lambda: cyclic_action_groupoid(2, {"x": "x"}),
+    lambda: cyclic_action_groupoid(2, {"x": "y", "y": "x", "z": "z"}),
+    lambda: cyclic_action_groupoid(3, {"x": "y", "y": "z", "z": "x"}),
+    lambda: cyclic_action_groupoid(3, {"x": "x", "y": "y"}),
+]
+
+
+@st.composite
+def small_window_data(draw):
+    """A small pair or action groupoid with a random discrete, inverse-closed window."""
+    G = draw(st.sampled_from(SMALL_GROUPOIDS))()
+    extra = draw(st.sets(st.sampled_from(G.arrows)))
+    W = sorted(set(G.id_of.values()) | extra | {G.inv[a] for a in extra})
+    return local_data(G, W, discrete_topology(W))
+
+
+class TestSemigroupKernel:
+    """The integer-coded closure against the object-path reference."""
+
+    @pytest.mark.parametrize("name", sorted(SEMIGROUP_CORPUS))
+    def test_corpus_matches_reference(self, name):
+        D = SEMIGROUP_CORPUS[name]()
+        gens = w_bisections(D)
+        assert generate_semigroup(D.G, gens).elements == reference_closure(D.G, gens)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_window_data(), st.data())
+    def test_generated_matches_reference(self, D, data):
+        family = w_bisections(D)
+        assert EMPTY_BISECTION in family
+        gens = data.draw(st.lists(st.sampled_from(family), max_size=6)) + [EMPTY_BISECTION]
+        expected = reference_closure(D.G, gens)
+        S = generate_semigroup(D.G, gens)
+        assert S.elements == expected
+        assert inverse_semigroup_laws(S) == []
+
+    def test_generators_keep_their_objects(self):
+        D = chain_window(4)
+        gens = w_bisections(D)
+        by_value = {s: s for s in generate_semigroup(D.G, gens).elements}
+        assert all(by_value[s] is s for s in gens)
+
+    @pytest.mark.parametrize("name", ["c8-window-2", "pair4-chain"])
+    def test_cap_boundary(self, name):
+        D = SEMIGROUP_CORPUS[name]()
+        gens = w_bisections(D)
+        n = len(reference_closure(D.G, gens))
+        assert len(generate_semigroup(D.G, gens, max_elements=n).elements) == n
+        with pytest.raises(OverflowError):
+            generate_semigroup(D.G, gens, max_elements=n - 1)

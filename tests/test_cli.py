@@ -211,6 +211,15 @@ class TestCube:
         assert code == 1
         assert "error" in results_of(out)
 
+    @pytest.mark.parametrize("top", [10_000, "0"], ids=["out-of-range", "wrong-type"])
+    def test_bad_face_index_is_parse_error(self, capsys, tmp_path, top):
+        bad = tmp_path / "bad-cube.json"
+        bad.write_text(json.dumps({"faces": {"top": top, "bottom": 0, "left": 0, "right": 0, "front": 0, "back": 0}}))
+        code, out, err = run(capsys, "cube", fx("box-c2.json"), str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: cube.faces")
+
 
 class TestGenerators:
     @pytest.mark.parametrize("command", ["mobius", "annulus"])
