@@ -79,13 +79,12 @@ from .double import (
     transport_check,
     xmod_to_double,
 )
-from .germs import Germ, germ_closure, window_germs
+from .germs import Germ, germ, germ_closure, window_germs
 from .holonomy import (
     GermGroupoid,
     HolonomyGroupoid,
     annulus_model,
     chart,
-    germ,
     germ_groupoid,
     holonomy_groupoid,
     holonomy_pipeline,

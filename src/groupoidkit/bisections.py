@@ -16,12 +16,11 @@ continuous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import filterfalse, product as iproduct
 
-from .core import FiniteGroupoid, FiniteTopology, topology_from_subbase
+from .core import FiniteGroupoid, FiniteTopology, continuity_witnesses, topology_from_subbase
 from .errors import OutOfDomain
-from .germs import germ_closure, window_germs
 from .presentations import LocalGroupoidData
 
 
@@ -70,9 +69,8 @@ def is_valid_bisection(G: FiniteGroupoid, T0: FiniteTopology, s: LocalBisection)
     m = s.as_dict()
     if not T0.is_open(s.domain):
         return False
-    arrows = set(G.arrows)
     for p, a in m.items():
-        if a not in arrows or G.src[a] != p:
+        if G.src.get(a) != p:  # None for a non-arrow
             return False
     beta = {p: G.tgt[a] for (p, a) in m.items()}
     if len(set(beta.values())) != len(beta):
@@ -109,15 +107,15 @@ def compose_bisections(G: FiniteGroupoid, s: LocalBisection, t: LocalBisection) 
     """(s*t)(x) = s(beta t x) . t(x) on {x in dom t : beta t x in dom s}.
 
     The result's domain can be smaller than dom t and may be empty; the
-    empty bisection is a legal value (the semigroup zero).
+    empty bisection is a legal value (the semigroup zero).  When all of
+    dom t survives, the result is t with new values: it keeps t's domain
+    set, and a germ stays a germ at the same base.
     """
-    ms, mt = s.as_dict(), t.as_dict()
-    out = {}
-    for x, a in mt.items():
-        y = G.tgt[a]
-        if y in ms:
-            out[x] = G.comp[(ms[y], a)]
-    return make_bisection(out)
+    ms, tgt = s.as_dict(), G.tgt
+    values = tuple((x, G.comp[(ms[tgt[a]], a)]) for x, a in t.values if tgt[a] in ms)
+    if len(values) == len(t.values):
+        return replace(t, values=values)
+    return LocalBisection(frozenset(x for x, _ in values), values)
 
 
 def relative_inverse(G: FiniteGroupoid, s: LocalBisection) -> LocalBisection:
@@ -143,36 +141,34 @@ def left_translate(G: FiniteGroupoid, s: LocalBisection, g):
 # ---------------------------------------------------------------------------
 
 
+def sections_over(G: FiniteGroupoid, carriers, pool, accept) -> list[LocalBisection]:
+    """Every section of the source map over a carrier, valued in pool, that accept passes.
+
+    Each section's domain is its carrier set itself, not a copy.
+    """
+    by_src: dict = {}
+    for a in sorted(pool, key=repr):
+        by_src.setdefault(G.src[a], []).append(a)
+    out = []
+    for U in carriers:
+        pts = sorted(U, key=repr)
+        for choice in iproduct(*[by_src.get(p, ()) for p in pts]):
+            s = LocalBisection(U, tuple(zip(pts, choice)))
+            if accept(s):
+                out.append(s)
+    return out
+
+
 def local_bisections(G: FiniteGroupoid, T0: FiniteTopology) -> list[LocalBisection]:
     """All local bisections of G over T0 (small instances only)."""
-    out = []
-    by_src: dict = {}
-    for a in G.arrows:
-        by_src.setdefault(G.src[a], []).append(a)
-    for U in T0.opens():
-        pts = sorted(U, key=repr)
-        cands = [sorted(by_src.get(p, []), key=repr) for p in pts]
-        for choice in iproduct(*cands):
-            s = make_bisection(dict(zip(pts, choice)))
-            if is_valid_bisection(G, T0, s):
-                out.append(s)
-    return sorted(set(out), key=lambda s: (len(s.domain), s.values))
+    out = sections_over(G, T0.opens(), G.arrows, lambda s: is_valid_bisection(G, T0, s))
+    return sorted(out, key=lambda s: (len(s.domain), s.values))
 
 
 def w_bisections(D: LocalGroupoidData) -> list[LocalBisection]:
     """All window-valued continuous local bisections (the local procedures)."""
-    out = []
-    by_src: dict = {}
-    for w in D.window:
-        by_src.setdefault(D.G.src[w], []).append(w)
-    for U in D.t_objects.opens():
-        pts = sorted(U, key=repr)
-        cands = [sorted(by_src.get(p, []), key=repr) for p in pts]
-        for choice in iproduct(*cands):
-            s = make_bisection(dict(zip(pts, choice)))
-            if is_window_bisection(D, s):
-                out.append(s)
-    return sorted(set(out), key=lambda s: (len(s.domain), s.values))
+    out = sections_over(D.G, D.t_objects.opens(), D.window, lambda s: is_window_bisection(D, s))
+    return sorted(out, key=lambda s: (len(s.domain), s.values))
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +300,10 @@ def inverse_semigroup_laws(S: InverseSemigroup) -> list:
     return bad
 
 
+# germs build on the bisection operations above, so import them only here
+from .germs import germ_closure, window_germs  # noqa: E402
+
+
 # ---------------------------------------------------------------------------
 # sectionability and extendibility
 # ---------------------------------------------------------------------------
@@ -344,17 +344,14 @@ def check_extendible(D: LocalGroupoidData) -> ExtendibilityResult:
     - ``composition-discontinuous`` / ``inversion-discontinuous``: witnessed
       by a composable pair or arrow.
     """
-    G, TW, T0 = D.G, D.t_window, D.t_objects
+    G, TW = D.G, D.t_window
     _, closure = germ_closure(D)
 
-    beta_fibres: dict = {}
-    for v in D.window:
-        beta_fibres.setdefault(G.tgt[v], []).append(v)
-
-    subbase: set = set(TW.base())
+    window_base = TW.base()
+    subbase: set = set(window_base)
     for germ in closure:
         m = germ.as_dict()
-        for V in TW.base():
+        for V in window_base:
             piece = frozenset(
                 G.comp[(m[G.tgt[v]], v)]
                 for v in V
@@ -372,23 +369,9 @@ def check_extendible(D: LocalGroupoidData) -> ExtendibilityResult:
         if sub.min_open[w] != TW.min_open[w]:
             failures.append(("window-subspace", w))
             break
-    for g in G.arrows:
-        if not {G.inv[a] for a in T_arr.min_open[g]} <= T_arr.min_open[G.inv[g]]:
-            failures.append(("inversion-discontinuous", g))
-            break
-    done = False
-    for (h, g) in G.composable_pairs():
-        hg = G.comp[(h, g)]
-        for h2 in T_arr.min_open[h]:
-            for g2 in T_arr.min_open[g]:
-                if G.tgt[g2] != G.src[h2]:
-                    continue
-                if G.comp[(h2, g2)] not in T_arr.min_open[hg]:
-                    failures.append(("composition-discontinuous", (h, g, h2, g2)))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
+    inversion, composition = continuity_witnesses(G, T_arr)
+    if inversion is not None:
+        failures.append(("inversion-discontinuous", inversion))
+    if composition is not None:
+        failures.append(("composition-discontinuous", composition))
     return ExtendibilityResult(not failures, T_arr, tuple(failures))

@@ -884,3 +884,30 @@ def is_continuous(fmap: dict, T_src: FiniteTopology, T_tgt: FiniteTopology) -> b
         if not {fmap[y] for y in T_src.min_open[x]} <= T_tgt.min_open[fx]:
             return False
     return True
+
+
+def continuity_witnesses(G: FiniteGroupoid, T: FiniteTopology) -> tuple:
+    """First witnesses that inversion and composition of G are discontinuous in T.
+
+    Returns (g, (h, g, h2, g2)), with None for an operation that is
+    continuous.  Arrows and composable pairs are scanned in table order.
+    For the first failing pair (h, g) the witness names the repr-smallest
+    (h2, g2) near it whose composite leaves the minimal open around h∘g, so
+    it does not depend on set iteration order.
+    """
+    inversion = next(
+        (g for g in G.arrows if not {G.inv[a] for a in T.min_open[g]} <= T.min_open[G.inv[g]]),
+        None,
+    )
+    for (h, g) in G.composable_pairs():
+        near = T.min_open[G.comp[(h, g)]]
+        failing = (
+            (h2, g2)
+            for h2 in T.min_open[h]
+            for g2 in T.min_open[g]
+            if G.tgt[g2] == G.src[h2] and G.comp[(h2, g2)] not in near
+        )
+        first = next(failing, None)
+        if first is not None:
+            return inversion, (h, g) + min([first, *failing], key=repr)
+    return inversion, None

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bisections import LocalBisection
+from .bisections import compose_bisections, identity_bisection, is_window_bisection, relative_inverse
 from .core import (
     FiniteGroupoid,
     FiniteTopology,
     ValidationReport,
+    continuity_witnesses,
     equivalence_groupoid,
     make_groupoid,
     topology_from_subbase,
@@ -34,42 +35,16 @@ from .core import (
 from .errors import (
     NotFiniteOnInstance,
     NotSectionable,
-    OutOfDomain,
     TooSmall,
     WellDefinednessFailure,
 )
-from .germs import (
-    Germ,
-    compose_germs,
-    germ_closure,
-    germ_target,
-    identity_germ,
-    invert_germ,
-    is_window_germ,
-    make_germ,
-    restrict_germ,
-    window_germs,
-)
+from .germs import Germ, germ, germ_closure, germ_target, window_germs
 from .presentations import (
     LocalGroupoidData,
     local_data,
     monodromy,
     monodromy_groupoid,
 )
-
-
-# ---------------------------------------------------------------------------
-# germs of bisections
-# ---------------------------------------------------------------------------
-
-
-def germ(D: LocalGroupoidData, s: LocalBisection, x) -> Germ:
-    """Canonical germ of a bisection at a point of its domain."""
-    if x not in s.domain:
-        raise OutOfDomain(f"{x!r} outside the bisection's domain")
-    m = s.as_dict()
-    carrier = D.t_objects.min_open[x]
-    return make_germ(x, {p: m[p] for p in carrier})
 
 
 # ---------------------------------------------------------------------------
@@ -91,18 +66,15 @@ class GermGroupoid:
 
 def _germ_groupoid_from_closure(D: LocalGroupoidData, gens, closure) -> GermGroupoid:
     G, T0 = D.G, D.t_objects
-    germs = list(closure)
-    for x in G.objects:  # identity germs are window germs, but be explicit
-        ident = identity_germ(D, x)
-        if ident not in set(germs):
-            germs.append(ident)
-    germs = sorted(set(germs), key=lambda g: (repr(g.base), g.values))
+    identity = {x: germ(D, identity_bisection(G, T0.min_open[x]), x) for x in G.objects}
+    # identity germs are window germs, but be explicit
+    germs = sorted(set(closure).union(identity.values()), key=lambda g: (repr(g.base), g.values))
     name = {g: f"j{i}" for i, g in enumerate(germs)}
     arrows = [name[g] for g in germs]
     src = {name[g]: g.base for g in germs}
     tgt = {name[g]: germ_target(D, g) for g in germs}
-    id_of = {x: name[identity_germ(D, x)] for x in G.objects}
-    inv = {name[g]: name[invert_germ(D, g)] for g in germs}
+    id_of = {x: name[identity[x]] for x in G.objects}
+    inv = {name[g]: name[germ(D, relative_inverse(G, g), germ_target(D, g))] for g in germs}
     comp = {}
     by_base: dict = {}
     for g in germs:
@@ -110,7 +82,7 @@ def _germ_groupoid_from_closure(D: LocalGroupoidData, gens, closure) -> GermGrou
     for t in germs:
         y = germ_target(D, t)
         for h in by_base.get(y, ()):
-            comp[(name[h], name[t])] = name[compose_germs(D, h, t)]
+            comp[(name[h], name[t])] = name[compose_bisections(G, h, t)]
     groupoid = make_groupoid(G.objects, arrows, src, tgt, id_of, inv, comp)
     return GermGroupoid(D, groupoid, {name[g]: g for g in germs}, dict(name), tuple(gens))
 
@@ -129,8 +101,7 @@ def germ_groupoid(D: LocalGroupoidData, semigroup=None) -> GermGroupoid:
     for s in semigroup.elements:
         for x in s.domain:
             germs.add(germ(D, s, x))
-    gens = window_germs(D)
-    return _germ_groupoid_from_closure(D, gens, sorted(germs, key=lambda g: (repr(g.base), g.values)))
+    return _germ_groupoid_from_closure(D, window_germs(D), germs)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +141,7 @@ def j0(J: GermGroupoid, value_normalised: bool = True) -> LocalitySubgroupoid:
             continue
         if value_normalised and g.value != G.id_of[g.base]:
             continue
-        if not is_window_germ(D, g):
+        if not is_window_bisection(D, g):
             continue
         members.add(a)
     wide = all(K.id_of[x] in members for x in K.objects)
@@ -328,8 +299,8 @@ def chart(hol: HolonomyGroupoid, s_germ: Germ) -> dict:
         through = gen_by_value.get((G.src[w], w), [])
         if not through:
             raise NotSectionable(f"no window bisection through {w!r}")
-        s_at = restrict_germ(D, s_germ, y)
-        values = {hol.coset_of[J.arrow_of_germ[compose_germs(D, s_at, f)]] for f in through}
+        s_at = germ(D, s_germ, y)
+        values = {hol.coset_of[J.arrow_of_germ[compose_bisections(G, s_at, f)]] for f in through}
         if len(values) != 1:
             raise WellDefinednessFailure(f"chart value at {w!r} depends on the bisection choice")
         out[w] = values.pop()
@@ -344,36 +315,23 @@ def holonomy_topology(hol: HolonomyGroupoid) -> tuple[FiniteTopology, dict]:
     ambient arrow topology is supplied later by the caller (see
     `projection_continuous`).
     """
-    D = hol.data
     K = hol.groupoid
+    window_base = hol.data.t_window.base()
     subbase = set()
     for a in hol.J.groupoid.arrows:
         s_germ = hol.J.germ_of_arrow[a]
         table = chart(hol, s_germ)
-        for V in D.t_window.base():
+        for V in window_base:
             piece = frozenset(table[w] for w in V if w in table)
             if piece:
                 subbase.add(piece)
     T = topology_from_subbase(K.arrows, subbase)
+    inversion, composition = continuity_witnesses(K, T)
     report = {
-        "composition_continuous": _composition_continuous(K, T),
-        "inversion_continuous": all(
-            {K.inv[b] for b in T.min_open[a]} <= T.min_open[K.inv[a]] for a in K.arrows
-        ),
+        "composition_continuous": composition is None,
+        "inversion_continuous": inversion is None,
     }
     return T, report
-
-
-def _composition_continuous(K: FiniteGroupoid, T: FiniteTopology) -> bool:
-    for (h, g) in K.composable_pairs():
-        hg = K.comp[(h, g)]
-        for h2 in T.min_open[h]:
-            for g2 in T.min_open[g]:
-                if K.tgt[g2] != K.src[h2]:
-                    continue
-                if K.comp[(h2, g2)] not in T.min_open[hg]:
-                    return False
-    return True
 
 
 def projection_continuous(hol: HolonomyGroupoid, T_hol: FiniteTopology, T_ambient: FiniteTopology) -> bool:

@@ -190,6 +190,9 @@ def presentation_to_dict(P: FpGroupoid) -> dict:
 
 def presentation_from_dict(doc: dict) -> FpGroupoid:
     objects = _require(doc, "objects", list, "presentation")
+    for i, x in enumerate(objects):
+        if not isinstance(x, str):
+            raise SchemaError(f"presentation.objects[{i}]: expected a string")
     gens = []
     for i, g in enumerate(_require(doc, "generators", list, "presentation")):
         gens.append(

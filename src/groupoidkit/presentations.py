@@ -32,8 +32,7 @@ from .errors import (
     PartialMap,
     RewritingNotConfluent,
 )
-
-POS, NEG = 1, -1
+from .rewriting import NEG, POS, free_reduce
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +161,7 @@ def word_inverse(graph: ReflexiveGraph, w: Word) -> Word:
 
 def reduce_word(w: Word) -> Word:
     """Cancel adjacent (e,+)(e,-) / (e,-)(e,+) pairs to the unique fixpoint."""
-    stack: list = []
-    for letter in w.letters:
-        if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return Word(w.start, tuple(stack))
+    return Word(w.start, free_reduce(w.letters))
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +428,7 @@ class PairRewriting:
             raise RewritingNotConfluent(
                 f"instance rewriting system failed critical pairs: {self.critical_failures[:3]!r}"
             )
-        cur = reduce_word(self.normalise_signs(w))
-        while True:
-            nxt = self.rewrite_once(cur)
-            if nxt is None:
-                return cur
-            cur = reduce_word(nxt)
+        return _exhaust(self, w)
 
 
 def _build_pair_rules(D: LocalGroupoidData):
@@ -499,6 +487,17 @@ def _exhaust(system: PairRewriting, w: Word) -> Word:
         cur = reduce_word(nxt)
 
 
+def _evaluate_word(H: FiniteGroupoid, obj_map: dict, gen_map: dict, w: Word):
+    """The arrow of H that w names when objects and generators map by the tables."""
+    cur = H.id_of[obj_map[w.start]]
+    for (e, s) in reversed(w.letters):
+        a = gen_map[e]
+        if s == NEG:
+            a = H.inv[a]
+        cur = H.comp[(a, cur)]
+    return cur
+
+
 @dataclass(frozen=True, eq=False)
 class MonodromyResult:
     """Monodromy groupoid of a window, with projection and window embedding.
@@ -517,14 +516,7 @@ class MonodromyResult:
 
     def project_word(self, w: Word):
         """Evaluate the projection on any word of the presentation."""
-        G = self.data.G
-        cur = G.id_of[self.p_obj[w.start]]
-        for (e, s) in reversed(w.letters):
-            a = self.p_gen[e]
-            if s == NEG:
-                a = G.inv[a]
-            cur = G.comp[(a, cur)]
-        return cur
+        return _evaluate_word(self.data.G, self.p_obj, self.p_gen, w)
 
     def normal_form(self, w: Word) -> Word:
         return self.rewriting.normal_form(w)
@@ -572,14 +564,7 @@ class PresentationToGroupoidMap:
     gen_map: dict  # generator -> arrow of the target
 
     def evaluate(self, w: Word):
-        H = self.target
-        cur = H.id_of[self.obj_map[w.start]]
-        for (e, s) in reversed(w.letters):
-            a = self.gen_map[e]
-            if s == NEG:
-                a = H.inv[a]
-            cur = H.comp[(a, cur)]
-        return cur
+        return _evaluate_word(self.target, self.obj_map, self.gen_map, w)
 
     def respects_relations(self) -> bool:
         return all(

@@ -31,6 +31,25 @@ def free_reduce(word):
     return tuple(out)
 
 
+def _rewrite(rules, word):
+    """Rewrite with the (lhs, rhs) rules, tried in the given order, until none applies."""
+    word = free_reduce(word)
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in rules:
+            n = len(lhs)
+            i = 0
+            while i + n <= len(word):
+                if word[i : i + n] == lhs:
+                    word = free_reduce(word[:i] + rhs + word[i + n :])
+                    changed = True
+                    i = 0
+                else:
+                    i += 1
+    return word
+
+
 def _shortlex_key(word):
     return (len(word), tuple((repr(g), s) for (g, s) in word))
 
@@ -46,21 +65,7 @@ class GroupRewriting:
     complete: bool
 
     def reduce(self, word):
-        word = free_reduce(word)
-        changed = True
-        while changed:
-            changed = False
-            for lhs, rhs in self.rules:
-                n = len(lhs)
-                i = 0
-                while i + n <= len(word):
-                    if word[i : i + n] == lhs:
-                        word = free_reduce(word[:i] + rhs + word[i + n :])
-                        changed = True
-                        i = 0
-                    else:
-                        i += 1
-        return word
+        return _rewrite(self.rules, word)
 
     def equal(self, w1, w2) -> bool:
         if not self.complete:
@@ -98,21 +103,7 @@ def knuth_bendix(generators, relators, max_rules: int = 300, max_len: int = 16) 
         ok &= add_rule(_inv(tuple(r)), ())
 
     def reduce_with(word):
-        word = free_reduce(word)
-        changed = True
-        while changed:
-            changed = False
-            for lhs, rhs in list(rules.items()):
-                n = len(lhs)
-                i = 0
-                while i + n <= len(word):
-                    if word[i : i + n] == lhs:
-                        word = free_reduce(word[:i] + rhs + word[i + n :])
-                        changed = True
-                        i = 0
-                    else:
-                        i += 1
-        return word
+        return _rewrite(tuple(rules.items()), word)
 
     # completion loop: overlaps between rule left-hand sides
     for _ in range(80):

@@ -1,11 +1,18 @@
 """Command line surface: manifests, exit codes, byte stability."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import groupoidkit
 from groupoidkit.cli import main
+from groupoidkit.core import cyclic_group, discrete_topology, one_object_groupoid
+from groupoidkit.io import canonical_dumps, local_data_to_dict
+from groupoidkit.presentations import local_data
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -163,6 +170,24 @@ class TestExtendible:
         code, out, _ = run(capsys, "extendible", fx("c4-window.json"))
         assert code == 0
 
+    def test_witness_independent_of_hash_seed(self, tmp_path):
+        # C3 with window {id:o}: composition fails near (g:2, g:1), and many
+        # nearby pairs witness it; the smallest must be reported every time
+        D = local_data(one_object_groupoid(cyclic_group(3)), ["id:o"], discrete_topology(["id:o"]))
+        path = tmp_path / "c3-identity.json"
+        path.write_text(canonical_dumps(local_data_to_dict(D)))
+        src = str(pathlib.Path(groupoidkit.__file__).resolve().parent.parent)
+        failures = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "groupoidkit.cli", "extendible", str(path)],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert proc.returncode == 3
+            failures.add(json.dumps(results_of(proc.stdout)["failures"]))
+        assert failures == {json.dumps([["composition-discontinuous", "('g:2', 'g:1', 'g:1', 'g:1')"]])}
+
 
 class TestDouble:
     def test_box_c2_interchange(self, capsys):
@@ -219,6 +244,16 @@ class TestCube:
         assert code == 2
         assert out == ""
         assert err.startswith("parse error: cube.faces")
+
+
+class TestVertexGroup:
+    def test_non_string_objects_are_a_parse_error(self, capsys):
+        # a morphism file lists its objects as [from, to] pairs
+        code, out, err = run(capsys, "vertex-group", fx("circle-i.json"), "v")
+        assert code == 2
+        assert out == ""
+        assert "parse error: presentation.objects[0]" in err
+        assert "Traceback" not in err
 
 
 class TestGenerators:

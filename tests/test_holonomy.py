@@ -12,8 +12,10 @@ from corpus import (
 )
 from groupoidkit.bisections import (
     check_extendible,
+    compose_bisections,
     generate_semigroup,
     identity_bisection,
+    is_window_bisection,
     make_bisection,
     w_bisections,
 )
@@ -29,7 +31,7 @@ from groupoidkit.errors import (
     TooSmall,
     WellDefinednessFailure,
 )
-from groupoidkit.germs import compose_germs, germ_target, identity_germ
+from groupoidkit.germs import germ_target
 from groupoidkit.holonomy import (
     annulus_model,
     chart,
@@ -107,11 +109,9 @@ class TestGermGroupoid:
             for g2, reps2 in by_germ.items():
                 if germ_target(D, g2) != g1.base:
                     continue
-                expected = compose_germs(D, g1, g2)
+                expected = compose_bisections(D.G, g1, g2)
                 for (s, _) in reps1:
                     for (t, x) in reps2:
-                        from groupoidkit.bisections import compose_bisections
-
                         st = compose_bisections(D.G, s, t)
                         assert germ(D, st, x) == expected
 
@@ -120,12 +120,12 @@ class TestIteratedProcedures:
     def test_mobius_closure_contains_a_nonlocal_iterate(self):
         # the germ closure strictly exceeds the window germs, and some
         # iterate takes a value outside the window
-        from groupoidkit.germs import germ_closure, is_window_germ
+        from groupoidkit.germs import germ_closure
 
         D = mobius_model(3)
         gens, closure = germ_closure(D)
         assert len(closure) > len(gens)
-        nonlocal_germs = [g for g in closure if not is_window_germ(D, g)]
+        nonlocal_germs = [g for g in closure if not is_window_bisection(D, g)]
         assert nonlocal_germs
         assert any(set(g.as_dict().values()) - D.window for g in nonlocal_germs)
 
@@ -294,7 +294,7 @@ class TestCharts:
     def test_identity_chart_is_the_embedding(self):
         D = mobius_model(3)
         hol = holonomy_pipeline(D)
-        e = identity_germ(D, "c0")
+        e = germ(D, identity_bisection(D.G, D.G.objects), "c0")
         table = chart(hol, e)
         for w, h in table.items():
             assert h == hol.embedding[w]
