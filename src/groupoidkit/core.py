@@ -308,10 +308,13 @@ class FiniteGroupoid:
         return tuple(a for a in self.arrows if self.src[a] == x and self.tgt[a] == y)
 
     def composable_pairs(self):
+        """(h, g) with tgt g == src h: g in arrow order, then h in arrow order."""
+        out_arrows: dict = {}
+        for a in self.arrows:
+            out_arrows.setdefault(self.src[a], []).append(a)
         for g in self.arrows:
-            for h in self.arrows:
-                if self.tgt[g] == self.src[h]:
-                    yield (h, g)
+            for h in out_arrows.get(self.tgt[g], ()):
+                yield (h, g)
 
 
 def make_groupoid(objects, arrows, src, tgt, id_of, inv, comp) -> FiniteGroupoid:

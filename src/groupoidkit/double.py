@@ -30,9 +30,11 @@ filling the four corners of the net; the exact layout is fixed in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse, repeat
 
 from .core import FiniteGroup, FiniteGroupoid, one_object_groupoid
 from .errors import (
+    CapExceeded,
     NotACrossedModule,
     NotACube,
     NotComposable,
@@ -685,41 +687,42 @@ def cube_composition_closure(D: DoubleGroupoid, c1: Cube, c2: Cube, direction: i
     }
 
 
+# Size caps for the exhaustive cube sweep, each at least 8x the largest
+# instance in the corpus (xmod-c2c2: 8,192 shells, 3,145,728 composites).
+MAX_CUBE_SHELLS = 1 << 16
+MAX_CUBE_COMPOSITES = 1 << 25
+
+
 @dataclass(frozen=True, eq=False)
 class SquareTables:
     """Indexed composition tables for exhaustive sweeps.
 
     Built by evaluating the square operations once per pair, so every table
     entry is an actual operation result; sweeps over the tables check the
-    same identities as the object API at a fraction of the cost.
+    same identities as the object API at a fraction of the cost.  Squares are
+    numbered in repr order; ``comp1[u]`` and ``comp2[u]`` are rows mapping
+    each square v composable after u to the index of the composite.
     """
 
     D: DoubleGroupoid
     squares: tuple
     index: dict
-    comp1: dict
-    comp2: dict
-    inv1: dict
-    inv2: dict
+    comp1: tuple
+    comp2: tuple
+    inv1: tuple
+    inv2: tuple
     gplus: dict
     gminus: dict
     eps1_of: dict
 
     def net(self, B: int, L: int, R: int, F: int, K: int) -> int:
-        sq = self.squares
-        c, b = sq[F].left, sq[F].right
-        cp, bp = sq[K].left, sq[K].right
-        row1 = self.comp2[
-            (self.comp2[(self.gplus[c], F)], self.inv2[self.gplus[b]])
-        ]
-        row2 = self.comp2[(self.comp2[(L, B)], self.inv2[R])]
-        row3 = self.comp2[
-            (
-                self.comp2[(self.inv1[self.gplus[cp]], self.inv1[K])],
-                self.gminus[self.D.einv(bp)],
-            )
-        ]
-        return self.comp1[(self.comp1[(row1, row2)], row3)]
+        sq, c1, c2, inv1, inv2 = self.squares, self.comp1, self.comp2, self.inv1, self.inv2
+        gplus = self.gplus
+        front, back = sq[F], sq[K]
+        row1 = c2[c2[gplus[front.left]][F]][inv2[gplus[front.right]]]
+        row2 = c2[c2[L][B]][inv2[R]]
+        row3 = c2[c2[inv1[gplus[back.left]]][inv1[K]]][self.gminus[self.D.einv(back.right)]]
+        return c1[c1[row1][row2]][row3]
 
     def is_commutative(self, cube: tuple) -> bool:
         T, B, L, R, F, K = cube
@@ -729,23 +732,54 @@ class SquareTables:
 def square_tables(D: DoubleGroupoid) -> SquareTables:
     squares = tuple(sorted(D.squares, key=repr))
     index = {u: i for i, u in enumerate(squares)}
-    comp1, comp2 = {}, {}
     by_top: dict = {}
     by_left: dict = {}
     for v in squares:
         by_top.setdefault(v.top, []).append(v)
         by_left.setdefault(v.left, []).append(v)
-    for u in squares:
-        for v in by_top.get(u.bottom, ()):
-            comp1[(index[u], index[v])] = index[compose_squares(D, 1, u, v)]
-        for v in by_left.get(u.right, ()):
-            comp2[(index[u], index[v])] = index[compose_squares(D, 2, u, v)]
-    inv1 = {index[u]: index[inverse_square(D, 1, u)] for u in squares}
-    inv2 = {index[u]: index[inverse_square(D, 2, u)] for u in squares}
+    comp1 = tuple(
+        {index[v]: index[compose_squares(D, 1, u, v)] for v in by_top.get(u.bottom, ())}
+        for u in squares
+    )
+    comp2 = tuple(
+        {index[v]: index[compose_squares(D, 2, u, v)] for v in by_left.get(u.right, ())}
+        for u in squares
+    )
+    inv1 = tuple(index[inverse_square(D, 1, u)] for u in squares)
+    inv2 = tuple(index[inverse_square(D, 2, u)] for u in squares)
     gplus = {e: index[gamma_plus(D, e)] for e in D.edge.arrows}
     gminus = {e: index[gamma_minus(D, e)] for e in D.edge.arrows}
     eps1_of = {e: index[eps1(D, e)] for e in D.edge.arrows}
     return SquareTables(D, squares, index, comp1, comp2, inv1, inv2, gplus, gminus, eps1_of)
+
+
+def _bucket(cubes: list, key: int) -> dict:
+    """Cubes grouped by one face, each group with its six face columns."""
+    groups: dict = {}
+    for c in cubes:
+        groups.setdefault(c[key], []).append(c)
+    return {k: (group, tuple(zip(*group))) for k, group in groups.items()}
+
+
+def _composites(tab: SquareTables, direction: int, c1: tuple, cols: tuple):
+    """Composites of c1 with each cube of a bucket, from the bucket's face columns."""
+    T1, B1, L1, R1, F1, K1 = c1
+    cT, cB, cL, cR, cF, cK = cols
+    r1, r2 = tab.comp1, tab.comp2
+    if direction == 1:
+        return zip(
+            repeat(T1, len(cB)), cB, map(r2[L1].__getitem__, cL), map(r2[R1].__getitem__, cR),
+            map(r1[F1].__getitem__, cF), map(r1[K1].__getitem__, cK),
+        )
+    if direction == 2:
+        return zip(
+            map(r2[T1].__getitem__, cT), map(r2[B1].__getitem__, cB), repeat(L1, len(cR)), cR,
+            map(r2[F1].__getitem__, cF), map(r2[K1].__getitem__, cK),
+        )
+    return zip(
+        map(r1[T1].__getitem__, cT), map(r1[B1].__getitem__, cB), map(r1[L1].__getitem__, cL),
+        map(r1[R1].__getitem__, cR), repeat(F1, len(cK)), cK,
+    )
 
 
 def cube_closure_sweep(D: DoubleGroupoid) -> dict:
@@ -754,41 +788,44 @@ def cube_closure_sweep(D: DoubleGroupoid) -> dict:
     Returns counts plus the (hopefully empty) list of violating pairs.
     Cube shells are handled as index 6-tuples (top, bottom, left, right,
     front, back) over the square tables.
+
+    For each c1 and direction, the composites with every c2 in the matching
+    bucket are built column by column from the table rows of c1's faces.
+    Every composite is then checked through a verdict cache.  The verdict
+    `tab.is_commutative` is a pure function of the 6-tuple, and it has
+    already been evaluated on every enumerated shell; a composite equal to
+    a shell that passed is therefore commutative by that evaluation.  When
+    a bucket yields any other composite, its pairs are walked one by one
+    and each composite outside the cache is evaluated again; it is a
+    violation exactly when that evaluation fails.  The cache changes how
+    often the fold runs, never a verdict.
+
+    Raises CapExceeded when the shells pass MAX_CUBE_SHELLS or, before any
+    composite is built, when their count would pass MAX_CUBE_COMPOSITES.
     """
+    shells = enumerate_cubes(D)  # first, so an oversized instance stops before the tables are built
     tab = square_tables(D)
     idx = tab.index
-    cubes = [
-        (idx[c.top], idx[c.bottom], idx[c.left], idx[c.right], idx[c.front], idx[c.back])
-        for c in enumerate_cubes(D)
-    ]
+    cubes = [(idx[c.top], idx[c.bottom], idx[c.left], idx[c.right], idx[c.front], idx[c.back]) for c in shells]
     commutative = [c for c in cubes if tab.is_commutative(c)]
-    by_top: dict = {}
-    by_left: dict = {}
-    by_front: dict = {}
-    for c in commutative:
-        by_top.setdefault(c[0], []).append(c)
-        by_left.setdefault(c[2], []).append(c)
-        by_front.setdefault(c[4], []).append(c)
+    known = set(commutative)
+    empty = ((), ((),) * 6)
+    # c2 follows c1 in direction 1, 2, 3 when c2's top, left, front is c1's bottom, right, back
+    joins = [(1, _bucket(commutative, 0), 1), (2, _bucket(commutative, 2), 3), (3, _bucket(commutative, 4), 5)]
+    checked = sum(len(buckets.get(c[face], empty)[0]) for c in commutative for _, buckets, face in joins)
+    if checked > MAX_CUBE_COMPOSITES:
+        raise CapExceeded(
+            f"cube closure sweep would check {checked} composites, over the cap of {MAX_CUBE_COMPOSITES}"
+        )
     violations = []
-    checked = 0
-    c1_, c2_ = tab.comp1, tab.comp2
     for c1 in commutative:
-        T1, B1, L1, R1, F1, K1 = c1
-        for c2 in by_top.get(B1, ()):
-            out = (T1, c2[1], c2_[(L1, c2[2])], c2_[(R1, c2[3])], c1_[(F1, c2[4])], c1_[(K1, c2[5])])
-            checked += 1
-            if not tab.is_commutative(out):
-                violations.append((1, c1, c2))
-        for c2 in by_left.get(R1, ()):
-            out = (c2_[(T1, c2[0])], c2_[(B1, c2[1])], L1, c2[3], c2_[(F1, c2[4])], c2_[(K1, c2[5])])
-            checked += 1
-            if not tab.is_commutative(out):
-                violations.append((2, c1, c2))
-        for c2 in by_front.get(K1, ()):
-            out = (c1_[(T1, c2[0])], c1_[(B1, c2[1])], c1_[(L1, c2[2])], c1_[(R1, c2[3])], F1, c2[5])
-            checked += 1
-            if not tab.is_commutative(out):
-                violations.append((3, c1, c2))
+        for direction, buckets, face in joins:
+            bucket, cols = buckets.get(c1[face], empty)
+            if next(filterfalse(known.__contains__, _composites(tab, direction, c1, cols)), None) is None:
+                continue
+            for c2, out in zip(bucket, _composites(tab, direction, c1, cols)):
+                if out not in known and not tab.is_commutative(out):
+                    violations.append((direction, c1, c2))
     return {
         "cubes": len(cubes),
         "commutative": len(commutative),
@@ -798,47 +835,30 @@ def cube_closure_sweep(D: DoubleGroupoid) -> dict:
 
 
 def enumerate_cubes(D: DoubleGroupoid) -> list[Cube]:
-    """All cube shells over D (intended for the small corpus instances)."""
+    """All cube shells over D, in repr order of (front, top, left, right, bottom, back).
+
+    A join on shared edges: each face after the front is looked up by the
+    edges it shares with the faces already placed.  Raises CapExceeded as
+    soon as the shells pass MAX_CUBE_SHELLS.
+    """
+    squares = sorted(D.squares, key=repr)
+    by_top: dict = {}
+    by_top_left: dict = {}
+    by_top_left_right: dict = {}
     by_boundary: dict = {}
-    for u in D.squares:
+    for u in squares:
+        by_top.setdefault(u.top, []).append(u)
+        by_top_left.setdefault((u.top, u.left), []).append(u)
+        by_top_left_right.setdefault((u.top, u.left, u.right), []).append(u)
         by_boundary.setdefault((u.top, u.right, u.left, u.bottom), []).append(u)
-
-    def faces(a, b, c, d):
-        return by_boundary.get((a, b, c, d), ())
-
-    G = D.edge
-    arrows = G.arrows
     out = []
-    for F in D.squares:
-        a, b, c, d = F.top, F.right, F.left, F.bottom
-        for p in arrows:
-            if G.src[p] != G.src[a]:
-                continue
-            for q in arrows:
-                if G.src[q] != G.tgt[a]:
-                    continue
-                for r in arrows:
-                    if G.src[r] != G.src[d]:
-                        continue
-                    for s in arrows:
-                        if G.src[s] != G.tgt[d]:
-                            continue
-                        for ap in arrows:
-                            if G.src[ap] != G.tgt[p] or G.tgt[ap] != G.tgt[q]:
-                                continue
-                            for dp in arrows:
-                                if G.src[dp] != G.tgt[r] or G.tgt[dp] != G.tgt[s]:
-                                    continue
-                                for cp in arrows:
-                                    if G.src[cp] != G.tgt[p] or G.tgt[cp] != G.tgt[r]:
-                                        continue
-                                    for bp in arrows:
-                                        if G.src[bp] != G.tgt[q] or G.tgt[bp] != G.tgt[s]:
-                                            continue
-                                        for T in faces(a, q, p, ap):
-                                            for B in faces(d, s, r, dp):
-                                                for L in faces(c, r, p, cp):
-                                                    for R in faces(b, s, q, bp):
-                                                        for K in faces(ap, bp, cp, dp):
-                                                            out.append(Cube(T, B, L, R, F, K))
+    for F in squares:
+        for T in by_top.get(F.top, ()):
+            for L in by_top_left.get((F.left, T.left), ()):
+                for R in by_top_left.get((F.right, T.right), ()):
+                    for B in by_top_left_right.get((F.bottom, L.right, R.right), ()):
+                        backs = by_boundary.get((T.bottom, R.bottom, L.bottom, B.bottom), ())
+                        out.extend(Cube(T, B, L, R, F, K) for K in backs)
+                        if len(out) > MAX_CUBE_SHELLS:
+                            raise CapExceeded(f"cube enumeration passed the cap of {MAX_CUBE_SHELLS} shells")
     return out

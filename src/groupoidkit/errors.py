@@ -95,3 +95,7 @@ class RewritingNotConfluent(GroupoidKitError):
 
 class WellDefinednessFailure(GroupoidKitError):
     """A quotient-level map is not constant on classes."""
+
+
+class CapExceeded(GroupoidKitError, OverflowError):
+    """An exhaustive enumeration would pass its documented size cap."""

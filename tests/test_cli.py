@@ -210,6 +210,18 @@ class TestDouble:
         res = results_of(out)
         assert all(entry["ok"] for entry in res["checks"].values())
 
+    def test_cube_closure_over_the_shell_cap_exits_1(self):
+        # inner S3 has about 2.2e9 cube shells; the enumeration stops at its cap
+        src = str(pathlib.Path(groupoidkit.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupoidkit.cli", "double", fx("xmod-inner-s3.json"),
+             "--check", "transport,interchange,roundtrip,cube-closure"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=False, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: cube enumeration passed the cap of 65536 shells\n"
+
     def test_square_catalogue_emission(self, capsys, tmp_path):
         target = tmp_path / "squares.json"
         code, _, _ = run(capsys, "double", fx("box-c2.json"), "--emit-squares", str(target))

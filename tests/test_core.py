@@ -1,6 +1,11 @@
 """Groupoid tables, groups, morphisms, coverings, finite topologies."""
 
+import json
+import pathlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidkit.core import (
     FiniteGroupoid,
@@ -32,6 +37,9 @@ from groupoidkit.core import (
     vertex_group,
 )
 from groupoidkit.errors import EmptyNotAllowed, NotComposable, UnknownObject, UnknownPoint
+from groupoidkit.io import crossed_module_from_dict, groupoid_from_dict
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def swap_action_2pts():
@@ -263,3 +271,52 @@ class TestGroupoidIso:
         obj_map, arr_map = out
         for (h, g) in G.composable_pairs():
             assert arr_map[G.comp[(h, g)]] == G.comp[(arr_map[h], arr_map[g])]
+
+
+def reference_composable_pairs(G):
+    """Every ordered pair of arrows, kept when tgt g == src h."""
+    return [(h, g) for g in G.arrows for h in G.arrows if G.tgt[g] == G.src[h]]
+
+
+def fixture_groupoids():
+    """The groupoid of every fixture that holds one: groupoid files and the
+    edge groupoids of crossed modules."""
+    out = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        try:
+            doc = json.loads(path.read_text())
+        except json.JSONDecodeError:
+            continue
+        if "comp" in doc:
+            out.append(pytest.param(groupoid_from_dict(doc), id=path.stem))
+        elif "P" in doc:
+            out.append(pytest.param(one_object_groupoid(crossed_module_from_dict(doc).P), id=path.stem))
+    return out
+
+
+@st.composite
+def small_groupoids(draw):
+    """Disjoint unions of pair groupoids and cyclic groups, arrows in a drawn order."""
+    G = draw(st.sampled_from([lambda: pair_groupoid(["a"]), lambda: one_object_groupoid(cyclic_group(3))]))()
+    for i in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(1, 3))
+        part = draw(st.sampled_from([
+            pair_groupoid([f"p{j}" for j in range(n)]),
+            one_object_groupoid(cyclic_group(n)),
+        ]))
+        G = disjoint_union(G, part, tags=(f"u{i}", f"v{i}"))
+    arrows = tuple(draw(st.permutations(G.arrows)))
+    return FiniteGroupoid(G.objects, arrows, G.src, G.tgt, G.id_of, G.inv, G.comp)
+
+
+class TestComposablePairs:
+    """The per-object join against the all-pairs scan."""
+
+    @pytest.mark.parametrize("G", fixture_groupoids())
+    def test_fixtures_match_reference(self, G):
+        assert list(G.composable_pairs()) == reference_composable_pairs(G)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_groupoids())
+    def test_generated_match_reference(self, G):
+        assert list(G.composable_pairs()) == reference_composable_pairs(G)

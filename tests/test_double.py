@@ -1,7 +1,17 @@
 """Double groupoids of squares, crossed modules, and commutative cubes."""
 
+import dataclasses
+import hashlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import groupoidkit
+from groupoidkit import double
 from groupoidkit.core import (
     cyclic_group,
     indiscrete,
@@ -37,7 +47,17 @@ from groupoidkit.double import (
     validate_crossed_module,
     xmod_to_double,
 )
-from groupoidkit.errors import NotACrossedModule, NotACube, NotComposable, NotSpecialDouble
+from groupoidkit.errors import (
+    CapExceeded,
+    GroupoidKitError,
+    NotACrossedModule,
+    NotACube,
+    NotComposable,
+    NotSpecialDouble,
+)
+from groupoidkit.io import crossed_module_from_dict
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def box_c2():
@@ -54,6 +74,24 @@ def xmod_c2():
 
 def xmod_trivial():
     return trivial_boundary_crossed_module(cyclic_group(2), cyclic_group(1))
+
+
+def box_c3():
+    return commuting_squares(one_object_groupoid(cyclic_group(3)))
+
+
+def xmod_c2c2_fixture():
+    doc = json.loads((FIXTURES / "xmod-c2c2.json").read_text())
+    return xmod_to_double(crossed_module_from_dict(doc))
+
+
+SWEEP_CORPUS = {
+    "box-c2": box_c2,
+    "box-c3": box_c3,
+    "indiscrete-2": box_interval,
+    "xmod-c2": lambda: xmod_to_double(xmod_c2()),
+    "xmod-c2c2-fixture": xmod_c2c2_fixture,
+}
 
 
 def three_crossed_modules():
@@ -333,3 +371,166 @@ class TestCubeClosure:
         c = prism_cube(D, u)
         out = cube_composition_closure(D, c, c, 3)
         assert out["commutative"]
+
+
+def reference_sweep(D):
+    """The per-pair closure sweep: `tab.is_commutative` on every composite."""
+    tab = double.square_tables(D)
+    idx = tab.index
+    cubes = [
+        (idx[c.top], idx[c.bottom], idx[c.left], idx[c.right], idx[c.front], idx[c.back])
+        for c in enumerate_cubes(D)
+    ]
+    commutative = [c for c in cubes if tab.is_commutative(c)]
+    by_top, by_left, by_front = {}, {}, {}
+    for c in commutative:
+        by_top.setdefault(c[0], []).append(c)
+        by_left.setdefault(c[2], []).append(c)
+        by_front.setdefault(c[4], []).append(c)
+    violations = []
+    checked = 0
+    r1, r2 = tab.comp1, tab.comp2
+    for c1 in commutative:
+        T1, B1, L1, R1, F1, K1 = c1
+        for c2 in by_top.get(B1, ()):
+            out = (T1, c2[1], r2[L1][c2[2]], r2[R1][c2[3]], r1[F1][c2[4]], r1[K1][c2[5]])
+            checked += 1
+            if not tab.is_commutative(out):
+                violations.append((1, c1, c2))
+        for c2 in by_left.get(R1, ()):
+            out = (r2[T1][c2[0]], r2[B1][c2[1]], L1, c2[3], r2[F1][c2[4]], r2[K1][c2[5]])
+            checked += 1
+            if not tab.is_commutative(out):
+                violations.append((2, c1, c2))
+        for c2 in by_front.get(K1, ()):
+            out = (r1[T1][c2[0]], r1[B1][c2[1]], r1[L1][c2[2]], r1[R1][c2[3]], F1, c2[5])
+            checked += 1
+            if not tab.is_commutative(out):
+                violations.append((3, c1, c2))
+    return {
+        "cubes": len(cubes),
+        "commutative": len(commutative),
+        "composites_checked": checked,
+        "violations": violations,
+    }
+
+
+def reference_cubes(D):
+    """All cube shells by eight nested edge loops and a boundary lookup per face."""
+    by_boundary = {}
+    for u in D.squares:
+        by_boundary.setdefault((u.top, u.right, u.left, u.bottom), []).append(u)
+
+    def faces(a, b, c, d):
+        return by_boundary.get((a, b, c, d), ())
+
+    G = D.edge
+    arrows = G.arrows
+    out = []
+    for F in D.squares:
+        a, b, c, d = F.top, F.right, F.left, F.bottom
+        for p in (p for p in arrows if G.src[p] == G.src[a]):
+            for q in (q for q in arrows if G.src[q] == G.tgt[a]):
+                for r in (r for r in arrows if G.src[r] == G.src[d]):
+                    for s in (s for s in arrows if G.src[s] == G.tgt[d]):
+                        for ap in (x for x in arrows if G.src[x] == G.tgt[p] and G.tgt[x] == G.tgt[q]):
+                            for dp in (x for x in arrows if G.src[x] == G.tgt[r] and G.tgt[x] == G.tgt[s]):
+                                for cp in (x for x in arrows if G.src[x] == G.tgt[p] and G.tgt[x] == G.tgt[r]):
+                                    for bp in (x for x in arrows if G.src[x] == G.tgt[q] and G.tgt[x] == G.tgt[s]):
+                                        for T in faces(a, q, p, ap):
+                                            for B in faces(d, s, r, dp):
+                                                for L in faces(c, r, p, cp):
+                                                    for R in faces(b, s, q, bp):
+                                                        for K in faces(ap, bp, cp, dp):
+                                                            out.append(Cube(T, B, L, R, F, K))
+    return out
+
+
+def tables_with_one_filler_flipped(D):
+    """Square tables whose first vertical composite has its filler changed.
+
+    The replacement has the same boundary, so every later lookup still
+    resolves; only the verdicts can change.
+    """
+    tab = square_tables(D)
+    u = next(i for i, row in enumerate(tab.comp1) if row)
+    v, uv = next(iter(tab.comp1[u].items()))
+    w = tab.squares[uv]
+    boundary = (w.top, w.right, w.left, w.bottom)
+    other = next(x for x in tab.squares if x != w and (x.top, x.right, x.left, x.bottom) == boundary)
+    comp1 = list(tab.comp1)
+    comp1[u] = {**comp1[u], v: tab.index[other]}
+    return dataclasses.replace(tab, comp1=tuple(comp1))
+
+
+class TestSweepKernel:
+    """The column-join sweep with its verdict cache against the per-pair loop."""
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_CORPUS))
+    def test_matches_reference(self, name):
+        D = SWEEP_CORPUS[name]()
+        assert cube_closure_sweep(D) == reference_sweep(D)
+
+    def test_cache_cannot_hide_a_violation(self, monkeypatch):
+        D = xmod_to_double(xmod_c2())
+        monkeypatch.setattr(double, "square_tables", tables_with_one_filler_flipped)
+        expected = reference_sweep(D)
+        assert expected["violations"]
+        assert cube_closure_sweep(D) == expected
+
+    def test_composite_cap_boundary(self, monkeypatch):
+        D = box_c2()
+        checked = cube_closure_sweep(D)["composites_checked"]
+        monkeypatch.setattr(double, "MAX_CUBE_COMPOSITES", checked)
+        assert cube_closure_sweep(D)["composites_checked"] == checked
+        monkeypatch.setattr(double, "MAX_CUBE_COMPOSITES", checked - 1)
+        with pytest.raises(CapExceeded) as info:
+            cube_closure_sweep(D)
+        assert isinstance(info.value, OverflowError) and isinstance(info.value, GroupoidKitError)
+        assert str(checked - 1) in str(info.value)
+
+    def test_caps_leave_room_over_the_corpus(self):
+        out = cube_closure_sweep(xmod_c2c2_fixture())
+        assert double.MAX_CUBE_SHELLS >= 8 * out["cubes"]
+        assert double.MAX_CUBE_COMPOSITES >= 8 * out["composites_checked"]
+
+
+class TestEnumerateCubes:
+    """The boundary-keyed join against the eight-loop enumeration."""
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_CORPUS))
+    def test_matches_reference(self, name):
+        D = SWEEP_CORPUS[name]()
+        cubes = enumerate_cubes(D)
+        assert len(cubes) == len(set(cubes))
+        assert set(cubes) == set(reference_cubes(D))
+
+    def test_order_independent_of_hash_seed(self):
+        script = (
+            "import hashlib\n"
+            "from groupoidkit.core import cyclic_group, one_object_groupoid\n"
+            "from groupoidkit.double import commuting_squares, enumerate_cubes\n"
+            "D = commuting_squares(one_object_groupoid(cyclic_group(3)))\n"
+            "print(hashlib.sha256(repr(enumerate_cubes(D)).encode()).hexdigest())\n"
+        )
+        src = str(pathlib.Path(groupoidkit.__file__).resolve().parent.parent)
+        digests = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True, timeout=120
+            )
+            digests.add(proc.stdout)
+        D = box_c3()
+        assert digests == {hashlib.sha256(repr(enumerate_cubes(D)).encode()).hexdigest() + "\n"}
+
+    def test_shell_cap_boundary(self, monkeypatch):
+        D = box_c2()
+        count = len(enumerate_cubes(D))
+        monkeypatch.setattr(double, "MAX_CUBE_SHELLS", count)
+        assert len(enumerate_cubes(D)) == count
+        monkeypatch.setattr(double, "MAX_CUBE_SHELLS", count - 1)
+        with pytest.raises(CapExceeded):
+            enumerate_cubes(D)
+        with pytest.raises(CapExceeded):
+            cube_closure_sweep(D)
