@@ -325,6 +325,8 @@ class ExtendibilityResult:
     ok: bool
     topology: FiniteTopology
     failures: tuple  # (kind, witness) pairs
+    generator_germs: tuple  # the window germs
+    closure_germs: tuple  # their closure under composition
 
     def __bool__(self) -> bool:
         return self.ok
@@ -345,7 +347,7 @@ def check_extendible(D: LocalGroupoidData) -> ExtendibilityResult:
       by a composable pair or arrow.
     """
     G, TW = D.G, D.t_window
-    _, closure = germ_closure(D)
+    gens, closure = germ_closure(D)
 
     window_base = TW.base()
     subbase: set = set(window_base)
@@ -374,4 +376,4 @@ def check_extendible(D: LocalGroupoidData) -> ExtendibilityResult:
         failures.append(("inversion-discontinuous", inversion))
     if composition is not None:
         failures.append(("composition-discontinuous", composition))
-    return ExtendibilityResult(not failures, T_arr, tuple(failures))
+    return ExtendibilityResult(not failures, T_arr, tuple(failures), gens, closure)

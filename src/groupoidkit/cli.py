@@ -29,11 +29,12 @@ from .double import (
 )
 from .errors import (
     GroupoidKitError,
+    NotAGroupoid,
     NotFiniteOnInstance,
     SchemaError,
     WellDefinednessFailure,
 )
-from .germs import germ_closure
+from .germs import germ_closure  # noqa: F401  (perfbench traces cli.germ_closure)
 from .holonomy import (
     annulus_model,
     germ_groupoid,
@@ -237,12 +238,11 @@ def cmd_extendible(args) -> int:
     started = time.time()
     D = local_data_from_dict(_read_json(args.path))
     res = check_extendible(D)
-    gens, closure = germ_closure(D)
     results = {
         "extendible": res.ok,
         "failures": [[kind, str(witness)] for (kind, witness) in res.failures],
-        "generator_germs": len(gens),
-        "iterated_germs": len(closure),
+        "generator_germs": len(res.generator_germs),
+        "iterated_germs": len(res.closure_germs),
         "arrow_topology_base": sorted(sorted(map(str, U)) for U in res.topology.base()),
     }
     _emit("extendible", [args.path], results, started)
@@ -253,7 +253,11 @@ def _load_double(doc):
     if "P" in doc:
         X = crossed_module_from_dict(doc)
         return xmod_to_double(X), X
-    return commuting_squares(groupoid_from_dict(doc)), None
+    G = groupoid_from_dict(doc)
+    report = validate_groupoid(G)
+    if not report.ok:
+        raise NotAGroupoid(f"not a groupoid: {report.violations[0]}")
+    return commuting_squares(G), None
 
 
 def cmd_double(args) -> int:

@@ -24,7 +24,7 @@ d(m) = d^-1 c^-1 a b (the boundary loop read off the square in path order).
 A cube (six squares with matched edges) is commutative when its top face
 equals the folded composite of the other five with connection squares
 filling the four corners of the net; the exact layout is fixed in
-`net_composite`.
+`SquareTables.net`, which every cube verdict and the closure sweep read.
 """
 
 from __future__ import annotations
@@ -94,32 +94,34 @@ def _act(D: DoubleGroupoid, edge, m):
     return D.xmod.action[(D.edge_elem[edge], m)]
 
 
+def _thin(D: DoubleGroupoid, top, right, left, bottom) -> Square:
+    """The square on this boundary with the trivial filler."""
+    filler = None if D.kind == "commuting" else D.xmod.M.identity
+    return Square(top, right, left, bottom, filler)
+
+
 def eps1(D: DoubleGroupoid, e) -> Square:
     """Degenerate square for vertical composition: (e, 1, 1, e)."""
     G = D.edge
-    filler = None if D.kind == "commuting" else D.xmod.M.identity
-    return Square(e, G.id_of[G.tgt[e]], G.id_of[G.src[e]], e, filler)
+    return _thin(D, e, G.id_of[G.tgt[e]], G.id_of[G.src[e]], e)
 
 
 def eps2(D: DoubleGroupoid, e) -> Square:
     """Degenerate square for horizontal composition: (1, e, e, 1)."""
     G = D.edge
-    filler = None if D.kind == "commuting" else D.xmod.M.identity
-    return Square(G.id_of[G.src[e]], e, e, G.id_of[G.tgt[e]], filler)
+    return _thin(D, G.id_of[G.src[e]], e, e, G.id_of[G.tgt[e]])
 
 
 def gamma_minus(D: DoubleGroupoid, e) -> Square:
     """Connection with e on top and left: (e, 1, e, 1)."""
     G = D.edge
-    filler = None if D.kind == "commuting" else D.xmod.M.identity
-    return Square(e, G.id_of[G.tgt[e]], e, G.id_of[G.tgt[e]], filler)
+    return _thin(D, e, G.id_of[G.tgt[e]], e, G.id_of[G.tgt[e]])
 
 
 def gamma_plus(D: DoubleGroupoid, e) -> Square:
     """Connection with e on right and bottom: (1, e, 1, e)."""
     G = D.edge
-    filler = None if D.kind == "commuting" else D.xmod.M.identity
-    return Square(G.id_of[G.src[e]], e, G.id_of[G.src[e]], e, filler)
+    return _thin(D, G.id_of[G.src[e]], e, G.id_of[G.src[e]], e)
 
 
 def compose_squares(D: DoubleGroupoid, direction: int, u: Square, v: Square) -> Square:
@@ -354,9 +356,7 @@ def double_to_xmod(D: DoubleGroupoid) -> tuple[CrossedModule, dict]:
 
 
 def _is_trivial_filler(D: DoubleGroupoid, u: Square) -> bool:
-    if D.kind == "commuting":
-        return True
-    return u.filler == D.xmod.M.identity
+    return u == _thin(D, u.top, u.right, u.left, u.bottom)
 
 
 def roundtrip_isomorphism(X: CrossedModule) -> dict:
@@ -425,27 +425,34 @@ class InterchangeReport:
 
 
 def _interchange_direct(D: DoubleGroupoid) -> InterchangeReport:
-    by_left: dict = {}
-    by_top: dict = {}
-    for u in D.squares:
-        by_left.setdefault(u.left, []).append(u)
-        by_top.setdefault(u.top, []).append(u)
+    """Every block read off the square rows, in repr order of (u, v, w, z).
+
+    A block's lower row (w, z) depends only on the bottom edges of u and v,
+    so its columns w, z and w +2 z are built once per edge pair.  Raises
+    CapExceeded as soon as the blocks pass MAX_INTERCHANGE_BLOCKS.
+    """
+    tab = square_tables(D)
+    sq, c1, c2 = tab.squares, tab.comp1, tab.comp2
+    lower: dict = {}
     bad = []
     blocks = 0
-    for u in D.squares:
-        for v in by_left.get(u.right, ()):
-            uv = compose_squares(D, 2, u, v)
-            for w in by_top.get(u.bottom, ()):
-                uw = compose_squares(D, 1, u, w)
-                for z in by_top.get(v.bottom, ()):
-                    if z.left != w.right:
-                        continue
-                    blocks += 1
-                    lhs = compose_squares(D, 1, uv, compose_squares(D, 2, w, z))
-                    rhs = compose_squares(D, 2, uw, compose_squares(D, 1, v, z))
-                    if lhs != rhs:
-                        bad.append((u, v, w, z))
-    return InterchangeReport(not bad, "direct", blocks, tuple(bad[:3]))
+    for u in range(len(sq)):
+        for v, uv in c2[u].items():
+            key = (sq[u].bottom, sq[v].bottom)
+            if key not in lower:
+                pairs = [(w, z, wz) for w in c1[u] for z, wz in c2[w].items() if sq[z].top == key[1]]
+                lower[key] = tuple(zip(*pairs)) or ((), (), ())
+            ws, zs, wzs = lower[key]
+            blocks += len(ws)
+            if blocks > MAX_INTERCHANGE_BLOCKS:
+                raise CapExceeded(f"interchange check passed the cap of {MAX_INTERCHANGE_BLOCKS} blocks")
+            uws = map(c1[u].__getitem__, ws)
+            lhs = list(map(c1[uv].__getitem__, wzs))
+            rhs = list(map(dict.__getitem__, map(c2.__getitem__, uws), map(c1[v].__getitem__, zs)))
+            if lhs != rhs:
+                bad.extend((u, v, w, z) for w, z, left, right in zip(ws, zs, lhs, rhs) if left != right)
+    witnesses = tuple(tuple(map(sq.__getitem__, block)) for block in bad[:3])
+    return InterchangeReport(not bad, "direct", blocks, witnesses)
 
 
 def _interchange_factored(D: DoubleGroupoid) -> InterchangeReport:
@@ -495,38 +502,33 @@ def interchange_check(D: DoubleGroupoid, method: str = "auto") -> InterchangeRep
 def square_groupoid_axioms(D: DoubleGroupoid, direction: int, max_squares: int = 40) -> list:
     """Identity, inverse and associativity laws of one composition.
 
-    Exhaustive; guarded by a size limit since associativity is cubic.
+    Exhaustive over the square rows, witnesses in repr order; guarded by a
+    size limit since associativity is cubic.
     """
     if len(D.squares) > max_squares:
         raise OverflowError(f"axiom sweep limited to {max_squares} squares")
+    if direction not in (1, 2):
+        raise NotComposable(f"direction must be 1 or 2, got {direction!r}")
+    tab = square_tables(D)
+    sq, idx = tab.squares, tab.index
+    comp, inv = (tab.comp1, tab.inv1) if direction == 1 else (tab.comp2, tab.inv2)
     bad = []
-    for u in D.squares:
+    for u, s in enumerate(sq):
         if direction == 1:
-            lid, rid = eps1(D, u.top), eps1(D, u.bottom)
+            lid, rid = idx[eps1(D, s.top)], idx[eps1(D, s.bottom)]
         else:
-            lid, rid = eps2(D, u.left), eps2(D, u.right)
-        if compose_squares(D, direction, lid, u) != u:
-            bad.append(("left-identity", u))
-        if compose_squares(D, direction, u, rid) != u:
-            bad.append(("right-identity", u))
-        inv = inverse_square(D, direction, u)
-        if compose_squares(D, direction, u, inv) != (lid if direction else None):
-            bad.append(("inverse", u))
-    pairs = []
-    for u in D.squares:
-        for v in D.squares:
-            try:
-                pairs.append((u, v, compose_squares(D, direction, u, v)))
-            except NotComposable:
-                continue
-    comp = {(u, v): uv for (u, v, uv) in pairs}
-    for (u, v, uv) in pairs:
-        for w in D.squares:
-            if (v, w) in comp:
-                left = comp.get((uv, w))
-                right = comp.get((u, comp[(v, w)]))
-                if left != right:
-                    bad.append(("associativity", (u, v, w)))
+            lid, rid = idx[eps2(D, s.left)], idx[eps2(D, s.right)]
+        if comp[lid].get(u) != u:
+            bad.append(("left-identity", s))
+        if comp[u].get(rid) != u:
+            bad.append(("right-identity", s))
+        if comp[u].get(inv[u]) != lid:
+            bad.append(("inverse", s))
+    for u in range(len(sq)):
+        for v, uv in comp[u].items():
+            for w, vw in comp[v].items():
+                if comp[uv].get(w) != comp[u].get(vw):
+                    bad.append(("associativity", (sq[u], sq[v], sq[w])))
     return bad
 
 
@@ -550,6 +552,17 @@ class Cube:
     right: Square
     front: Square
     back: Square
+
+
+_FACES = ("top", "bottom", "left", "right", "front", "back")
+# c2 follows c1 in direction d when face `key` of c2 is face `face` of c1:
+# bottom/top, right/left, back/front.  d -> (face, key), as indices into _FACES.
+_FOLLOWS = {1: (1, 0), 2: (3, 2), 3: (5, 4)}
+
+
+def _indexed(tab: SquareTables, cube: Cube) -> tuple:
+    """A cube's faces as square indices, in `_FACES` order."""
+    return tuple(tab.index[getattr(cube, f)] for f in _FACES)
 
 
 def validate_cube(D: DoubleGroupoid, cube: Cube) -> None:
@@ -577,29 +590,13 @@ def validate_cube(D: DoubleGroupoid, cube: Cube) -> None:
 
 
 def net_composite(D: DoubleGroupoid, cube: Cube) -> Square:
-    """Fold the five non-top faces flat and compose, corners filled by
-    connections:
-
-        [ G+(c)    front    -2 G+(b)   ]
-        [ left     bottom   -2 right   ]
-        [ -1 G+(c'), -1 back, G-(b'^-1)]
-    """
-    F, K, B, L, R = cube.front, cube.back, cube.bottom, cube.left, cube.right
-    c, b = F.left, F.right
-    cp, bp = K.left, K.right
-    row1 = compose_squares(D, 2, compose_squares(D, 2, gamma_plus(D, c), F), inverse_square(D, 2, gamma_plus(D, b)))
-    row2 = compose_squares(D, 2, compose_squares(D, 2, L, B), inverse_square(D, 2, R))
-    row3 = compose_squares(
-        D,
-        2,
-        compose_squares(D, 2, inverse_square(D, 1, gamma_plus(D, cp)), inverse_square(D, 1, K)),
-        gamma_minus(D, D.einv(bp)),
-    )
-    return compose_squares(D, 1, compose_squares(D, 1, row1, row2), row3)
+    """The fold of the five non-top faces of a cube shell, `SquareTables.net`, as a square."""
+    validate_cube(D, cube)
+    tab = square_tables(D)
+    return tab.squares[tab.net(*_indexed(tab, cube)[1:])]
 
 
 def is_commutative_cube(D: DoubleGroupoid, cube: Cube) -> bool:
-    validate_cube(D, cube)
     return cube.top == net_composite(D, cube)
 
 
@@ -636,41 +633,15 @@ def compose_cubes(D: DoubleGroupoid, direction: int, c1: Cube, c2: Cube) -> Cube
     """Cube composition in direction 1 (down), 2 (right) or 3 (deep)."""
     validate_cube(D, c1)
     validate_cube(D, c2)
-    if direction == 1:
-        if c1.bottom != c2.top:
-            raise NotComposable("direction 1 needs bottom == top")
-        cube = Cube(
-            top=c1.top,
-            bottom=c2.bottom,
-            left=compose_squares(D, 2, c1.left, c2.left),
-            right=compose_squares(D, 2, c1.right, c2.right),
-            front=compose_squares(D, 1, c1.front, c2.front),
-            back=compose_squares(D, 1, c1.back, c2.back),
-        )
-    elif direction == 2:
-        if c1.right != c2.left:
-            raise NotComposable("direction 2 needs right == left")
-        cube = Cube(
-            top=compose_squares(D, 2, c1.top, c2.top),
-            bottom=compose_squares(D, 2, c1.bottom, c2.bottom),
-            left=c1.left,
-            right=c2.right,
-            front=compose_squares(D, 2, c1.front, c2.front),
-            back=compose_squares(D, 2, c1.back, c2.back),
-        )
-    elif direction == 3:
-        if c1.back != c2.front:
-            raise NotComposable("direction 3 needs back == front")
-        cube = Cube(
-            top=compose_squares(D, 1, c1.top, c2.top),
-            bottom=compose_squares(D, 1, c1.bottom, c2.bottom),
-            left=compose_squares(D, 1, c1.left, c2.left),
-            right=compose_squares(D, 1, c1.right, c2.right),
-            front=c1.front,
-            back=c2.back,
-        )
-    else:
+    if direction not in _FOLLOWS:
         raise NotComposable(f"direction must be 1, 2 or 3, got {direction!r}")
+    face, key = _FOLLOWS[direction]
+    tab = square_tables(D)
+    i1, i2 = _indexed(tab, c1), _indexed(tab, c2)
+    if i1[face] != i2[key]:
+        raise NotComposable(f"direction {direction} needs {_FACES[face]} == {_FACES[key]}")
+    (out,) = _composites(tab, direction, i1, tuple(zip(i2)))
+    cube = Cube(*map(tab.squares.__getitem__, out))
     validate_cube(D, cube)
     return cube
 
@@ -687,35 +658,55 @@ def cube_composition_closure(D: DoubleGroupoid, c1: Cube, c2: Cube, direction: i
     }
 
 
-# Size caps for the exhaustive cube sweep, each at least 8x the largest
-# instance in the corpus (xmod-c2c2: 8,192 shells, 3,145,728 composites).
+# Size caps for the exhaustive sweeps.  The cube caps are at least 8x the
+# largest instance in the corpus (xmod-c2c2: 8,192 shells, 3,145,728
+# composites); the block cap is 3.3x mobius3's 10,097,379 blocks.
 MAX_CUBE_SHELLS = 1 << 16
 MAX_CUBE_COMPOSITES = 1 << 25
+MAX_INTERCHANGE_BLOCKS = 1 << 25
+
+
+class _Lazy(dict):
+    """A dict that builds a missing entry on its first lookup and keeps it."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
 class SquareTables:
-    """Indexed composition tables for exhaustive sweeps.
+    """The composition tables of a double groupoid, over square indices.
 
-    Built by evaluating the square operations once per pair, so every table
-    entry is an actual operation result; sweeps over the tables check the
-    same identities as the object API at a fraction of the cost.  Squares are
-    numbered in repr order; ``comp1[u]`` and ``comp2[u]`` are rows mapping
-    each square v composable after u to the index of the composite.
+    Squares are numbered in repr order.  ``comp1[u]`` and ``comp2[u]`` are
+    rows mapping each square v composable after u to the index of the
+    composite; ``inv1[u]`` and ``inv2[u]`` are inverse indices.  All four
+    are memos over `compose_squares` and `inverse_square`, filled one row
+    or entry at a time on first lookup, so every entry is an actual
+    operation result and a caller pays only for the rows it reads.
     """
 
     D: DoubleGroupoid
     squares: tuple
     index: dict
-    comp1: tuple
-    comp2: tuple
-    inv1: tuple
-    inv2: tuple
+    comp1: dict
+    comp2: dict
+    inv1: dict
+    inv2: dict
     gplus: dict
     gminus: dict
-    eps1_of: dict
 
     def net(self, B: int, L: int, R: int, F: int, K: int) -> int:
+        """Fold the five non-top faces flat and compose, corners filled by
+        connections:
+
+            [ G+(c)    front    -2 G+(b)   ]
+            [ left     bottom   -2 right   ]
+            [ -1 G+(c'), -1 back, G-(b'^-1)]
+        """
         sq, c1, c2, inv1, inv2 = self.squares, self.comp1, self.comp2, self.inv1, self.inv2
         gplus = self.gplus
         front, back = sq[F], sq[K]
@@ -737,20 +728,20 @@ def square_tables(D: DoubleGroupoid) -> SquareTables:
     for v in squares:
         by_top.setdefault(v.top, []).append(v)
         by_left.setdefault(v.left, []).append(v)
-    comp1 = tuple(
-        {index[v]: index[compose_squares(D, 1, u, v)] for v in by_top.get(u.bottom, ())}
-        for u in squares
-    )
-    comp2 = tuple(
-        {index[v]: index[compose_squares(D, 2, u, v)] for v in by_left.get(u.right, ())}
-        for u in squares
-    )
-    inv1 = tuple(index[inverse_square(D, 1, u)] for u in squares)
-    inv2 = tuple(index[inverse_square(D, 2, u)] for u in squares)
+
+    def row1(u: int) -> dict:
+        s = squares[u]
+        return {index[v]: index[compose_squares(D, 1, s, v)] for v in by_top.get(s.bottom, ())}
+
+    def row2(u: int) -> dict:
+        s = squares[u]
+        return {index[v]: index[compose_squares(D, 2, s, v)] for v in by_left.get(s.right, ())}
+
+    inv1 = _Lazy(lambda u: index[inverse_square(D, 1, squares[u])])
+    inv2 = _Lazy(lambda u: index[inverse_square(D, 2, squares[u])])
     gplus = {e: index[gamma_plus(D, e)] for e in D.edge.arrows}
     gminus = {e: index[gamma_minus(D, e)] for e in D.edge.arrows}
-    eps1_of = {e: index[eps1(D, e)] for e in D.edge.arrows}
-    return SquareTables(D, squares, index, comp1, comp2, inv1, inv2, gplus, gminus, eps1_of)
+    return SquareTables(D, squares, index, _Lazy(row1), _Lazy(row2), inv1, inv2, gplus, gminus)
 
 
 def _bucket(cubes: list, key: int) -> dict:
@@ -803,15 +794,13 @@ def cube_closure_sweep(D: DoubleGroupoid) -> dict:
     Raises CapExceeded when the shells pass MAX_CUBE_SHELLS or, before any
     composite is built, when their count would pass MAX_CUBE_COMPOSITES.
     """
-    shells = enumerate_cubes(D)  # first, so an oversized instance stops before the tables are built
+    shells = enumerate_cubes(D)
     tab = square_tables(D)
-    idx = tab.index
-    cubes = [(idx[c.top], idx[c.bottom], idx[c.left], idx[c.right], idx[c.front], idx[c.back]) for c in shells]
+    cubes = [_indexed(tab, c) for c in shells]
     commutative = [c for c in cubes if tab.is_commutative(c)]
     known = set(commutative)
     empty = ((), ((),) * 6)
-    # c2 follows c1 in direction 1, 2, 3 when c2's top, left, front is c1's bottom, right, back
-    joins = [(1, _bucket(commutative, 0), 1), (2, _bucket(commutative, 2), 3), (3, _bucket(commutative, 4), 5)]
+    joins = [(direction, _bucket(commutative, key), face) for direction, (face, key) in _FOLLOWS.items()]
     checked = sum(len(buckets.get(c[face], empty)[0]) for c in commutative for _, buckets, face in joins)
     if checked > MAX_CUBE_COMPOSITES:
         raise CapExceeded(

@@ -13,6 +13,10 @@ class SchemaError(GroupoidKitError):
     """An input document does not match one of the documented file schemas."""
 
 
+class NotAGroupoid(GroupoidKitError):
+    """A groupoid document fails the groupoid axioms."""
+
+
 class NotComposable(GroupoidKitError):
     """Attempted to compose arrows (or squares, or cubes) with mismatched ends."""
 

@@ -261,6 +261,14 @@ class TestExtendible:
         kinds = {k for (k, _) in res.failures}
         assert "window-subspace" in kinds
 
+    def test_result_carries_the_germ_closure(self):
+        from groupoidkit.germs import germ_closure
+        from groupoidkit.holonomy import mobius_model
+
+        D = mobius_model(3)
+        res = check_extendible(D)
+        assert (res.generator_germs, res.closure_germs) == germ_closure(D)
+
 
 class TestClosureBudget:
     def test_overflow_guard_stops_oversized_closures(self):

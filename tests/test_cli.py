@@ -222,6 +222,18 @@ class TestDouble:
         assert proc.stdout == ""
         assert proc.stderr == "error: cube enumeration passed the cap of 65536 shells\n"
 
+    def test_broken_groupoid_is_refused_at_load(self):
+        src = str(pathlib.Path(groupoidkit.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupoidkit.cli", "double", fx("broken-inverse.json"), "--check", "cube-closure"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=False, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: not a groupoid: inverse-endpoints('a:0->1', 'a:0->1'): inverse endpoints wrong\n"
+        )
+
     def test_square_catalogue_emission(self, capsys, tmp_path):
         target = tmp_path / "squares.json"
         code, _, _ = run(capsys, "double", fx("box-c2.json"), "--emit-squares", str(target))

@@ -363,7 +363,7 @@ class TestCubeClosure:
         idx = tab.index
         for c in cubes[:: max(1, len(cubes) // 97)]:
             tup = (idx[c.top], idx[c.bottom], idx[c.left], idx[c.right], idx[c.front], idx[c.back])
-            assert tab.is_commutative(tup) == is_commutative_cube(D, c)
+            assert tab.is_commutative(tup) == (c.top == reference_net(D, c))
 
     def test_closure_report(self):
         D = box_c2()
@@ -371,6 +371,92 @@ class TestCubeClosure:
         c = prism_cube(D, u)
         out = cube_composition_closure(D, c, c, 3)
         assert out["commutative"]
+
+
+def reference_net(D, cube):
+    """The net fold on square objects, one `compose_squares` call per step."""
+    F, K, B, L, R = cube.front, cube.back, cube.bottom, cube.left, cube.right
+    c, b = F.left, F.right
+    cp, bp = K.left, K.right
+    row1 = compose_squares(
+        D, 2, compose_squares(D, 2, double.gamma_plus(D, c), F), double.inverse_square(D, 2, double.gamma_plus(D, b))
+    )
+    row2 = compose_squares(D, 2, compose_squares(D, 2, L, B), double.inverse_square(D, 2, R))
+    row3 = compose_squares(
+        D,
+        2,
+        compose_squares(D, 2, double.inverse_square(D, 1, double.gamma_plus(D, cp)), double.inverse_square(D, 1, K)),
+        gamma_minus(D, D.einv(bp)),
+    )
+    return compose_squares(D, 1, compose_squares(D, 1, row1, row2), row3)
+
+
+def reference_compose_cubes(D, direction, c1, c2):
+    """Cube composition face by face on square objects."""
+    double.validate_cube(D, c1)
+    double.validate_cube(D, c2)
+    if direction == 1:
+        if c1.bottom != c2.top:
+            raise NotComposable("direction 1 needs bottom == top")
+        cube = Cube(
+            top=c1.top,
+            bottom=c2.bottom,
+            left=compose_squares(D, 2, c1.left, c2.left),
+            right=compose_squares(D, 2, c1.right, c2.right),
+            front=compose_squares(D, 1, c1.front, c2.front),
+            back=compose_squares(D, 1, c1.back, c2.back),
+        )
+    elif direction == 2:
+        if c1.right != c2.left:
+            raise NotComposable("direction 2 needs right == left")
+        cube = Cube(
+            top=compose_squares(D, 2, c1.top, c2.top),
+            bottom=compose_squares(D, 2, c1.bottom, c2.bottom),
+            left=c1.left,
+            right=c2.right,
+            front=compose_squares(D, 2, c1.front, c2.front),
+            back=compose_squares(D, 2, c1.back, c2.back),
+        )
+    elif direction == 3:
+        if c1.back != c2.front:
+            raise NotComposable("direction 3 needs back == front")
+        cube = Cube(
+            top=compose_squares(D, 1, c1.top, c2.top),
+            bottom=compose_squares(D, 1, c1.bottom, c2.bottom),
+            left=compose_squares(D, 1, c1.left, c2.left),
+            right=compose_squares(D, 1, c1.right, c2.right),
+            front=c1.front,
+            back=c2.back,
+        )
+    else:
+        raise NotComposable(f"direction must be 1, 2 or 3, got {direction!r}")
+    double.validate_cube(D, cube)
+    return cube
+
+
+def reference_interchange(D):
+    """Every block by nested loops over edge buckets, each side by `compose_squares`."""
+    by_left = {}
+    by_top = {}
+    for u in D.squares:
+        by_left.setdefault(u.left, []).append(u)
+        by_top.setdefault(u.top, []).append(u)
+    bad = []
+    blocks = 0
+    for u in D.squares:
+        for v in by_left.get(u.right, ()):
+            uv = compose_squares(D, 2, u, v)
+            for w in by_top.get(u.bottom, ()):
+                uw = compose_squares(D, 1, u, w)
+                for z in by_top.get(v.bottom, ()):
+                    if z.left != w.right:
+                        continue
+                    blocks += 1
+                    lhs = compose_squares(D, 1, uv, compose_squares(D, 2, w, z))
+                    rhs = compose_squares(D, 2, uw, compose_squares(D, 1, v, z))
+                    if lhs != rhs:
+                        bad.append((u, v, w, z))
+    return double.InterchangeReport(not bad, "direct", blocks, tuple(bad))
 
 
 def reference_sweep(D):
@@ -453,14 +539,14 @@ def tables_with_one_filler_flipped(D):
     resolves; only the verdicts can change.
     """
     tab = square_tables(D)
-    u = next(i for i, row in enumerate(tab.comp1) if row)
-    v, uv = next(iter(tab.comp1[u].items()))
+    comp1 = {u: tab.comp1[u] for u in range(len(tab.squares))}  # rows are lazy: fill every one first
+    u = next(i for i, row in comp1.items() if row)
+    v, uv = next(iter(comp1[u].items()))
     w = tab.squares[uv]
     boundary = (w.top, w.right, w.left, w.bottom)
     other = next(x for x in tab.squares if x != w and (x.top, x.right, x.left, x.bottom) == boundary)
-    comp1 = list(tab.comp1)
     comp1[u] = {**comp1[u], v: tab.index[other]}
-    return dataclasses.replace(tab, comp1=tuple(comp1))
+    return dataclasses.replace(tab, comp1=comp1)
 
 
 class TestSweepKernel:
@@ -534,3 +620,98 @@ class TestEnumerateCubes:
             enumerate_cubes(D)
         with pytest.raises(CapExceeded):
             cube_closure_sweep(D)
+
+
+def commutative_pairs(D):
+    """Every (direction, c1, c2) with c1, c2 commutative and c2 following c1."""
+    commutative = [c for c in enumerate_cubes(D) if c.top == reference_net(D, c)]
+    follows = {1: ("bottom", "top"), 2: ("right", "left"), 3: ("back", "front")}
+    for direction, (face, key) in follows.items():
+        by_key = {}
+        for c in commutative:
+            by_key.setdefault(getattr(c, key), []).append(c)
+        for c1 in commutative:
+            for c2 in by_key.get(getattr(c1, face), ()):
+                yield direction, c1, c2
+
+
+class TestSquareEngine:
+    """The table-backed fold, cube composition and exhaustive checks against object-level oracles."""
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_CORPUS))
+    def test_net_view_matches_reference(self, name):
+        D = SWEEP_CORPUS[name]()
+        for c in enumerate_cubes(D):
+            assert net_composite(D, c) == reference_net(D, c)
+
+    # box-C2 has 6,144 composable pairs, all compared; xmod-C2 has 3,145,728,
+    # of which every 1,021st (a prime stride, so every direction and face
+    # pattern recurs) is compared.
+    @pytest.mark.parametrize(
+        "build, stride", [(box_c2, 1), (lambda: xmod_to_double(xmod_c2()), 1021)], ids=["box-c2", "xmod-c2"]
+    )
+    def test_compose_cubes_matches_reference(self, build, stride):
+        D = build()
+        pairs = 0
+        for n, (direction, c1, c2) in enumerate(commutative_pairs(D)):
+            pairs += 1
+            if n % stride == 0:
+                assert compose_cubes(D, direction, c1, c2) == reference_compose_cubes(D, direction, c1, c2)
+        assert pairs == cube_closure_sweep(D)["composites_checked"]
+
+    def test_compose_cubes_refuses_like_reference(self):
+        def outcome(compose, *args):
+            try:
+                return compose(*args)
+            except NotComposable as exc:
+                return str(exc)
+
+        D = box_c2()
+        prisms = [prism_cube(D, u) for u in sorted(D.squares, key=repr)]
+        refusals = set()
+        for c1 in prisms:
+            for c2 in prisms:
+                for direction in (1, 2, 3, 4):
+                    want = outcome(reference_compose_cubes, D, direction, c1, c2)
+                    assert outcome(compose_cubes, D, direction, c1, c2) == want
+                    if isinstance(want, str):
+                        refusals.add(want)
+        assert len(refusals) == 4
+
+    @pytest.mark.parametrize(
+        "build",
+        [box_c2, box_interval, lambda: xmod_to_double(xmod_trivial()), lambda: xmod_to_double(xmod_c2()),
+         xmod_c2c2_fixture],
+        ids=["box-c2", "indiscrete-2", "xmod-trivial", "xmod-c2", "xmod-c2c2-fixture"],
+    )
+    def test_interchange_matches_reference(self, build):
+        D = build()
+        got = interchange_check(D, method="direct")
+        want = reference_interchange(D)
+        assert (got.ok, got.blocks_checked) == (want.ok, want.blocks_checked)
+        assert set(got.witnesses) <= set(want.witnesses) and len(got.witnesses) == min(3, len(want.witnesses))
+
+    def test_interchange_finds_a_flipped_composite(self, monkeypatch):
+        D = xmod_to_double(xmod_c2())
+        blocks = interchange_check(D, method="direct").blocks_checked
+        monkeypatch.setattr(double, "square_tables", tables_with_one_filler_flipped)
+        rep = interchange_check(D, method="direct")
+        assert not rep.ok and rep.witnesses and rep.blocks_checked == blocks
+        order = [tuple(map(square_tables(D).index.__getitem__, block)) for block in rep.witnesses]
+        assert order == sorted(order)  # repr order of (u, v, w, z)
+
+    def test_axioms_find_a_flipped_composite(self, monkeypatch):
+        D = xmod_to_double(xmod_c2())
+        monkeypatch.setattr(double, "square_tables", tables_with_one_filler_flipped)
+        assert square_groupoid_axioms(D, 1)
+        assert square_groupoid_axioms(D, 2) == []
+
+    def test_interchange_cap_boundary(self, monkeypatch):
+        D = box_c2()
+        assert interchange_check(D, method="direct").blocks_checked == 256
+        monkeypatch.setattr(double, "MAX_INTERCHANGE_BLOCKS", 256)
+        assert interchange_check(D, method="direct").ok
+        monkeypatch.setattr(double, "MAX_INTERCHANGE_BLOCKS", 255)
+        with pytest.raises(CapExceeded) as info:
+            interchange_check(D)
+        assert "255" in str(info.value)
