@@ -60,6 +60,7 @@ from .io import (
 from .presentations import (
     POS,
     WindowMap,
+    broken_product,
     extend_local_morphism,
     is_local_morphism,
     monodromy,
@@ -178,18 +179,8 @@ def cmd_monodromy(args) -> int:
         arrow_map = {a: b for a, b in doc.get("arrows", [])}
         f = WindowMap(obj_map, arrow_map)
         if not is_local_morphism(D, H, f):
-            witness = None
-            for u in sorted(D.window):
-                for v in sorted(D.window):
-                    if D.G.tgt[v] != D.G.src[u]:
-                        continue
-                    uv = D.G.comp[(u, v)]
-                    if uv in D.window and H.comp.get((arrow_map[u], arrow_map[v])) != arrow_map[uv]:
-                        witness = [u, v]
-                        break
-                if witness:
-                    break
-            results["extension"] = {"local": False, "violating_pair": witness}
+            pair = broken_product(D, H, f)
+            results["extension"] = {"local": False, "violating_pair": None if pair is None else list(pair)}
             code = SEMANTIC
         else:
             fp = extend_local_morphism(M, H, f)
@@ -219,12 +210,9 @@ def cmd_holonomy(args) -> int:
     }
     code = OK
     if not hol.projection_constant or not hol.embedding_well_defined:
-        witness = None
-        for h, members in sorted(hol.members.items()):
-            values = {J.germ_of_arrow[a].value for a in members}
-            if len(values) > 1:
-                witness = {"class": h, "values": sorted(map(str, values))}
-                break
+        witness = hol.projection_witness
+        if witness is not None:
+            witness = {"class": witness[0], "values": sorted(map(str, witness[1]))}
         results["well_definedness_witness"] = witness
         code = FINDING
     _emit("holonomy", [args.path], results, started)

@@ -309,12 +309,25 @@ class FiniteGroupoid:
 
     def composable_pairs(self):
         """(h, g) with tgt g == src h: g in arrow order, then h in arrow order."""
-        out_arrows: dict = {}
-        for a in self.arrows:
-            out_arrows.setdefault(self.src[a], []).append(a)
-        for g in self.arrows:
-            for h in out_arrows.get(self.tgt[g], ()):
-                yield (h, g)
+        return composable(self.arrows, self.src, self.tgt)
+
+
+def out_stars(arrows, src) -> dict:
+    """Each endpoint mapped to the arrows with that source, in the order given."""
+    stars: dict = {}
+    for a in arrows:
+        stars.setdefault(src[a], []).append(a)
+    return stars
+
+
+def composable(arrows, src, tgt):
+    """The pairs (h, g) with tgt g == src h: g in the order given, then h.
+
+    The pairs are generated, not listed: a table built from them never
+    holds the pairs and the table at once.
+    """
+    stars = out_stars(arrows, src)
+    return ((h, g) for g in arrows for h in stars.get(tgt[g], ()))
 
 
 def make_groupoid(objects, arrows, src, tgt, id_of, inv, comp) -> FiniteGroupoid:
@@ -360,11 +373,12 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
         ai = G.inv.get(a)
         if ai not in aset:
             bad.append(Violation("inverse-exists", (a,), "no inverse arrow"))
-    composable = {(h, g) for g in arrows for h in arrows if G.tgt[g] == G.src[h]}
+    pairs = list(G.composable_pairs())
+    pair_set = set(pairs)
     for key in G.comp:
-        if key not in composable:
+        if key not in pair_set:
             bad.append(Violation("composition-domain", key, "comp defined on a non-composable pair"))
-    for (h, g) in composable:
+    for (h, g) in pairs:
         if (h, g) not in G.comp:
             bad.append(Violation("composition-total", (h, g), "composable pair missing from comp"))
             continue
@@ -390,16 +404,12 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
             bad.append(Violation("inverse-law", (a,), "inv(a)∘a != id(src a)"))
         if G.comp[(a, ai)] != G.id_of[G.tgt[a]]:
             bad.append(Violation("inverse-law", (a,), "a∘inv(a) != id(tgt a)"))
-    for g in arrows:
-        for h in arrows:
-            if G.tgt[g] != G.src[h]:
-                continue
-            hg = G.comp[(h, g)]
-            for k in arrows:
-                if G.tgt[h] != G.src[k]:
-                    continue
-                if G.comp[(k, G.comp[(h, g)])] != G.comp[(G.comp[(k, h)], g)]:
-                    bad.append(Violation("associativity", (k, h, g), "associativity fails"))
+    stars = out_stars(arrows, G.src)
+    for (h, g) in pairs:
+        hg = G.comp[(h, g)]
+        for k in stars.get(G.tgt[h], ()):
+            if G.comp[(k, hg)] != G.comp[(G.comp[(k, h)], g)]:
+                bad.append(Violation("associativity", (k, h, g), "associativity fails"))
     return ValidationReport(tuple(bad))
 
 
@@ -548,10 +558,7 @@ def one_object_groupoid(K: FiniteGroup, obj: str = "o") -> FiniteGroupoid:
     tgt = dict(src)
     id_of = {obj: f"id:{obj}"}
     inv = {a: name(K.inv[elem_of[a]]) for a in arrows}
-    comp = {}
-    for h in arrows:
-        for g in arrows:
-            comp[(h, g)] = name(K.mul[(elem_of[g], elem_of[h])])
+    comp = {(h, g): name(K.mul[(elem_of[g], elem_of[h])]) for h, g in composable(arrows, src, tgt)}
     return make_groupoid([obj], arrows, src, tgt, id_of, inv, comp)
 
 
@@ -567,7 +574,7 @@ def action_groupoid(K: FiniteGroup, points, act: dict) -> FiniteGroupoid:
     def name(g, x):
         return f"id:{x}" if g == K.identity else f"g:{g}@{x}"
 
-    arrows, src, tgt, id_of, inv, comp = [], {}, {}, {}, {}, {}
+    arrows, src, tgt, id_of, inv = [], {}, {}, {}, {}
     data = {}
     for g in K.elements:
         for x in points:
@@ -578,12 +585,7 @@ def action_groupoid(K: FiniteGroup, points, act: dict) -> FiniteGroupoid:
             inv[a] = name(K.inv[g], act[(g, x)])
     for x in points:
         id_of[x] = name(K.identity, x)
-    for a in arrows:
-        for b in arrows:
-            gb, xb = data[b]
-            ga, xa = data[a]
-            if tgt[b] == src[a]:
-                comp[(a, b)] = name(K.mul[(gb, ga)], xb)
+    comp = {(a, b): name(K.mul[(data[b][0], data[a][0])], data[b][1]) for a, b in composable(arrows, src, tgt)}
     return make_groupoid(points, arrows, src, tgt, id_of, inv, comp)
 
 
@@ -598,7 +600,7 @@ def equivalence_groupoid(points, blocks) -> FiniteGroupoid:
     for b in blocks:
         for x in b:
             block_of[x] = frozenset(b)
-    arrows, src, tgt, id_of, inv, comp = [], {}, {}, {}, {}, {}
+    arrows, src, tgt, id_of, inv = [], {}, {}, {}, {}
     for x in points:
         for y in block_of[x]:
             a = name(x, y)
@@ -606,10 +608,7 @@ def equivalence_groupoid(points, blocks) -> FiniteGroupoid:
             src[a], tgt[a] = x, y
             inv[a] = name(y, x)
         id_of[x] = name(x, x)
-    for a in arrows:
-        for b in arrows:
-            if tgt[b] == src[a]:
-                comp[(a, b)] = name(src[b], tgt[a])
+    comp = {(a, b): name(src[b], tgt[a]) for a, b in composable(arrows, src, tgt)}
     return make_groupoid(points, arrows, src, tgt, id_of, inv, comp)
 
 
@@ -620,7 +619,7 @@ def pair_groupoid(points) -> FiniteGroupoid:
 def product_groupoid(G: FiniteGroupoid, H: FiniteGroupoid) -> FiniteGroupoid:
     """Componentwise product; arrows are pairs written ``a|b``."""
     objects = [f"{x}|{y}" for x in G.objects for y in H.objects]
-    arrows, src, tgt, id_of, inv, comp = [], {}, {}, {}, {}, {}
+    arrows, src, tgt, id_of, inv = [], {}, {}, {}, {}
 
     def name(a, b):
         if a == G.id_of[G.src[a]] and b == H.id_of[H.src[b]]:
@@ -639,12 +638,10 @@ def product_groupoid(G: FiniteGroupoid, H: FiniteGroupoid) -> FiniteGroupoid:
     for x in G.objects:
         for y in H.objects:
             id_of[f"{x}|{y}"] = name(G.id_of[x], H.id_of[y])
-    for n1 in arrows:
-        for n2 in arrows:
-            a1, b1 = pairs[n1]
-            a2, b2 = pairs[n2]
-            if G.tgt[a2] == G.src[a1] and H.tgt[b2] == H.src[b1]:
-                comp[(n1, n2)] = name(G.comp[(a1, a2)], H.comp[(b1, b2)])
+    comp = {
+        (n1, n2): name(G.comp[(pairs[n1][0], pairs[n2][0])], H.comp[(pairs[n1][1], pairs[n2][1])])
+        for n1, n2 in composable(arrows, src, tgt)
+    }
     return make_groupoid(objects, arrows, src, tgt, id_of, inv, comp)
 
 

@@ -30,6 +30,7 @@ filling the four corners of the net; the exact layout is fixed in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import filterfalse, repeat
 
 from .core import FiniteGroup, FiniteGroupoid, one_object_groupoid
@@ -81,6 +82,11 @@ class DoubleGroupoid:
 
     def has_square(self, u: Square) -> bool:
         return u in self.squares
+
+    @cached_property
+    def tables(self) -> SquareTables:
+        """The square tables, built on first use by `square_tables` and kept."""
+        return square_tables(self)
 
 
 def _check_member(D: DoubleGroupoid, u: Square) -> Square:
@@ -173,22 +179,18 @@ def inverse_square(D: DoubleGroupoid, direction: int, u: Square) -> Square:
 
 
 def commuting_squares(G: FiniteGroupoid) -> DoubleGroupoid:
-    """All boundary tuples with a-then-b equal to c-then-d."""
-    squares = set()
-    for a in G.arrows:
-        for b in G.arrows:
-            if G.tgt[a] != G.src[b]:
-                continue
-            ab = G.comp[(b, a)]
-            for c in G.arrows:
-                if G.src[c] != G.src[a]:
-                    continue
-                for d in G.arrows:
-                    if G.src[d] != G.tgt[c] or G.tgt[d] != G.tgt[b]:
-                        continue
-                    if G.comp[(d, c)] == ab:
-                        squares.add(Square(a, b, c, d))
-    return DoubleGroupoid(G, frozenset(squares), "commuting")
+    """All boundary tuples with a-then-b equal to c-then-d.
+
+    Such a square is a pair of factorisations of one arrow, so the
+    composable pairs are grouped by composite and each group is squared.
+    """
+    factorisations: dict = {}
+    for h, g in G.composable_pairs():
+        factorisations.setdefault(G.comp[(h, g)], []).append((g, h))
+    squares = frozenset(
+        Square(a, b, c, d) for paths in factorisations.values() for a, b in paths for c, d in paths
+    )
+    return DoubleGroupoid(G, squares, "commuting")
 
 
 # ---------------------------------------------------------------------------
@@ -400,19 +402,16 @@ def transport_check(D: DoubleGroupoid) -> list:
     """Both connections against all composable edge pairs; empty iff the law holds."""
     G = D.edge
     bad = []
-    for e in G.arrows:
-        for f in G.arrows:
-            if G.src[f] != G.tgt[e]:
-                continue
-            ef = D.seq(e, f)
-            row1 = compose_squares(D, 2, gamma_minus(D, e), eps1(D, f))
-            row2 = compose_squares(D, 2, eps2(D, f), gamma_minus(D, f))
-            if compose_squares(D, 1, row1, row2) != gamma_minus(D, ef):
-                bad.append(("transport-minus", (e, f)))
-            row1 = compose_squares(D, 2, gamma_plus(D, e), eps2(D, e))
-            row2 = compose_squares(D, 2, eps1(D, e), gamma_plus(D, f))
-            if compose_squares(D, 1, row1, row2) != gamma_plus(D, ef):
-                bad.append(("transport-plus", (e, f)))
+    for f, e in G.composable_pairs():
+        ef = D.seq(e, f)
+        row1 = compose_squares(D, 2, gamma_minus(D, e), eps1(D, f))
+        row2 = compose_squares(D, 2, eps2(D, f), gamma_minus(D, f))
+        if compose_squares(D, 1, row1, row2) != gamma_minus(D, ef):
+            bad.append(("transport-minus", (e, f)))
+        row1 = compose_squares(D, 2, gamma_plus(D, e), eps2(D, e))
+        row2 = compose_squares(D, 2, eps1(D, e), gamma_plus(D, f))
+        if compose_squares(D, 1, row1, row2) != gamma_plus(D, ef):
+            bad.append(("transport-plus", (e, f)))
     return bad
 
 
@@ -431,7 +430,7 @@ def _interchange_direct(D: DoubleGroupoid) -> InterchangeReport:
     so its columns w, z and w +2 z are built once per edge pair.  Raises
     CapExceeded as soon as the blocks pass MAX_INTERCHANGE_BLOCKS.
     """
-    tab = square_tables(D)
+    tab = D.tables
     sq, c1, c2 = tab.squares, tab.comp1, tab.comp2
     lower: dict = {}
     bad = []
@@ -509,7 +508,7 @@ def square_groupoid_axioms(D: DoubleGroupoid, direction: int, max_squares: int =
         raise OverflowError(f"axiom sweep limited to {max_squares} squares")
     if direction not in (1, 2):
         raise NotComposable(f"direction must be 1 or 2, got {direction!r}")
-    tab = square_tables(D)
+    tab = D.tables
     sq, idx = tab.squares, tab.index
     comp, inv = (tab.comp1, tab.inv1) if direction == 1 else (tab.comp2, tab.inv2)
     bad = []
@@ -592,7 +591,7 @@ def validate_cube(D: DoubleGroupoid, cube: Cube) -> None:
 def net_composite(D: DoubleGroupoid, cube: Cube) -> Square:
     """The fold of the five non-top faces of a cube shell, `SquareTables.net`, as a square."""
     validate_cube(D, cube)
-    tab = square_tables(D)
+    tab = D.tables
     return tab.squares[tab.net(*_indexed(tab, cube)[1:])]
 
 
@@ -636,7 +635,7 @@ def compose_cubes(D: DoubleGroupoid, direction: int, c1: Cube, c2: Cube) -> Cube
     if direction not in _FOLLOWS:
         raise NotComposable(f"direction must be 1, 2 or 3, got {direction!r}")
     face, key = _FOLLOWS[direction]
-    tab = square_tables(D)
+    tab = D.tables
     i1, i2 = _indexed(tab, c1), _indexed(tab, c2)
     if i1[face] != i2[key]:
         raise NotComposable(f"direction {direction} needs {_FACES[face]} == {_FACES[key]}")
@@ -795,7 +794,7 @@ def cube_closure_sweep(D: DoubleGroupoid) -> dict:
     composite is built, when their count would pass MAX_CUBE_COMPOSITES.
     """
     shells = enumerate_cubes(D)
-    tab = square_tables(D)
+    tab = D.tables
     cubes = [_indexed(tab, c) for c in shells]
     commutative = [c for c in cubes if tab.is_commutative(c)]
     known = set(commutative)

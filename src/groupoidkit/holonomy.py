@@ -26,6 +26,7 @@ from .core import (
     FiniteGroupoid,
     FiniteTopology,
     ValidationReport,
+    composable,
     continuity_witnesses,
     equivalence_groupoid,
     make_groupoid,
@@ -75,16 +76,10 @@ def _germ_groupoid_from_closure(D: LocalGroupoidData, gens, closure) -> GermGrou
     tgt = {name[g]: germ_target(D, g) for g in germs}
     id_of = {x: name[identity[x]] for x in G.objects}
     inv = {name[g]: name[germ(D, relative_inverse(G, g), germ_target(D, g))] for g in germs}
-    comp = {}
-    by_base: dict = {}
-    for g in germs:
-        by_base.setdefault(g.base, []).append(g)
-    for t in germs:
-        y = germ_target(D, t)
-        for h in by_base.get(y, ()):
-            comp[(name[h], name[t])] = name[compose_bisections(G, h, t)]
+    germ_of = dict(zip(arrows, germs))
+    comp = {(h, t): name[compose_bisections(G, germ_of[h], germ_of[t])] for h, t in composable(arrows, src, tgt)}
     groupoid = make_groupoid(G.objects, arrows, src, tgt, id_of, inv, comp)
-    return GermGroupoid(D, groupoid, {name[g]: g for g in germs}, dict(name), tuple(gens))
+    return GermGroupoid(D, groupoid, germ_of, dict(name), tuple(gens))
 
 
 def germ_groupoid(D: LocalGroupoidData, semigroup=None) -> GermGroupoid:
@@ -175,6 +170,7 @@ class HolonomyGroupoid:
     projection: dict  # holonomy arrow id -> arrow of the ambient groupoid
     embedding: dict  # window arrow -> holonomy arrow id
     projection_constant: bool
+    projection_witness: tuple | None  # first class, in name order, with its several projection values
     embedding_well_defined: bool
     embedding_injective: bool
 
@@ -211,25 +207,21 @@ def holonomy_groupoid(J: GermGroupoid, J0: LocalitySubgroupoid, strict: bool = T
     members = {name[cls]: cls for cls in classes}
 
     arrows = sorted(members)
-    src = {h: K.src[next(iter(members[h]))] for h in arrows}
-    tgt = {h: K.tgt[next(iter(members[h]))] for h in arrows}
+    rep = {h: next(iter(members[h])) for h in arrows}
+    src = {h: K.src[rep[h]] for h in arrows}
+    tgt = {h: K.tgt[rep[h]] for h in arrows}
     id_of = {x: coset_of[K.id_of[x]] for x in K.objects}
-    inv = {h: coset_of[K.inv[next(iter(members[h]))]] for h in arrows}
-    comp = {}
-    for h in arrows:
-        for g in arrows:
-            if tgt[g] != src[h]:
-                continue
-            comp[(h, g)] = coset_of[K.comp[(next(iter(members[h])), next(iter(members[g])))]]
+    inv = {h: coset_of[K.inv[rep[h]]] for h in arrows}
+    comp = {(h, g): coset_of[K.comp[(rep[h], rep[g])]] for h, g in composable(arrows, src, tgt)}
     groupoid = make_groupoid(K.objects, arrows, src, tgt, id_of, inv, comp)
 
     # the projection must be constant on classes
     projection = {}
-    constant = True
+    witness = None
     for h in arrows:
         values = {J.germ_of_arrow[a].value for a in members[h]}
         if len(values) != 1:
-            constant = False
+            witness = witness or (h, frozenset(values))
             if strict:
                 raise WellDefinednessFailure(
                     f"projection not constant on class {h}: values {sorted(map(repr, values))}"
@@ -261,7 +253,8 @@ def holonomy_groupoid(J: GermGroupoid, J0: LocalitySubgroupoid, strict: bool = T
         members,
         projection,
         embedding,
-        constant,
+        witness is None,
+        witness,
         well_defined,
         injective,
     )

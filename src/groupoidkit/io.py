@@ -237,16 +237,6 @@ def morphism_from_dict(doc: dict, source: FpGroupoid, target: FpGroupoid):
 # ---------------------------------------------------------------------------
 
 
-def group_to_dict(K: FiniteGroup) -> dict:
-    names = [str(e) for e in K.elements]
-    index = {e: i for i, e in enumerate(K.elements)}
-    table = [
-        [index[K.mul[(a, b)]] for b in K.elements]
-        for a in K.elements
-    ]
-    return {"elements": names, "table": table, "identity": str(K.identity)}
-
-
 def group_from_dict(doc: dict, where="group") -> FiniteGroup:
     names = _require(doc, "elements", list, where)
     table = _require(doc, "table", list, where)
@@ -278,20 +268,6 @@ def group_from_dict(doc: dict, where="group") -> FiniteGroup:
     return FiniteGroup(tuple(names), mul, ident, inv)
 
 
-def crossed_module_to_dict(X: CrossedModule) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "P": group_to_dict(X.P),
-        "M": group_to_dict(X.M),
-        "boundary": sorted([str(m), str(X.boundary[m])] for m in X.M.elements),
-        "action": sorted(
-            [str(p), str(m), str(X.action[(p, m)])]
-            for p in X.P.elements
-            for m in X.M.elements
-        ),
-    }
-
-
 def crossed_module_from_dict(doc: dict) -> CrossedModule:
     P = group_from_dict(_require(doc, "P", dict, "crossed module"), "P")
     M = group_from_dict(_require(doc, "M", dict, "crossed module"), "M")
@@ -314,7 +290,7 @@ def crossed_module_from_dict(doc: dict) -> CrossedModule:
 
 
 def square_catalogue(D: DoubleGroupoid) -> list[Square]:
-    return sorted(D.squares, key=repr)
+    return list(D.tables.squares)
 
 
 def square_to_dict(u: Square) -> dict:

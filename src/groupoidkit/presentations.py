@@ -22,7 +22,9 @@ from .core import (
     FiniteTopology,
     ValidationReport,
     Violation,
+    composable,
     make_groupoid,
+    out_stars,
 )
 from .errors import (
     IllFormedWord,
@@ -369,16 +371,19 @@ def is_local_morphism(D: LocalGroupoidData, H: FiniteGroupoid, f: WindowMap) -> 
     for x in G.objects:
         if f.arrow_map[G.id_of[x]] != H.id_of[f.obj_map[x]]:
             return False
-    for u in W:
-        for v in W:
-            if G.tgt[v] != G.src[u]:
-                continue
-            uv = G.comp[(u, v)]
-            if uv not in W:
-                continue
-            if H.comp.get((f.arrow_map[u], f.arrow_map[v])) != f.arrow_map[uv]:
-                return False
-    return True
+    return broken_product(D, H, f) is None
+
+
+def broken_product(D: LocalGroupoidData, H: FiniteGroupoid, f: WindowMap) -> tuple | None:
+    """The first window pair (u, v), u then v in sorted order, with uv in W
+    and f(u)f(v) != f(uv); None when f preserves every such product."""
+    G, W = D.G, D.window
+    # with src and tgt swapped the join yields (v, u): u in sorted order, then v
+    for v, u in composable(sorted(W), G.tgt, G.src):
+        uv = G.comp[(u, v)]
+        if uv in W and H.comp.get((f.arrow_map[u], f.arrow_map[v])) != f.arrow_map[uv]:
+            return (u, v)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +444,9 @@ def _build_pair_rules(D: LocalGroupoidData):
     inv_gen = {w: G.inv[w] for w in gens}
     rules = {}
     relations = []
+    ending_at = out_stars(gens, G.tgt)
     for u in gens:
-        for v in gens:
-            if G.tgt[v] != G.src[u]:
-                continue
+        for v in ending_at.get(G.src[u], ()):
             uv = G.comp[(u, v)]
             if uv not in W:
                 continue
@@ -602,24 +606,17 @@ def monodromy_is_finite(M: MonodromyResult) -> bool:
     if not M.rewriting.confluent:
         raise RewritingNotConfluent("finiteness needs an instance-confluent system")
     gens = M.presentation.generators()
-    graph = M.presentation.graph
-    allowed = {
-        (u, v)
-        for u in gens
-        for v in gens
-        if graph.src[u] == graph.tgt[v] and (u, v) not in M.rewriting.pair_rules
-    }
+    allowed = _next_letters(M)
     # cycle detection over the "next letter" digraph
     color = {g: 0 for g in gens}
 
     def dfs(u) -> bool:
         color[u] = 1
-        for v in gens:
-            if (u, v) in allowed:
-                if color[v] == 1:
-                    return False
-                if color[v] == 0 and not dfs(v):
-                    return False
+        for v in allowed[u]:
+            if color[v] == 1:
+                return False
+            if color[v] == 0 and not dfs(v):
+                return False
         color[u] = 2
         return True
 
@@ -629,23 +626,26 @@ def monodromy_is_finite(M: MonodromyResult) -> bool:
     return True
 
 
+def _next_letters(M: MonodromyResult) -> dict:
+    """Each generator v mapped to the generators u that may stand just left
+    of it in a normal form: src u == tgt v and no rule rewrites [u][v]."""
+    graph, rules = M.presentation.graph, M.rewriting.pair_rules
+    gens = M.presentation.generators()
+    starting_at = out_stars(gens, graph.src)
+    return {v: [u for u in starting_at.get(graph.tgt[v], ()) if (u, v) not in rules] for v in gens}
+
+
 def enumerate_monodromy_arrows(M: MonodromyResult) -> list[Word]:
     """All normal-form words of a finite, confluent monodromy instance."""
     if not monodromy_is_finite(M):
         raise NotFiniteOnInstance("monodromy groupoid is infinite on this instance")
-    gens = M.presentation.generators()
     graph = M.presentation.graph
+    allowed = _next_letters(M)
     out = [empty_word(x) for x in graph.objects]
-    frontier = [Word(graph.src[g], ((g, POS),)) for g in gens]
+    frontier = [Word(graph.src[g], ((g, POS),)) for g in M.presentation.generators()]
     while frontier:
         out.extend(frontier)
-        nxt = []
-        for w in frontier:
-            first = w.letters[0][0]
-            for u in gens:
-                if graph.src[u] == graph.tgt[first] and (u, first) not in M.rewriting.pair_rules:
-                    nxt.append(Word(w.start, ((u, POS),) + w.letters))
-        frontier = nxt
+        frontier = [Word(w.start, ((u, POS),) + w.letters) for w in frontier for u in allowed[w.letters[0][0]]]
     return out
 
 
@@ -671,14 +671,12 @@ def monodromy_groupoid(M: MonodromyResult) -> tuple[FiniteGroupoid, dict]:
     tgt = {name[key(w)]: word_target(graph, w) for w in words}
     id_of = {x: f"id:{x}" for x in graph.objects}
     inv = {}
-    comp = {}
     for w in words:
         wi = M.rewriting.normal_form(word_inverse(graph, w))
         inv[name[key(w)]] = name[key(wi)]
-    for w1 in words:
-        for w2 in words:
-            if word_target(graph, w2) != word_source(w1):
-                continue
-            prod = M.rewriting.normal_form(Word(w2.start, w1.letters + w2.letters))
-            comp[(name[key(w1)], name[key(w2)])] = name[key(prod)]
+    word_of = {name[key(w)]: w for w in words}
+    comp = {
+        (h, g): name[key(M.rewriting.normal_form(concat(graph, word_of[h], word_of[g])))]
+        for h, g in composable(arrows, src, tgt)
+    }
     return make_groupoid(graph.objects, arrows, src, tgt, id_of, inv, comp), name

@@ -53,6 +53,30 @@ class TestValidate:
         assert code == 2
         assert "parse error" in err
 
+    def test_broken_comp_independent_of_hash_seed(self):
+        # broken-comp.json is mobius3.json with three comp rows dropped and
+        # one composite renamed: both composition rules fire many times
+        src = str(pathlib.Path(groupoidkit.__file__).resolve().parent.parent)
+        results, errors = set(), set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "groupoidkit.cli", "validate", fx("broken-comp.json")],
+                capture_output=True, text=True, env=env, check=False, timeout=120,
+            )
+            assert proc.returncode == 1
+            results.add(json.dumps(results_of(proc.stdout)))
+            proc = subprocess.run(
+                [sys.executable, "-m", "groupoidkit.cli", "double", fx("broken-comp.json")],
+                capture_output=True, text=True, env=env, check=False, timeout=120,
+            )
+            assert proc.returncode == 1 and proc.stdout == ""
+            errors.add(proc.stderr)
+        assert len(results) == 1
+        assert errors == {
+            "error: not a groupoid: composition-total('0+>0-', '0->0+'): composable pair missing from comp\n"
+        }
+
 
 class TestPushout:
     def test_circle_vertex_group(self, capsys):
@@ -114,6 +138,15 @@ class TestMonodromy:
         res = results_of(out)
         assert res["extension"]["local"] is True
         assert ["g:1", "g:1"] in res["extension"]["generators"]
+
+    def test_non_local_extension_reports_the_first_broken_product(self, capsys, tmp_path):
+        doc = json.loads((FIXTURES / "extend-c8.json").read_text())
+        doc["arrows"] = [[a, "g:2" if a == "g:1" else b] for a, b in doc["arrows"]]
+        path = tmp_path / "extend-c8-non-local.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "monodromy", fx("c4-window.json"), "--extend", str(path))
+        assert code == 1
+        assert results_of(out)["extension"] == {"local": False, "violating_pair": ["g:1", "g:3"]}
 
 
 class TestHolonomy:

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from groupoidkit.core import (
     FiniteGroupoid,
     GroupoidMorphism,
+    Violation,
     action_groupoid,
     components,
     compose,
@@ -320,3 +322,172 @@ class TestComposablePairs:
     @given(small_groupoids())
     def test_generated_match_reference(self, G):
         assert list(G.composable_pairs()) == reference_composable_pairs(G)
+
+
+def reference_validate(G):
+    """The axiom check by all-pairs scans; composable pairs walked in set order."""
+    bad = []
+    arrows = G.arrows
+    aset = set(arrows)
+    oset = set(G.objects)
+    if len(aset) != len(arrows):
+        bad.append(Violation("distinct-arrows", (), "duplicate arrow ids"))
+    if len(oset) != len(G.objects):
+        bad.append(Violation("distinct-objects", (), "duplicate object ids"))
+    for a in arrows:
+        if G.src.get(a) not in oset or G.tgt.get(a) not in oset:
+            bad.append(Violation("endpoints", (a,), "src/tgt missing or unknown"))
+    if bad:
+        return bad
+    for x in G.objects:
+        e = G.id_of.get(x)
+        if e not in aset:
+            bad.append(Violation("identity-exists", (x,), "no identity arrow"))
+            continue
+        if G.src[e] != x or G.tgt[e] != x:
+            bad.append(Violation("identity-endpoints", (x, e), "identity endpoints differ from its object"))
+    for a in arrows:
+        ai = G.inv.get(a)
+        if ai not in aset:
+            bad.append(Violation("inverse-exists", (a,), "no inverse arrow"))
+    composable = {(h, g) for g in arrows for h in arrows if G.tgt[g] == G.src[h]}
+    for key in G.comp:
+        if key not in composable:
+            bad.append(Violation("composition-domain", key, "comp defined on a non-composable pair"))
+    for (h, g) in composable:
+        if (h, g) not in G.comp:
+            bad.append(Violation("composition-total", (h, g), "composable pair missing from comp"))
+            continue
+        hg = G.comp[(h, g)]
+        if hg not in aset:
+            bad.append(Violation("composition-closure", (h, g), "composite is not an arrow"))
+            continue
+        if G.src[hg] != G.src[g] or G.tgt[hg] != G.tgt[h]:
+            bad.append(Violation("composition-endpoints", (h, g, hg), "composite endpoints wrong"))
+    if any(v.rule.startswith("composition") or v.rule == "inverse-exists" for v in bad):
+        return bad
+    for a in arrows:
+        ex, ey = G.id_of[G.src[a]], G.id_of[G.tgt[a]]
+        if G.comp[(a, ex)] != a:
+            bad.append(Violation("right-identity", (a,), "a∘id != a"))
+        if G.comp[(ey, a)] != a:
+            bad.append(Violation("left-identity", (a,), "id∘a != a"))
+        ai = G.inv[a]
+        if G.src[ai] != G.tgt[a] or G.tgt[ai] != G.src[a]:
+            bad.append(Violation("inverse-endpoints", (a, ai), "inverse endpoints wrong"))
+            continue
+        if G.comp[(ai, a)] != G.id_of[G.src[a]]:
+            bad.append(Violation("inverse-law", (a,), "inv(a)∘a != id(src a)"))
+        if G.comp[(a, ai)] != G.id_of[G.tgt[a]]:
+            bad.append(Violation("inverse-law", (a,), "a∘inv(a) != id(tgt a)"))
+    for g in arrows:
+        for h in arrows:
+            if G.tgt[g] != G.src[h]:
+                continue
+            for k in arrows:
+                if G.tgt[h] != G.src[k]:
+                    continue
+                if G.comp[(k, G.comp[(h, g)])] != G.comp[(G.comp[(k, h)], g)]:
+                    bad.append(Violation("associativity", (k, h, g), "associativity fails"))
+    return bad
+
+
+def assert_same_violations(G):
+    got = list(validate_groupoid(G).violations)
+    want = reference_validate(G)
+    assert Counter(got) == Counter(want)
+    if not any(v.rule.startswith("composition") for v in want):
+        assert got == want
+    return got
+
+
+@st.composite
+def mutated_groupoids(draw):
+    """A small groupoid with one table entry broken: a comp row dropped, a
+    composite pointed at a non-arrow, or two inverses swapped."""
+    G = draw(small_groupoids())
+    comp, inv = dict(G.comp), dict(G.inv)
+    kind = draw(st.sampled_from(["drop", "non-arrow", "swap-inverse"]))
+    if kind == "swap-inverse":
+        if len(G.arrows) > 1:
+            a, b = draw(st.permutations(G.arrows))[:2]
+            inv[a], inv[b] = inv[b], inv[a]
+    else:
+        key = draw(st.sampled_from(sorted(comp)))
+        if kind == "drop":
+            del comp[key]
+        else:
+            comp[key] = "nope"
+    return FiniteGroupoid(G.objects, G.arrows, G.src, G.tgt, G.id_of, inv, comp)
+
+
+class TestValidateAgainstReference:
+    """The joined axiom check against the all-pairs oracle."""
+
+    @pytest.mark.parametrize("G", fixture_groupoids())
+    def test_fixtures(self, G):
+        assert_same_violations(G)
+
+    def test_broken_comp_lists_composition_rules_in_pair_order(self):
+        G = groupoid_from_dict(json.loads((FIXTURES / "broken-comp.json").read_text()))
+        got = assert_same_violations(G)
+        assert {v.rule for v in got} == {"composition-total", "composition-closure"}
+        order = {pair: i for i, pair in enumerate(G.composable_pairs())}
+        assert [order[v.witness] for v in got] == sorted(order[v.witness] for v in got)
+
+    @settings(max_examples=80, deadline=None)
+    @given(mutated_groupoids())
+    def test_mutations(self, G):
+        assert_same_violations(G)
+
+
+def all_pairs(G, product):
+    """The all-pairs loop: `product(h, g)` on every ordered pair with tgt g == src h."""
+    return {(h, g): product(h, g) for h in G.arrows for g in G.arrows if G.tgt[g] == G.src[h]}
+
+
+def element_names(K, obj="o"):
+    """Arrow id -> element of K, as `one_object_groupoid` names them."""
+    return {(f"id:{obj}" if k == K.identity else f"g:{k}"): k for k in K.elements}
+
+
+class TestConstructorTables:
+    """Each constructor's comp against the all-pairs loop over its arrows."""
+
+    @pytest.mark.parametrize("K", [trivial_group(), cyclic_group(4), symmetric_group(3)], ids=["1", "C4", "S3"])
+    def test_one_object(self, K):
+        G = one_object_groupoid(K)
+        elem = element_names(K)
+        name = {k: a for a, k in elem.items()}
+        assert G.comp == all_pairs(G, lambda h, g: name[K.mul[(elem[g], elem[h])]])
+
+    def test_action(self):
+        K = symmetric_group(3)
+        points = [0, 1, 2]
+        act = {(p, x): p[x] for p in K.elements for x in points}
+        G = action_groupoid(K, points, act)
+
+        def name(k, x):
+            return f"id:{x}" if k == K.identity else f"g:{k}@{x}"
+
+        data = {name(k, x): (k, x) for k in K.elements for x in points}
+        assert G.comp == all_pairs(G, lambda a, b: name(K.mul[(data[b][0], data[a][0])], data[b][1]))
+
+    @pytest.mark.parametrize("blocks", [[["a", "b", "c"]], [["a", "b"], ["c", "d"], ["e"]]])
+    def test_equivalence(self, blocks):
+        G = equivalence_groupoid([x for b in blocks for x in b], blocks)
+        assert G.comp == all_pairs(G, lambda a, b: G.id_of[G.src[b]] if G.src[b] == G.tgt[a]
+                                   else f"{G.src[b]}>{G.tgt[a]}")
+
+    def test_product(self):
+        G, H = pair_groupoid(["x", "y"]), one_object_groupoid(cyclic_group(3))
+        P = product_groupoid(G, H)
+
+        def name(a, b):
+            if a == G.id_of[G.src[a]] and b == H.id_of[H.src[b]]:
+                return f"id:{G.src[a]}|{H.src[b]}"
+            return f"{a}|{b}"
+
+        parts = {name(a, b): (a, b) for a in G.arrows for b in H.arrows}
+        assert P.comp == all_pairs(P, lambda n1, n2: name(
+            G.comp[(parts[n1][0], parts[n2][0])], H.comp[(parts[n1][1], parts[n2][1])]))

@@ -55,7 +55,7 @@ from groupoidkit.errors import (
     NotComposable,
     NotSpecialDouble,
 )
-from groupoidkit.io import crossed_module_from_dict
+from groupoidkit.io import crossed_module_from_dict, groupoid_from_dict, square_catalogue
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -98,7 +98,34 @@ def three_crossed_modules():
     return [xmod_trivial(), xmod_c2(), inner_crossed_module(symmetric_group(3))]
 
 
+def reference_commuting_squares(G):
+    """All boundary tuples by four nested loops over the arrows."""
+    squares = set()
+    for a in G.arrows:
+        for b in G.arrows:
+            if G.tgt[a] != G.src[b]:
+                continue
+            ab = G.comp[(b, a)]
+            for c in G.arrows:
+                if G.src[c] != G.src[a]:
+                    continue
+                for d in G.arrows:
+                    if G.src[d] != G.tgt[c] or G.tgt[d] != G.tgt[b]:
+                        continue
+                    if G.comp[(d, c)] == ab:
+                        squares.add(Square(a, b, c, d))
+    return frozenset(squares)
+
+
 class TestCommutingSquares:
+    @pytest.mark.parametrize("name", sorted(SWEEP_CORPUS) + ["mobius3"])
+    def test_matches_four_loop_reference(self, name):
+        if name == "mobius3":
+            G = groupoid_from_dict(json.loads((FIXTURES / "mobius3.json").read_text()))
+        else:
+            G = SWEEP_CORPUS[name]().edge
+        assert commuting_squares(G).squares == reference_commuting_squares(G)
+
     def test_trivial_groupoid_has_one_square(self):
         D = commuting_squares(indiscrete(1))
         assert len(D.squares) == 1
@@ -364,6 +391,18 @@ class TestCubeClosure:
         for c in cubes[:: max(1, len(cubes) // 97)]:
             tup = (idx[c.top], idx[c.bottom], idx[c.left], idx[c.right], idx[c.front], idx[c.back])
             assert tab.is_commutative(tup) == (c.top == reference_net(D, c))
+
+    def test_one_table_per_double(self, monkeypatch):
+        D = box_c2()
+        calls = []
+        build = double.square_tables
+        monkeypatch.setattr(double, "square_tables", lambda D: calls.append(D) or build(D))
+        c = prism_cube(D, sorted(D.squares, key=repr)[0])
+        assert is_commutative_cube(D, c) and is_commutative_cube(D, c)
+        interchange_check(D, method="direct")
+        cube_closure_sweep(D)
+        assert square_catalogue(D) == sorted(D.squares, key=repr)
+        assert calls == [D] and D.tables is D.tables
 
     def test_closure_report(self):
         D = box_c2()
@@ -695,6 +734,7 @@ class TestSquareEngine:
         D = xmod_to_double(xmod_c2())
         blocks = interchange_check(D, method="direct").blocks_checked
         monkeypatch.setattr(double, "square_tables", tables_with_one_filler_flipped)
+        D = xmod_to_double(xmod_c2())  # D keeps its first tables; a fresh double reads the patched ones
         rep = interchange_check(D, method="direct")
         assert not rep.ok and rep.witnesses and rep.blocks_checked == blocks
         order = [tuple(map(square_tables(D).index.__getitem__, block)) for block in rep.witnesses]

@@ -210,6 +210,12 @@ class TestHolonomyQuotient:
             holonomy_groupoid(J, literal, strict=True)
         hol = holonomy_groupoid(J, literal, strict=False)
         assert not hol.projection_constant
+        h, values = hol.projection_witness
+        assert values == {J.germ_of_arrow[a].value for a in hol.members[h]} and len(values) > 1
+        assert all(
+            len({J.germ_of_arrow[a].value for a in hol.members[k]}) == 1 for k in sorted(hol.members) if k < h
+        )
+        assert holonomy_groupoid(J, j0(J), strict=True).projection_witness is None
 
     def test_holonomy_detects_nonlocality(self):
         # coset counts are consistent with J0 membership: the vertex order is

@@ -23,6 +23,7 @@ from groupoidkit.presentations import (
     NEG,
     Word,
     WindowMap,
+    broken_product,
     concat,
     empty_word,
     enumerate_monodromy_arrows,
@@ -144,6 +145,21 @@ class TestLocalMorphism:
         H = one_object_groupoid(cyclic_group(4))
         f = WindowMap({"o": "o"}, {"id:o": "id:o", "g:1": "g:3", "g:3": "g:3"})
         assert not is_local_morphism(D, H, f)  # fails at (g, g^-1) -> 1
+        assert broken_product(D, H, f) == ("g:1", "g:3")
+
+    def test_broken_product_is_the_sorted_first_pair(self):
+        D = full_window_data(one_object_groupoid(cyclic_group(4)))
+        H = one_object_groupoid(cyclic_group(4))
+        f = WindowMap({"o": "o"}, {"id:o": "id:o", "g:1": "g:1", "g:2": "g:1", "g:3": "g:3"})
+        G = D.G
+        broken = [
+            (u, v)
+            for u in sorted(D.window)
+            for v in sorted(D.window)
+            if G.tgt[v] == G.src[u] and H.comp[(f.arrow_map[u], f.arrow_map[v])] != f.arrow_map[G.comp[(u, v)]]
+        ]
+        assert len(broken) > 1 and broken_product(D, H, f) == broken[0]
+        assert broken_product(D, D.G, WindowMap({"o": "o"}, {w: w for w in D.window})) is None
 
 
 class TestMonodromy:
