@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import filterfalse, product as iproduct
 
-from .core import FiniteGroupoid, FiniteTopology, continuity_witnesses, topology_from_subbase
+from .core import FiniteGroupoid, FiniteTopology, continuity_witnesses, opens_meeting, topology_from_subbase
 from .errors import OutOfDomain
 from .presentations import LocalGroupoidData
 
@@ -338,7 +338,8 @@ def check_extendible(D: LocalGroupoidData) -> ExtendibilityResult:
     The candidate topology is generated by the window's basic opens plus
     left-translation images L_s(V) with s running over the generated
     bisections.  Each L_s(V) is a union of germ-level pieces, so the germs
-    suffice as translation data.  Failure kinds:
+    suffice as translation data.  Each germ visits only the window opens
+    with an arrow into its domain (indexed once, by target).  Failure kinds:
 
     - ``window-not-open``: W is not open in the result;
     - ``window-subspace``: the result does not restrict to the window
@@ -351,16 +352,10 @@ def check_extendible(D: LocalGroupoidData) -> ExtendibilityResult:
 
     window_base = TW.base()
     subbase: set = set(window_base)
+    meeting = opens_meeting(window_base, G.tgt.__getitem__)
     for germ in closure:
         m = germ.as_dict()
-        for V in window_base:
-            piece = frozenset(
-                G.comp[(m[G.tgt[v]], v)]
-                for v in V
-                if G.tgt[v] in m
-            )
-            if piece:
-                subbase.add(piece)
+        subbase.update(frozenset(G.comp[(m[G.tgt[v]], v)] for v in V if G.tgt[v] in m) for V in meeting(m))
     T_arr = topology_from_subbase(G.arrows, subbase)
 
     failures = []

@@ -99,6 +99,14 @@ def _emit(command: str, paths: list[str], results: dict, started: float) -> None
     sys.stdout.write(canonical_dumps(manifest))
 
 
+def _checked(G):
+    """G, once it passes the groupoid axioms; otherwise NotAGroupoid names the first violation."""
+    report = validate_groupoid(G)
+    if not report.ok:
+        raise NotAGroupoid(f"not a groupoid: {report.violations[0]}")
+    return G
+
+
 def cmd_validate(args) -> int:
     started = time.time()
     G = groupoid_from_dict(_read_json(args.path))
@@ -159,6 +167,7 @@ def cmd_vertex_group(args) -> int:
 def cmd_monodromy(args) -> int:
     started = time.time()
     D = local_data_from_dict(_read_json(args.path))
+    _checked(D.G)
     M = monodromy(D)
     finite = monodromy_is_finite(M) if M.rewriting.confluent else None
     results = {
@@ -174,7 +183,7 @@ def cmd_monodromy(args) -> int:
     if args.extend is not None:
         doc = _read_json(args.extend)
         inputs.append(args.extend)
-        H = groupoid_from_dict(doc.get("target", {}))
+        H = _checked(groupoid_from_dict(doc.get("target", {})))
         obj_map = {a: b for a, b in doc.get("objects", [])}
         arrow_map = {a: b for a, b in doc.get("arrows", [])}
         f = WindowMap(obj_map, arrow_map)
@@ -196,6 +205,7 @@ def cmd_monodromy(args) -> int:
 def cmd_holonomy(args) -> int:
     started = time.time()
     D = local_data_from_dict(_read_json(args.path))
+    _checked(D.G)
     J = germ_groupoid(D)
     N = j0(J, value_normalised=not args.paper_literal_j0)
     hol = holonomy_groupoid(J, N, strict=False)
@@ -225,6 +235,7 @@ def cmd_holonomy(args) -> int:
 def cmd_extendible(args) -> int:
     started = time.time()
     D = local_data_from_dict(_read_json(args.path))
+    _checked(D.G)
     res = check_extendible(D)
     results = {
         "extendible": res.ok,
@@ -241,11 +252,7 @@ def _load_double(doc):
     if "P" in doc:
         X = crossed_module_from_dict(doc)
         return xmod_to_double(X), X
-    G = groupoid_from_dict(doc)
-    report = validate_groupoid(G)
-    if not report.ok:
-        raise NotAGroupoid(f"not a groupoid: {report.violations[0]}")
-    return commuting_squares(G), None
+    return commuting_squares(_checked(groupoid_from_dict(doc))), None
 
 
 def cmd_double(args) -> int:

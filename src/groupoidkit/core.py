@@ -388,7 +388,7 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
             continue
         if G.src[hg] != G.src[g] or G.tgt[hg] != G.tgt[h]:
             bad.append(Violation("composition-endpoints", (h, g, hg), "composite endpoints wrong"))
-    if any(v.rule.startswith("composition") or v.rule == "inverse-exists" for v in bad):
+    if any(v.rule.startswith(("identity", "composition")) or v.rule == "inverse-exists" for v in bad):
         return ValidationReport(tuple(bad))
     for a in arrows:
         ex, ey = G.id_of[G.src[a]], G.id_of[G.tgt[a]]
@@ -846,19 +846,26 @@ def topology_from_opens(points, opens) -> FiniteTopology:
 
 
 def topology_from_subbase(points, sets) -> FiniteTopology:
-    """Topology generated by an arbitrary family of subsets."""
+    """Topology generated by a family of subsets: each set cuts down its members' minimal opens (sum of |S|)."""
     points = tuple(points)
-    pset = frozenset(points)
-    mins = {}
-    for x in points:
-        m = pset
-        for S in sets:
-            if x in S:
-                m &= frozenset(S)
-        mins[x] = m
+    mins = dict.fromkeys(points, frozenset(points))
+    for S in sets:
+        S = frozenset(S)
+        for x in S:
+            if x in mins:
+                mins[x] &= S
     # y in mins[x] means every generating set through x also contains y, so
     # mins[y] <= mins[x] holds automatically: the map is a valid preorder.
     return FiniteTopology(points, mins)
+
+
+def opens_meeting(opens, key):
+    """A map from keys to the opens holding a point v with key(v) among them, each once; indexes once."""
+    index: dict = {}
+    for V in opens:
+        for k in {key(v) for v in V}:
+            index.setdefault(k, []).append(V)
+    return lambda keys: dict.fromkeys(V for k in keys for V in index.get(k, ()))
 
 
 def discrete_topology(points) -> FiniteTopology:

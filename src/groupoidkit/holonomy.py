@@ -20,8 +20,9 @@ the two side leaves are disjoint circles and all holonomy is trivial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .bisections import compose_bisections, identity_bisection, is_window_bisection, relative_inverse
+from .bisections import identity_bisection, is_window_bisection, relative_inverse
 from .core import (
     FiniteGroupoid,
     FiniteTopology,
@@ -30,6 +31,7 @@ from .core import (
     continuity_witnesses,
     equivalence_groupoid,
     make_groupoid,
+    opens_meeting,
     topology_from_subbase,
     validate_groupoid,
 )
@@ -77,9 +79,21 @@ def _germ_groupoid_from_closure(D: LocalGroupoidData, gens, closure) -> GermGrou
     id_of = {x: name[identity[x]] for x in G.objects}
     inv = {name[g]: name[germ(D, relative_inverse(G, g), germ_target(D, g))] for g in germs}
     germ_of = dict(zip(arrows, germs))
-    comp = {(h, t): name[compose_bisections(G, germ_of[h], germ_of[t])] for h, t in composable(arrows, src, tgt)}
+    comp = _germ_products(G, germ_of, composable(arrows, src, tgt))  # its code tables die before the copy
     groupoid = make_groupoid(G.objects, arrows, src, tgt, id_of, inv, comp)
     return GermGroupoid(D, groupoid, germ_of, dict(name), tuple(gens))
+
+
+def _germ_products(G: FiniteGroupoid, germ_of: dict, pairs) -> dict:
+    """h*t for each pair: t's base and point order, h(beta a) . a at each arrow a
+    of t, so it is composed on (base, arrows) codes and named by one lookup."""
+    code = {a: (g.base, tuple(b for _, b in g.values)) for a, g in germ_of.items()}
+    by_code = {c: a for a, c in code.items()}
+    value_at = {a: g.as_dict() for a, g in germ_of.items()}
+    return {
+        (h, t): by_code[(code[t][0], tuple([G.comp[(value_at[h][G.tgt[a]], a)] for a in code[t][1]]))]
+        for h, t in pairs
+    }
 
 
 def germ_groupoid(D: LocalGroupoidData, semigroup=None) -> GermGroupoid:
@@ -92,10 +106,7 @@ def germ_groupoid(D: LocalGroupoidData, semigroup=None) -> GermGroupoid:
     if semigroup is None:
         gens, closure = germ_closure(D)
         return _germ_groupoid_from_closure(D, gens, closure)
-    germs = set()
-    for s in semigroup.elements:
-        for x in s.domain:
-            germs.add(germ(D, s, x))
+    germs = {germ(D, s, x) for s in semigroup.elements for x in s.domain}
     return _germ_groupoid_from_closure(D, window_germs(D), germs)
 
 
@@ -173,6 +184,31 @@ class HolonomyGroupoid:
     projection_witness: tuple | None  # first class, in name order, with its several projection values
     embedding_well_defined: bool
     embedding_injective: bool
+
+    @cached_property
+    def chart_rows(self):
+        """chart_rows(r): (window position, w, class of r . f in J) for the window
+        arrows w into the base of the J arrow r and the window germs f through w,
+        or NotSectionable (no f) or WellDefinednessFailure (depends on f).  The
+        indices are built once; rows are a few lookups, so they are not kept."""
+        # the rows do not reach self: a cycle would hold each quotient until a full collection
+        K, G, coset_of = self.J.groupoid, self.data.G, self.coset_of
+        through: dict = {}  # w -> J arrows of the window germs with value w
+        for g in self.J.generator_germs:
+            through.setdefault(g.value, []).append(self.J.arrow_of_germ[g])
+        into: dict = {}  # y -> (position, w) for the window arrows w into y
+        for i, w in enumerate(sorted(self.data.window, key=repr)):
+            into.setdefault(G.tgt[w], []).append((i, w))
+
+        def row(r):
+            out = []
+            for i, w in into.get(K.src[r], ()):
+                classes = {coset_of[K.comp[(r, f)]] for f in through.get(w, ())}
+                failure = WellDefinednessFailure if classes else NotSectionable
+                out.append((i, w, classes.pop() if len(classes) == 1 else failure))
+            return out
+
+        return row
 
     def vertex_orders(self) -> dict:
         K = self.groupoid
@@ -275,49 +311,34 @@ def chart(hol: HolonomyGroupoid, s_germ: Germ) -> dict:
 
     sigma_s(w) is the class of (s at beta w) composed with any window germ f
     through w; independence from the choice of f is enforced (it is also
-    checked exhaustively by the test suite).
-    """
-    D = hol.data
-    J = hol.J
-    G = D.G
-    base_carrier = D.t_objects.min_open[s_germ.base]
-    gen_by_value: dict = {}
-    for g in J.generator_germs:
-        gen_by_value.setdefault((g.base, g.value), []).append(g)
+    checked exhaustively by the test suite).  It merges the rows
+    (`HolonomyGroupoid.chart_rows`, one per J arrow) of s's restrictions,
+    in window repr order, raising at the repr-smallest failing w."""
+    D, rows, name = hol.data, hol.chart_rows, hol.J.arrow_of_germ
     out = {}
-    for w in sorted(D.window, key=repr):
-        y = G.tgt[w]
-        if y not in base_carrier:
-            continue
-        through = gen_by_value.get((G.src[w], w), [])
-        if not through:
+    for _, w, h in sorted(e for y in D.t_objects.min_open[s_germ.base] for e in rows(name[germ(D, s_germ, y)])):
+        if h is NotSectionable:
             raise NotSectionable(f"no window bisection through {w!r}")
-        s_at = germ(D, s_germ, y)
-        values = {hol.coset_of[J.arrow_of_germ[compose_bisections(G, s_at, f)]] for f in through}
-        if len(values) != 1:
+        if h is WellDefinednessFailure:
             raise WellDefinednessFailure(f"chart value at {w!r} depends on the bisection choice")
-        out[w] = values.pop()
+        out[w] = h
     return out
 
 
 def holonomy_topology(hol: HolonomyGroupoid) -> tuple[FiniteTopology, dict]:
     """Topology on the holonomy arrows generated by chart images of opens.
 
-    Returns the topology and a verification dict: continuity of the
-    quotient's composition and inversion, and of the projection whenever an
-    ambient arrow topology is supplied later by the caller (see
-    `projection_continuous`).
+    One chart per J arrow, mapping only the window opens it meets.  Returns
+    the topology and a verification dict: continuity of the quotient's
+    composition and inversion, and of the projection whenever an ambient
+    arrow topology is supplied later by the caller (see `projection_continuous`).
     """
     K = hol.groupoid
-    window_base = hol.data.t_window.base()
+    meeting = opens_meeting(hol.data.t_window.base(), lambda w: w)
     subbase = set()
     for a in hol.J.groupoid.arrows:
-        s_germ = hol.J.germ_of_arrow[a]
-        table = chart(hol, s_germ)
-        for V in window_base:
-            piece = frozenset(table[w] for w in V if w in table)
-            if piece:
-                subbase.add(piece)
+        table = chart(hol, hol.J.germ_of_arrow[a])
+        subbase.update(frozenset(table[w] for w in V if w in table) for V in meeting(table))
     T = topology_from_subbase(K.arrows, subbase)
     inversion, composition = continuity_witnesses(K, T)
     report = {

@@ -1,0 +1,125 @@
+"""The object-level loops that the holonomy and extendibility tables replaced.
+
+Each function here is the straightforward version of a fast path in the
+package, kept as a test oracle:
+
+- `reference_topology_from_subbase` tests every point against every set;
+- `reference_germ_groupoid_from_closure` composes every composable pair of
+  germs with `compose_bisections` and names the product by its germ;
+- `reference_chart` composes each restriction of s with every window germ
+  through each window arrow;
+- `reference_holonomy_topology` and `reference_check_extendible` take the
+  image of every basic window open under every chart or germ.
+"""
+
+from groupoidkit.bisections import compose_bisections, identity_bisection, relative_inverse
+from groupoidkit.core import FiniteTopology, composable, continuity_witnesses, make_groupoid
+from groupoidkit.errors import NotSectionable, WellDefinednessFailure
+from groupoidkit.germs import germ, germ_closure, germ_target
+from groupoidkit.holonomy import GermGroupoid
+
+
+def reference_topology_from_subbase(points, sets) -> FiniteTopology:
+    points = tuple(points)
+    pset = frozenset(points)
+    mins = {}
+    for x in points:
+        m = pset
+        for S in sets:
+            if x in S:
+                m &= frozenset(S)
+        mins[x] = m
+    return FiniteTopology(points, mins)
+
+
+def reference_germ_groupoid_from_closure(D, gens, closure) -> GermGroupoid:
+    G, T0 = D.G, D.t_objects
+    identity = {x: germ(D, identity_bisection(G, T0.min_open[x]), x) for x in G.objects}
+    germs = sorted(set(closure).union(identity.values()), key=lambda g: (repr(g.base), g.values))
+    name = {g: f"j{i}" for i, g in enumerate(germs)}
+    arrows = [name[g] for g in germs]
+    src = {name[g]: g.base for g in germs}
+    tgt = {name[g]: germ_target(D, g) for g in germs}
+    id_of = {x: name[identity[x]] for x in G.objects}
+    inv = {name[g]: name[germ(D, relative_inverse(G, g), germ_target(D, g))] for g in germs}
+    germ_of = dict(zip(arrows, germs))
+    comp = {(h, t): name[compose_bisections(G, germ_of[h], germ_of[t])] for h, t in composable(arrows, src, tgt)}
+    groupoid = make_groupoid(G.objects, arrows, src, tgt, id_of, inv, comp)
+    return GermGroupoid(D, groupoid, germ_of, dict(name), tuple(gens))
+
+
+def reference_chart(hol, s_germ) -> dict:
+    D = hol.data
+    J = hol.J
+    G = D.G
+    base_carrier = D.t_objects.min_open[s_germ.base]
+    gen_by_value: dict = {}
+    for g in J.generator_germs:
+        gen_by_value.setdefault((g.base, g.value), []).append(g)
+    out = {}
+    for w in sorted(D.window, key=repr):
+        y = G.tgt[w]
+        if y not in base_carrier:
+            continue
+        through = gen_by_value.get((G.src[w], w), [])
+        if not through:
+            raise NotSectionable(f"no window bisection through {w!r}")
+        s_at = germ(D, s_germ, y)
+        values = {hol.coset_of[J.arrow_of_germ[compose_bisections(G, s_at, f)]] for f in through}
+        if len(values) != 1:
+            raise WellDefinednessFailure(f"chart value at {w!r} depends on the bisection choice")
+        out[w] = values.pop()
+    return out
+
+
+def reference_holonomy_subbase(hol) -> set:
+    window_base = hol.data.t_window.base()
+    subbase = set()
+    for a in hol.J.groupoid.arrows:
+        table = reference_chart(hol, hol.J.germ_of_arrow[a])
+        for V in window_base:
+            piece = frozenset(table[w] for w in V if w in table)
+            if piece:
+                subbase.add(piece)
+    return subbase
+
+
+def reference_holonomy_topology(hol):
+    K = hol.groupoid
+    T = reference_topology_from_subbase(K.arrows, reference_holonomy_subbase(hol))
+    inversion, composition = continuity_witnesses(K, T)
+    return T, {"composition_continuous": composition is None, "inversion_continuous": inversion is None}
+
+
+def reference_extendible_subbase(D) -> set:
+    G = D.G
+    _, closure = germ_closure(D)
+    window_base = D.t_window.base()
+    subbase = set(window_base)
+    for g in closure:
+        m = g.as_dict()
+        for V in window_base:
+            piece = frozenset(G.comp[(m[G.tgt[v]], v)] for v in V if G.tgt[v] in m)
+            if piece:
+                subbase.add(piece)
+    return subbase
+
+
+def reference_check_extendible(D):
+    """(arrow topology, failures), as `check_extendible` reports them."""
+    G, TW = D.G, D.t_window
+    T_arr = reference_topology_from_subbase(G.arrows, reference_extendible_subbase(D))
+    failures = []
+    if not T_arr.is_open(D.window):
+        failures.append(("window-not-open", None))
+    sub = T_arr.subspace(D.window)
+    for w in sorted(D.window, key=repr):
+        if sub.min_open[w] != TW.min_open[w]:
+            failures.append(("window-subspace", w))
+            break
+    inversion, composition = continuity_witnesses(G, T_arr)
+    if inversion is not None:
+        failures.append(("inversion-discontinuous", inversion))
+    if composition is not None:
+        failures.append(("composition-discontinuous", composition))
+    return T_arr, tuple(failures)

@@ -222,6 +222,33 @@ class TestExtendible:
         assert failures == {json.dumps([["composition-discontinuous", "('g:2', 'g:1', 'g:1', 'g:1')"]])}
 
 
+BROKEN_COMP = "error: not a groupoid: composition-total('0+>0-', '0->0+'): composable pair missing from comp\n"
+
+
+class TestLocalDataValidatedAtLoad:
+    """holonomy, extendible and monodromy refuse a groupoid that breaks the axioms."""
+
+    @pytest.mark.parametrize(
+        "argv", [["holonomy"], ["holonomy", "--paper-literal-j0"], ["extendible"], ["monodromy"]], ids=" ".join
+    )
+    def test_broken_comp_exits_1(self, capsys, argv):
+        assert run(capsys, argv[0], fx("broken-comp.json"), *argv[1:]) == (1, "", BROKEN_COMP)
+
+    def test_broken_comp_writes_no_dot_file(self, capsys, tmp_path):
+        target = tmp_path / "hol.dot"
+        assert run(capsys, "holonomy", fx("broken-comp.json"), "--emit-dot", str(target)) == (1, "", BROKEN_COMP)
+        assert not target.exists()
+
+    def test_broken_extension_target_exits_1(self, capsys, tmp_path):
+        doc = json.loads((FIXTURES / "extend-c8.json").read_text())
+        doc["target"]["comp"] = [row for row in doc["target"]["comp"] if row[:2] != ["g:1", "g:1"]]
+        path = tmp_path / "extend-c8-broken.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "monodromy", fx("c4-window.json"), "--extend", str(path)) == (
+            1, "", "error: not a groupoid: composition-total('g:1', 'g:1'): composable pair missing from comp\n"
+        )
+
+
 class TestDouble:
     def test_box_c2_interchange(self, capsys):
         code, out, _ = run(capsys, "double", fx("box-c2.json"), "--check", "transport,interchange")

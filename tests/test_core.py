@@ -32,6 +32,7 @@ from groupoidkit.core import (
     product_groupoid,
     symmetric_group,
     topology_from_opens,
+    topology_from_subbase,
     trivial_group,
     unique_lifting_holds,
     validate_group,
@@ -40,6 +41,7 @@ from groupoidkit.core import (
 )
 from groupoidkit.errors import EmptyNotAllowed, NotComposable, UnknownObject, UnknownPoint
 from groupoidkit.io import crossed_module_from_dict, groupoid_from_dict
+from reference_tables import reference_topology_from_subbase
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -96,6 +98,15 @@ class TestValidation:
         assert not rep.ok
         assert any("inverse" in v.rule for v in rep.violations)
         assert any("a:0->1" in v.witness for v in rep.violations)
+
+    @pytest.mark.parametrize("identity, rule", [("nope", "identity-exists"), ("a:0->1", "identity-endpoints")])
+    def test_bad_identity_is_reported_not_raised(self, identity, rule):
+        G = indiscrete(2)
+        broken = FiniteGroupoid(G.objects, G.arrows, G.src, G.tgt, {**G.id_of, "1": identity}, G.inv, G.comp)
+        rep = validate_groupoid(broken)
+        assert [v.rule for v in rep.violations] == [rule]
+        assert "1" in rep.violations[0].witness
+        assert rep.violations == tuple(reference_validate(broken))
 
     def test_action_groupoid_valid_exhaustively(self):
         assert validate_groupoid(swap_action_2pts()).ok
@@ -250,6 +261,21 @@ class TestTopology:
         T = topology_from_opens(["a", "b"], fam)
         assert sorted(map(sorted, T.opens())) == sorted(map(sorted, map(set, fam)))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(0, 7), unique=True, max_size=7),
+        st.lists(st.frozensets(st.integers(0, 10), max_size=6), max_size=8),
+        st.data(),
+    )
+    def test_subbase_fold_matches_all_sets_loop(self, points, sets, data):
+        # empty sets, repeated sets and members outside `points` all occur
+        sets = sets + data.draw(st.lists(st.sampled_from(sets), max_size=3)) if sets else sets
+        for family in (sets, set(sets)):
+            got = topology_from_subbase(points, family)
+            want = reference_topology_from_subbase(points, family)
+            assert got.points == want.points
+            assert list(got.min_open.items()) == list(want.min_open.items())
+
     def test_continuity_criterion(self):
         S = topology_from_opens(["a", "b"], [[], ["a"], ["a", "b"]])
         D = discrete_topology(["a", "b"])
@@ -364,7 +390,7 @@ def reference_validate(G):
             continue
         if G.src[hg] != G.src[g] or G.tgt[hg] != G.tgt[h]:
             bad.append(Violation("composition-endpoints", (h, g, hg), "composite endpoints wrong"))
-    if any(v.rule.startswith("composition") or v.rule == "inverse-exists" for v in bad):
+    if any(v.rule.startswith(("identity", "composition")) or v.rule == "inverse-exists" for v in bad):
         return bad
     for a in arrows:
         ex, ey = G.id_of[G.src[a]], G.id_of[G.tgt[a]]

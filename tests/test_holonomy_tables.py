@@ -1,0 +1,175 @@
+"""Germ products, charts and subbases read from tables, against the object-level loops."""
+
+import dataclasses
+import json
+import pathlib
+
+import pytest
+
+from corpus import cyclic_window, full_window, klein_window, sierpinski_pair_data, swap3_groupoid
+from groupoidkit import bisections, holonomy
+from groupoidkit.bisections import check_extendible, generate_semigroup, identity_bisection, w_bisections
+from groupoidkit.core import FiniteTopology, cyclic_group, disjoint_union, one_object_groupoid
+from groupoidkit.errors import WellDefinednessFailure
+from groupoidkit.germs import germ_closure, window_germs
+from groupoidkit.holonomy import (
+    annulus_model,
+    chart,
+    germ,
+    germ_groupoid,
+    holonomy_pipeline,
+    holonomy_topology,
+    mobius_model,
+)
+from groupoidkit.io import local_data_from_dict
+from groupoidkit.presentations import local_data
+from reference_tables import (
+    reference_chart,
+    reference_check_extendible,
+    reference_extendible_subbase,
+    reference_germ_groupoid_from_closure,
+    reference_holonomy_subbase,
+    reference_holonomy_topology,
+)
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def bundle_data():
+    """Two C2 vertex groups over the Sierpinski space {a, b}, b open.
+
+    The window is every arrow; an a-arrow's neighbourhood holds both
+    b-arrows, so two window germs at a pass through each a-arrow (their
+    values at b differ).  No band model or fixture has such a pair.
+    """
+    C2 = one_object_groupoid(cyclic_group(2))
+    G = disjoint_union(C2, C2, tags=("a", "b"))
+    b_arrows = frozenset({"id:b.o", "b.g:1"})
+    t_w = FiniteTopology(tuple(G.arrows), {
+        "id:a.o": b_arrows | {"id:a.o"},
+        "a.g:1": b_arrows | {"a.g:1"},
+        "id:b.o": frozenset({"id:b.o"}),
+        "b.g:1": frozenset({"b.g:1"}),
+    })
+    t_obj = FiniteTopology(("a.o", "b.o"), {"a.o": frozenset({"a.o", "b.o"}), "b.o": frozenset({"b.o"})})
+    return local_data(G, G.arrows, t_w, t_obj)
+
+
+def fixture_data(name):
+    return lambda: local_data_from_dict(json.loads((FIXTURES / name).read_text()))
+
+
+# every local-data fixture except broken-comp.json, which is not a groupoid
+HOLONOMY_CORPUS = {
+    **{f"{m.__name__.split('_')[0]}({n})": (lambda m=m, n=n: m(n))
+       for m in (mobius_model, annulus_model) for n in (3, 4, 5, 8)},
+    **{f"{name}.json": fixture_data(f"{name}.json") for name in ("mobius3", "annulus3", "c4-window", "full-window")},
+    "bundle": bundle_data,
+    "klein": klein_window,
+    "cyclic6": lambda: cyclic_window(6, 1),
+    "swap3-full": lambda: full_window(swap3_groupoid()),
+}
+# the Sierpinski pair has window arrows no bisection passes through: it has
+# a germ groupoid and an extendibility verdict but no holonomy quotient
+GERM_CORPUS = {**HOLONOMY_CORPUS, "sierpinski-pair": sierpinski_pair_data}
+
+
+def assert_same_germ_groupoid(J, R):
+    assert J.germ_of_arrow == R.germ_of_arrow and J.arrow_of_germ == R.arrow_of_germ
+    K, L = J.groupoid, R.groupoid
+    assert (K.objects, K.arrows, K.src, K.tgt, K.id_of, K.inv) == (L.objects, L.arrows, L.src, L.tgt, L.id_of, L.inv)
+    assert list(K.comp.items()) == list(L.comp.items())
+
+
+class Spy:
+    """Stands in for `topology_from_subbase` and records each family it is given."""
+
+    def __init__(self, fn):
+        self.fn, self.families = fn, []
+
+    def __call__(self, points, sets):
+        self.families.append(set(sets))
+        return self.fn(points, sets)
+
+
+@pytest.mark.parametrize("name", sorted(GERM_CORPUS))
+def test_germ_products_match_reference(name):
+    D = GERM_CORPUS[name]()
+    gens, closure = germ_closure(D)
+    assert_same_germ_groupoid(germ_groupoid(D), reference_germ_groupoid_from_closure(D, gens, closure))
+
+
+@pytest.mark.parametrize("name", ["bundle", "klein", "cyclic6", "swap3-full", "sierpinski-pair", "full-window.json"])
+def test_semigroup_route_matches_reference(name):
+    D = GERM_CORPUS[name]()
+    S = generate_semigroup(D.G, w_bisections(D), max_elements=5000)
+    germs = {germ(D, s, x) for s in S.elements for x in s.domain}
+    want = reference_germ_groupoid_from_closure(D, window_germs(D), germs)
+    assert_same_germ_groupoid(germ_groupoid(D, S), want)
+
+
+@pytest.mark.parametrize("name", sorted(HOLONOMY_CORPUS))
+def test_charts_match_reference(name):
+    hol = holonomy_pipeline(HOLONOMY_CORPUS[name]())
+    for _ in range(2):  # cold rows, then warm
+        for a in hol.J.groupoid.arrows:
+            s_germ = hol.J.germ_of_arrow[a]
+            assert list(chart(hol, s_germ).items()) == list(reference_chart(hol, s_germ).items())
+
+
+@pytest.mark.parametrize("name", sorted(HOLONOMY_CORPUS))
+def test_holonomy_topology_matches_reference(name, monkeypatch):
+    hol = holonomy_pipeline(HOLONOMY_CORPUS[name]())
+    spy = Spy(holonomy.topology_from_subbase)
+    monkeypatch.setattr(holonomy, "topology_from_subbase", spy)
+    T, report = holonomy_topology(hol)
+    want_T, want_report = reference_holonomy_topology(hol)
+    assert spy.families == [reference_holonomy_subbase(hol)]
+    assert T.points == want_T.points and list(T.min_open.items()) == list(want_T.min_open.items())
+    assert report == want_report
+
+
+@pytest.mark.parametrize("name", sorted(GERM_CORPUS))
+def test_extendibility_matches_reference(name, monkeypatch):
+    D = GERM_CORPUS[name]()
+    spy = Spy(bisections.topology_from_subbase)
+    monkeypatch.setattr(bisections, "topology_from_subbase", spy)
+    res = check_extendible(D)
+    want_T, want_failures = reference_check_extendible(D)
+    assert spy.families == [reference_extendible_subbase(D)]
+    assert list(res.topology.min_open.items()) == list(want_T.min_open.items())
+    assert res.failures == want_failures
+
+
+class TestChartErrors:
+    def test_dependence_on_the_bisection_names_the_first_w(self):
+        D = bundle_data()
+        hol = holonomy_pipeline(D)
+        J = hol.J
+        # give one of the two window germs through id:a.o another class
+        moved = next(J.arrow_of_germ[g] for g in J.generator_germs
+                     if g.value == "id:a.o" and dict(g.values)["b.o"] == "b.g:1")
+        other = next(h for h in hol.groupoid.arrows if h != hol.coset_of[moved])
+        patched = dataclasses.replace(hol, coset_of={**hol.coset_of, moved: other})
+        identity_at_a = germ(D, identity_bisection(D.G, D.G.objects), "a.o")
+        with pytest.raises(WellDefinednessFailure) as want:
+            reference_chart(patched, identity_at_a)
+        with pytest.raises(WellDefinednessFailure) as got:
+            chart(patched, identity_at_a)
+        assert str(got.value) == str(want.value) == "chart value at 'id:a.o' depends on the bisection choice"
+        # the unpatched quotient's chart is well defined
+        assert chart(hol, identity_at_a) == reference_chart(hol, identity_at_a)
+
+    @pytest.mark.parametrize("model", [mobius_model, annulus_model])
+    def test_identity_chart_is_the_embedding_with_warm_rows(self, model):
+        D = model(4)
+        hol = holonomy_pipeline(D)
+        holonomy_topology(hol)  # reads every J arrow's chart
+        assert "chart_rows" in vars(hol)  # the row indices are built and kept
+        identity = identity_bisection(D.G, D.G.objects)
+        covered = {}
+        for x in D.G.objects:
+            table = chart(hol, germ(D, identity, x))
+            assert all(h == hol.embedding[w] for w, h in table.items())
+            covered.update(table)
+        assert covered == hol.embedding
