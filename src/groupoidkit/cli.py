@@ -47,6 +47,7 @@ from .io import (
     catalogue_to_dict,
     crossed_module_from_dict,
     cube_from_dict,
+    extension_from_dict,
     groupoid_from_dict,
     groupoid_to_dot,
     local_data_from_dict,
@@ -59,7 +60,6 @@ from .io import (
 )
 from .presentations import (
     POS,
-    WindowMap,
     broken_product,
     extend_local_morphism,
     is_local_morphism,
@@ -107,6 +107,12 @@ def _checked(G):
     return G
 
 
+def _load_local_data(path):
+    """Local data from a file whose groupoid passes the axioms before the window is read."""
+    doc = _read_json(path)
+    return local_data_from_dict(doc, _checked(groupoid_from_dict(doc)))
+
+
 def cmd_validate(args) -> int:
     started = time.time()
     G = groupoid_from_dict(_read_json(args.path))
@@ -120,6 +126,12 @@ def cmd_validate(args) -> int:
     }
     _emit("validate", [args.path], results, started)
     return OK if report.ok else SEMANTIC
+
+
+def _vertex_group_results(P, obj) -> dict:
+    pres = vertex_group_presentation(P, obj)
+    relators = [[[e, "+" if s == POS else "-"] for (e, s) in r] for r in pres.relators]
+    return {"object": obj, "generators": list(pres.generators), "relators": relators}
 
 
 def cmd_pushout(args) -> int:
@@ -141,12 +153,7 @@ def cmd_pushout(args) -> int:
         ),
     }
     if args.vertex_group is not None:
-        pres = vertex_group_presentation(out.apex, args.vertex_group)
-        results["vertex_group"] = {
-            "object": args.vertex_group,
-            "generators": list(pres.generators),
-            "relators": [[[e, "+" if s == POS else "-"] for (e, s) in r] for r in pres.relators],
-        }
+        results["vertex_group"] = _vertex_group_results(out.apex, args.vertex_group)
     _emit("pushout", [args.a, args.b, args.c, args.f, args.g], results, started)
     return OK
 
@@ -154,20 +161,13 @@ def cmd_pushout(args) -> int:
 def cmd_vertex_group(args) -> int:
     started = time.time()
     P = presentation_from_dict(_read_json(args.path))
-    pres = vertex_group_presentation(P, args.object)
-    results = {
-        "object": args.object,
-        "generators": list(pres.generators),
-        "relators": [[[e, "+" if s == POS else "-"] for (e, s) in r] for r in pres.relators],
-    }
-    _emit("vertex-group", [args.path], results, started)
+    _emit("vertex-group", [args.path], _vertex_group_results(P, args.object), started)
     return OK
 
 
 def cmd_monodromy(args) -> int:
     started = time.time()
-    D = local_data_from_dict(_read_json(args.path))
-    _checked(D.G)
+    D = _load_local_data(args.path)
     M = monodromy(D)
     finite = monodromy_is_finite(M) if M.rewriting.confluent else None
     results = {
@@ -181,12 +181,9 @@ def cmd_monodromy(args) -> int:
     code = OK
     inputs = [args.path]
     if args.extend is not None:
-        doc = _read_json(args.extend)
         inputs.append(args.extend)
-        H = _checked(groupoid_from_dict(doc.get("target", {})))
-        obj_map = {a: b for a, b in doc.get("objects", [])}
-        arrow_map = {a: b for a, b in doc.get("arrows", [])}
-        f = WindowMap(obj_map, arrow_map)
+        H, f = extension_from_dict(_read_json(args.extend))
+        _checked(H)
         if not is_local_morphism(D, H, f):
             pair = broken_product(D, H, f)
             results["extension"] = {"local": False, "violating_pair": None if pair is None else list(pair)}
@@ -204,8 +201,7 @@ def cmd_monodromy(args) -> int:
 
 def cmd_holonomy(args) -> int:
     started = time.time()
-    D = local_data_from_dict(_read_json(args.path))
-    _checked(D.G)
+    D = _load_local_data(args.path)
     J = germ_groupoid(D)
     N = j0(J, value_normalised=not args.paper_literal_j0)
     hol = holonomy_groupoid(J, N, strict=False)
@@ -234,8 +230,7 @@ def cmd_holonomy(args) -> int:
 
 def cmd_extendible(args) -> int:
     started = time.time()
-    D = local_data_from_dict(_read_json(args.path))
-    _checked(D.G)
+    D = _load_local_data(args.path)
     res = check_extendible(D)
     results = {
         "extendible": res.ok,

@@ -404,12 +404,23 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
             bad.append(Violation("inverse-law", (a,), "inv(a)∘a != id(src a)"))
         if G.comp[(a, ai)] != G.id_of[G.tgt[a]]:
             bad.append(Violation("inverse-law", (a,), "a∘inv(a) != id(tgt a)"))
+    # Associativity by columns of arrow numbers: col[a] lists k∘a for k out of
+    # tgt a, cpos[a] places each k∘a in the star of src a.  For all k at once,
+    # k∘(h∘g) is col[h∘g] and (k∘h)∘g is col[g] read at cpos[h].
+    del pairs, pair_set  # freed before the columns are built, to keep the peak down
+    comp, tgt = G.comp, G.tgt
     stars = out_stars(arrows, G.src)
-    for (h, g) in pairs:
-        hg = G.comp[(h, g)]
-        for k in stars.get(G.tgt[h], ()):
-            if G.comp[(k, hg)] != G.comp[(G.comp[(k, h)], g)]:
-                bad.append(Violation("associativity", (k, h, g), "associativity fails"))
+    num = {a: i for i, a in enumerate(arrows)}
+    pos = {a: i for star in stars.values() for i, a in enumerate(star)}
+    col = [tuple([num[comp[(k, a)]] for k in stars[tgt[a]]]) for a in arrows]
+    cpos = [tuple([pos[arrows[c]] for c in column]) for column in col]
+    for g, cg in zip(arrows, col):
+        for h, hg in zip(stars[tgt[g]], cg):
+            right = tuple(map(cg.__getitem__, cpos[num[h]]))
+            if col[hg] != right:
+                for k, x, y in zip(stars[tgt[h]], col[hg], right):
+                    if x != y:
+                        bad.append(Violation("associativity", (k, h, g), "associativity fails"))
     return ValidationReport(tuple(bad))
 
 

@@ -37,6 +37,7 @@ from .presentations import (
     POS,
     FpGroupoid,
     LocalGroupoidData,
+    WindowMap,
     Word,
     local_data,
     reflexive_graph,
@@ -49,13 +50,27 @@ def canonical_dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
-def _require(doc, key, kind, where):
+def _require(doc, key, kind, where, strings=False):
+    """doc[key], checked to be a `kind` (and, with `strings`, a list of strings)."""
     if not isinstance(doc, dict) or key not in doc:
         raise SchemaError(f"{where}: missing field {key!r}")
     value = doc[key]
     if kind is not None and not isinstance(value, kind):
         raise SchemaError(f"{where}: field {key!r} has wrong type")
+    for i, v in enumerate(value if strings else ()):
+        if not isinstance(v, str):
+            raise SchemaError(f"{where}.{key}[{i}]: expected a string")
     return value
+
+
+def _name_rows(doc, key, where, shape, optional=False):
+    """doc[key] as a list of rows of names shaped like `shape`, e.g. "[m, p]"."""
+    rows = _require(doc, key, list, where) if key in doc or not optional else []
+    n = shape.count(",") + 1
+    for i, row in enumerate(rows):
+        if type(row) is not list or len(row) != n or not all(type(v) is str for v in row):
+            raise SchemaError(f"{where}.{key}[{i}]: expected {shape}")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +91,9 @@ def groupoid_to_dict(G: FiniteGroupoid) -> dict:
 
 
 def groupoid_from_dict(doc: dict) -> FiniteGroupoid:
-    objects = _require(doc, "objects", list, "groupoid")
-    arrows_doc = _require(doc, "arrows", list, "groupoid")
+    objects = _require(doc, "objects", list, "groupoid", strings=True)
     arrows, src, tgt = [], {}, {}
-    for i, a in enumerate(arrows_doc):
+    for i, a in enumerate(_require(doc, "arrows", list, "groupoid")):
         aid = _require(a, "id", str, f"groupoid.arrows[{i}]")
         arrows.append(aid)
         src[aid] = _require(a, "src", str, f"groupoid.arrows[{i}]")
@@ -90,14 +104,10 @@ def groupoid_from_dict(doc: dict) -> FiniteGroupoid:
         if ident not in src:
             raise SchemaError(f"groupoid: no identity arrow {ident!r}")
         id_of[x] = ident
-    inv = {}
-    for i, pair in enumerate(_require(doc, "inv", list, "groupoid")):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"groupoid.inv[{i}]: expected [arrow, inverse]")
-        inv[pair[0]] = pair[1]
+    inv = dict(_name_rows(doc, "inv", "groupoid", "[arrow, inverse]"))
     comp = {}
     for i, triple in enumerate(_require(doc, "comp", list, "groupoid")):
-        if not isinstance(triple, list) or len(triple) != 3:
+        if type(triple) is not list or len(triple) != 3 or not type(triple[0]) is type(triple[1]) is type(triple[2]) is str:
             raise SchemaError(f"groupoid.comp[{i}]: expected [h, g, h_after_g]")
         comp[(triple[0], triple[1])] = triple[2]
     return make_groupoid(objects, arrows, src, tgt, id_of, inv, comp)
@@ -116,13 +126,14 @@ def topology_to_dict(T: FiniteTopology) -> dict:
 
 
 def topology_from_dict(doc: dict, where="topology") -> FiniteTopology:
-    points = _require(doc, "points", list, where)
+    points = _require(doc, "points", list, where, strings=True)
+    pset = set(points)
     opens = _require(doc, "opens", list, where)
     for i, U in enumerate(opens):
         if not isinstance(U, list):
             raise SchemaError(f"{where}.opens[{i}]: expected a list of points")
         for p in U:
-            if p not in set(points):
+            if not isinstance(p, str) or p not in pset:
                 raise SchemaError(f"{where}.opens[{i}]: unknown point {p!r}")
     return topology_from_subbase(points, [frozenset(U) for U in opens])
 
@@ -140,9 +151,18 @@ def local_data_to_dict(D: LocalGroupoidData) -> dict:
     return doc
 
 
-def local_data_from_dict(doc: dict) -> LocalGroupoidData:
-    G = groupoid_from_dict(doc)
-    window = _require(doc, "window", list, "local data")
+def extension_from_dict(doc: dict) -> tuple[FiniteGroupoid, WindowMap]:
+    """The target groupoid and the window map of a `monodromy --extend` file."""
+    H = groupoid_from_dict(_require(doc, "target", dict, "extension"))
+    objects = _name_rows(doc, "objects", "extension", "[object, image]", optional=True)
+    arrows = _name_rows(doc, "arrows", "extension", "[arrow, image]", optional=True)
+    return H, WindowMap(dict(objects), dict(arrows))
+
+
+def local_data_from_dict(doc: dict, G: FiniteGroupoid | None = None) -> LocalGroupoidData:
+    """Local data read from `doc`; `G`, when given, is `doc`'s groupoid already read."""
+    G = groupoid_from_dict(doc) if G is None else G
+    window = _require(doc, "window", list, "local data", strings=True)
     t_w = topology_from_dict(_require(doc, "topology_w", dict, "local data"), "topology_w")
     t_obj = None
     if "topology_objects" in doc:
@@ -189,10 +209,7 @@ def presentation_to_dict(P: FpGroupoid) -> dict:
 
 
 def presentation_from_dict(doc: dict) -> FpGroupoid:
-    objects = _require(doc, "objects", list, "presentation")
-    for i, x in enumerate(objects):
-        if not isinstance(x, str):
-            raise SchemaError(f"presentation.objects[{i}]: expected a string")
+    objects = _require(doc, "objects", list, "presentation", strings=True)
     gens = []
     for i, g in enumerate(_require(doc, "generators", list, "presentation")):
         gens.append(
@@ -204,7 +221,7 @@ def presentation_from_dict(doc: dict) -> FpGroupoid:
         )
     graph = reflexive_graph(objects, gens)
     relations = []
-    for i, pair in enumerate(doc.get("relations", [])):
+    for i, pair in enumerate(_require(doc, "relations", list, "presentation") if "relations" in doc else ()):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"presentation.relations[{i}]: expected [word, word]")
         relations.append(
@@ -219,14 +236,10 @@ def presentation_from_dict(doc: dict) -> FpGroupoid:
 def morphism_from_dict(doc: dict, source: FpGroupoid, target: FpGroupoid):
     from .colimits import PresentationMorphism
 
-    obj_map = {}
-    for i, pair in enumerate(_require(doc, "objects", list, "morphism")):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"morphism.objects[{i}]: expected [from, to]")
-        obj_map[pair[0]] = pair[1]
+    obj_map = dict(_name_rows(doc, "objects", "morphism", "[from, to]"))
     gen_map = {}
-    for i, pair in enumerate(doc.get("generators", [])):
-        if not isinstance(pair, list) or len(pair) != 2:
+    for i, pair in enumerate(_require(doc, "generators", list, "morphism") if "generators" in doc else ()):
+        if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], str):
             raise SchemaError(f"morphism.generators[{i}]: expected [generator, word]")
         gen_map[pair[0]] = word_from_dict(pair[1], f"morphism.generators[{i}]")
     return PresentationMorphism(source, target, obj_map, gen_map)
@@ -238,7 +251,7 @@ def morphism_from_dict(doc: dict, source: FpGroupoid, target: FpGroupoid):
 
 
 def group_from_dict(doc: dict, where="group") -> FiniteGroup:
-    names = _require(doc, "elements", list, where)
+    names = _require(doc, "elements", list, where, strings=True)
     table = _require(doc, "table", list, where)
     n = len(names)
     if len(set(names)) != n:
@@ -255,7 +268,7 @@ def group_from_dict(doc: dict, where="group") -> FiniteGroup:
     ident = doc.get("identity")
     if ident is None:
         ident = next((a for a in names if all(mul[(a, b)] == b == mul[(b, a)] for b in names)), None)
-    if ident not in set(names):
+    if ident not in names:
         raise SchemaError(f"{where}: no identity element")
     inv = {}
     for a in names:
@@ -271,16 +284,8 @@ def group_from_dict(doc: dict, where="group") -> FiniteGroup:
 def crossed_module_from_dict(doc: dict) -> CrossedModule:
     P = group_from_dict(_require(doc, "P", dict, "crossed module"), "P")
     M = group_from_dict(_require(doc, "M", dict, "crossed module"), "M")
-    boundary = {}
-    for i, pair in enumerate(_require(doc, "boundary", list, "crossed module")):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"boundary[{i}]: expected [m, p]")
-        boundary[pair[0]] = pair[1]
-    action = {}
-    for i, triple in enumerate(_require(doc, "action", list, "crossed module")):
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise SchemaError(f"action[{i}]: expected [p, m, result]")
-        action[(triple[0], triple[1])] = triple[2]
+    boundary = dict(_name_rows(doc, "boundary", "crossed module", "[m, p]"))
+    action = {(p, m): pm for p, m, pm in _name_rows(doc, "action", "crossed module", "[p, m, result]")}
     return CrossedModule(P, M, boundary, action)
 
 
@@ -312,7 +317,7 @@ def cube_from_dict(doc: dict, catalogue: list[Square]) -> Cube:
     got = {}
     for name in ("top", "bottom", "left", "right", "front", "back"):
         idx = _require(faces, name, int, "cube.faces")
-        if not 0 <= idx < len(catalogue):
+        if isinstance(idx, bool) or not 0 <= idx < len(catalogue):
             raise SchemaError(f"cube.faces.{name}: index {idx} out of range")
         got[name] = catalogue[idx]
     return Cube(**got)

@@ -332,7 +332,7 @@ def local_data(G: FiniteGroupoid, window, t_window: FiniteTopology, t_objects=No
     D = LocalGroupoidData(G, window, t_window, t_objects)
     rep = D.validate()
     if not rep.ok:
-        raise PartialMap(f"invalid local groupoid data: {rep}")
+        raise PartialMap(f"invalid local groupoid data: {rep.violations[0]}")
     return D
 
 

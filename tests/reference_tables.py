@@ -1,4 +1,4 @@
-"""The object-level loops that the holonomy and extendibility tables replaced.
+"""The straightforward loops that the package's table fast paths replaced.
 
 Each function here is the straightforward version of a fast path in the
 package, kept as a test oracle:
@@ -9,11 +9,20 @@ package, kept as a test oracle:
 - `reference_chart` composes each restriction of s with every window germ
   through each window arrow;
 - `reference_holonomy_topology` and `reference_check_extendible` take the
-  image of every basic window open under every chart or germ.
+  image of every basic window open under every chart or germ;
+- `reference_validate_groupoid` tests associativity one triple at a time.
 """
 
 from groupoidkit.bisections import compose_bisections, identity_bisection, relative_inverse
-from groupoidkit.core import FiniteTopology, composable, continuity_witnesses, make_groupoid
+from groupoidkit.core import (
+    FiniteTopology,
+    ValidationReport,
+    Violation,
+    composable,
+    continuity_witnesses,
+    make_groupoid,
+    out_stars,
+)
 from groupoidkit.errors import NotSectionable, WellDefinednessFailure
 from groupoidkit.germs import germ, germ_closure, germ_target
 from groupoidkit.holonomy import GermGroupoid
@@ -123,3 +132,70 @@ def reference_check_extendible(D):
     if composition is not None:
         failures.append(("composition-discontinuous", composition))
     return T_arr, tuple(failures)
+
+
+def reference_validate_groupoid(G) -> ValidationReport:
+    """`validate_groupoid` with associativity tested triple by triple: four
+    table lookups for each k in the star of tgt h, for each composable (h, g)."""
+    bad = []
+    arrows = G.arrows
+    aset = set(arrows)
+    oset = set(G.objects)
+    if len(aset) != len(arrows):
+        bad.append(Violation("distinct-arrows", (), "duplicate arrow ids"))
+    if len(oset) != len(G.objects):
+        bad.append(Violation("distinct-objects", (), "duplicate object ids"))
+    for a in arrows:
+        if G.src.get(a) not in oset or G.tgt.get(a) not in oset:
+            bad.append(Violation("endpoints", (a,), "src/tgt missing or unknown"))
+    if bad:
+        return ValidationReport(tuple(bad))
+    for x in G.objects:
+        e = G.id_of.get(x)
+        if e not in aset:
+            bad.append(Violation("identity-exists", (x,), "no identity arrow"))
+            continue
+        if G.src[e] != x or G.tgt[e] != x:
+            bad.append(Violation("identity-endpoints", (x, e), "identity endpoints differ from its object"))
+    for a in arrows:
+        ai = G.inv.get(a)
+        if ai not in aset:
+            bad.append(Violation("inverse-exists", (a,), "no inverse arrow"))
+    pairs = list(G.composable_pairs())
+    pair_set = set(pairs)
+    for key in G.comp:
+        if key not in pair_set:
+            bad.append(Violation("composition-domain", key, "comp defined on a non-composable pair"))
+    for (h, g) in pairs:
+        if (h, g) not in G.comp:
+            bad.append(Violation("composition-total", (h, g), "composable pair missing from comp"))
+            continue
+        hg = G.comp[(h, g)]
+        if hg not in aset:
+            bad.append(Violation("composition-closure", (h, g), "composite is not an arrow"))
+            continue
+        if G.src[hg] != G.src[g] or G.tgt[hg] != G.tgt[h]:
+            bad.append(Violation("composition-endpoints", (h, g, hg), "composite endpoints wrong"))
+    if any(v.rule.startswith(("identity", "composition")) or v.rule == "inverse-exists" for v in bad):
+        return ValidationReport(tuple(bad))
+    for a in arrows:
+        ex, ey = G.id_of[G.src[a]], G.id_of[G.tgt[a]]
+        if G.comp[(a, ex)] != a:
+            bad.append(Violation("right-identity", (a,), "a∘id != a"))
+        if G.comp[(ey, a)] != a:
+            bad.append(Violation("left-identity", (a,), "id∘a != a"))
+        ai = G.inv[a]
+        if G.src[ai] != G.tgt[a] or G.tgt[ai] != G.src[a]:
+            bad.append(Violation("inverse-endpoints", (a, ai), "inverse endpoints wrong"))
+            continue
+        if G.comp[(ai, a)] != G.id_of[G.src[a]]:
+            bad.append(Violation("inverse-law", (a,), "inv(a)∘a != id(src a)"))
+        if G.comp[(a, ai)] != G.id_of[G.tgt[a]]:
+            bad.append(Violation("inverse-law", (a,), "a∘inv(a) != id(tgt a)"))
+    stars = out_stars(arrows, G.src)
+    for (h, g) in pairs:
+        hg = G.comp[(h, g)]
+        for k in stars.get(G.tgt[h], ()):
+            if G.comp[(k, hg)] != G.comp[(G.comp[(k, h)], g)]:
+                bad.append(Violation("associativity", (k, h, g), "associativity fails"))
+    return ValidationReport(tuple(bad))

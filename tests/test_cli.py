@@ -53,6 +53,17 @@ class TestValidate:
         assert code == 2
         assert "parse error" in err
 
+    def test_broken_assoc_lists_associativity_witnesses(self, capsys):
+        # broken-assoc.json is C4 with the composites g:1∘g:1 and g:1∘g:2 swapped
+        code, out, _ = run(capsys, "validate", fx("broken-assoc.json"))
+        assert code == 1
+        got = results_of(out)["violations"]
+        assert len(got) == 15
+        assert got[:3] == [
+            {"rule": "associativity", "witness": list(w), "message": "associativity fails"}
+            for w in (("g:2", "g:1", "g:1"), ("g:3", "g:1", "g:1"), ("g:1", "g:2", "g:1"))
+        ]
+
     def test_broken_comp_independent_of_hash_seed(self):
         # broken-comp.json is mobius3.json with three comp rows dropped and
         # one composite renamed: both composition rules fire many times
@@ -239,6 +250,14 @@ class TestLocalDataValidatedAtLoad:
         assert run(capsys, "holonomy", fx("broken-comp.json"), "--emit-dot", str(target)) == (1, "", BROKEN_COMP)
         assert not target.exists()
 
+    @pytest.mark.parametrize("command", ["holonomy", "extendible", "monodromy"])
+    def test_dropped_inverse_row_exits_1(self, capsys, command):
+        # drop-inv.json is c4-window.json without the inv row of g:3; the
+        # groupoid is checked before the window is read
+        assert run(capsys, command, fx("drop-inv.json")) == (
+            1, "", "error: not a groupoid: inverse-exists('g:3',): no inverse arrow\n"
+        )
+
     def test_broken_extension_target_exits_1(self, capsys, tmp_path):
         doc = json.loads((FIXTURES / "extend-c8.json").read_text())
         doc["target"]["comp"] = [row for row in doc["target"]["comp"] if row[:2] != ["g:1", "g:1"]]
@@ -320,7 +339,7 @@ class TestCube:
         assert code == 1
         assert "error" in results_of(out)
 
-    @pytest.mark.parametrize("top", [10_000, "0"], ids=["out-of-range", "wrong-type"])
+    @pytest.mark.parametrize("top", [10_000, "0", True], ids=["out-of-range", "wrong-type", "bool"])
     def test_bad_face_index_is_parse_error(self, capsys, tmp_path, top):
         bad = tmp_path / "bad-cube.json"
         bad.write_text(json.dumps({"faces": {"top": top, "bottom": 0, "left": 0, "right": 0, "front": 0, "back": 0}}))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import monodromy_corpus, small_targets
 from groupoidkit.core import (
     FiniteGroupoid,
     GroupoidMorphism,
@@ -40,8 +41,9 @@ from groupoidkit.core import (
     vertex_group,
 )
 from groupoidkit.errors import EmptyNotAllowed, NotComposable, UnknownObject, UnknownPoint
+from groupoidkit.holonomy import mobius_model
 from groupoidkit.io import crossed_module_from_dict, groupoid_from_dict
-from reference_tables import reference_topology_from_subbase
+from reference_tables import reference_topology_from_subbase, reference_validate_groupoid
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -427,32 +429,70 @@ def assert_same_violations(G):
     return got
 
 
+def swap_composites(G, a, b):
+    """G with the composites of comp keys a and b exchanged.  When they have
+    the same endpoints, comp stays total and closed and the associativity
+    pass runs."""
+    comp = dict(G.comp)
+    comp[a], comp[b] = comp[b], comp[a]
+    return FiniteGroupoid(G.objects, G.arrows, G.src, G.tgt, G.id_of, G.inv, comp)
+
+
+def same_endpoint_keys(G):
+    """The comp keys grouped by the endpoints of their composite, in key order."""
+    groups = {}
+    for h, g in sorted(G.comp):
+        groups.setdefault((G.src[g], G.tgt[h]), []).append((h, g))
+    return [keys for _, keys in sorted(groups.items()) if len(keys) > 1]
+
+
 @st.composite
 def mutated_groupoids(draw):
     """A small groupoid with one table entry broken: a comp row dropped, a
-    composite pointed at a non-arrow, or two inverses swapped."""
+    composite pointed at a non-arrow, two inverses swapped, two composites
+    with the same endpoints swapped, a comp or inv row with one name
+    renamed, or an inv row dropped."""
     G = draw(small_groupoids())
     comp, inv = dict(G.comp), dict(G.inv)
-    kind = draw(st.sampled_from(["drop", "non-arrow", "swap-inverse"]))
+    kind = draw(st.sampled_from(
+        ["drop", "non-arrow", "swap-inverse", "swap-composites", "rename-comp", "drop-inv", "rename-inv"]))
     if kind == "swap-inverse":
         if len(G.arrows) > 1:
             a, b = draw(st.permutations(G.arrows))[:2]
             inv[a], inv[b] = inv[b], inv[a]
+    elif kind == "swap-composites":
+        groups = same_endpoint_keys(G)
+        if groups:
+            return swap_composites(G, *draw(st.permutations(draw(st.sampled_from(groups))))[:2])
+    elif kind in ("drop-inv", "rename-inv"):
+        a = draw(st.sampled_from(sorted(inv)))
+        ai = inv.pop(a)
+        if kind == "rename-inv":
+            if draw(st.booleans()):
+                inv[a + "'"] = ai
+            else:
+                inv[a] = ai + "'"
     else:
         key = draw(st.sampled_from(sorted(comp)))
         if kind == "drop":
             del comp[key]
-        else:
+        elif kind == "non-arrow":
             comp[key] = "nope"
+        else:
+            slot = draw(st.integers(0, 2))
+            h, g, hg = [name + "'" if i == slot else name for i, name in enumerate(key + (comp.pop(key),))]
+            comp[(h, g)] = hg
     return FiniteGroupoid(G.objects, G.arrows, G.src, G.tgt, G.id_of, inv, comp)
 
 
 class TestValidateAgainstReference:
-    """The joined axiom check against the all-pairs oracle."""
+    """The joined axiom check against the all-pairs oracle and against
+    `reference_validate_groupoid`, which lists violations in the same order."""
 
     @pytest.mark.parametrize("G", fixture_groupoids())
     def test_fixtures(self, G):
         assert_same_violations(G)
+        assert validate_groupoid(G) == reference_validate_groupoid(G)
 
     def test_broken_comp_lists_composition_rules_in_pair_order(self):
         G = groupoid_from_dict(json.loads((FIXTURES / "broken-comp.json").read_text()))
@@ -461,10 +501,40 @@ class TestValidateAgainstReference:
         order = {pair: i for i, pair in enumerate(G.composable_pairs())}
         assert [order[v.witness] for v in got] == sorted(order[v.witness] for v in got)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(mutated_groupoids())
     def test_mutations(self, G):
+        # validate_groupoid reports broken tables and never raises on them
         assert_same_violations(G)
+        assert validate_groupoid(G) == reference_validate_groupoid(G)
+
+
+def corpus_groupoids():
+    out = [pytest.param(D.G, id=name) for name, D in monodromy_corpus()]
+    out += [pytest.param(G, id=f"target-{name}") for name, G in small_targets()]
+    out.append(pytest.param(one_object_groupoid(symmetric_group(5)), id="S5"))
+    out.append(pytest.param(mobius_model(16).G, id="mobius16"))
+    return out
+
+
+class TestValidateColumns:
+    """The column join for associativity against the triple-by-triple
+    reference: equal violation tuples, in the same order."""
+
+    @pytest.mark.parametrize("G", corpus_groupoids())
+    def test_corpus(self, G):
+        rep = validate_groupoid(G)
+        assert rep.ok and rep == reference_validate_groupoid(G)
+
+    @pytest.mark.parametrize("n, picks", [(4, [(0, 1), (2, 5), (7, 11)]), (5, [(3, 60)])], ids=["S4", "S5"])
+    def test_swapped_composites(self, n, picks):
+        G = one_object_groupoid(symmetric_group(n))
+        (keys,) = same_endpoint_keys(G)
+        for i, j in picks:
+            H = swap_composites(G, keys[i], keys[j])
+            rep = validate_groupoid(H)
+            assert "associativity" in rep.rules()
+            assert rep == reference_validate_groupoid(H)
 
 
 def all_pairs(G, product):
