@@ -19,7 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import filterfalse, product as iproduct
 
-from .core import FiniteGroupoid, FiniteTopology, continuity_witnesses, opens_meeting, topology_from_subbase
+from .core import (
+    FiniteGroupoid,
+    FiniteTopology,
+    continuity_witnesses,
+    discontinuities,
+    opens_meeting,
+    topology_from_subbase,
+)
 from .errors import OutOfDomain
 from .presentations import LocalGroupoidData
 
@@ -78,15 +85,13 @@ def is_valid_bisection(G: FiniteGroupoid, T0: FiniteTopology, s: LocalBisection)
     image = frozenset(beta.values())
     if not T0.is_open(image):
         return False
-    for p in s.domain:
-        if not {beta[q] for q in (T0.min_open[p] & s.domain)} <= T0.min_open[beta[p]]:
-            return False
+    # domain and image are open, so each minimal open around their points stays inside them
     inv_beta = {v: k for k, v in beta.items()}
-    for w in image:
-        for w2 in T0.min_open[w] & image:
-            if inv_beta[w2] not in T0.min_open[inv_beta[w]]:
-                return False
-    return True
+    return not any(
+        True
+        for f, points in ((beta, s.domain), (inv_beta, image))
+        for _ in discontinuities(f, points, T0.min_open, T0.min_open)
+    )
 
 
 def is_window_bisection(D: LocalGroupoidData, s: LocalBisection) -> bool:
@@ -96,11 +101,7 @@ def is_window_bisection(D: LocalGroupoidData, s: LocalBisection) -> bool:
     m = s.as_dict()
     if not set(m.values()) <= D.window:
         return False
-    TW, T0 = D.t_window, D.t_objects
-    for p in s.domain:
-        if not {m[q] for q in (T0.min_open[p] & s.domain)} <= TW.min_open[m[p]]:
-            return False
-    return True
+    return not any(True for _ in discontinuities(m, s.domain, D.t_objects.min_open, D.t_window.min_open))
 
 
 def compose_bisections(G: FiniteGroupoid, s: LocalBisection, t: LocalBisection) -> LocalBisection:

@@ -26,11 +26,10 @@ from .presentations import (
     empty_word,
     reduce_word,
     reflexive_graph,
-    word_inverse,
     word_source,
     word_target,
 )
-from .rewriting import GroupRewriting, enumerate_elements, free_reduce, knuth_bendix
+from .rewriting import GroupRewriting, enumerate_elements, free_reduce, invert, knuth_bendix, substitute
 
 
 # ---------------------------------------------------------------------------
@@ -48,14 +47,8 @@ class PresentationMorphism:
     gen_map: dict  # generator -> Word in the target
 
     def apply_word(self, w: Word) -> Word:
-        out = empty_word(self.obj_map[w.start])
-        tgt_graph = self.target.graph
-        for (e, s) in reversed(w.letters):
-            im = self.gen_map[e]
-            if s == NEG:
-                im = word_inverse(tgt_graph, im)
-            out = Word(out.start, im.letters + out.letters)
-        return reduce_word(out)
+        letters = substitute(w.letters, lambda e: self.gen_map[e].letters)
+        return reduce_word(Word(self.obj_map[w.start], letters))
 
 
 def validate_presentation_morphism(m: PresentationMorphism) -> tuple[bool, list, list]:
@@ -333,22 +326,14 @@ def vertex_group_presentation(P: FpGroupoid, base, tree: dict | None = None) -> 
     paths = {x: _tree_path(P, tree, x) for x in graph.objects}
     tree_edges = {t[0] for t in tree.values() if t is not None}
 
-    def loop_letters(e, s):
-        # path-order relator contribution of a signed letter
-        if e in tree_edges:
-            return ()
-        return ((e, s),)
-
     def translate(w: Word):
-        out = []
-        for (e, s) in reversed(w.letters):  # path order: first-acting first
-            out.extend(loop_letters(e, s))
-        return free_reduce(tuple(out))
+        # path order, first-acting letter first; tree edges collapse
+        return free_reduce(substitute(reversed(w.letters), lambda e: () if e in tree_edges else ((e, POS),)))
 
     gens = tuple(sorted(e for e in P.generators() if e not in tree_edges))
     relators = []
     for (w1, w2) in P.relations:
-        r = free_reduce(translate(w1) + tuple((e, -s) for (e, s) in reversed(translate(w2))))
+        r = free_reduce(translate(w1) + invert(translate(w2)))
         if r and r not in relators:
             relators.append(r)
     return GroupPresentation(gens, tuple(relators))
@@ -393,43 +378,28 @@ def hnn_from_pushout(data: HnnInput) -> tuple[GroupPresentation, PushoutResult]:
     if system.complete:
         for r in C.relators:
             for name, images in (("phi", data.phi), ("psi", data.psi)):
-                w: tuple = ()
-                for (a, s) in r:
-                    im = tuple(images[a])
-                    w = w + (im if s == POS else tuple((g, -t) for (g, t) in reversed(im)))
-                if system.reduce(w) != ():
+                if system.reduce(substitute(r, images.__getitem__)) != ():
                     raise WrongShape(f"{name} does not kill the edge relator {r!r}")
 
     # presentations as one- and two-object groupoids
-    def group_as_presentation(pres: GroupPresentation, obj, prefix):
-        graph = reflexive_graph([obj], [(f"{prefix}{g}", obj, obj) for g in pres.generators])
-        rels = []
-        for r in pres.relators:
-            letters = tuple((f"{prefix}{g}", s) for (g, s) in reversed(r))  # to composition order
-            rels.append((Word(obj, letters), empty_word(obj)))
-        return FpGroupoid(graph, tuple(rels))
+    def word_at(obj, prefix, path_word) -> Word:
+        """A path-order word over `prefix`ed generators, in composition order at obj."""
+        return Word(obj, tuple((f"{prefix}{g}", s) for (g, s) in reversed(path_word)))
+
+    def relation(obj, prefix, relator) -> tuple:
+        return word_at(obj, prefix, relator), empty_word(obj)
 
     A_graph = reflexive_graph(["0", "1"], [(f"a0.{g}", "0", "0") for g in C.generators] + [(f"a1.{g}", "1", "1") for g in C.generators])
-    A_rels = []
-    for r in C.relators:
-        for tag, obj in (("a0", "0"), ("a1", "1")):
-            letters = tuple((f"{tag}.{g}", s) for (g, s) in reversed(r))
-            A_rels.append((Word(obj, letters), empty_word(obj)))
+    A_rels = [rel for r in C.relators for rel in (relation("0", "a0.", r), relation("1", "a1.", r))]
     A = FpGroupoid(A_graph, tuple(A_rels))
 
     # B = C x interval: loops c.<g> at 0 plus the interval edge u: 1 -> 0,
     # oriented so the loop at 1 reads u . c . u^-1 in path order
     B_graph = reflexive_graph(["0", "1"], [(f"c.{g}", "0", "0") for g in C.generators] + [("u", "1", "0")])
-    B_rels = []
-    for r in C.relators:
-        letters = tuple((f"c.{g}", s) for (g, s) in reversed(r))
-        B_rels.append((Word("0", letters), empty_word("0")))
-    B = FpGroupoid(B_graph, tuple(B_rels))
+    B = FpGroupoid(B_graph, tuple(relation("0", "c.", r) for r in C.relators))
 
-    Kpres = group_as_presentation(K, "k", "k.")
-
-    def to_word(obj, letters_path_order):
-        return Word(obj, tuple(reversed(tuple(letters_path_order))))
+    K_graph = reflexive_graph(["k"], [(f"k.{g}", "k", "k") for g in K.generators])
+    Kpres = FpGroupoid(K_graph, tuple(relation("k", "k.", r) for r in K.relators))
 
     f = PresentationMorphism(
         A,
@@ -447,8 +417,7 @@ def hnn_from_pushout(data: HnnInput) -> tuple[GroupPresentation, PushoutResult]:
     g_map = {}
     for a in C.generators:
         for tag, images in (("a0", data.phi), ("a1", data.psi)):
-            letters = tuple((f"k.{x}", s) for (x, s) in images[a])
-            g_map[f"{tag}.{a}"] = to_word("k", letters)
+            g_map[f"{tag}.{a}"] = word_at("k", "k.", images[a])
     g = PresentationMorphism(A, Kpres, {"0": "k", "1": "k"}, g_map)
 
     result = pushout(f, g)
@@ -460,21 +429,11 @@ def hnn_from_pushout(data: HnnInput) -> tuple[GroupPresentation, PushoutResult]:
         letters = tuple((f"C.k.{x}", s) for (x, s) in data.phi[a])
         subs[f"B.c.{a}"] = letters
 
-    def substitute(word):
-        out: list = []
-        for (e, s) in word:
-            if e in subs:
-                im = subs[e]
-                out.extend(im if s == POS else [(g2, -s2) for (g2, s2) in reversed(im)])
-            else:
-                out.append((e, s))
-        return free_reduce(tuple(out))
-
     gens = tuple(e for e in pres.generators if e not in subs)
     relators = []
     for r in pres.relators:
-        r2 = substitute(r)
-        if r2 and r2 not in relators and tuple((e, -s) for (e, s) in reversed(r2)) not in relators:
+        r2 = free_reduce(substitute(r, lambda e: subs.get(e, ((e, POS),))))
+        if r2 and r2 not in relators and invert(r2) not in relators:
             relators.append(r2)
     # drop defining relators that became trivial and rename to friendly ids
     rename = {"B.u": "u"}

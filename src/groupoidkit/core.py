@@ -895,13 +895,23 @@ def minimal_open(T: FiniteTopology, x) -> frozenset:
     return T.minimal_open(x)
 
 
+def discontinuities(f, points, near, near_image):
+    """Each x of points, in the order given, where f sends near[x] outside near_image[f[x]].
+
+    The one continuity test: with near and near_image the minimal-open maps
+    of two finite spaces, f is continuous at x exactly when x is not yielded.
+    """
+    for x in points:
+        around = near_image[f[x]]
+        for y in near[x]:
+            if f[y] not in around:
+                yield x
+                break
+
+
 def is_continuous(fmap: dict, T_src: FiniteTopology, T_tgt: FiniteTopology) -> bool:
     """Continuity of a (total) point map between finite spaces."""
-    for x in T_src.points:
-        fx = fmap[x]
-        if not {fmap[y] for y in T_src.min_open[x]} <= T_tgt.min_open[fx]:
-            return False
-    return True
+    return not any(True for _ in discontinuities(fmap, T_src.points, T_src.min_open, T_tgt.min_open))
 
 
 def continuity_witnesses(G: FiniteGroupoid, T: FiniteTopology) -> tuple:
@@ -913,10 +923,7 @@ def continuity_witnesses(G: FiniteGroupoid, T: FiniteTopology) -> tuple:
     (h2, g2) near it whose composite leaves the minimal open around h∘g, so
     it does not depend on set iteration order.
     """
-    inversion = next(
-        (g for g in G.arrows if not {G.inv[a] for a in T.min_open[g]} <= T.min_open[G.inv[g]]),
-        None,
-    )
+    inversion = next(discontinuities(G.inv, G.arrows, T.min_open, T.min_open), None)
     for (h, g) in G.composable_pairs():
         near = T.min_open[G.comp[(h, g)]]
         failing = (

@@ -479,33 +479,26 @@ def _interchange_factored(D: DoubleGroupoid) -> InterchangeReport:
     return InterchangeReport(not bad, "factored", count, tuple(bad[:3]))
 
 
-def interchange_check(D: DoubleGroupoid, method: str = "auto") -> InterchangeReport:
+def interchange_check(D: DoubleGroupoid) -> InterchangeReport:
     """(u +2 v) +1 (w +2 z) == (u +1 w) +2 (v +1 z) over all blocks.
 
-    ``direct`` enumerates blocks; ``factored`` (fillered squares only) uses
-    the equivalent per-triple identity; ``auto`` picks direct when the block
-    count stays small.
+    A crossed-module double with more than 40 squares is checked through
+    the equivalent per-triple identity (`_interchange_factored`); any
+    other double by enumerating the blocks (`_interchange_direct`).
     """
-    if method == "direct":
-        return _interchange_direct(D)
-    if method == "factored":
-        if D.kind != "xmod":
-            raise NotSpecialDouble("factored interchange needs filler structure")
-        return _interchange_factored(D)
-    n = len(D.squares)
-    if D.kind == "xmod" and n > 40:
+    if D.kind == "xmod" and len(D.squares) > 40:
         return _interchange_factored(D)
     return _interchange_direct(D)
 
 
-def square_groupoid_axioms(D: DoubleGroupoid, direction: int, max_squares: int = 40) -> list:
+def square_groupoid_axioms(D: DoubleGroupoid, direction: int) -> list:
     """Identity, inverse and associativity laws of one composition.
 
-    Exhaustive over the square rows, witnesses in repr order; guarded by a
-    size limit since associativity is cubic.
+    Exhaustive over the square rows, witnesses in repr order.  Associativity
+    is cubic, so past MAX_AXIOM_SQUARES squares it raises CapExceeded.
     """
-    if len(D.squares) > max_squares:
-        raise OverflowError(f"axiom sweep limited to {max_squares} squares")
+    if len(D.squares) > MAX_AXIOM_SQUARES:
+        raise CapExceeded(f"axiom sweep limited to {MAX_AXIOM_SQUARES} squares")
     if direction not in (1, 2):
         raise NotComposable(f"direction must be 1 or 2, got {direction!r}")
     tab = D.tables
@@ -659,10 +652,12 @@ def cube_composition_closure(D: DoubleGroupoid, c1: Cube, c2: Cube, direction: i
 
 # Size caps for the exhaustive sweeps.  The cube caps are at least 8x the
 # largest instance in the corpus (xmod-c2c2: 8,192 shells, 3,145,728
-# composites); the block cap is 3.3x mobius3's 10,097,379 blocks.
+# composites); the block cap is 3.3x mobius3's 10,097,379 blocks.  The
+# axiom sweep is cubic in the squares and stays on small doubles.
 MAX_CUBE_SHELLS = 1 << 16
 MAX_CUBE_COMPOSITES = 1 << 25
 MAX_INTERCHANGE_BLOCKS = 1 << 25
+MAX_AXIOM_SQUARES = 40
 
 
 class _Lazy(dict):

@@ -30,13 +30,13 @@ from .core import (
     composable,
     continuity_witnesses,
     equivalence_groupoid,
+    is_continuous,
     make_groupoid,
     opens_meeting,
     topology_from_subbase,
     validate_groupoid,
 )
 from .errors import (
-    NotFiniteOnInstance,
     NotSectionable,
     TooSmall,
     WellDefinednessFailure,
@@ -349,10 +349,7 @@ def holonomy_topology(hol: HolonomyGroupoid) -> tuple[FiniteTopology, dict]:
 
 
 def projection_continuous(hol: HolonomyGroupoid, T_hol: FiniteTopology, T_ambient: FiniteTopology) -> bool:
-    return all(
-        {hol.projection[b] for b in T_hol.min_open[a]} <= T_ambient.min_open[hol.projection[a]]
-        for a in hol.groupoid.arrows
-    )
+    return is_continuous(hol.projection, T_hol, T_ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +365,7 @@ def monodromy_pair(D: LocalGroupoidData) -> tuple[LocalGroupoidData, dict]:
     Raises NotFiniteOnInstance when M cannot be materialised.
     """
     M = monodromy(D)
-    try:
-        Mfin, name = monodromy_groupoid(M)
-    except NotFiniteOnInstance:
-        raise
+    Mfin, name = monodromy_groupoid(M)
     embed = {}
     for w in D.window:
         im = M.iprime[w]

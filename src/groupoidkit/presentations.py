@@ -23,6 +23,7 @@ from .core import (
     ValidationReport,
     Violation,
     composable,
+    discontinuities,
     make_groupoid,
     out_stars,
 )
@@ -34,7 +35,7 @@ from .errors import (
     PartialMap,
     RewritingNotConfluent,
 )
-from .rewriting import NEG, POS, free_reduce
+from .rewriting import NEG, POS, free_reduce, invert
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +158,7 @@ def concat(graph: ReflexiveGraph, w1: Word, w2: Word) -> Word:
 
 
 def word_inverse(graph: ReflexiveGraph, w: Word) -> Word:
-    letters = tuple((e, -s) for (e, s) in reversed(w.letters))
-    return Word(word_target(graph, w), letters)
+    return Word(word_target(graph, w), invert(w.letters))
 
 
 def reduce_word(w: Word) -> Word:
@@ -260,17 +260,20 @@ class LocalGroupoidData:
     t_objects: FiniteTopology
 
     def validate(self) -> ValidationReport:
+        """Violations in a fixed order: window arrows are walked in repr order."""
         bad = []
         G = self.G
-        W = self.window
-        if not W <= set(G.arrows):
+        if not self.window <= set(G.arrows):
             bad.append(Violation("window-subset", (), "window has non-arrows"))
             return ValidationReport(tuple(bad))
+        W = sorted(self.window, key=repr)
         for x in G.objects:
-            if G.id_of[x] not in W:
+            if G.id_of[x] not in self.window:
                 bad.append(Violation("window-identities", (x,), "identity missing from window"))
         for w in W:
-            if G.inv[w] not in W:
+            if w not in G.inv:
+                bad.append(Violation("inverse-exists", (w,), "no inverse arrow"))
+            elif G.inv[w] not in self.window:
                 bad.append(Violation("window-inverse-closed", (w,), "inverse leaves the window"))
         if bad:
             return ValidationReport(tuple(bad))
@@ -294,21 +297,12 @@ class LocalGroupoidData:
                     )
                 )
         # source, target and inversion must be continuous on the window
-        for w in W:
-            for w2 in self.t_window.min_open[w]:
-                if G.src[w2] not in self.t_objects.min_open[G.src[w]]:
-                    bad.append(Violation("window-src-continuous", (w,), "src discontinuous on window"))
-                    break
-        for w in W:
-            for w2 in self.t_window.min_open[w]:
-                if G.tgt[w2] not in self.t_objects.min_open[G.tgt[w]]:
-                    bad.append(Violation("window-tgt-continuous", (w,), "tgt discontinuous on window"))
-                    break
-        for w in W:
-            for w2 in self.t_window.min_open[w]:
-                if G.inv[w2] not in self.t_window.min_open[G.inv[w]]:
-                    bad.append(Violation("window-inv-continuous", (w,), "inv discontinuous on window"))
-                    break
+        TW, T0 = self.t_window.min_open, self.t_objects.min_open
+        for rule, f, near_image in (("src", G.src, T0), ("tgt", G.tgt, T0), ("inv", G.inv, TW)):
+            bad.extend(
+                Violation(f"window-{rule}-continuous", (w,), f"{rule} discontinuous on window")
+                for w in discontinuities(f, W, TW, near_image)
+            )
         return ValidationReport(tuple(bad))
 
 

@@ -17,8 +17,18 @@ from .errors import RewritingNotConfluent
 POS, NEG = 1, -1
 
 
-def _inv(word):
+def invert(word):
+    """The inverse word: letters reversed, each sign flipped."""
     return tuple((g, -s) for (g, s) in reversed(word))
+
+
+def substitute(word, image):
+    """The word with each letter (g, s) replaced by the word image(g), inverted when s is NEG; not reduced."""
+    out: list = []
+    for g, s in word:
+        im = image(g)
+        out.extend(im if s == POS else invert(im))
+    return tuple(out)
 
 
 def free_reduce(word):
@@ -100,7 +110,7 @@ def knuth_bendix(generators, relators, max_rules: int = 300, max_len: int = 16) 
     ok = True
     for r in relators:
         ok &= add_rule(tuple(r), ())
-        ok &= add_rule(_inv(tuple(r)), ())
+        ok &= add_rule(invert(tuple(r)), ())
 
     def reduce_with(word):
         return _rewrite(tuple(rules.items()), word)

@@ -10,7 +10,10 @@ package, kept as a test oracle:
   through each window arrow;
 - `reference_holonomy_topology` and `reference_check_extendible` take the
   image of every basic window open under every chart or germ;
-- `reference_validate_groupoid` tests associativity one triple at a time.
+- `reference_validate_groupoid` tests associativity one triple at a time;
+- `reference_local_data_validate`, `reference_is_valid_bisection` and
+  `reference_is_window_bisection` write each continuity test as its own
+  loop over the minimal opens instead of calling `core.discontinuities`.
 """
 
 from groupoidkit.bisections import compose_bisections, identity_bisection, relative_inverse
@@ -199,3 +202,88 @@ def reference_validate_groupoid(G) -> ValidationReport:
             if G.comp[(k, hg)] != G.comp[(G.comp[(k, h)], g)]:
                 bad.append(Violation("associativity", (k, h, g), "associativity fails"))
     return ValidationReport(tuple(bad))
+
+
+def reference_local_data_validate(D) -> ValidationReport:
+    """`LocalGroupoidData.validate` with one loop per continuity rule, window arrows in repr order."""
+    bad = []
+    G = D.G
+    W = D.window
+    if not W <= set(G.arrows):
+        bad.append(Violation("window-subset", (), "window has non-arrows"))
+        return ValidationReport(tuple(bad))
+    walk = sorted(W, key=repr)
+    for x in G.objects:
+        if G.id_of[x] not in W:
+            bad.append(Violation("window-identities", (x,), "identity missing from window"))
+    for w in walk:
+        if G.inv[w] not in W:
+            bad.append(Violation("window-inverse-closed", (w,), "inverse leaves the window"))
+    if bad:
+        return ValidationReport(tuple(bad))
+    if set(D.t_window.points) != set(W):
+        bad.append(Violation("window-topology-points", (), "window topology points differ from window"))
+        return ValidationReport(tuple(bad))
+    if set(D.t_objects.points) != set(G.objects):
+        bad.append(Violation("object-topology-points", (), "object topology points differ from objects"))
+        return ValidationReport(tuple(bad))
+    for x in G.objects:
+        derived = frozenset(y for y in G.objects if G.id_of[y] in D.t_window.min_open[G.id_of[x]])
+        if derived != D.t_objects.min_open[x]:
+            bad.append(
+                Violation("object-topology-subspace", (x,), "object topology is not the subspace topology along identities")
+            )
+    for w in walk:
+        for w2 in D.t_window.min_open[w]:
+            if G.src[w2] not in D.t_objects.min_open[G.src[w]]:
+                bad.append(Violation("window-src-continuous", (w,), "src discontinuous on window"))
+                break
+    for w in walk:
+        for w2 in D.t_window.min_open[w]:
+            if G.tgt[w2] not in D.t_objects.min_open[G.tgt[w]]:
+                bad.append(Violation("window-tgt-continuous", (w,), "tgt discontinuous on window"))
+                break
+    for w in walk:
+        for w2 in D.t_window.min_open[w]:
+            if G.inv[w2] not in D.t_window.min_open[G.inv[w]]:
+                bad.append(Violation("window-inv-continuous", (w,), "inv discontinuous on window"))
+                break
+    return ValidationReport(tuple(bad))
+
+
+def reference_is_valid_bisection(G, T0, s) -> bool:
+    """`is_valid_bisection` with beta and its inverse tested point by point, cut down to the domain and image."""
+    m = s.as_dict()
+    if not T0.is_open(s.domain):
+        return False
+    for p, a in m.items():
+        if G.src.get(a) != p:
+            return False
+    beta = {p: G.tgt[a] for (p, a) in m.items()}
+    if len(set(beta.values())) != len(beta):
+        return False
+    image = frozenset(beta.values())
+    if not T0.is_open(image):
+        return False
+    for p in s.domain:
+        if not {beta[q] for q in (T0.min_open[p] & s.domain)} <= T0.min_open[beta[p]]:
+            return False
+    inv_beta = {v: k for k, v in beta.items()}
+    for w in image:
+        for w2 in T0.min_open[w] & image:
+            if inv_beta[w2] not in T0.min_open[inv_beta[w]]:
+                return False
+    return True
+
+
+def reference_is_window_bisection(D, s) -> bool:
+    if not reference_is_valid_bisection(D.G, D.t_objects, s):
+        return False
+    m = s.as_dict()
+    if not set(m.values()) <= D.window:
+        return False
+    TW, T0 = D.t_window, D.t_objects
+    for p in s.domain:
+        if not {m[q] for q in (T0.min_open[p] & s.domain)} <= TW.min_open[m[p]]:
+            return False
+    return True

@@ -1,5 +1,8 @@
 """Local bisections, the inverse semigroup, sectionability, extendibility."""
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,11 +29,14 @@ from groupoidkit.bisections import (
     local_bisections,
     make_bisection,
     relative_inverse,
+    sections_over,
     w_bisections,
 )
-from groupoidkit.core import action_groupoid, cyclic_group, discrete_topology, pair_groupoid
+from groupoidkit.core import FiniteTopology, action_groupoid, cyclic_group, discrete_topology, pair_groupoid
 from groupoidkit.errors import OutOfDomain
+from groupoidkit.holonomy import mobius_model
 from groupoidkit.presentations import local_data
+from reference_tables import reference_is_valid_bisection, reference_is_window_bisection
 
 
 def swap3_data():
@@ -382,3 +388,48 @@ class TestSemigroupKernel:
         assert len(generate_semigroup(D.G, gens, max_elements=n).elements) == n
         with pytest.raises(OverflowError):
             generate_semigroup(D.G, gens, max_elements=n - 1)
+
+
+def candidate_sections(G, pool):
+    """Every section of the source map over every set of objects, open or not, valued in pool."""
+    objects = sorted(G.objects, key=repr)
+    carriers = [frozenset(c) for k in range(len(objects) + 1) for c in combinations(objects, k)]
+    return sections_over(G, carriers, pool, lambda s: True)
+
+
+class TestBisectionContinuity:
+    """The bisection predicates against loops cut down to the domain and image."""
+
+    @pytest.mark.parametrize("name", sorted(SEMIGROUP_CORPUS))
+    def test_corpus_matches_reference(self, name):
+        D = SEMIGROUP_CORPUS[name]()
+        G, T0 = D.G, D.t_objects
+        verdicts = set()
+        for s in candidate_sections(G, G.arrows):
+            window = is_window_bisection(D, s)
+            assert is_valid_bisection(G, T0, s) == reference_is_valid_bisection(G, T0, s)
+            assert window == reference_is_window_bisection(D, s)
+            verdicts.add(window)
+        assert verdicts == {True, False} or name == "no-objects"
+
+    def test_discontinuous_inverse_shadow_matches_reference(self):
+        # x and y are isolated and u < v: x -> u, y -> v has a continuous shadow with a discontinuous inverse
+        G = pair_groupoid(["u", "v", "x", "y"])
+        mins = {"u": {"u"}, "v": {"u", "v"}, "x": {"x"}, "y": {"y"}}
+        T0 = FiniteTopology(("u", "v", "x", "y"), {p: frozenset(U) for p, U in mins.items()})
+        assert not is_valid_bisection(G, T0, make_bisection({"x": "x>u", "y": "y>v"}))
+        for s in candidate_sections(G, G.arrows):
+            assert is_valid_bisection(G, T0, s) == reference_is_valid_bisection(G, T0, s)
+
+    def test_band_sample_matches_reference(self):
+        # mobius(3) has a non-discrete object topology; a fixed sample of its window-valued sections over opens
+        D = mobius_model(3)
+        sections = sections_over(D.G, D.t_objects.opens(), D.window, lambda s: True)
+        sample = random.Random(0).sample(sections, 3000)
+        verdicts = set()
+        for s in sample:
+            window = is_window_bisection(D, s)
+            assert is_valid_bisection(D.G, D.t_objects, s) == reference_is_valid_bisection(D.G, D.t_objects, s)
+            assert window == reference_is_window_bisection(D, s)
+            verdicts.add(window)
+        assert verdicts == {True, False}

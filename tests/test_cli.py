@@ -258,6 +258,23 @@ class TestLocalDataValidatedAtLoad:
             1, "", "error: not a groupoid: inverse-exists('g:3',): no inverse arrow\n"
         )
 
+    def test_open_window_error_independent_of_hash_seed(self):
+        # open-window.json is mobius3.json with c1>c0, 1+>0+, 1->0- and 2+>0- dropped from the
+        # window: four arrows have their inverse outside it, and the repr-first is reported
+        src = str(pathlib.Path(groupoidkit.__file__).resolve().parent.parent)
+        errors = set()
+        for seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "groupoidkit.cli", "holonomy", fx("open-window.json")],
+                capture_output=True, text=True, env=env, check=False, timeout=120,
+            )
+            assert (proc.returncode, proc.stdout) == (1, "")
+            errors.add(proc.stderr)
+        assert errors == {
+            "error: invalid local groupoid data: window-inverse-closed('0+>1+',): inverse leaves the window\n"
+        }
+
     def test_broken_extension_target_exits_1(self, capsys, tmp_path):
         doc = json.loads((FIXTURES / "extend-c8.json").read_text())
         doc["target"]["comp"] = [row for row in doc["target"]["comp"] if row[:2] != ["g:1", "g:1"]]

@@ -18,6 +18,7 @@ from groupoidkit.core import (
     compose,
     cyclic_group,
     direct_product_group,
+    discontinuities,
     discrete_topology,
     disjoint_union,
     equivalence_groupoid,
@@ -284,6 +285,16 @@ class TestTopology:
         ident = {"a": "a", "b": "b"}
         assert is_continuous(ident, D, S)
         assert not is_continuous(ident, S, D)
+
+    def test_discontinuities_in_the_order_given(self):
+        # minimal opens {a} < {a, b} < {a, b, c}: the reflection a <-> c breaks continuity at b and c
+        T = topology_from_opens(["a", "b", "c"], [[], ["a"], ["a", "b"], ["a", "b", "c"]])
+        flip = {"a": "c", "b": "b", "c": "a"}
+        assert list(discontinuities(flip, ["c", "b", "a"], T.min_open, T.min_open)) == ["c", "b"]
+        assert list(discontinuities(flip, ["a", "b", "c"], T.min_open, T.min_open)) == ["b", "c"]
+        ident = {x: x for x in T.points}
+        assert list(discontinuities(ident, T.points, T.min_open, T.min_open)) == []
+        assert not is_continuous(flip, T, T) and is_continuous(ident, T, T)
 
 
 class TestGroupoidIso:

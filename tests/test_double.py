@@ -20,6 +20,8 @@ from groupoidkit.core import (
 )
 from groupoidkit.double import (
     CrossedModule,
+    _interchange_direct,
+    _interchange_factored,
     Cube,
     Square,
     commuting_squares,
@@ -185,15 +187,15 @@ class TestLaws:
 
     @pytest.mark.parametrize("make", [box_c2, box_interval])
     def test_interchange_direct_small(self, make):
-        rep = interchange_check(make(), method="direct")
+        rep = _interchange_direct(make())
         assert rep.ok and rep.blocks_checked > 0
 
     def test_interchange_xmods(self):
-        rep = interchange_check(xmod_to_double(xmod_trivial()), method="direct")
+        rep = _interchange_direct(xmod_to_double(xmod_trivial()))
         assert rep.ok
-        rep = interchange_check(xmod_to_double(xmod_c2()), method="direct")
+        rep = _interchange_direct(xmod_to_double(xmod_c2()))
         assert rep.ok
-        rep_f = interchange_check(xmod_to_double(xmod_c2()), method="factored")
+        rep_f = _interchange_factored(xmod_to_double(xmod_c2()))
         assert rep_f.ok
         rep_s3 = interchange_check(xmod_to_double(inner_crossed_module(symmetric_group(3))))
         assert rep_s3.ok and rep_s3.method == "factored"
@@ -399,7 +401,7 @@ class TestCubeClosure:
         monkeypatch.setattr(double, "square_tables", lambda D: calls.append(D) or build(D))
         c = prism_cube(D, sorted(D.squares, key=repr)[0])
         assert is_commutative_cube(D, c) and is_commutative_cube(D, c)
-        interchange_check(D, method="direct")
+        _interchange_direct(D)
         cube_closure_sweep(D)
         assert square_catalogue(D) == sorted(D.squares, key=repr)
         assert calls == [D] and D.tables is D.tables
@@ -725,17 +727,17 @@ class TestSquareEngine:
     )
     def test_interchange_matches_reference(self, build):
         D = build()
-        got = interchange_check(D, method="direct")
+        got = _interchange_direct(D)
         want = reference_interchange(D)
         assert (got.ok, got.blocks_checked) == (want.ok, want.blocks_checked)
         assert set(got.witnesses) <= set(want.witnesses) and len(got.witnesses) == min(3, len(want.witnesses))
 
     def test_interchange_finds_a_flipped_composite(self, monkeypatch):
         D = xmod_to_double(xmod_c2())
-        blocks = interchange_check(D, method="direct").blocks_checked
+        blocks = _interchange_direct(D).blocks_checked
         monkeypatch.setattr(double, "square_tables", tables_with_one_filler_flipped)
         D = xmod_to_double(xmod_c2())  # D keeps its first tables; a fresh double reads the patched ones
-        rep = interchange_check(D, method="direct")
+        rep = _interchange_direct(D)
         assert not rep.ok and rep.witnesses and rep.blocks_checked == blocks
         order = [tuple(map(square_tables(D).index.__getitem__, block)) for block in rep.witnesses]
         assert order == sorted(order)  # repr order of (u, v, w, z)
@@ -748,10 +750,21 @@ class TestSquareEngine:
 
     def test_interchange_cap_boundary(self, monkeypatch):
         D = box_c2()
-        assert interchange_check(D, method="direct").blocks_checked == 256
+        assert _interchange_direct(D).blocks_checked == 256
         monkeypatch.setattr(double, "MAX_INTERCHANGE_BLOCKS", 256)
-        assert interchange_check(D, method="direct").ok
+        assert _interchange_direct(D).ok
         monkeypatch.setattr(double, "MAX_INTERCHANGE_BLOCKS", 255)
         with pytest.raises(CapExceeded) as info:
             interchange_check(D)
         assert "255" in str(info.value)
+
+    def test_axiom_sweep_cap_boundary(self, monkeypatch):
+        with pytest.raises(CapExceeded) as info:
+            square_groupoid_axioms(xmod_to_double(inner_crossed_module(symmetric_group(3))), 1)
+        assert isinstance(info.value, OverflowError) and str(double.MAX_AXIOM_SQUARES) in str(info.value)
+        D = box_c2()
+        monkeypatch.setattr(double, "MAX_AXIOM_SQUARES", len(D.squares))
+        assert square_groupoid_axioms(D, 1) == []
+        monkeypatch.setattr(double, "MAX_AXIOM_SQUARES", len(D.squares) - 1)
+        with pytest.raises(CapExceeded):
+            square_groupoid_axioms(D, 2)

@@ -1,10 +1,15 @@
 """Words, free groupoids, local morphisms, and the monodromy construction."""
 
+import json
+import pathlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupoidkit.core import (
+    FiniteTopology,
     cyclic_group,
     discrete_topology,
     one_object_groupoid,
@@ -18,13 +23,16 @@ from groupoidkit.errors import (
     PartialMap,
     RewritingNotConfluent,
 )
+from groupoidkit.io import groupoid_from_dict, local_data_from_dict, topology_from_dict
 from groupoidkit.presentations import (
     POS,
     NEG,
+    LocalGroupoidData,
     Word,
     WindowMap,
     broken_product,
     concat,
+    derived_object_topology,
     empty_word,
     enumerate_monodromy_arrows,
     extend_local_morphism,
@@ -40,6 +48,10 @@ from groupoidkit.presentations import (
     word_inverse,
     words_up_to,
 )
+from reference_tables import reference_local_data_validate
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+LOCAL_DATA_FIXTURES = ["annulus3.json", "c4-window.json", "full-window.json", "mobius3.json"]
 
 
 def loop_graph(loops=("e",)):
@@ -290,3 +302,61 @@ class TestLocalDataValidation:
         W = ["id:o", "g:1", "g:3"]
         D = local_data(G, W, discrete_topology(W))
         assert D.t_objects.min_open["o"] == frozenset({"o"})
+
+
+def _topologies(doc, G):
+    """The two topologies of a local-data document, read without validating the window."""
+    t_w = topology_from_dict(doc["topology_w"], "topology_w")
+    if "topology_objects" in doc:
+        return t_w, topology_from_dict(doc["topology_objects"], "topology_objects")
+    return t_w, derived_object_topology(G, t_w)
+
+
+def damaged_copies(D, seed):
+    """Local data on D's groupoid and window with some minimal opens of either topology widened or cut down."""
+    rng = random.Random(seed)
+    W = sorted(D.window, key=repr)
+    TW, T0 = dict(D.t_window.min_open), dict(D.t_objects.min_open)
+    for _ in range(rng.randint(1, 3)):
+        w = rng.choice(W)
+        TW[w] = TW[w] | TW[rng.choice(W)]
+    if rng.random() < 0.5:
+        x = rng.choice(sorted(T0, key=repr))
+        T0[x] = frozenset({x})
+    return LocalGroupoidData(D.G, D.window, FiniteTopology(D.t_window.points, TW), FiniteTopology(D.t_objects.points, T0))
+
+
+class TestLocalDataContinuity:
+    """The window continuity rules against one loop per rule (`reference_local_data_validate`)."""
+
+    @pytest.mark.parametrize("name", LOCAL_DATA_FIXTURES + ["open-window.json"])
+    def test_fixtures_match_reference(self, name):
+        doc = json.loads((FIXTURES / name).read_text())
+        G = groupoid_from_dict(doc)
+        D = LocalGroupoidData(G, frozenset(doc["window"]), *_topologies(doc, G))
+        assert D.validate() == reference_local_data_validate(D)
+
+    @pytest.mark.parametrize("name", LOCAL_DATA_FIXTURES)
+    def test_damaged_copies_match_reference(self, name):
+        D = local_data_from_dict(json.loads((FIXTURES / name).read_text()))
+        for seed in range(40):
+            damaged = damaged_copies(D, seed)
+            assert damaged.validate() == reference_local_data_validate(damaged)
+
+    @pytest.mark.parametrize("name", ["annulus3.json", "mobius3.json"])
+    def test_damage_reaches_every_continuity_rule(self, name):
+        D = local_data_from_dict(json.loads((FIXTURES / name).read_text()))
+        rules = set().union(*(damaged_copies(D, seed).validate().rules() for seed in range(40)))
+        assert {"window-src-continuous", "window-tgt-continuous", "window-inv-continuous"} <= rules
+
+    def test_violations_follow_window_repr_order(self):
+        D = damaged_copies(local_data_from_dict(json.loads((FIXTURES / "mobius3.json").read_text())), 3)
+        for rule in ("window-src-continuous", "window-tgt-continuous", "window-inv-continuous"):
+            witnesses = [v.witness for v in D.validate().violations if v.rule == rule]
+            assert witnesses == sorted(witnesses, key=lambda w: repr(w[0]))
+
+    def test_missing_inverse_row_is_a_violation(self):
+        # drop-inv.json is c4-window.json without the inv row of g:3
+        with pytest.raises(PartialMap) as info:
+            local_data_from_dict(json.loads((FIXTURES / "drop-inv.json").read_text()))
+        assert str(info.value) == "invalid local groupoid data: inverse-exists('g:3',): no inverse arrow"
