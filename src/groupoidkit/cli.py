@@ -29,6 +29,7 @@ from .double import (
 )
 from .errors import (
     GroupoidKitError,
+    IllFormedWord,
     NotAGroupoid,
     NotFiniteOnInstance,
     SchemaError,
@@ -113,6 +114,15 @@ def _load_local_data(path):
     return local_data_from_dict(doc, _checked(groupoid_from_dict(doc)))
 
 
+def _load_presentation(path):
+    """The presentation in a file, once it is well formed; otherwise IllFormedWord names the first violation."""
+    P = presentation_from_dict(_read_json(path))
+    report = P.validate()
+    if not report.ok:
+        raise IllFormedWord(f"invalid presentation: {report.violations[0]}")
+    return P
+
+
 def cmd_validate(args) -> int:
     started = time.time()
     G = groupoid_from_dict(_read_json(args.path))
@@ -136,9 +146,7 @@ def _vertex_group_results(P, obj) -> dict:
 
 def cmd_pushout(args) -> int:
     started = time.time()
-    A = presentation_from_dict(_read_json(args.a))
-    B = presentation_from_dict(_read_json(args.b))
-    C = presentation_from_dict(_read_json(args.c))
+    A, B, C = (_load_presentation(path) for path in (args.a, args.b, args.c))
     f = morphism_from_dict(_read_json(args.f), A, B)
     g = morphism_from_dict(_read_json(args.g), A, C)
     out = pushout(f, g)
@@ -160,7 +168,7 @@ def cmd_pushout(args) -> int:
 
 def cmd_vertex_group(args) -> int:
     started = time.time()
-    P = presentation_from_dict(_read_json(args.path))
+    P = _load_presentation(args.path)
     _emit("vertex-group", [args.path], _vertex_group_results(P, args.object), started)
     return OK
 

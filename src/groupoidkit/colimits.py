@@ -266,12 +266,11 @@ class GroupPresentation:
     generators: tuple
     relators: tuple  # words ((gen, sign), ...) in path order
 
-    def rewriting(self, **kw) -> GroupRewriting:
-        return knuth_bendix(self.generators, self.relators, **kw)
+    def rewriting(self) -> GroupRewriting:
+        return knuth_bendix(self.generators, self.relators)
 
-    def element_count_up_to(self, length: int, **kw) -> int:
-        system = self.rewriting(**kw)
-        return len(enumerate_elements(system, length))
+    def element_count_up_to(self, length: int) -> int:
+        return len(enumerate_elements(self.rewriting(), length))
 
 
 def spanning_tree(P: FpGroupoid, base) -> dict:

@@ -9,13 +9,13 @@ The monodromy groupoid of a window W inside a groupoid G is the free
 groupoid on W (as a reflexive graph) modulo [u][v] = [uv] whenever u, v and
 uv all lie in W with uv defined in G.  Equality of elements is decided by a
 length-reducing rewriting system whose confluence is verified per instance
-with a critical pair check; non-confluent instances are reported, never
-silently accepted.
+with a critical pair check, both through the reducer and overlap scan of
+`rewriting`; non-confluent instances are reported, never silently accepted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     FiniteGroupoid,
@@ -35,7 +35,7 @@ from .errors import (
     PartialMap,
     RewritingNotConfluent,
 )
-from .rewriting import NEG, POS, free_reduce, invert
+from .rewriting import NEG, POS, free_reduce, invert, overlaps, rewriter
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +389,8 @@ def broken_product(D: LocalGroupoidData, H: FiniteGroupoid, f: WindowMap) -> tup
 class PairRewriting:
     """Length-reducing rules [u][v] -> [uv] on positive window words.
 
-    Negative letters are first normalised to positive ones via the window's
-    closedness under inversion ((e,-1) becomes (inv e, +1)).  `confluent`
+    `reduce` rewrites letters with the pair rules plus (e,-1) -> (inv e,+1),
+    which the window's closedness under inversion allows.  `confluent`
     records the instance critical pair check.
     """
 
@@ -399,35 +399,14 @@ class PairRewriting:
     pair_rules: dict  # (u, v) -> composite generator, or None when uv is an identity
     confluent: bool
     critical_failures: tuple
-
-    def normalise_signs(self, w: Word) -> Word:
-        letters = []
-        for (e, s) in w.letters:
-            if s == NEG and e in self.inv_gen:
-                letters.append((self.inv_gen[e], POS))
-            else:
-                letters.append((e, s))
-        return Word(w.start, tuple(letters))
-
-    def rewrite_once(self, w: Word) -> Word | None:
-        letters = w.letters
-        for i in range(len(letters) - 1):
-            left, right = letters[i], letters[i + 1]
-            if left[1] != POS or right[1] != POS:
-                continue
-            key = (left[0], right[0])
-            if key in self.pair_rules:
-                out = self.pair_rules[key]
-                mid = () if out is None else ((out, POS),)
-                return Word(w.start, letters[:i] + mid + letters[i + 1 + 1:])
-        return None
+    reduce: object = field(repr=False)  # rewriting.rewriter over the letter rules
 
     def normal_form(self, w: Word) -> Word:
         if not self.confluent:
             raise RewritingNotConfluent(
                 f"instance rewriting system failed critical pairs: {self.critical_failures[:3]!r}"
             )
-        return _exhaust(self, w)
+        return Word(w.start, self.reduce(w.letters))
 
 
 def _build_pair_rules(D: LocalGroupoidData):
@@ -454,35 +433,18 @@ def _build_pair_rules(D: LocalGroupoidData):
     return graph, inv_gen, rules, tuple(relations)
 
 
-def _check_confluence(graph, inv_gen, rules):
-    """Critical pair check for overlaps [u][v][w] with rules on both pairs."""
+def _pair_rewriting(graph: ReflexiveGraph, inv_gen: dict, pair_rules: dict, relations) -> PairRewriting:
+    """The pair relations [u][v] = [uv] as letter rules, checked on every overlap [u][v][w]."""
+    letter_rules = {lhs.letters: rhs.letters for lhs, rhs in relations}
+    letter_rules.update({((e, NEG),): ((inv, POS),) for e, inv in inv_gen.items()})
+    reduce = rewriter(letter_rules)
     failures = []
-    tmp = PairRewriting(graph, inv_gen, rules, True, ())
-    for (u, v) in rules:
-        for (v2, w) in rules:
-            if v2 != v:
-                continue
-            start = graph.src[w]
-            full = Word(start, ((u, POS), (v, POS), (w, POS)))
-            left_first = tmp.rewrite_once(full)
-            # rewrite the right pair by hand
-            out = rules[(v, w)]
-            mid = () if out is None else ((out, POS),)
-            right_first = Word(start, ((u, POS),) + mid)
-            a = _exhaust(tmp, left_first)
-            b = _exhaust(tmp, right_first)
-            if a != b:
-                failures.append(((u, v, w), a, b))
-    return (not failures), tuple(failures)
-
-
-def _exhaust(system: PairRewriting, w: Word) -> Word:
-    cur = reduce_word(system.normalise_signs(w))
-    while True:
-        nxt = system.rewrite_once(cur)
-        if nxt is None:
-            return cur
-        cur = reduce_word(nxt)
+    for l1, l2, k in overlaps(letter_rules):
+        a, b = reduce(letter_rules[l1] + l2[k:]), reduce(l1[:-k] + letter_rules[l2])
+        if a != b:
+            start = graph.src[l2[-1][0]]
+            failures.append((tuple(e for (e, _) in l1 + l2[k:]), Word(start, a), Word(start, b)))
+    return PairRewriting(graph, inv_gen, pair_rules, not failures, tuple(failures), reduce)
 
 
 def _evaluate_word(H: FiniteGroupoid, obj_map: dict, gen_map: dict, w: Word):
@@ -537,8 +499,7 @@ def monodromy(D: LocalGroupoidData) -> MonodromyResult:
     """The monodromy groupoid M(G, W) with projection p and embedding i'."""
     G = D.G
     graph, inv_gen, rules, relations = _build_pair_rules(D)
-    confluent, failures = _check_confluence(graph, inv_gen, rules)
-    rewriting = PairRewriting(graph, inv_gen, rules, confluent, failures)
+    rewriting = _pair_rewriting(graph, inv_gen, rules, relations)
     pres = FpGroupoid(graph, relations)
     p_obj = {x: x for x in G.objects}
     p_gen = {e: e for e in graph.generators()}
@@ -548,7 +509,7 @@ def monodromy(D: LocalGroupoidData) -> MonodromyResult:
             iprime[w] = empty_word(G.src[w])
         else:
             im = Word(G.src[w], ((w, POS),))
-            iprime[w] = rewriting.normal_form(im) if confluent else im
+            iprime[w] = rewriting.normal_form(im) if rewriting.confluent else im
     return MonodromyResult(D, pres, rewriting, p_obj, p_gen, iprime)
 
 

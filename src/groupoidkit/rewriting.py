@@ -1,20 +1,24 @@
-"""Shortlex string rewriting for group presentations.
+"""String rewriting on words of signed generators: one reducer, one overlap scan.
 
-Used by the colimit machinery (and its tests) for bounded element counts in
-finitely presented groups.  Words are tuples of signed generators
-((gen, +1|-1), ...) in path order; free cancellation is built in by encoding
-inverse pairs as explicit rules.  Completion is a bounded Knuth-Bendix loop
-over shortlex; instances that do not complete within the bound report that
-instead of silently mis-deciding equality.
+Words are tuples of signed generators ((gen, +1|-1), ...) in path order.
+`rewriter` reduces and `overlaps` finds the critical pairs for both systems
+of the package: the monodromy pair rules, whose confluence is checked per
+instance (`presentations.monodromy`), and the bounded shortlex Knuth-Bendix
+completion that counts vertex group elements for the colimit machinery.
+Completion builds free cancellation in as explicit rules; an instance that
+does not complete within the bound reports that instead of silently
+mis-deciding equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import RewritingNotConfluent
 
 POS, NEG = 1, -1
+MAX_RULES, MAX_LEN = 300, 16  # completion gives up past these
 
 
 def invert(word):
@@ -41,23 +45,52 @@ def free_reduce(word):
     return tuple(out)
 
 
-def _rewrite(rules, word):
-    """Rewrite with the (lhs, rhs) rules, tried in the given order, until none applies."""
-    word = free_reduce(word)
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in rules:
-            n = len(lhs)
-            i = 0
-            while i + n <= len(word):
-                if word[i : i + n] == lhs:
-                    word = free_reduce(word[:i] + rhs + word[i + n :])
-                    changed = True
-                    i = 0
-                else:
-                    i += 1
-    return word
+def rewriter(rules: dict):
+    """The reducer of the rewriting system `rules` (lhs -> rhs), built once per dict.
+
+    The reducer freely reduces a word, then replaces the leftmost left-hand
+    side in it (at one position the shorter first) until none is left.  It
+    reads `rules` live: a rule removed later stops applying, and a rule added
+    later applies if its lhs is no longer than the longest at build time.
+    """
+    longest = max(map(len, rules), default=0)
+    lengths = range(1, longest + 1)
+    get = rules.get
+
+    def reduce(word):
+        word = free_reduce(word)
+        i = 0
+        while i < len(word):
+            for n in lengths:
+                rhs = get(word[i : i + n])
+                if rhs is not None:
+                    word = word[:i] + rhs + word[i + n :]
+                    # a new match must overlap the replaced stretch
+                    i = max(0, i - longest + 1)
+                    break
+            else:
+                i += 1
+        return word
+
+    return reduce
+
+
+def overlaps(rules):
+    """Every proper overlap (l1, l2, k) of two left-hand sides: l1[-k:] == l2[:k], 0 < k < both lengths.
+
+    Ordered by l1, then l2 (both in the order of `rules`), then k.  Only the
+    rules that start with a letter of l1 are visited as l2.
+    """
+    lhss = list(rules)
+    starting: dict = {}
+    for j, lhs in enumerate(lhss):
+        starting.setdefault(lhs[0], []).append(j)
+    for l1 in lhss:
+        for j in sorted({j for a in set(l1[1:]) for j in starting.get(a, ())}):
+            l2 = lhss[j]
+            for k in range(1, min(len(l1), len(l2))):
+                if l1[-k:] == l2[:k]:
+                    yield l1, l2, k
 
 
 def _shortlex_key(word):
@@ -74,8 +107,10 @@ class GroupRewriting:
     rules: tuple  # ((lhs, rhs), ...) shortlex decreasing
     complete: bool
 
-    def reduce(self, word):
-        return _rewrite(self.rules, word)
+    @cached_property
+    def reduce(self):
+        """The reducer of `rules`, built on first use; it refers to the rules, not to the system."""
+        return rewriter(dict(self.rules))
 
     def equal(self, w1, w2) -> bool:
         if not self.complete:
@@ -83,18 +118,16 @@ class GroupRewriting:
         return self.reduce(w1) == self.reduce(w2)
 
 
-def knuth_bendix(generators, relators, max_rules: int = 300, max_len: int = 16) -> GroupRewriting:
+def knuth_bendix(generators, relators) -> GroupRewriting:
     """Bounded shortlex completion of a group presentation.
 
     Relators are words equal to the identity.  Free cancellation is part of
     the rule set (x x^-1 -> 1 per signed generator) so that completion can
     relate inverse letters to positive words.  Returns a system flagged
-    `complete=False` when a bound is hit.
+    `complete=False` when a bound is hit: more than MAX_RULES rules, a lhs
+    longer than MAX_LEN, or 80 rounds.
     """
-    cancellations = set()
-    for g in generators:
-        for s in (POS, NEG):
-            cancellations.add(((g, s), (g, -s)))
+    cancellations = {((g, s), (g, -s)) for g in generators for s in (POS, NEG)}
     rules: dict = {lhs: () for lhs in cancellations}
 
     def add_rule(a, b) -> bool:
@@ -102,7 +135,7 @@ def knuth_bendix(generators, relators, max_rules: int = 300, max_len: int = 16) 
         if a == b:
             return True
         lhs, rhs = _orient(a, b)
-        if len(lhs) > max_len:
+        if len(lhs) > MAX_LEN:
             return False
         rules[lhs] = rhs
         return True
@@ -112,52 +145,46 @@ def knuth_bendix(generators, relators, max_rules: int = 300, max_len: int = 16) 
         ok &= add_rule(tuple(r), ())
         ok &= add_rule(invert(tuple(r)), ())
 
-    def reduce_with(word):
-        return _rewrite(tuple(rules.items()), word)
-
     # completion loop: overlaps between rule left-hand sides
     for _ in range(80):
-        if len(rules) > max_rules:
+        if len(rules) > MAX_RULES:
             ok = False
             break
+        reduce = rewriter(rules)
         new_pairs = []
-        items = list(rules.items())
-        for l1, r1 in items:
-            for l2, r2 in items:
-                for k in range(1, min(len(l1), len(l2))):
-                    if l1[len(l1) - k :] == l2[:k]:
-                        a = reduce_with(free_reduce(r1 + l2[k:]))
-                        b = reduce_with(free_reduce(l1[: len(l1) - k] + r2))
-                        if a != b:
-                            new_pairs.append((a, b))
+        for l1, l2, k in overlaps(rules):
+            a = reduce(rules[l1] + l2[k:])
+            b = reduce(l1[:-k] + rules[l2])
+            if a != b:
+                new_pairs.append((a, b))
         if not new_pairs:
             break
         for a, b in new_pairs:
             if not add_rule(a, b):
                 ok = False
-        # inter-reduce everything except the cancellation core
+        # inter-reduce everything except the cancellation core; no lhs grows,
+        # so the reducer sees each rule this pass adds
+        reduce = rewriter(rules)
         for lhs in list(rules):
             if lhs in cancellations:
                 continue
             rhs = rules.pop(lhs)
-            others_reduced_l = reduce_with(lhs)
-            others_reduced_r = reduce_with(rhs)
-            if others_reduced_l != others_reduced_r:
-                a, b = _orient(others_reduced_l, others_reduced_r)
+            reduced_l, reduced_r = reduce(lhs), reduce(rhs)
+            if reduced_l != reduced_r:
+                a, b = _orient(reduced_l, reduced_r)
                 rules[a] = b
     else:
         ok = False
 
-    system = GroupRewriting(
-        tuple(generators),
-        tuple(sorted(rules.items(), key=lambda kv: _shortlex_key(kv[0]))),
-        ok,
+    return GroupRewriting(
+        tuple(generators), tuple(sorted(rules.items(), key=lambda kv: _shortlex_key(kv[0]))), ok
     )
-    return system
 
 
 def enumerate_elements(system: GroupRewriting, max_len: int):
-    """Distinct normal forms of all words up to the length bound."""
+    """Distinct normal forms of all words up to the length bound; needs a complete system."""
+    if not system.complete:
+        raise RewritingNotConfluent("rewriting system did not complete")
     seen = {()}
     frontier = [()]
     letters = [(g, s) for g in system.generators for s in (POS, NEG)]

@@ -13,7 +13,13 @@ package, kept as a test oracle:
 - `reference_validate_groupoid` tests associativity one triple at a time;
 - `reference_local_data_validate`, `reference_is_valid_bisection` and
   `reference_is_window_bisection` write each continuity test as its own
-  loop over the minimal opens instead of calling `core.discontinuities`.
+  loop over the minimal opens instead of calling `core.discontinuities`;
+- `reference_rewrite` rescans the word once per rule, in rule order, and
+  `reference_knuth_bendix` completes with it over the all-pairs overlap
+  loop `reference_overlaps`;
+- `reference_exhaust` and `reference_check_confluence` are the monodromy
+  pair rewriting written on its own: signs normalised first, then the
+  leftmost pair rewritten, restarting from the left.
 """
 
 from groupoidkit.bisections import compose_bisections, identity_bisection, relative_inverse
@@ -29,6 +35,8 @@ from groupoidkit.core import (
 from groupoidkit.errors import NotSectionable, WellDefinednessFailure
 from groupoidkit.germs import germ, germ_closure, germ_target
 from groupoidkit.holonomy import GermGroupoid
+from groupoidkit.presentations import Word
+from groupoidkit.rewriting import NEG, POS, GroupRewriting, _orient, _shortlex_key, free_reduce, invert
 
 
 def reference_topology_from_subbase(points, sets) -> FiniteTopology:
@@ -287,3 +295,133 @@ def reference_is_window_bisection(D, s) -> bool:
         if not {m[q] for q in (T0.min_open[p] & s.domain)} <= TW.min_open[m[p]]:
             return False
     return True
+
+
+def reference_rewrite(rules, word):
+    """Rewrite with the (lhs, rhs) rules, tried in the given order, until none applies."""
+    word = free_reduce(word)
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in rules:
+            n = len(lhs)
+            i = 0
+            while i + n <= len(word):
+                if word[i : i + n] == lhs:
+                    word = free_reduce(word[:i] + rhs + word[i + n :])
+                    changed = True
+                    i = 0
+                else:
+                    i += 1
+    return word
+
+
+def reference_overlaps(rules):
+    """(l1, l2, k) for every pair of left-hand sides and every proper overlap length."""
+    out = []
+    for l1 in rules:
+        for l2 in rules:
+            for k in range(1, min(len(l1), len(l2))):
+                if l1[len(l1) - k :] == l2[:k]:
+                    out.append((l1, l2, k))
+    return out
+
+
+def reference_knuth_bendix(generators, relators, max_rules=300, max_len=16) -> GroupRewriting:
+    cancellations = set()
+    for g in generators:
+        for s in (POS, NEG):
+            cancellations.add(((g, s), (g, -s)))
+    rules: dict = {lhs: () for lhs in cancellations}
+
+    def add_rule(a, b) -> bool:
+        a, b = free_reduce(a), free_reduce(b)
+        if a == b:
+            return True
+        lhs, rhs = _orient(a, b)
+        if len(lhs) > max_len:
+            return False
+        rules[lhs] = rhs
+        return True
+
+    ok = True
+    for r in relators:
+        ok &= add_rule(tuple(r), ())
+        ok &= add_rule(invert(tuple(r)), ())
+
+    def reduce_with(word):
+        return reference_rewrite(tuple(rules.items()), word)
+
+    for _ in range(80):
+        if len(rules) > max_rules:
+            ok = False
+            break
+        new_pairs = []
+        for l1, l2, k in reference_overlaps(rules):
+            a = reduce_with(free_reduce(rules[l1] + l2[k:]))
+            b = reduce_with(free_reduce(l1[: len(l1) - k] + rules[l2]))
+            if a != b:
+                new_pairs.append((a, b))
+        if not new_pairs:
+            break
+        for a, b in new_pairs:
+            if not add_rule(a, b):
+                ok = False
+        for lhs in list(rules):
+            if lhs in cancellations:
+                continue
+            rhs = rules.pop(lhs)
+            reduced_l, reduced_r = reduce_with(lhs), reduce_with(rhs)
+            if reduced_l != reduced_r:
+                a, b = _orient(reduced_l, reduced_r)
+                rules[a] = b
+    else:
+        ok = False
+    return GroupRewriting(
+        tuple(generators), tuple(sorted(rules.items(), key=lambda kv: _shortlex_key(kv[0]))), ok
+    )
+
+
+def reference_rewrite_once(pair_rules, w):
+    """The word with its leftmost positive pair [u][v] that has a rule rewritten; None if none has."""
+    letters = w.letters
+    for i in range(len(letters) - 1):
+        left, right = letters[i], letters[i + 1]
+        if left[1] != POS or right[1] != POS:
+            continue
+        key = (left[0], right[0])
+        if key in pair_rules:
+            out = pair_rules[key]
+            mid = () if out is None else ((out, POS),)
+            return Word(w.start, letters[:i] + mid + letters[i + 2 :])
+    return None
+
+
+def reference_exhaust(inv_gen, pair_rules, w):
+    letters = tuple((inv_gen[e], POS) if s == NEG and e in inv_gen else (e, s) for (e, s) in w.letters)
+    cur = Word(w.start, free_reduce(letters))
+    while True:
+        nxt = reference_rewrite_once(pair_rules, cur)
+        if nxt is None:
+            return cur
+        cur = Word(nxt.start, free_reduce(nxt.letters))
+
+
+def reference_check_confluence(graph, inv_gen, pair_rules):
+    """Critical pair check for overlaps [u][v][w] with rules on both pairs: (confluent, failures)."""
+    failures = []
+    for (u, v) in pair_rules:
+        for (v2, w) in pair_rules:
+            if v2 != v:
+                continue
+            start = graph.src[w]
+            full = Word(start, ((u, POS), (v, POS), (w, POS)))
+            left_first = reference_rewrite_once(pair_rules, full)
+            out = pair_rules[(v, w)]
+            mid = () if out is None else ((out, POS),)
+            right_first = Word(start, ((u, POS),) + mid)
+            a = reference_exhaust(inv_gen, pair_rules, left_first)
+            b = reference_exhaust(inv_gen, pair_rules, right_first)
+            if a != b:
+                failures.append(((u, v, w), a, b))
+    return (not failures), tuple(failures)

@@ -31,6 +31,13 @@ def results_of(stdout: str) -> dict:
     return json.loads(stdout)["results"]
 
 
+# bad-relation.json is circle-u.json with a relation naming the unknown generator zz
+BAD_RELATION = (
+    "error: invalid presentation: relation-word(Word(start='p', letters=(('zz', 1), ('eU', 1))), "
+    "Word(start='p', letters=(('eU', 1),))): unknown generator 'zz'\n"
+)
+
+
 class TestValidate:
     def test_valid_file(self, capsys):
         code, out, _ = run(capsys, "validate", fx("interval.json"))
@@ -124,6 +131,11 @@ class TestPushout:
         doc1, doc2 = json.loads(out1), json.loads(out2)
         doc1.pop("timing_ms"), doc2.pop("timing_ms")
         assert doc1 == doc2
+
+    def test_ill_formed_leg_is_refused_at_load(self, capsys):
+        circle = [fx(f"circle-{c}.json") for c in "wuvij"]
+        circle[1] = fx("bad-relation.json")
+        assert run(capsys, "pushout", *circle) == (1, "", BAD_RELATION)
 
 
 class TestMonodromy:
@@ -374,6 +386,18 @@ class TestVertexGroup:
         assert out == ""
         assert "parse error: presentation.objects[0]" in err
         assert "Traceback" not in err
+
+    def test_unknown_generator_in_a_relation_is_refused(self, capsys):
+        assert run(capsys, "vertex-group", fx("bad-relation.json"), "m") == (1, "", BAD_RELATION)
+
+    def test_relation_with_different_endpoints_is_refused(self, capsys, tmp_path):
+        doc = json.loads((FIXTURES / "circle-u.json").read_text())
+        doc["relations"] = [[{"start": "p", "letters": [["eU", "+"]]}, {"start": "p", "letters": []}]]
+        path = tmp_path / "endpoints.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "vertex-group", str(path), "p")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid presentation: relation-endpoints(")
 
 
 class TestGenerators:

@@ -1,0 +1,244 @@
+"""The one word reducer and overlap scan, against the rewriters they replaced.
+
+`rewriting.rewriter` and `rewriting.overlaps` serve both the Knuth-Bendix
+completion of vertex group presentations and the monodromy pair rules; the
+oracles in `reference_tables` are the two separate rewriters they replaced.
+"""
+
+import gc
+import random
+import weakref
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corpus import cyclic_window, full_window, monodromy_corpus, pushout_corpus
+from groupoidkit.colimits import GroupPresentation, HnnInput, hnn_from_pushout, pushout, vertex_group_presentation
+from groupoidkit.core import (
+    cyclic_group,
+    discrete_topology,
+    one_object_groupoid,
+    pair_groupoid,
+    product_groupoid,
+    symmetric_group,
+)
+from groupoidkit.errors import NotConnected, RewritingNotConfluent
+from groupoidkit.presentations import NEG, POS, Word, letter_src, letter_tgt, local_data, monodromy
+from groupoidkit.rewriting import GroupRewriting, enumerate_elements, knuth_bendix, overlaps, rewriter
+from reference_tables import (
+    reference_check_confluence,
+    reference_exhaust,
+    reference_knuth_bendix,
+    reference_overlaps,
+    reference_rewrite,
+)
+
+
+def presentation_corpus():
+    """Every group presentation the colimit tests and the benchmark's pushout jobs complete."""
+    out = []
+    for name, f, g in pushout_corpus():
+        apex = pushout(f, g).apex
+        try:
+            pres = vertex_group_presentation(apex, sorted(apex.objects)[0])
+        except NotConnected:
+            continue
+        out.append((f"pushout-{name}", pres))
+    c2 = GroupPresentation(("a",), ((("a", POS), ("a", POS)),))
+    c4 = GroupPresentation(("a",), ((("a", POS),) * 4,))
+    t2 = GroupPresentation(("t",), ((("t", POS), ("t", POS)),))
+    # hnn_from_pushout completes its vertex group; the C4 HNN group itself
+    # runs into the completion bounds only after minutes, so only C2's is completed
+    out.append(("hnn-c2-vertex", c2))
+    out.append(("hnn-c4-vertex", c4))
+    out.append(("hnn-c2", hnn_from_pushout(HnnInput(c2, t2, {"t": (("a", POS),)}, {"t": (("a", POS),)}))[0]))
+    out.append(("s3", GroupPresentation(("r", "s"), (
+        (("r", POS),) * 3, (("s", POS),) * 2, (("r", POS), ("s", POS)) * 2))))
+    return out
+
+
+def monodromy_instances():
+    """The benchmark's 28 monodromy windows: the test corpus plus four full windows."""
+    out = list(monodromy_corpus())
+    for n in (12, 16, 24):
+        out.append((f"c{n}-full", full_window(one_object_groupoid(cyclic_group(n)))))
+    out.append(("s4-full", full_window(one_object_groupoid(symmetric_group(4)))))
+    return out
+
+
+def two_object_c8_window():
+    """C8 x pair(x, y) with the window of C8 radius 2: failures whose words leave an object."""
+    G = product_groupoid(one_object_groupoid(cyclic_group(8)), pair_groupoid(["x", "y"]))
+    W = sorted(a for a in G.arrows if a.split("|")[0] in ("id:o", "g:1", "g:2", "g:6", "g:7"))
+    return local_data(G, W, discrete_topology(W))
+
+
+PRESENTATIONS = presentation_corpus()
+MONODROMY = monodromy_instances()
+
+
+def letter_rules(R):
+    """The monodromy rewriting's letter rules, built as `presentations._pair_rewriting` builds them."""
+    rules = {((u, POS), (v, POS)): () if uv is None else ((uv, POS),) for (u, v), uv in R.pair_rules.items()}
+    rules.update({((e, NEG),): ((inv, POS),) for e, inv in R.inv_gen.items()})
+    return rules
+
+
+def random_word(graph, rng, length):
+    """A composable word of `length` letters with random signs, grown from a random start."""
+    start = rng.choice(graph.objects)
+    letters = []
+    cur = start
+    gens = graph.generators()
+    for _ in range(length):
+        choices = [(e, s) for e in gens for s in (POS, NEG) if letter_src(graph, (e, s)) == cur]
+        if not choices:
+            break
+        let = rng.choice(choices)
+        letters.insert(0, let)
+        cur = letter_tgt(graph, let)
+    return Word(start, tuple(letters))
+
+
+def completes_every_pair(system):
+    """Every proper overlap and every inclusion of two left-hand sides joins under the system."""
+    lhss = [lhs for lhs, _ in system.rules]
+    rhs = dict(system.rules)
+    for l1 in lhss:
+        for l2 in lhss:
+            for k in range(1, min(len(l1), len(l2))):
+                if l1[-k:] == l2[:k] and system.reduce(rhs[l1] + l2[k:]) != system.reduce(l1[:-k] + rhs[l2]):
+                    return False
+            for i in range(len(l1) - len(l2) + 1):
+                if l1 != l2 and l1[i : i + len(l2)] == l2:
+                    if system.reduce(rhs[l1]) != system.reduce(l1[:i] + rhs[l2] + l1[i + len(l2) :]):
+                        return False
+    return True
+
+
+def all_words(generators, length):
+    letters = [(g, s) for g in generators for s in (POS, NEG)]
+    words = [()]
+    frontier = [()]
+    for _ in range(length):
+        frontier = [w + (let,) for w in frontier for let in letters]
+        words.extend(frontier)
+    return words
+
+
+class TestKnuthBendix:
+    @pytest.mark.parametrize("name,pres", PRESENTATIONS, ids=[name for name, _ in PRESENTATIONS])
+    def test_rules_and_verdict_equal_the_oracle(self, name, pres):
+        new = knuth_bendix(pres.generators, pres.relators)
+        old = reference_knuth_bendix(pres.generators, pres.relators)
+        assert new.complete == old.complete
+        assert new.rules == old.rules
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(
+        st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from([POS, NEG])), min_size=1, max_size=3),
+        min_size=1, max_size=2,
+    ))
+    def test_random_presentations_against_the_oracle(self, relators):
+        # Completion inter-reduces in one pass, so two strategies can leave
+        # different redundant rules; what must agree is the verdict and, for
+        # systems that join every critical pair, the normal forms.
+        relators = [tuple(r) for r in relators]
+        new = knuth_bendix(("a", "b"), relators)
+        old = reference_knuth_bendix(("a", "b"), relators)
+        assert new.complete == old.complete
+        assert list(overlaps(dict(new.rules))) == reference_overlaps(dict(new.rules))
+        if new.complete and completes_every_pair(new) and completes_every_pair(old):
+            for w in all_words(("a", "b"), 3):
+                assert new.reduce(w) == reference_rewrite(old.rules, w)
+
+    def test_overlaps_follow_the_all_pairs_loop(self):
+        for _, pres in PRESENTATIONS:
+            rules = dict(knuth_bendix(pres.generators, pres.relators).rules)
+            assert list(overlaps(rules)) == reference_overlaps(rules)
+        rules = {(("a", POS),) * 3: (), (("a", POS), ("b", POS)): (("b", POS),), (("b", POS), ("a", POS)): ()}
+        assert list(overlaps(rules)) == reference_overlaps(rules)
+        assert len(reference_overlaps(rules)) == 6
+        # a b c and b c d overlap in b c, which does not start with the last letter of a b c
+        a, b, c, d = (("a", POS), ("b", POS), ("c", POS), ("d", POS))
+        assert list(overlaps({(a, b, c): (), (b, c, d): ()})) == [((a, b, c), (b, c, d), 2)]
+
+    def test_enumerate_elements_refuses_an_incomplete_system(self):
+        c2 = knuth_bendix(("a",), [(("a", POS),) * 2])
+        assert c2.complete and len(enumerate_elements(c2, 2)) == 2
+        with pytest.raises(RewritingNotConfluent):
+            enumerate_elements(GroupRewriting(c2.generators, c2.rules, complete=False), 2)
+
+
+class TestMonodromyRewriting:
+    @pytest.mark.parametrize("name,D", MONODROMY, ids=[name for name, _ in MONODROMY])
+    def test_confluence_and_failures_equal_the_oracle(self, name, D):
+        R = monodromy(D).rewriting
+        confluent, failures = reference_check_confluence(R.graph, R.inv_gen, R.pair_rules)
+        assert R.confluent == confluent
+        assert R.critical_failures == failures
+
+    @pytest.mark.parametrize("build", [lambda: cyclic_window(8, 2), two_object_c8_window], ids=["c8", "c8-pair"])
+    def test_nonconfluent_windows_fail_the_oracle_check_the_same_way(self, build):
+        R = monodromy(build()).rewriting
+        assert not R.confluent and R.critical_failures
+        assert (R.confluent, R.critical_failures) == reference_check_confluence(R.graph, R.inv_gen, R.pair_rules)
+
+    @pytest.mark.parametrize("name,D", MONODROMY, ids=[name for name, _ in MONODROMY])
+    def test_normal_forms_of_mixed_words_equal_the_oracle(self, name, D):
+        M = monodromy(D)
+        R = M.rewriting
+        if not R.confluent:
+            return
+        rng = random.Random(name)
+        for _ in range(60):
+            w = random_word(M.presentation.graph, rng, rng.randint(0, 8))
+            assert M.normal_form(w) == reference_exhaust(R.inv_gen, R.pair_rules, w)
+
+    @pytest.mark.parametrize("name,D", MONODROMY, ids=[name for name, _ in MONODROMY])
+    def test_overlaps_of_letter_rules_follow_the_all_pairs_loop(self, name, D):
+        rules = letter_rules(monodromy(D).rewriting)
+        assert list(overlaps(rules)) == reference_overlaps(rules)
+
+
+class TestReducer:
+    def test_leftmost_then_shorter(self):
+        a, b = ("a", POS), ("b", POS)
+        reduce = rewriter({(a, b): (b,), (b, b): (a,), (b,) * 3: ()})
+        # a b at 0 is leftmost, then b b before b b b: a b b b -> b b b -> a b -> b
+        assert reduce((a, b, b, b)) == (b,)
+        # the rule-by-rule rescan tries b b b first: a b b b -> a
+        assert reference_rewrite((((b,) * 3, ()), ((b, b), (a,)), ((a, b), (b,))), (a, b, b, b)) == (a,)
+
+    def test_rescans_where_a_longer_lhs_may_now_start(self):
+        a, b, c, d = (("a", POS), ("b", POS), ("c", POS), ("d", POS))
+        # d -> c at 2 completes a b c, which starts two letters further left
+        assert rewriter({(a, b, c): (), (d,): (c,)})((a, b, d)) == ()
+
+    def test_free_reduces_first(self):
+        reduce = rewriter({(("a", POS),) * 2: ()})
+        assert reduce((("a", POS), ("b", POS), ("b", NEG), ("a", POS))) == ()
+
+    def test_reads_the_rules_live(self):
+        rules = {(("a", POS),) * 2: ()}
+        reduce = rewriter(rules)
+        rules[(("b", POS),)] = (("a", POS),)
+        assert reduce((("b", POS), ("a", POS))) == ()
+        del rules[(("a", POS),) * 2]
+        assert reduce((("b", POS), ("a", POS))) == (("a", POS), ("a", POS))
+
+    @pytest.mark.parametrize("build", [
+        lambda: knuth_bendix(("r", "s"), [(("r", POS),) * 3, (("s", POS),) * 2]),
+        lambda: monodromy(cyclic_window(4, 1)).rewriting,
+    ])
+    def test_cached_reducer_makes_no_reference_cycle(self, build):
+        gc.disable()
+        try:
+            system = build()
+            system.reduce((("s", POS),))
+            ref = weakref.ref(system)
+            del system
+            assert ref() is None
+        finally:
+            gc.enable()
