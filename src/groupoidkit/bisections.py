@@ -27,7 +27,7 @@ from .core import (
     opens_meeting,
     topology_from_subbase,
 )
-from .errors import OutOfDomain
+from .errors import CapExceeded, OutOfDomain
 from .presentations import LocalGroupoidData
 
 
@@ -51,10 +51,6 @@ class LocalBisection:
             if p == x:
                 return a
         raise OutOfDomain(f"{x!r} not in the domain")
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.values
 
 
 def make_bisection(mapping: dict) -> LocalBisection:
@@ -121,11 +117,7 @@ def compose_bisections(G: FiniteGroupoid, s: LocalBisection, t: LocalBisection) 
 
 def relative_inverse(G: FiniteGroupoid, s: LocalBisection) -> LocalBisection:
     """s' with domain beta s (dom s) and s'(y) = inv(s(beta^-1 y))."""
-    m = s.as_dict()
-    out = {}
-    for x, a in m.items():
-        out[G.tgt[a]] = G.inv[a]
-    return make_bisection(out)
+    return make_bisection({G.tgt[a]: G.inv[a] for _, a in s.values})
 
 
 def left_translate(G: FiniteGroupoid, s: LocalBisection, g):
@@ -193,16 +185,13 @@ class InverseSemigroup:
     def idempotents(self) -> tuple:
         return tuple(s for s in self.elements if self.multiply(s, s) == s)
 
-    def table(self) -> dict:
-        return {
-            (s, t): self.multiply(s, t)
-            for s in self.elements
-            for t in self.elements
-        }
 
+def _left_products(G: FiniteGroupoid, arrows: list, arr_index: dict, tgt: list, seeds: list):
+    """t -> the codes g_i * t for every seed g_i, read off the left-translation columns.
 
-def _left_columns(G: FiniteGroupoid, arrows: list, arr_index: dict, tgt: list, seeds: list) -> list:
-    """col[a][i] = index of g_i(beta a) . a, or -1 off dom g_i; col[-1] is all -1."""
+    col[a][i] = index of g_i(beta a) . a, or -1 off dom g_i; col[-1] is all -1.
+    The columns live only as long as the returned function.
+    """
     columns = []
     for a, b in enumerate(arrows):
         y = tgt[a]
@@ -210,20 +199,24 @@ def _left_columns(G: FiniteGroupoid, arrows: list, arr_index: dict, tgt: list, s
             arr_index[G.comp[(arrows[g[y]], b)]] if g[y] >= 0 else -1 for g in seeds
         ]))
     columns.append((-1,) * len(seeds))
-    return columns
+    return lambda t: zip(*map(columns.__getitem__, t))
 
 
-def _close_codes(seeds: list, columns: list, max_elements: int | None) -> list:
-    """Seeds, then every new left product by a seed, in order of discovery."""
+def _close_codes(seeds: list, products, max_elements: int | None) -> list:
+    """Seeds, then every new code among products(t) of each code t, in order of discovery.
+
+    The one closure loop of the package: `generate_semigroup` and
+    `germs.germ_closure` differ only in their codes and products.  Raises
+    CapExceeded as soon as more than max_elements codes are reached.
+    """
     seen = set(seeds)
     elements = list(seeds)
     for t in elements:  # grows as new products are appended
-        products = zip(*map(columns.__getitem__, t))  # g_i * t for every seed g_i
-        fresh = dict.fromkeys(filterfalse(seen.__contains__, products))
+        fresh = dict.fromkeys(filterfalse(seen.__contains__, products(t)))
         if fresh:
             seen.update(fresh)
             if max_elements is not None and len(seen) > max_elements:
-                raise OverflowError(f"semigroup closure exceeded {max_elements} elements")
+                raise CapExceeded(f"semigroup closure exceeded {max_elements} elements")
             elements.extend(fresh)
     return elements
 
@@ -233,20 +226,17 @@ def generate_semigroup(G: FiniteGroupoid, gens, max_elements: int | None = None)
 
     Left multiplication by the inverse-closed seed reaches every finite
     product, so each element is multiplied once by every seed.  Raises
-    OverflowError exactly when the closure exceeds max_elements (used by
-    tests to skip oversized corpus instances rather than stall).
+    CapExceeded, an OverflowError, exactly when the closure exceeds
+    max_elements (used by tests to skip oversized corpus instances rather
+    than stall).
 
     The closure runs on integer codes.  With objects and arrows numbered
     in repr order, a bisection s is the tuple c over object positions with
-    c[x] the arrow index of s(x), or -1 off the domain.  Left translation
-    by the seeds g_0, g_1, ... is one int column per arrow index a,
-    col[a][i] = index of g_i(beta a) . a or -1, plus a trailing all -1
-    column for a = -1.  Then (g_i * t)[x] = col[t[x]][i], so zipping the
-    columns that t selects yields g_i * t for every seed at once.  Cost:
+    c[x] the arrow index of s(x), or -1 off the domain, and
+    (g_i * t)[x] = col[t[x]][i] for the columns of `_left_products`.  Cost:
     |closure| * |seeds| products.  Memory: |seeds| * (|arrows| + 1) ints
     for the columns plus one tuple of |objects| ints per element.  Codes
-    are decoded once, at the end, and a code equal to a generator decodes
-    to that generator's object.
+    are decoded once, at the end; a generator's code decodes to it.
     """
     objects = sorted(G.objects, key=repr)
     arrows = sorted(G.arrows, key=repr)
@@ -271,7 +261,7 @@ def generate_semigroup(G: FiniteGroupoid, gens, max_elements: int | None = None)
 
     seeds = list(set(given).union(map(relative_inverse_code, given)))
     # the helpers free the columns and the seen set before decoding starts
-    elements = _close_codes(seeds, _left_columns(G, arrows, arr_index, tgt, seeds), max_elements)
+    elements = _close_codes(seeds, _left_products(G, arrows, arr_index, tgt, seeds), max_elements)
 
     def decode(code):
         s = given.get(code)

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import filterfalse, repeat
+from itertools import filterfalse, product as iproduct, repeat
 
-from .core import FiniteGroup, FiniteGroupoid, one_object_groupoid
+from .core import FiniteGroup, FiniteGroupoid, one_object_groupoid, validate_group
 from .errors import (
     CapExceeded,
     NotACrossedModule,
@@ -213,48 +213,26 @@ class CrossedModule:
 
 
 def validate_crossed_module(X: CrossedModule) -> list:
-    bad = []
-    P, M = X.P, X.M
-    for m in M.elements:
-        if X.boundary.get(m) not in set(P.elements):
-            bad.append(("boundary-total", m))
+    """(kind, witness) for each failed axiom, stopping after the first stage that fails:
+    P and M are groups; the boundary is total; it is a homomorphism and the
+    action is total; the action and crossed module laws."""
+    P, M, d, act = X.P, X.M, X.boundary, X.action
+    Ps, Ms = P.elements, M.elements
+    bad = [(f"{name}-{v.rule}", v.witness) for name, K in (("P", P), ("M", M)) for v in validate_group(K).violations]
+    bad = bad or [("boundary-total", m) for m in Ms if d.get(m) not in set(Ps)]
     if bad:
         return bad
-    for m in M.elements:
-        for n in M.elements:
-            if X.boundary[M.mul[(m, n)]] != P.mul[(X.boundary[m], X.boundary[n])]:
-                bad.append(("boundary-homomorphism", (m, n)))
-    for p in P.elements:
-        for m in M.elements:
-            if (p, m) not in X.action or X.action[(p, m)] not in set(M.elements):
-                bad.append(("action-total", (p, m)))
+    bad = [("boundary-homomorphism", (m, n)) for m, n in iproduct(Ms, Ms) if d[M.mul[(m, n)]] != P.mul[(d[m], d[n])]]
+    bad += [("action-total", (p, m)) for p, m in iproduct(Ps, Ms) if (p, m) not in act or act[(p, m)] not in set(Ms)]
     if bad:
         return bad
-    for m in M.elements:
-        if X.action[(P.identity, m)] != m:
-            bad.append(("action-identity", m))
-    for p in P.elements:
-        for q in P.elements:
-            for m in M.elements:
-                if X.action[(P.mul[(p, q)], m)] != X.action[(p, X.action[(q, m)])]:
-                    bad.append(("action-compose", (p, q, m)))
-    for p in P.elements:
-        for m in M.elements:
-            for n in M.elements:
-                if X.action[(p, M.mul[(m, n)])] != M.mul[(X.action[(p, m)], X.action[(p, n)])]:
-                    bad.append(("action-homomorphism", (p, m, n)))
-    for p in P.elements:
-        for m in M.elements:
-            lhs = X.boundary[X.action[(p, m)]]
-            rhs = P.mul[(P.mul[(p, X.boundary[m])], P.inv[p])]
-            if lhs != rhs:
-                bad.append(("equivariance", (p, m)))
-    for m in M.elements:
-        for n in M.elements:
-            lhs = X.action[(X.boundary[m], n)]
-            rhs = M.mul[(M.mul[(m, n)], M.inv[m])]
-            if lhs != rhs:
-                bad.append(("peiffer", (m, n)))
+    bad = [("action-identity", m) for m in Ms if act[(P.identity, m)] != m]
+    bad += [("action-compose", (p, q, m)) for p, q, m in iproduct(Ps, Ps, Ms)
+            if act[(P.mul[(p, q)], m)] != act[(p, act[(q, m)])]]
+    bad += [("action-homomorphism", (p, m, n)) for p, m, n in iproduct(Ps, Ms, Ms)
+            if act[(p, M.mul[(m, n)])] != M.mul[(act[(p, m)], act[(p, n)])]]
+    bad += [("equivariance", (p, m)) for p, m in iproduct(Ps, Ms) if d[act[(p, m)]] != P.mul[(P.mul[(p, d[m])], P.inv[p])]]
+    bad += [("peiffer", (m, n)) for m, n in iproduct(Ms, Ms) if act[(d[m], n)] != M.mul[(M.mul[(m, n)], M.inv[m])]]
     return bad
 
 

@@ -7,14 +7,17 @@ bisection operation together with a base.  Window germs (values in W,
 continuous into the window topology) generate, under composition, the germs
 of every iterated product of window bisections; the closure computed here is
 therefore the arrow set of the germ groupoid without ever materialising the
-full inverse semigroup.
+full inverse semigroup.  The closure runs on codes through the semigroup's
+closure loop: a germ at x is coded (x, its arrows over min_open[x] in repr
+point order), and the germ groupoid's tables are computed on the same codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bisections import LocalBisection, compose_bisections, is_window_bisection, sections_over
+from .bisections import LocalBisection, _close_codes, is_window_bisection, sections_over
+from .core import out_stars
 from .errors import OutOfDomain
 from .presentations import LocalGroupoidData
 
@@ -64,26 +67,59 @@ def window_germs(D: LocalGroupoidData) -> tuple[Germ, ...]:
     return tuple(sorted(out, key=lambda g: (repr(g.base), g.values)))
 
 
+def germ_code(g: Germ) -> tuple:
+    """(base, arrows): the germ's values without their points, which its base fixes."""
+    return g.base, tuple(a for _, a in g.values)
+
+
+def point_orders(D: LocalGroupoidData) -> dict:
+    """Each object mapped to the points of its minimal open in repr order, the order of a germ code."""
+    return {x: tuple(sorted(U, key=repr)) for x, U in D.t_objects.min_open.items()}
+
+
+def _left_translations(D: LocalGroupoidData, gens, points: dict):
+    """t -> the codes h * t for the generator germs h at the target y of t's value.
+
+    h * t keeps t's base and points (beta t maps min_open[x] into min_open[y])
+    and carries h(beta a) . a at each arrow a of t.  One column per arrow a
+    into min_open[y] holds that arrow for every h at y, so zipping the
+    columns that t selects yields every h * t.
+    """
+    G = D.G
+    into = out_stars(G.arrows, G.tgt)  # point -> the arrows into it
+    at: dict = {y: [] for y in G.objects}  # y -> the value maps of the generators at y
+    for h in gens:
+        at[h.base].append(h.as_dict())
+    columns = {
+        y: {a: tuple([G.comp[(h[G.tgt[a]], a)] for h in hs]) for p in D.t_objects.min_open[y] for a in into.get(p, ())}
+        for y, hs in at.items()
+    }
+    base_at = {x: pts.index(x) for x, pts in points.items()}
+
+    def products(t):
+        x, arrows = t
+        col = columns[G.tgt[arrows[base_at[x]]]]
+        return ((x, c) for c in zip(*map(col.__getitem__, arrows)))
+
+    return products
+
+
 def germ_closure(D: LocalGroupoidData) -> tuple[tuple[Germ, ...], tuple[Germ, ...]]:
     """(generator germs, closure under composition with generators).
 
     The closure is exactly the set of germs of all products of window
     bisections: the germ of s_k * ... * s_1 at x is the composite of the
-    factor germs along the orbit of x, and conversely.
+    factor germs along the orbit of x, and conversely.  It is closed on
+    codes and decoded once, at the end, onto the topology's own minimal
+    opens; a generator's code decodes to the generator.
     """
-    G = D.G
     gens = window_germs(D)
-    by_base: dict = {}
-    for g in gens:
-        by_base.setdefault(g.base, []).append(g)
-    seen = set(gens)
-    queue = list(gens)
-    while queue:
-        t = queue.pop()
-        for g in by_base.get(germ_target(D, t), ()):
-            c = compose_bisections(G, g, t)
-            if c not in seen:
-                seen.add(c)
-                queue.append(c)
-    closure = tuple(sorted(seen, key=lambda g: (repr(g.base), g.values)))
-    return gens, closure
+    given = {germ_code(g): g for g in gens}
+    points, min_open = point_orders(D), D.t_objects.min_open
+    codes = _close_codes(list(given), _left_translations(D, gens, points), None)  # frees the columns
+
+    def decode(code):
+        x, arrows = code
+        return given.get(code) or Germ(min_open[x], tuple(zip(points[x], arrows)), x)
+
+    return gens, tuple(sorted(map(decode, codes), key=lambda g: (repr(g.base), g.values)))

@@ -8,6 +8,7 @@ ambient groupoid would not be constant on quotient classes; the literal
 variant is available behind a flag and its failures are reported, not
 raised.)  The holonomy groupoid is the quotient J/J0; the window embeds in
 it and charts transport the window topology onto it.
+J is built from the window germs' closure alone, on its germ codes.
 
 The band models shadow the foliation of a band by circles: each of n cells
 carries a three point transversal (an open point on each side of a closed
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bisections import identity_bisection, is_window_bisection, relative_inverse
+from .bisections import is_window_bisection
 from .core import (
     FiniteGroupoid,
     FiniteTopology,
@@ -33,6 +34,7 @@ from .core import (
     is_continuous,
     make_groupoid,
     opens_meeting,
+    out_stars,
     topology_from_subbase,
     validate_groupoid,
 )
@@ -41,7 +43,8 @@ from .errors import (
     TooSmall,
     WellDefinednessFailure,
 )
-from .germs import Germ, germ, germ_closure, germ_target, window_germs
+from .germs import Germ, germ, germ_closure, germ_code, point_orders
+from .germs import window_germs  # noqa: F401  (perfbench traces holonomy.window_germs)
 from .presentations import (
     LocalGroupoidData,
     local_data,
@@ -67,47 +70,36 @@ class GermGroupoid:
         return validate_groupoid(self.groupoid)
 
 
-def _germ_groupoid_from_closure(D: LocalGroupoidData, gens, closure) -> GermGroupoid:
-    G, T0 = D.G, D.t_objects
-    identity = {x: germ(D, identity_bisection(G, T0.min_open[x]), x) for x in G.objects}
-    # identity germs are window germs, but be explicit
-    germs = sorted(set(closure).union(identity.values()), key=lambda g: (repr(g.base), g.values))
-    name = {g: f"j{i}" for i, g in enumerate(germs)}
-    arrows = [name[g] for g in germs]
-    src = {name[g]: g.base for g in germs}
-    tgt = {name[g]: germ_target(D, g) for g in germs}
-    id_of = {x: name[identity[x]] for x in G.objects}
-    inv = {name[g]: name[germ(D, relative_inverse(G, g), germ_target(D, g))] for g in germs}
-    germ_of = dict(zip(arrows, germs))
-    comp = _germ_products(G, germ_of, composable(arrows, src, tgt))  # its code tables die before the copy
-    groupoid = make_groupoid(G.objects, arrows, src, tgt, id_of, inv, comp)
-    return GermGroupoid(D, groupoid, germ_of, dict(name), tuple(gens))
+def germ_groupoid(D: LocalGroupoidData) -> GermGroupoid:
+    """The groupoid of germs of generated bisections: arrow j<i> is the i-th germ of the closure.
 
-
-def _germ_products(G: FiniteGroupoid, germ_of: dict, pairs) -> dict:
-    """h*t for each pair: t's base and point order, h(beta a) . a at each arrow a
-    of t, so it is composed on (base, arrows) codes and named by one lookup."""
-    code = {a: (g.base, tuple(b for _, b in g.values)) for a, g in germ_of.items()}
-    by_code = {c: a for a, c in code.items()}
-    value_at = {a: g.as_dict() for a, g in germ_of.items()}
-    return {
-        (h, t): by_code[(code[t][0], tuple([G.comp[(value_at[h][G.tgt[a]], a)] for a in code[t][1]]))]
-        for h, t in pairs
-    }
-
-
-def germ_groupoid(D: LocalGroupoidData, semigroup=None) -> GermGroupoid:
-    """The groupoid of germs of generated bisections.
-
-    When an explicit semigroup of bisections is given its germs are used
-    directly; otherwise the closure is computed at germ level, which agrees
-    with the semigroup route and scales to the band models.
+    On codes, the identity at x holds the identities over min_open[x]; the
+    inverse of a germ with target y holds the inverses of its arrows, each
+    at its target, over min_open[y]; h * t carries h(beta a) . a at each
+    arrow a of t.
     """
-    if semigroup is None:
-        gens, closure = germ_closure(D)
-        return _germ_groupoid_from_closure(D, gens, closure)
-    germs = {germ(D, s, x) for s in semigroup.elements for x in s.domain}
-    return _germ_groupoid_from_closure(D, window_germs(D), germs)
+    G = D.G
+    gens, germs = germ_closure(D)
+    arrows = [f"j{i}" for i in range(len(germs))]
+    codes = dict(zip(arrows, map(germ_code, germs)))
+    named = {c: a for a, c in codes.items()}
+    points = point_orders(D)
+    src = {a: x for a, (x, _) in codes.items()}
+    tgt = {a: G.tgt[g.value] for a, g in zip(arrows, germs)}
+    id_of = {x: named[(x, tuple([G.id_of[p] for p in points[x]]))] for x in G.objects}
+    inv = {}
+    for a, (_, arrs) in codes.items():
+        inverse_at = {G.tgt[b]: G.inv[b] for b in arrs}
+        inv[a] = named[(tgt[a], tuple([inverse_at[p] for p in points[tgt[a]]]))]
+    value_at = {a: dict(zip(points[x], arrs)) for a, (x, arrs) in codes.items()}
+    comp = {}
+    for h, t in composable(arrows, src, tgt):
+        x, arrs = codes[t]
+        h_at = value_at[h]
+        comp[(h, t)] = named[(x, tuple([G.comp[(h_at[G.tgt[b]], b)] for b in arrs]))]
+    del codes, named, value_at  # freed before make_groupoid copies the tables
+    groupoid = make_groupoid(G.objects, arrows, src, tgt, id_of, inv, comp)
+    return GermGroupoid(D, groupoid, dict(zip(arrows, germs)), dict(zip(germs, arrows)), gens)
 
 
 # ---------------------------------------------------------------------------
@@ -137,32 +129,20 @@ def j0(J: GermGroupoid, value_normalised: bool = True) -> LocalitySubgroupoid:
     identity arrow.  The report checks wideness and stability under
     conjugation exhaustively.
     """
-    D = J.data
-    G = D.G
-    K = J.groupoid
-    members = set()
-    for a in K.arrows:
-        g = J.germ_of_arrow[a]
-        if germ_target(D, g) != g.base:
-            continue
-        if value_normalised and g.value != G.id_of[g.base]:
-            continue
-        if not is_window_bisection(D, g):
-            continue
-        members.add(a)
+    D, K = J.data, J.groupoid
+    loops = [
+        a for a, g in J.germ_of_arrow.items()
+        if K.tgt[a] == g.base and (not value_normalised or g.value == D.G.id_of[g.base]) and is_window_bisection(D, g)
+    ]
+    members = frozenset(loops)
     wide = all(K.id_of[x] in members for x in K.objects)
-    witnesses = []
-    normal = True
-    for a in K.arrows:
-        x, y = K.src[a], K.tgt[a]
-        for d in members:
-            if K.src[d] != x or K.tgt[d] != x:
-                continue
-            conj = K.comp[(K.comp[(a, d)], K.inv[a])]
-            if conj not in members:
-                normal = False
-                witnesses.append((a, d, conj))
-    return LocalitySubgroupoid(J, frozenset(members), wide, normal, tuple(witnesses))
+    loops_at = out_stars(loops, K.src)
+    witnesses = [
+        (a, d, conj) for a in K.arrows for d in loops_at.get(K.src[a], ())
+        for conj in [K.comp[(K.comp[(a, d)], K.inv[a])]] if conj not in members
+    ]
+    normal = not witnesses
+    return LocalitySubgroupoid(J, members, wide, normal, tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """String rewriting on words of signed generators: one reducer, one overlap scan.
 
 Words are tuples of signed generators ((gen, +1|-1), ...) in path order.
-`rewriter` reduces and `overlaps` finds the critical pairs for both systems
-of the package: the monodromy pair rules, whose confluence is checked per
-instance (`presentations.monodromy`), and the bounded shortlex Knuth-Bendix
-completion that counts vertex group elements for the colimit machinery.
+`rewriter` reduces and `overlaps` (with `inclusions` on its index) finds
+the critical pairs for both systems of the package: the monodromy pair
+rules, whose confluence is checked per instance (`presentations.monodromy`),
+and the bounded shortlex Knuth-Bendix completion that counts vertex group
+elements for the colimit machinery.
 Completion builds free cancellation in as explicit rules; an instance that
 does not complete within the bound reports that instead of silently
 mis-deciding equality.
@@ -75,22 +76,37 @@ def rewriter(rules: dict):
     return reduce
 
 
+def _by_first_letter(rules):
+    """The left-hand sides, and each letter mapped to the positions of those that start with it."""
+    lhss = list(rules)
+    starting: dict = {}
+    for j, lhs in enumerate(lhss):
+        starting.setdefault(lhs[0], []).append(j)
+    return lhss, starting
+
+
 def overlaps(rules):
     """Every proper overlap (l1, l2, k) of two left-hand sides: l1[-k:] == l2[:k], 0 < k < both lengths.
 
     Ordered by l1, then l2 (both in the order of `rules`), then k.  Only the
     rules that start with a letter of l1 are visited as l2.
     """
-    lhss = list(rules)
-    starting: dict = {}
-    for j, lhs in enumerate(lhss):
-        starting.setdefault(lhs[0], []).append(j)
+    lhss, starting = _by_first_letter(rules)
     for l1 in lhss:
         for j in sorted({j for a in set(l1[1:]) for j in starting.get(a, ())}):
             l2 = lhss[j]
             for k in range(1, min(len(l1), len(l2))):
                 if l1[-k:] == l2[:k]:
                     yield l1, l2, k
+
+
+def inclusions(rules):
+    """Every inclusion (l1, l2, i) of one left-hand side in another, l1[i : i + len(l2)] == l2 != l1, ordered as `overlaps`."""
+    lhss, starting = _by_first_letter(rules)
+    for l1 in lhss:
+        for j in sorted({j for a in set(l1) for j in starting.get(a, ())}):
+            l2, n = lhss[j], len(lhss[j])
+            yield from ((l1, l2, i) for i in range(len(l1) - n + 1) if l2 != l1 and l1[i : i + n] == l2)
 
 
 def _shortlex_key(word):
@@ -122,13 +138,15 @@ def knuth_bendix(generators, relators) -> GroupRewriting:
     """Bounded shortlex completion of a group presentation.
 
     Relators are words equal to the identity.  Free cancellation is part of
-    the rule set (x x^-1 -> 1 per signed generator) so that completion can
-    relate inverse letters to positive words.  Returns a system flagged
+    the rule set (x x^-1 -> 1 per signed generator, in generator order) so
+    that completion can relate inverse letters to positive words.  Each
+    round joins every overlap and every inclusion of two left-hand sides;
+    inter-reduction leaves the core alone.  Returns a system flagged
     `complete=False` when a bound is hit: more than MAX_RULES rules, a lhs
     longer than MAX_LEN, or 80 rounds.
     """
-    cancellations = {((g, s), (g, -s)) for g in generators for s in (POS, NEG)}
-    rules: dict = {lhs: () for lhs in cancellations}
+    rules: dict = {((g, s), (g, -s)): () for g in generators for s in (POS, NEG)}
+    core = set(rules)
 
     def add_rule(a, b) -> bool:
         a, b = free_reduce(a), free_reduce(b)
@@ -145,18 +163,15 @@ def knuth_bendix(generators, relators) -> GroupRewriting:
         ok &= add_rule(tuple(r), ())
         ok &= add_rule(invert(tuple(r)), ())
 
-    # completion loop: overlaps between rule left-hand sides
+    # completion loop: critical pairs of rule left-hand sides, overlaps then inclusions
     for _ in range(80):
         if len(rules) > MAX_RULES:
             ok = False
             break
         reduce = rewriter(rules)
-        new_pairs = []
-        for l1, l2, k in overlaps(rules):
-            a = reduce(rules[l1] + l2[k:])
-            b = reduce(l1[:-k] + rules[l2])
-            if a != b:
-                new_pairs.append((a, b))
+        pairs = [(rules[l1] + l2[k:], l1[:-k] + rules[l2]) for l1, l2, k in overlaps(rules)]
+        pairs += [(rules[l1], l1[:i] + rules[l2] + l1[i + len(l2) :]) for l1, l2, i in inclusions(rules)]
+        new_pairs = [(a, b) for a, b in (map(reduce, pair) for pair in pairs) if a != b]
         if not new_pairs:
             break
         for a, b in new_pairs:
@@ -166,7 +181,7 @@ def knuth_bendix(generators, relators) -> GroupRewriting:
         # so the reducer sees each rule this pass adds
         reduce = rewriter(rules)
         for lhs in list(rules):
-            if lhs in cancellations:
+            if lhs in core:
                 continue
             rhs = rules.pop(lhs)
             reduced_l, reduced_r = reduce(lhs), reduce(rhs)

@@ -5,9 +5,16 @@ as partial point maps (an arrow of an equivalence-relation groupoid is just
 its endpoint pair), germs as maps restricted to minimal opens, and the
 quotient is computed by orbit partitioning.  Only used to cross-check the
 band models.
+
+The exception is `semigroup_germ_groupoid`, the germ groupoid read off an
+explicit inverse semigroup of bisections: it takes the germs of every
+element at every point of its domain.
 """
 
 from itertools import product
+
+from groupoidkit.germs import germ, window_germs
+from reference_tables import reference_germ_groupoid_from_closure
 
 
 def _pair(a, b):
@@ -153,3 +160,9 @@ def embedding_and_charts_consistent(D):
         if len(orbits) != 1:
             return False
     return True
+
+
+def semigroup_germ_groupoid(D, S):
+    """J built from the germs of the semigroup S of bisections, by the reference composition."""
+    germs = {germ(D, s, x) for s in S.elements for x in s.domain}
+    return reference_germ_groupoid_from_closure(D, window_germs(D), germs)

@@ -4,6 +4,8 @@ Each function here is the straightforward version of a fast path in the
 package, kept as a test oracle:
 
 - `reference_topology_from_subbase` tests every point against every set;
+- `reference_germ_closure` closes the window germs with a queue of germ
+  objects, one `compose_bisections` per product;
 - `reference_germ_groupoid_from_closure` composes every composable pair of
   germs with `compose_bisections` and names the product by its germ;
 - `reference_chart` composes each restriction of s with every window germ
@@ -16,7 +18,7 @@ package, kept as a test oracle:
   loop over the minimal opens instead of calling `core.discontinuities`;
 - `reference_rewrite` rescans the word once per rule, in rule order, and
   `reference_knuth_bendix` completes with it over the all-pairs overlap
-  loop `reference_overlaps`;
+  and inclusion loops `reference_overlaps` and `reference_inclusions`;
 - `reference_exhaust` and `reference_check_confluence` are the monodromy
   pair rewriting written on its own: signs normalised first, then the
   leftmost pair rewritten, restarting from the left.
@@ -33,7 +35,7 @@ from groupoidkit.core import (
     out_stars,
 )
 from groupoidkit.errors import NotSectionable, WellDefinednessFailure
-from groupoidkit.germs import germ, germ_closure, germ_target
+from groupoidkit.germs import germ, germ_closure, germ_target, window_germs
 from groupoidkit.holonomy import GermGroupoid
 from groupoidkit.presentations import Word
 from groupoidkit.rewriting import NEG, POS, GroupRewriting, _orient, _shortlex_key, free_reduce, invert
@@ -50,6 +52,24 @@ def reference_topology_from_subbase(points, sets) -> FiniteTopology:
                 m &= frozenset(S)
         mins[x] = m
     return FiniteTopology(points, mins)
+
+
+def reference_germ_closure(D):
+    """(window germs, their closure), as `germs.germ_closure` returns them."""
+    gens = window_germs(D)
+    by_base: dict = {}
+    for g in gens:
+        by_base.setdefault(g.base, []).append(g)
+    seen = set(gens)
+    queue = list(gens)
+    while queue:
+        t = queue.pop()
+        for g in by_base.get(germ_target(D, t), ()):
+            c = compose_bisections(D.G, g, t)
+            if c not in seen:
+                seen.add(c)
+                queue.append(c)
+    return gens, tuple(sorted(seen, key=lambda g: (repr(g.base), g.values)))
 
 
 def reference_germ_groupoid_from_closure(D, gens, closure) -> GermGroupoid:
@@ -327,11 +347,23 @@ def reference_overlaps(rules):
     return out
 
 
+def reference_inclusions(rules) -> list:
+    """Every (l1, l2, i) with l2 != l1 and l1[i : i + len(l2)] == l2, over all pairs of left-hand sides."""
+    out = []
+    lhss = list(rules)
+    for l1 in lhss:
+        for l2 in lhss:
+            for i in range(len(l1) - len(l2) + 1):
+                if l2 != l1 and l1[i : i + len(l2)] == l2:
+                    out.append((l1, l2, i))
+    return out
+
+
 def reference_knuth_bendix(generators, relators, max_rules=300, max_len=16) -> GroupRewriting:
-    cancellations = set()
+    cancellations = []
     for g in generators:
         for s in (POS, NEG):
-            cancellations.add(((g, s), (g, -s)))
+            cancellations.append(((g, s), (g, -s)))
     rules: dict = {lhs: () for lhs in cancellations}
 
     def add_rule(a, b) -> bool:
@@ -360,6 +392,11 @@ def reference_knuth_bendix(generators, relators, max_rules=300, max_len=16) -> G
         for l1, l2, k in reference_overlaps(rules):
             a = reduce_with(free_reduce(rules[l1] + l2[k:]))
             b = reduce_with(free_reduce(l1[: len(l1) - k] + rules[l2]))
+            if a != b:
+                new_pairs.append((a, b))
+        for l1, l2, i in reference_inclusions(rules):
+            a = reduce_with(rules[l1])
+            b = reduce_with(free_reduce(l1[:i] + rules[l2] + l1[i + len(l2) :]))
             if a != b:
                 new_pairs.append((a, b))
         if not new_pairs:

@@ -33,7 +33,7 @@ from groupoidkit.bisections import (
     w_bisections,
 )
 from groupoidkit.core import FiniteTopology, action_groupoid, cyclic_group, discrete_topology, pair_groupoid
-from groupoidkit.errors import OutOfDomain
+from groupoidkit.errors import CapExceeded, GroupoidKitError, OutOfDomain
 from groupoidkit.holonomy import mobius_model
 from groupoidkit.presentations import local_data
 from reference_tables import reference_is_valid_bisection, reference_is_window_bisection
@@ -281,8 +281,10 @@ class TestClosureBudget:
         from groupoidkit.holonomy import mobius_model
 
         D = mobius_model(3)
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError) as info:
             generate_semigroup(D.G, w_bisections(D), max_elements=50)
+        assert isinstance(info.value, CapExceeded) and isinstance(info.value, GroupoidKitError)
+        assert str(info.value) == "semigroup closure exceeded 50 elements"
 
 
 def reference_closure(G, gens):

@@ -318,6 +318,14 @@ class TestDouble:
         res = results_of(out)
         assert all(entry["ok"] for entry in res["checks"].values())
 
+    @pytest.mark.parametrize("check", ["interchange", "roundtrip"])
+    def test_crossed_module_over_a_loop_is_refused(self, capsys, check):
+        # P is a five-element loop with identity and inverses: a a b = b but a (a b) = d
+        assert run(capsys, "double", fx("xmod-loop5.json"), "--check", check) == (
+            1, "", "error: axiom failures: [('P-associativity', ('a', 'a', 'b')), "
+            "('P-associativity', ('a', 'a', 'c')), ('P-associativity', ('a', 'a', 'd'))]\n"
+        )
+
     def test_cube_closure_over_the_shell_cap_exits_1(self):
         # inner S3 has about 2.2e9 cube shells; the enumeration stops at its cap
         src = str(pathlib.Path(groupoidkit.__file__).resolve().parent.parent)

@@ -17,6 +17,7 @@ from groupoidkit.core import (
     indiscrete,
     one_object_groupoid,
     symmetric_group,
+    trivial_group,
 )
 from groupoidkit.double import (
     CrossedModule,
@@ -236,6 +237,17 @@ class TestCrossedModules:
         assert any(kind in ("peiffer", "equivariance") for (kind, _) in bad)
         with pytest.raises(NotACrossedModule):
             xmod_to_double(X)
+
+    def test_loop_is_refused_as_p_and_as_m(self):
+        # a five-element loop with identity and inverses that is not associative
+        loop = crossed_module_from_dict(json.loads((FIXTURES / "xmod-loop5.json").read_text())).P
+        as_p = CrossedModule(loop, trivial_group(), {"e": "e"}, {(p, "e"): "e" for p in loop.elements})
+        as_m = CrossedModule(trivial_group(), loop, {m: "e" for m in loop.elements}, {("e", m): m for m in loop.elements})
+        assert validate_crossed_module(as_p)[0] == ("P-associativity", ("a", "a", "b"))
+        assert validate_crossed_module(as_m)[0] == ("M-associativity", ("a", "a", "b"))
+        for X in (as_p, as_m):
+            with pytest.raises(NotACrossedModule):
+                xmod_to_double(X)
 
     def test_trivial_m_gives_commuting_squares(self):
         X = xmod_trivial()

@@ -11,7 +11,7 @@ from groupoidkit import bisections, holonomy
 from groupoidkit.bisections import check_extendible, generate_semigroup, identity_bisection, w_bisections
 from groupoidkit.core import FiniteTopology, cyclic_group, disjoint_union, one_object_groupoid
 from groupoidkit.errors import WellDefinednessFailure
-from groupoidkit.germs import germ_closure, window_germs
+from groupoidkit.germs import germ_closure
 from groupoidkit.holonomy import (
     annulus_model,
     chart,
@@ -23,10 +23,12 @@ from groupoidkit.holonomy import (
 )
 from groupoidkit.io import local_data_from_dict
 from groupoidkit.presentations import local_data
+from holonomy_oracle import semigroup_germ_groupoid
 from reference_tables import (
     reference_chart,
     reference_check_extendible,
     reference_extendible_subbase,
+    reference_germ_closure,
     reference_germ_groupoid_from_closure,
     reference_holonomy_subbase,
     reference_holonomy_topology,
@@ -72,6 +74,11 @@ HOLONOMY_CORPUS = {
 # the Sierpinski pair has window arrows no bisection passes through: it has
 # a germ groupoid and an extendibility verdict but no holonomy quotient
 GERM_CORPUS = {**HOLONOMY_CORPUS, "sierpinski-pair": sierpinski_pair_data}
+CLOSURE_CORPUS = {
+    **GERM_CORPUS,
+    **{f"{m.__name__.split('_')[0]}({n})": (lambda m=m, n=n: m(n))
+       for m in (mobius_model, annulus_model) for n in (12, 16)},
+}
 
 
 def assert_same_germ_groupoid(J, R):
@@ -103,9 +110,27 @@ def test_germ_products_match_reference(name):
 def test_semigroup_route_matches_reference(name):
     D = GERM_CORPUS[name]()
     S = generate_semigroup(D.G, w_bisections(D), max_elements=5000)
-    germs = {germ(D, s, x) for s in S.elements for x in s.domain}
-    want = reference_germ_groupoid_from_closure(D, window_germs(D), germs)
-    assert_same_germ_groupoid(germ_groupoid(D, S), want)
+    assert_same_germ_groupoid(germ_groupoid(D), semigroup_germ_groupoid(D, S))
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_CORPUS))
+def test_germ_closure_matches_reference(name):
+    D = CLOSURE_CORPUS[name]()
+    gens, closure = germ_closure(D)
+    assert (gens, closure) == reference_germ_closure(D)
+    min_open = D.t_objects.min_open
+    assert all(g.domain is min_open[g.base] for g in gens + closure)
+    # a product equal to a generator is that generator
+    generators = {id(g) for g in gens}
+    assert sum(id(g) in generators for g in closure) == len(gens)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_CORPUS))
+def test_every_identity_germ_is_in_the_closure(name):
+    D = CLOSURE_CORPUS[name]()
+    _, closure = germ_closure(D)
+    identities = {germ(D, identity_bisection(D.G, D.G.objects), x) for x in D.G.objects}
+    assert identities <= set(closure)
 
 
 @pytest.mark.parametrize("name", sorted(HOLONOMY_CORPUS))

@@ -6,7 +6,10 @@ oracles in `reference_tables` are the two separate rewriters they replaced.
 """
 
 import gc
+import os
 import random
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -25,10 +28,11 @@ from groupoidkit.core import (
 )
 from groupoidkit.errors import NotConnected, RewritingNotConfluent
 from groupoidkit.presentations import NEG, POS, Word, letter_src, letter_tgt, local_data, monodromy
-from groupoidkit.rewriting import GroupRewriting, enumerate_elements, knuth_bendix, overlaps, rewriter
+from groupoidkit.rewriting import GroupRewriting, enumerate_elements, inclusions, knuth_bendix, overlaps, rewriter
 from reference_tables import (
     reference_check_confluence,
     reference_exhaust,
+    reference_inclusions,
     reference_knuth_bendix,
     reference_overlaps,
     reference_rewrite,
@@ -102,19 +106,27 @@ def random_word(graph, rng, length):
 
 
 def completes_every_pair(system):
-    """Every proper overlap and every inclusion of two left-hand sides joins under the system."""
+    """Every proper overlap and every inclusion of two left-hand sides joins under `reference_rewrite`."""
     lhss = [lhs for lhs, _ in system.rules]
     rhs = dict(system.rules)
+
+    def reduce(word):
+        return reference_rewrite(system.rules, word)
+
     for l1 in lhss:
         for l2 in lhss:
             for k in range(1, min(len(l1), len(l2))):
-                if l1[-k:] == l2[:k] and system.reduce(rhs[l1] + l2[k:]) != system.reduce(l1[:-k] + rhs[l2]):
+                if l1[-k:] == l2[:k] and reduce(rhs[l1] + l2[k:]) != reduce(l1[:-k] + rhs[l2]):
                     return False
             for i in range(len(l1) - len(l2) + 1):
                 if l1 != l2 and l1[i : i + len(l2)] == l2:
-                    if system.reduce(rhs[l1]) != system.reduce(l1[:i] + rhs[l2] + l1[i + len(l2) :]):
+                    if reduce(rhs[l1]) != reduce(l1[:i] + rhs[l2] + l1[i + len(l2) :]):
                         return False
     return True
+
+
+# <a, b | b a^-1, a^-1 b^-1> presents C2: a = b and a^2 = 1
+C2_BY_TWO_GENERATORS = (("a", "b"), ((("b", POS), ("a", NEG)), (("a", NEG), ("b", NEG))))
 
 
 def all_words(generators, length):
@@ -134,6 +146,7 @@ class TestKnuthBendix:
         old = reference_knuth_bendix(pres.generators, pres.relators)
         assert new.complete == old.complete
         assert new.rules == old.rules
+        assert not new.complete or completes_every_pair(new)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(st.lists(
@@ -149,7 +162,9 @@ class TestKnuthBendix:
         old = reference_knuth_bendix(("a", "b"), relators)
         assert new.complete == old.complete
         assert list(overlaps(dict(new.rules))) == reference_overlaps(dict(new.rules))
-        if new.complete and completes_every_pair(new) and completes_every_pair(old):
+        assert list(inclusions(dict(new.rules))) == reference_inclusions(dict(new.rules))
+        if new.complete:
+            assert completes_every_pair(new) and completes_every_pair(old)
             for w in all_words(("a", "b"), 3):
                 assert new.reduce(w) == reference_rewrite(old.rules, w)
 
@@ -163,6 +178,48 @@ class TestKnuthBendix:
         # a b c and b c d overlap in b c, which does not start with the last letter of a b c
         a, b, c, d = (("a", POS), ("b", POS), ("c", POS), ("d", POS))
         assert list(overlaps({(a, b, c): (), (b, c, d): ()})) == [((a, b, c), (b, c, d), 2)]
+
+    def test_inclusions_follow_the_all_pairs_loop(self):
+        for _, pres in PRESENTATIONS:
+            rules = dict(knuth_bendix(pres.generators, pres.relators).rules)
+            assert list(inclusions(rules)) == reference_inclusions(rules)
+        a, b, c = (("a", POS), ("b", POS), ("c", POS))
+        rules = {(a, b, a): (), (a,): (b,), (b, a): (), (c,): ()}
+        assert list(inclusions(rules)) == [
+            ((a, b, a), (a,), 0), ((a, b, a), (a,), 2), ((a, b, a), (b, a), 1), ((b, a), (a,), 1)]
+        assert list(inclusions(rules)) == reference_inclusions(rules)
+
+    @pytest.mark.parametrize("relators", [
+        C2_BY_TWO_GENERATORS[1],
+        ((("b", POS), ("a", NEG)), (("a", POS), ("b", POS))),  # <a, b | b a^-1, a b> is C2 as well
+    ])
+    def test_a_core_rule_holding_a_letter_rule_is_joined(self, relators):
+        # a^-1 -> a makes a a^-1 -> 1 an inclusion pair: a a = 1
+        system = knuth_bendix(("a", "b"), relators)
+        assert system.complete and completes_every_pair(system)
+        assert len(enumerate_elements(system, 4)) == 2
+        assert GroupPresentation(("a", "b"), relators).element_count_up_to(4) == 2
+
+    def test_element_count_does_not_follow_the_hash_seed(self):
+        code = (
+            "from groupoidkit.colimits import GroupPresentation\n"
+            "from groupoidkit.rewriting import NEG, POS\n"
+            f"print(GroupPresentation(*{C2_BY_TWO_GENERATORS!r}).element_count_up_to(4))\n"
+        )
+        counts = set()
+        for seed in range(6):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed)}
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+            counts.add(out.stdout.strip())
+        assert counts == {"2"}
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_free_groups_have_the_free_ball_sizes(self, rank):
+        system = knuth_bendix(tuple("abc"[:rank]), [])
+        assert system.complete
+        for n in range(5):
+            ball = 2 * n + 1 if rank == 1 else 1 + 2 * rank * ((2 * rank - 1) ** n - 1) // (2 * rank - 2)
+            assert len(enumerate_elements(system, n)) == ball
 
     def test_enumerate_elements_refuses_an_incomplete_system(self):
         c2 = knuth_bendix(("a",), [(("a", POS),) * 2])
