@@ -17,17 +17,18 @@ continuous.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import filterfalse, product as iproduct
+from itertools import product as iproduct
 
 from .core import (
     FiniteGroupoid,
     FiniteTopology,
+    closure,
     continuity_witnesses,
     discontinuities,
     opens_meeting,
     topology_from_subbase,
 )
-from .errors import CapExceeded, OutOfDomain
+from .errors import OutOfDomain
 from .presentations import LocalGroupoidData
 
 
@@ -202,25 +203,6 @@ def _left_products(G: FiniteGroupoid, arrows: list, arr_index: dict, tgt: list, 
     return lambda t: zip(*map(columns.__getitem__, t))
 
 
-def _close_codes(seeds: list, products, max_elements: int | None) -> list:
-    """Seeds, then every new code among products(t) of each code t, in order of discovery.
-
-    The one closure loop of the package: `generate_semigroup` and
-    `germs.germ_closure` differ only in their codes and products.  Raises
-    CapExceeded as soon as more than max_elements codes are reached.
-    """
-    seen = set(seeds)
-    elements = list(seeds)
-    for t in elements:  # grows as new products are appended
-        fresh = dict.fromkeys(filterfalse(seen.__contains__, products(t)))
-        if fresh:
-            seen.update(fresh)
-            if max_elements is not None and len(seen) > max_elements:
-                raise CapExceeded(f"semigroup closure exceeded {max_elements} elements")
-            elements.extend(fresh)
-    return elements
-
-
 def generate_semigroup(G: FiniteGroupoid, gens, max_elements: int | None = None) -> InverseSemigroup:
     """Close gens and their relative inverses under the * product.
 
@@ -230,11 +212,11 @@ def generate_semigroup(G: FiniteGroupoid, gens, max_elements: int | None = None)
     max_elements (used by tests to skip oversized corpus instances rather
     than stall).
 
-    The closure runs on integer codes.  With objects and arrows numbered
-    in repr order, a bisection s is the tuple c over object positions with
-    c[x] the arrow index of s(x), or -1 off the domain, and
-    (g_i * t)[x] = col[t[x]][i] for the columns of `_left_products`.  Cost:
-    |closure| * |seeds| products.  Memory: |seeds| * (|arrows| + 1) ints
+    The closure runs on integer codes through `core.closure`.  With objects
+    and arrows numbered in repr order, a bisection s is the tuple c over
+    object positions with c[x] the arrow index of s(x), or -1 off the
+    domain, and (g_i * t)[x] = col[t[x]][i] for the columns of
+    `_left_products`.  Cost: |closure| * |seeds| products.  Memory: |seeds| * (|arrows| + 1) ints
     for the columns plus one tuple of |objects| ints per element.  Codes
     are decoded once, at the end; a generator's code decodes to it.
     """
@@ -261,7 +243,7 @@ def generate_semigroup(G: FiniteGroupoid, gens, max_elements: int | None = None)
 
     seeds = list(set(given).union(map(relative_inverse_code, given)))
     # the helpers free the columns and the seen set before decoding starts
-    elements = _close_codes(seeds, _left_products(G, arrows, arr_index, tgt, seeds), max_elements)
+    elements = closure(seeds, _left_products(G, arrows, arr_index, tgt, seeds), max_elements)
 
     def decode(code):
         s = given.get(code)

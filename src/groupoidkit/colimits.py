@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .core import partition
 from .errors import (
     InvalidPresentationMorphism,
     NotConnected,
@@ -99,31 +100,6 @@ class PushoutResult:
     transcript: dict
 
 
-def _union_find_classes(items, pairs):
-    parent = {i: i for i in items}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for (a, b) in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    classes: dict = {}
-    for i in items:
-        classes.setdefault(find(i), []).append(i)
-    # canonical representative name: sorted tagged members joined
-    rep = {}
-    for members in classes.values():
-        name = "{" + ",".join(sorted(f"{t}.{m}" for (t, m) in members)) + "}"
-        for m in members:
-            rep[m] = name
-    return rep
-
-
 def pushout(f: PresentationMorphism, g: PresentationMorphism) -> PushoutResult:
     """Pushout of B <-f- A -g-> C in presented groupoids."""
     if f.source is not g.source:
@@ -136,7 +112,9 @@ def pushout(f: PresentationMorphism, g: PresentationMorphism) -> PushoutResult:
 
     tagged_objs = [("B", x) for x in B.objects] + [("C", x) for x in C.objects]
     glue = [((("B", f.obj_map[a])), (("C", g.obj_map[a]))) for a in A.objects]
-    rep = _union_find_classes(tagged_objs, glue)
+    rep = {}  # each object's class, named by its sorted tagged members
+    for members in partition(tagged_objs, glue):
+        rep.update(dict.fromkeys(members, "{" + ",".join(sorted(f"{t}.{m}" for (t, m) in members)) + "}"))
 
     def b_obj(x):
         return rep[("B", x)]

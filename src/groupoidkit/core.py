@@ -13,9 +13,11 @@ function, so instances may be shared freely between workers.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
+    CapExceeded,
     EmptyNotAllowed,
     InvalidMorphism,
     NotComposable,
@@ -56,6 +58,54 @@ class ValidationReport:
         if self.ok:
             return "ok"
         return "\n".join(str(v) for v in self.violations)
+
+
+# ---------------------------------------------------------------------------
+# generic algorithms
+# ---------------------------------------------------------------------------
+
+
+def closure(seeds, products, max_elements: int | None = None) -> list:
+    """Seeds, then every new element among products(t) of each element t, in order of discovery.
+
+    The one closure loop of the package: semigroups of bisections, germs,
+    open sets and subgroups differ only in their elements and products.
+    Raises CapExceeded as soon as more than max_elements elements are reached.
+    """
+    seen = set(seeds)
+    elements = list(seeds)
+    for t in elements:  # grows as new products are appended
+        fresh = dict.fromkeys(itertools.filterfalse(seen.__contains__, products(t)))
+        if fresh:
+            seen.update(fresh)
+            if max_elements is not None and len(seen) > max_elements:
+                raise CapExceeded(f"semigroup closure exceeded {max_elements} elements")
+            elements.extend(fresh)
+    return elements
+
+
+def partition(items, pairs) -> list:
+    """The blocks of the equivalence relation that pairs generate on items, by union-find.
+
+    Each block lists its items in the order given, and the blocks come in
+    the order of their first items.
+    """
+    parent = {i: i for i in items}
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for (a, b) in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    blocks: dict = {}
+    for i in items:
+        blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +236,10 @@ def group_isomorphism(A: FiniteGroup, B: FiniteGroup) -> dict | None:
     """Search for an isomorphism A -> B; return a mapping dict or None.
 
     Backtracking over images of a generating sequence, pruned by element
-    order.  Intended for the small groups used in this package.
+    order.  The images h_i of the first generators g_i extend to a
+    homomorphism exactly when the subgroup of A x B that the pairs
+    (g_i, h_i) generate is the graph of a map.  Intended for the small
+    groups used in this package.
     """
     if A.order != B.order:
         return None
@@ -195,67 +248,32 @@ def group_isomorphism(A: FiniteGroup, B: FiniteGroup) -> dict | None:
     if orders_a != orders_b:
         return None
 
-    # Greedy generating sequence for A.
+    # Greedy generating sequence for A: each element outside the span so far.
     gens: list = []
     span = {A.identity}
     for a in A.elements:
         if a not in span:
             gens.append(a)
-            span.add(a)
-            queue = list(span)
-            while queue:
-                x = queue.pop()
-                for y in list(span):
-                    for z in (A.mul[(x, y)], A.mul[(y, x)]):
-                        if z not in span:
-                            span.add(z)
-                            queue.append(z)
+            span = set(closure([A.identity], lambda x: (A.mul[(x, g)] for g in gens)))
     by_order: dict[int, list] = {}
     for b in B.elements:
         by_order.setdefault(B.element_order(b), []).append(b)
 
-    def close(partial: dict) -> dict | None:
-        # Extend a map on generators to the subgroup they generate.
-        table = dict(partial)
-        table[A.identity] = B.identity
-        frontier = list(table)
-        while frontier:
-            new = []
-            for x in frontier:
-                for y in list(table):
-                    for (u, v) in ((x, y), (y, x)):
-                        w = A.mul[(u, v)]
-                        img = B.mul[(table[u], table[v])]
-                        if w in table:
-                            if table[w] != img:
-                                return None
-                        else:
-                            table[w] = img
-                            new.append(w)
-            frontier = new
-        return table
-
-    def backtrack(i: int, partial: dict) -> dict | None:
-        if i == len(gens):
-            full = close(partial)
-            if full is None or len(full) != A.order:
-                return None
-            if len(set(full.values())) != A.order:
-                return None
-            return full
-        g = gens[i]
-        for b in by_order[A.element_order(g)]:
-            trial = dict(partial)
-            trial[g] = b
-            closed = close(trial)
-            if closed is None:
-                continue
-            out = backtrack(i + 1, trial)
+    def backtrack(images: list) -> dict | None:
+        pairs = list(zip(gens, images))
+        graph = closure([(A.identity, B.identity)], lambda p: ((A.mul[(p[0], g)], B.mul[(p[1], h)]) for g, h in pairs))
+        table = dict(graph)
+        if len(table) != len(graph):
+            return None
+        if len(images) == len(gens):
+            return table if len(set(table.values())) == A.order else None
+        for b in by_order[A.element_order(gens[len(images)])]:
+            out = backtrack(images + [b])
             if out is not None:
                 return out
         return None
 
-    return backtrack(0, {})
+    return backtrack([])
 
 
 # ---------------------------------------------------------------------------
@@ -440,22 +458,8 @@ def vertex_group(G: FiniteGroupoid, x) -> FiniteGroup:
 
 def components(G: FiniteGroupoid) -> tuple[frozenset, ...]:
     """Partition of the objects: one block per connected component."""
-    parent = {x: x for x in G.objects}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in G.arrows:
-        rx, ry = find(G.src[a]), find(G.tgt[a])
-        if rx != ry:
-            parent[rx] = ry
-    blocks: dict = {}
-    for x in G.objects:
-        blocks.setdefault(find(x), set()).add(x)
-    return tuple(sorted((frozenset(b) for b in blocks.values()), key=lambda s: sorted(map(repr, s))))
+    blocks = partition(G.objects, ((G.src[a], G.tgt[a]) for a in G.arrows))
+    return tuple(sorted(map(frozenset, blocks), key=lambda s: sorted(map(repr, s))))
 
 
 # ---------------------------------------------------------------------------
@@ -504,23 +508,18 @@ def is_covering(p: GroupoidMorphism) -> bool:
     rep = validate_morphism(p)
     if not rep.ok:
         raise InvalidMorphism(str(rep))
-    G, H = p.source, p.target
-    for x in G.objects:
-        images = [p.arr_map[a] for a in G.star(x)]
-        target_star = H.star(p.obj_map[x])
-        if len(images) != len(set(images)) or set(images) != set(target_star):
-            return False
-    return True
+    # the images of a morphism's star lie in the image's star
+    return unique_lifting_holds(p)
 
 
 def unique_lifting_holds(p: GroupoidMorphism) -> bool:
     """For a covering: each arrow out of p(x~) has exactly one lift at x~."""
     G, H = p.source, p.target
+    g_stars, h_stars = out_stars(G.arrows, G.src), out_stars(H.arrows, H.src)
     for x in G.objects:
-        for g in H.star(p.obj_map[x]):
-            lifts = [a for a in G.star(x) if p.arr_map[a] == g]
-            if len(lifts) != 1:
-                return False
+        lifts = Counter(p.arr_map[a] for a in g_stars.get(x, ()))
+        if any(lifts[g] != 1 for g in h_stars.get(p.obj_map[x], ())):
+            return False
     return True
 
 
@@ -684,86 +683,47 @@ def disjoint_union(G: FiniteGroupoid, H: FiniteGroupoid, tags=("L", "R")) -> Fin
 
 
 def groupoid_isomorphism(G: FiniteGroupoid, H: FiniteGroupoid) -> tuple[dict, dict] | None:
-    """Search for an isomorphism (object map, arrow map); None if there is none.
+    """An isomorphism (object map, arrow map); None if there is none.
 
-    Backtracking on objects (pruned by star sizes and vertex group orders),
-    then on arrows hom-set by hom-set with composition checks at the end.
-    Intended for the small instances exercised in tests.
+    A connected groupoid is its vertex group times the tree groupoid on its
+    objects, so G and H are isomorphic exactly when their components match
+    by object count and vertex group.  Components are matched greedily,
+    comparing the vertex groups at their repr-least objects x and x'.  In a
+    matched pair, with psi the group isomorphism, objects pair in repr
+    order, t_z is the first arrow x -> z (the identity at x), and a: y -> z
+    maps to t'_z' . psi(t_z^-1 . a . t_y) . t'_y'^-1.
     """
     if len(G.objects) != len(H.objects) or len(G.arrows) != len(H.arrows):
         return None
+    g_stars, h_stars = out_stars(G.arrows, G.src), out_stars(H.arrows, H.src)
 
-    def obj_profile(K, x):
-        return (len(K.star(x)), len(K.hom(x, x)))
+    def tree(K, stars, x) -> dict:
+        t = {x: K.id_of[x]}
+        for a in stars[x]:
+            t.setdefault(K.tgt[a], a)
+        return t
 
-    hx = {y: obj_profile(H, y) for y in H.objects}
-
-    def arrows_ok(obj_map):
-        # hom-set sizes must match under the object map
-        for x in G.objects:
-            for y in G.objects:
-                if len(G.hom(x, y)) != len(H.hom(obj_map[x], obj_map[y])):
-                    return False
-        return True
-
-    def extend_arrows(obj_map):
-        homs = [(x, y, G.hom(x, y)) for x in G.objects for y in G.objects if G.hom(x, y)]
-        arr_map: dict = {}
-
-        def place(i):
-            if i == len(homs):
-                # verify composition fully
-                for (h, g) in G.composable_pairs():
-                    if arr_map[G.comp[(h, g)]] != H.comp[(arr_map[h], arr_map[g])]:
-                        return False
-                return True
-            x, y, hom_g = homs[i]
-            cands = H.hom(obj_map[x], obj_map[y])
-            for perm in itertools.permutations(cands):
-                for a, b in zip(hom_g, perm):
-                    arr_map[a] = b
-                good = all(
-                    arr_map[G.id_of[x2]] == H.id_of[obj_map[x2]]
-                    for x2 in G.objects
-                    if G.id_of[x2] in arr_map
-                ) and all(
-                    H.inv[arr_map[a]] == arr_map[G.inv[a]]
-                    for a in hom_g
-                    if G.inv[a] in arr_map
-                )
-                if good and place(i + 1):
-                    return True
-                for a in hom_g:
-                    del arr_map[a]
-            return False
-
-        if place(0):
-            return arr_map
-        return None
-
-    gobjs = list(G.objects)
-
-    def backtrack(i, obj_map, used):
-        if i == len(gobjs):
-            if not arrows_ok(obj_map):
-                return None
-            arr_map = extend_arrows(obj_map)
-            if arr_map is not None:
-                return dict(obj_map), arr_map
+    unmatched = [sorted(C, key=repr) for C in components(H)]
+    obj_map: dict = {}
+    arr_map: dict = {}
+    for C in components(G):
+        xs = sorted(C, key=repr)
+        K = vertex_group(G, xs[0])
+        for ys in unmatched:
+            psi = group_isomorphism(K, vertex_group(H, ys[0])) if len(ys) == len(xs) else None
+            if psi is not None:
+                break
+        else:
             return None
-        x = gobjs[i]
-        prof = obj_profile(G, x)
-        for y in H.objects:
-            if y in used or hx[y] != prof:
-                continue
-            obj_map[x] = y
-            out = backtrack(i + 1, obj_map, used | {y})
-            if out is not None:
-                return out
-            del obj_map[x]
-        return None
-
-    return backtrack(0, {}, set())
+        unmatched.remove(ys)
+        obj_map.update(zip(xs, ys))
+        t, u = tree(G, g_stars, xs[0]), tree(H, h_stars, ys[0])
+        for y in xs:
+            for a in g_stars[y]:
+                z = G.tgt[a]
+                loop = G.comp[(G.inv[t[z]], G.comp[(a, t[y])])]
+                arr_map[a] = H.comp[(u[obj_map[z]], H.comp[(psi[loop], H.inv[u[obj_map[y]]])])]
+    return obj_map, arr_map
 
 
 # ---------------------------------------------------------------------------
@@ -800,16 +760,9 @@ class FiniteTopology:
 
     def opens(self):
         """All open sets (exponential in general; use on small spaces only)."""
-        seen = {frozenset()}
-        frontier = [frozenset()]
-        while frontier:
-            U = frontier.pop()
-            for b in set(self.min_open.values()):
-                V = U | b
-                if V not in seen:
-                    seen.add(V)
-                    frontier.append(V)
-        return sorted(seen, key=lambda s: (len(s), sorted(map(repr, s))))
+        base = set(self.min_open.values())
+        found = closure([frozenset()], lambda U: (U | b for b in base))
+        return sorted(found, key=lambda s: (len(s), sorted(map(repr, s))))
 
     def subspace(self, subset) -> "FiniteTopology":
         subset = [p for p in self.points if p in set(subset)]

@@ -7,8 +7,8 @@ bisection operation together with a base.  Window germs (values in W,
 continuous into the window topology) generate, under composition, the germs
 of every iterated product of window bisections; the closure computed here is
 therefore the arrow set of the germ groupoid without ever materialising the
-full inverse semigroup.  The closure runs on codes through the semigroup's
-closure loop: a germ at x is coded (x, its arrows over min_open[x] in repr
+full inverse semigroup.  The closure runs on codes through `core.closure`,
+as the semigroup's does: a germ at x is coded (x, its arrows over min_open[x] in repr
 point order), and the germ groupoid's tables are computed on the same codes.
 """
 
@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bisections import LocalBisection, _close_codes, is_window_bisection, sections_over
-from .core import out_stars
+from .bisections import LocalBisection, is_window_bisection, sections_over
+from .core import closure, out_stars
 from .errors import OutOfDomain
 from .presentations import LocalGroupoidData
 
@@ -116,7 +116,7 @@ def germ_closure(D: LocalGroupoidData) -> tuple[tuple[Germ, ...], tuple[Germ, ..
     gens = window_germs(D)
     given = {germ_code(g): g for g in gens}
     points, min_open = point_orders(D), D.t_objects.min_open
-    codes = _close_codes(list(given), _left_translations(D, gens, points), None)  # frees the columns
+    codes = closure(list(given), _left_translations(D, gens, points))  # frees the columns
 
     def decode(code):
         x, arrows = code

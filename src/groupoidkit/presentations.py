@@ -284,11 +284,9 @@ class LocalGroupoidData:
             bad.append(Violation("object-topology-points", (), "object topology points differ from objects"))
             return ValidationReport(tuple(bad))
         # T0 must be the subspace topology along id_of
+        derived = derived_object_topology(G, self.t_window).min_open
         for x in G.objects:
-            derived = frozenset(
-                y for y in G.objects if G.id_of[y] in self.t_window.min_open[G.id_of[x]]
-            )
-            if derived != self.t_objects.min_open[x]:
+            if derived[x] != self.t_objects.min_open[x]:
                 bad.append(
                     Violation(
                         "object-topology-subspace",

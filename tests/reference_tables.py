@@ -21,8 +21,18 @@ package, kept as a test oracle:
   and inclusion loops `reference_overlaps` and `reference_inclusions`;
 - `reference_exhaust` and `reference_check_confluence` are the monodromy
   pair rewriting written on its own: signs normalised first, then the
-  leftmost pair rewritten, restarting from the left.
+  leftmost pair rewritten, restarting from the left;
+- `reference_group_isomorphism` closes every partial map under all
+  products, and `reference_groupoid_isomorphism` backtracks over object
+  maps and then over permutations of each hom-set;
+- `reference_opens` unions minimal opens from a frontier of its own;
+- `reference_coset_table` is a bounded Todd-Coxeter coset enumeration
+  (HLT strategy), independent of the rewriting that `knuth_bendix` does,
+  and `reference_ball_sizes` reads word-length balls off its table, or off
+  the free-group formula when there are no relators.
 """
+
+import itertools
 
 from groupoidkit.bisections import compose_bisections, identity_bisection, relative_inverse
 from groupoidkit.core import (
@@ -462,3 +472,292 @@ def reference_check_confluence(graph, inv_gen, pair_rules):
             if a != b:
                 failures.append(((u, v, w), a, b))
     return (not failures), tuple(failures)
+
+
+def reference_group_isomorphism(A, B):
+    """An isomorphism A -> B or None: backtracking over generator images, each partial map closed under all products."""
+    if A.order != B.order:
+        return None
+    orders_a = sorted(A.element_order(a) for a in A.elements)
+    orders_b = sorted(B.element_order(b) for b in B.elements)
+    if orders_a != orders_b:
+        return None
+
+    # Greedy generating sequence for A.
+    gens: list = []
+    span = {A.identity}
+    for a in A.elements:
+        if a not in span:
+            gens.append(a)
+            span.add(a)
+            queue = list(span)
+            while queue:
+                x = queue.pop()
+                for y in list(span):
+                    for z in (A.mul[(x, y)], A.mul[(y, x)]):
+                        if z not in span:
+                            span.add(z)
+                            queue.append(z)
+    by_order: dict = {}
+    for b in B.elements:
+        by_order.setdefault(B.element_order(b), []).append(b)
+
+    def close(partial):
+        # Extend a map on generators to the subgroup they generate.
+        table = dict(partial)
+        table[A.identity] = B.identity
+        frontier = list(table)
+        while frontier:
+            new = []
+            for x in frontier:
+                for y in list(table):
+                    for (u, v) in ((x, y), (y, x)):
+                        w = A.mul[(u, v)]
+                        img = B.mul[(table[u], table[v])]
+                        if w in table:
+                            if table[w] != img:
+                                return None
+                        else:
+                            table[w] = img
+                            new.append(w)
+            frontier = new
+        return table
+
+    def backtrack(i, partial):
+        if i == len(gens):
+            full = close(partial)
+            if full is None or len(full) != A.order:
+                return None
+            if len(set(full.values())) != A.order:
+                return None
+            return full
+        g = gens[i]
+        for b in by_order[A.element_order(g)]:
+            trial = dict(partial)
+            trial[g] = b
+            if close(trial) is None:
+                continue
+            out = backtrack(i + 1, trial)
+            if out is not None:
+                return out
+        return None
+
+    return backtrack(0, {})
+
+
+def reference_groupoid_isomorphism(G, H):
+    """(object map, arrow map) or None: backtracking on objects, then on permutations of each hom-set."""
+    if len(G.objects) != len(H.objects) or len(G.arrows) != len(H.arrows):
+        return None
+
+    def obj_profile(K, x):
+        return (len(K.star(x)), len(K.hom(x, x)))
+
+    hx = {y: obj_profile(H, y) for y in H.objects}
+
+    def arrows_ok(obj_map):
+        # hom-set sizes must match under the object map
+        for x in G.objects:
+            for y in G.objects:
+                if len(G.hom(x, y)) != len(H.hom(obj_map[x], obj_map[y])):
+                    return False
+        return True
+
+    def extend_arrows(obj_map):
+        homs = [(x, y, G.hom(x, y)) for x in G.objects for y in G.objects if G.hom(x, y)]
+        arr_map: dict = {}
+
+        def place(i):
+            if i == len(homs):
+                # verify composition fully
+                for (h, g) in G.composable_pairs():
+                    if arr_map[G.comp[(h, g)]] != H.comp[(arr_map[h], arr_map[g])]:
+                        return False
+                return True
+            x, y, hom_g = homs[i]
+            cands = H.hom(obj_map[x], obj_map[y])
+            for perm in itertools.permutations(cands):
+                for a, b in zip(hom_g, perm):
+                    arr_map[a] = b
+                good = all(
+                    arr_map[G.id_of[x2]] == H.id_of[obj_map[x2]]
+                    for x2 in G.objects
+                    if G.id_of[x2] in arr_map
+                ) and all(
+                    H.inv[arr_map[a]] == arr_map[G.inv[a]]
+                    for a in hom_g
+                    if G.inv[a] in arr_map
+                )
+                if good and place(i + 1):
+                    return True
+                for a in hom_g:
+                    del arr_map[a]
+            return False
+
+        if place(0):
+            return arr_map
+        return None
+
+    gobjs = list(G.objects)
+
+    def backtrack(i, obj_map, used):
+        if i == len(gobjs):
+            if not arrows_ok(obj_map):
+                return None
+            arr_map = extend_arrows(obj_map)
+            if arr_map is not None:
+                return dict(obj_map), arr_map
+            return None
+        x = gobjs[i]
+        prof = obj_profile(G, x)
+        for y in H.objects:
+            if y in used or hx[y] != prof:
+                continue
+            obj_map[x] = y
+            out = backtrack(i + 1, obj_map, used | {y})
+            if out is not None:
+                return out
+            del obj_map[x]
+        return None
+
+    return backtrack(0, {}, set())
+
+
+def reference_opens(T):
+    """Every open set of T, as `FiniteTopology.opens` sorts them: unions of minimal opens from a frontier."""
+    seen = {frozenset()}
+    frontier = [frozenset()]
+    while frontier:
+        U = frontier.pop()
+        for b in set(T.min_open.values()):
+            V = U | b
+            if V not in seen:
+                seen.add(V)
+                frontier.append(V)
+    return sorted(seen, key=lambda s: (len(s), sorted(map(repr, s))))
+
+
+def reference_coset_table(generators, relators, max_cosets=4096):
+    """The cosets of the trivial subgroup by Todd-Coxeter enumeration (HLT), or None past max_cosets.
+
+    Each coset, a group element, is a row mapping every signed generator to
+    a coset.  HLT scans every relator at each live coset in turn, defining
+    new cosets to complete each scan, then fills the coset's row; a scan
+    that closes on two different cosets makes them coincide.  The returned
+    rows are the live cosets renumbered in order, coset 0 the identity.
+    Holt, Eick & O'Brien, Handbook of Computational Group Theory, ch. 5.
+    """
+    letters = [(g, s) for g in generators for s in (POS, NEG)]
+
+    def inv(x):
+        return (x[0], -x[1])
+
+    table = [dict.fromkeys(letters)]
+    parent = [0]
+
+    def define(c, x):
+        if len(table) >= max_cosets:
+            raise OverflowError
+        table.append(dict.fromkeys(letters))
+        parent.append(len(parent))
+        table[c][x], table[-1][inv(x)] = len(table) - 1, c
+
+    def rep(c):
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    def merge(a, b, queue):
+        a, b = sorted((rep(a), rep(b)))
+        if a != b:
+            parent[b] = a
+            queue.append(b)
+
+    def coincidence(a, b):
+        queue: list = []
+        merge(a, b, queue)
+        for dead in queue:  # grows as merges are found
+            for x in letters:
+                d = table[dead][x]
+                if d is None:
+                    continue
+                table[d][inv(x)] = None
+                mu, nu = rep(dead), rep(d)
+                if table[mu][x] is not None:
+                    merge(nu, table[mu][x], queue)
+                elif table[nu][inv(x)] is not None:
+                    merge(mu, table[nu][inv(x)], queue)
+                else:
+                    table[mu][x], table[nu][inv(x)] = nu, mu
+
+    def scan_and_fill(c, word):
+        f, b, i, j = c, c, 0, len(word) - 1
+        while True:
+            while i <= j and table[f][word[i]] is not None:
+                f, i = table[f][word[i]], i + 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][inv(word[j])] is not None:
+                b, j = table[b][inv(word[j])], j - 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if i == j:  # a deduction closes the scan
+                table[f][word[i]], table[b][inv(word[i])] = b, f
+                return
+            define(f, word[i])
+
+    try:
+        c = 0
+        while c < len(table):
+            for r in relators:
+                if parent[c] != c:
+                    break
+                scan_and_fill(c, tuple(r))
+            if parent[c] == c:
+                for x in letters:
+                    if table[c][x] is None:
+                        define(c, x)
+            c += 1
+    except OverflowError:
+        return None
+    live = [c for c in range(len(table)) if parent[c] == c]
+    number = {c: i for i, c in enumerate(live)}
+    return [{x: number[rep(table[c][x])] for x in letters} for c in live]
+
+
+def reference_trace(table, word) -> int:
+    """The coset, that is the group element, that the word reaches from the identity."""
+    c = 0
+    for x in word:
+        c = table[c][x]
+    return c
+
+
+def reference_ball_sizes(generators, relators, n, table=None):
+    """The number of group elements of word length at most k, for k = 0..n.
+
+    With no relators the group is free: 2k + 1 for rank 1, and
+    1 + 2r((2r - 1)^k - 1)/(2r - 2) for rank r >= 2.  Otherwise breadth
+    first over a coset table (enumerated here when none is given).
+    """
+    r = len(generators)
+    if not relators:
+        return [2 * k + 1 if r == 1 else 1 + 2 * r * ((2 * r - 1) ** k - 1) // (2 * r - 2) for k in range(n + 1)]
+    table = table or reference_coset_table(generators, relators)
+    seen, frontier, sizes = {0}, [0], [1]
+    for _ in range(n):
+        reached = []
+        for c in frontier:
+            for d in table[c].values():
+                if d not in seen:
+                    seen.add(d)
+                    reached.append(d)
+        frontier = reached
+        sizes.append(len(seen))
+    return sizes

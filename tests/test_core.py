@@ -1,5 +1,6 @@
 """Groupoid tables, groups, morphisms, coverings, finite topologies."""
 
+import itertools
 import json
 import pathlib
 from collections import Counter
@@ -39,12 +40,19 @@ from groupoidkit.core import (
     unique_lifting_holds,
     validate_group,
     validate_groupoid,
+    validate_morphism,
     vertex_group,
 )
 from groupoidkit.errors import EmptyNotAllowed, NotComposable, UnknownObject, UnknownPoint
 from groupoidkit.holonomy import mobius_model
 from groupoidkit.io import crossed_module_from_dict, groupoid_from_dict
-from reference_tables import reference_topology_from_subbase, reference_validate_groupoid
+from reference_tables import (
+    reference_group_isomorphism,
+    reference_groupoid_isomorphism,
+    reference_opens,
+    reference_topology_from_subbase,
+    reference_validate_groupoid,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -312,6 +320,98 @@ class TestGroupoidIso:
         obj_map, arr_map = out
         for (h, g) in G.composable_pairs():
             assert arr_map[G.comp[(h, g)]] == G.comp[(arr_map[h], arr_map[g])]
+
+
+def iso_groups():
+    """C1-C8, C12, the abelian groups of orders 4, 8 and 9 with two or more factors, C6 x C2, S3, S3 x C2 and S4.
+
+    C2 x C3, C4 x C2 and C3 x C4 are isomorphic to other members by maps that are not the identity.
+    """
+    C, x = cyclic_group, direct_product_group
+    out = [(f"C{n}", C(n)) for n in (*range(1, 9), 12)]
+    out += [("C2xC2", x(C(2), C(2))), ("C2xC4", x(C(2), C(4))), ("C2^3", x(x(C(2), C(2)), C(2))),
+            ("C3xC3", x(C(3), C(3))), ("C6xC2", x(C(6), C(2))), ("S3", symmetric_group(3)),
+            ("S3xC2", x(symmetric_group(3), C(2))), ("S4", symmetric_group(4))]
+    out += [("C2xC3", x(C(2), C(3))), ("C4xC2", x(C(4), C(2))), ("C3xC4", x(C(3), C(4)))]
+    return out
+
+
+def iso_groupoids():
+    """Indiscrete, one-object, I_n x C_k, disjoint unions in both orders, action and equivalence groupoids."""
+    C, one = cyclic_group, one_object_groupoid
+    c2c2 = direct_product_group(C(2), C(2))
+    s3 = symmetric_group(3)
+    out = [(f"I{n}", indiscrete(n)) for n in (1, 2, 3)]
+    out += [(f"C{k}", one(C(k))) for k in (2, 3, 4)] + [("C2xC2", one(c2c2)), ("S3", one(s3))]
+    out += [(f"I{n}xC{k}", product_groupoid(indiscrete(n), one(C(k)))) for n in (2, 3) for k in (2, 3)]
+    out += [("I2xC4", product_groupoid(indiscrete(2), one(C(4)))),
+            ("I2xC2^2", product_groupoid(indiscrete(2), one(c2c2))),
+            ("C2+I2", disjoint_union(one(C(2)), indiscrete(2))),
+            ("I2+C2", disjoint_union(indiscrete(2), one(C(2)))),
+            ("C2+C2", disjoint_union(one(C(2)), one(C(2)))),
+            ("I1+I3", disjoint_union(indiscrete(1), indiscrete(3))),
+            ("I2+I2", disjoint_union(indiscrete(2), indiscrete(2)))]
+    swap = swap_action_2pts()
+    mod2 = {(k, x): x if k % 2 == 0 else "pq"[x == "p"] for k in range(4) for x in "pq"}
+    trivial = {(k, x): x for k in range(2) for x in "pq"}
+    out += [("swap", swap), ("C4-on-2", action_groupoid(C(4), ["p", "q"], mod2)),
+            ("C2-fixing-2", action_groupoid(C(2), ["p", "q"], trivial)),
+            ("S3-on-3", action_groupoid(s3, [0, 1, 2], {(p, i): p[i] for p in s3.elements for i in range(3)}))]
+    out += [("blocks-2-2", equivalence_groupoid("abcd", [["a", "b"], ["c", "d"]])),
+            ("blocks-3-1", equivalence_groupoid("abcd", [["a", "b", "c"], ["d"]])),
+            ("blocks-4", equivalence_groupoid("abcd", [["a", "b", "c", "d"]]))]
+    return out
+
+
+def iso_topologies():
+    """The window and object topologies of the monodromy corpus, and a few small spaces."""
+    out = [discrete_topology("abc"), indiscrete_topology("abc"),
+           topology_from_opens(["a", "b", "c"], [[], ["a"], ["a", "b"], ["a", "c"], ["a", "b", "c"]])]
+    out.append(out[2].product(topology_from_opens(["a", "b"], [[], ["a"], ["a", "b"]])))
+    for _, D in monodromy_corpus():
+        out += [D.t_window, D.t_objects]
+    return out
+
+
+class TestIsomorphismOracles:
+    """Isomorphism verdicts and open sets against the searches they replaced."""
+
+    def test_group_verdicts_match_the_closing_search(self):
+        groups = iso_groups()
+        for (na, A), (nb, B) in itertools.product(groups, repeat=2):
+            iso = group_isomorphism(A, B)
+            assert (iso is None) == (reference_group_isomorphism(A, B) is None), (na, nb)
+            if iso is not None:
+                assert sorted(iso, key=repr) == sorted(A.elements, key=repr)
+                assert len(set(iso.values())) == B.order
+                assert all(iso[A.mul[(a, b)]] == B.mul[(iso[a], iso[b])] for a in A.elements for b in A.elements)
+        # orders 4, 8 and 12 each hold groups with equal orders but no isomorphism
+        names = dict(groups)
+        assert group_isomorphism(names["C6xC2"], names["C12"]) is None
+        assert group_isomorphism(names["C2xC4"], names["C2^3"]) is None
+        assert group_isomorphism(names["C4"], names["C2xC2"]) is None
+        assert group_isomorphism(names["C2xC3"], names["C6"]) is not None
+        assert group_isomorphism(names["C3xC4"], names["C12"]) is not None
+
+    def test_groupoid_verdicts_match_the_hom_set_search(self):
+        groupoids = iso_groupoids()
+        for (ng, G), (nh, H) in itertools.product(groupoids, repeat=2):
+            out = groupoid_isomorphism(G, H)
+            assert (out is None) == (reference_groupoid_isomorphism(G, H) is None), (ng, nh)
+            if out is not None:
+                obj_map, arr_map = out
+                assert validate_morphism(GroupoidMorphism(G, H, obj_map, arr_map)).ok, (ng, nh)
+                assert sorted(obj_map.values(), key=repr) == sorted(H.objects, key=repr)
+                assert sorted(arr_map.values(), key=repr) == sorted(H.arrows, key=repr)
+        names = dict(groupoids)
+        assert groupoid_isomorphism(names["C2+I2"], names["I2+C2"]) is not None
+        assert groupoid_isomorphism(names["I2xC4"], names["I2xC2^2"]) is None
+        assert groupoid_isomorphism(names["swap"], names["I2"]) is not None
+        assert groupoid_isomorphism(names["C2-fixing-2"], names["C2+C2"]) is not None
+
+    def test_opens_match_the_frontier_loop(self):
+        for T in iso_topologies():
+            assert T.opens() == reference_opens(T)
 
 
 def reference_composable_pairs(G):

@@ -28,14 +28,25 @@ from groupoidkit.core import (
 )
 from groupoidkit.errors import NotConnected, RewritingNotConfluent
 from groupoidkit.presentations import NEG, POS, Word, letter_src, letter_tgt, local_data, monodromy
-from groupoidkit.rewriting import GroupRewriting, enumerate_elements, inclusions, knuth_bendix, overlaps, rewriter
+from groupoidkit.rewriting import (
+    GroupRewriting,
+    enumerate_elements,
+    inclusions,
+    invert,
+    knuth_bendix,
+    overlaps,
+    rewriter,
+)
 from reference_tables import (
+    reference_ball_sizes,
     reference_check_confluence,
+    reference_coset_table,
     reference_exhaust,
     reference_inclusions,
     reference_knuth_bendix,
     reference_overlaps,
     reference_rewrite,
+    reference_trace,
 )
 
 
@@ -139,6 +150,85 @@ def all_words(generators, length):
     return words
 
 
+def letters_of(text):
+    """A word written as letters, upper case for an inverse letter: "aB" is a b^-1."""
+    return tuple((c.lower(), NEG if c.isupper() else POS) for c in text)
+
+
+def enumerable_presentations():
+    """(name, generators, relators, coset table) for every corpus presentation a coset enumeration can check.
+
+    The corpus presentations whose enumeration closes, a few more finite
+    groups, and the free ones, which carry no table: their balls have a formula.
+    """
+    finite = {
+        "c2-by-two-generators": ("ab", ["bA", "AB"]),
+        "c6": ("ab", ["aa", "bbb", "abAB"]),
+        "c3xc3": ("ab", ["aaa", "bbb", "abAB"]),
+        "d4": ("ab", ["aaaa", "bb", "abab"]),
+        "q8": ("ij", ["iiii", "iiJJ", "jiJi"]),
+        "a4": ("ab", ["aa", "bbb", "ababab"]),
+        "s4": ("ab", ["aaaa", "bbb", "abab"]),
+    }
+    cases = [(name, pres.generators, pres.relators) for name, pres in PRESENTATIONS]
+    cases += [(name, tuple(g), [letters_of(r) for r in rs]) for name, (g, rs) in finite.items()]
+    out = []
+    for name, generators, relators in cases:
+        table = reference_coset_table(generators, relators) if relators else None
+        if table is not None or not relators:
+            out.append((name, generators, relators, table))
+    return out
+
+
+ENUMERABLE = enumerable_presentations()
+
+
+def agree_with_coset_enumeration(generators, relators, table, rng):
+    """Completion's normal forms, balls and equality against the coset table (or the free-group balls)."""
+    system = knuth_bendix(generators, relators)
+    assert system.complete
+    assert [len(enumerate_elements(system, n)) for n in range(7)] == reference_ball_sizes(generators, relators, 6, table)
+    if table is None:
+        return
+    assert len(enumerate_elements(system, len(table))) == len(table)
+    letters = [(g, s) for g in generators for s in (POS, NEG)]
+
+    def word():
+        return tuple(rng.choice(letters) for _ in range(rng.randrange(9) if letters else 0))
+
+    for _ in range(40):
+        w1, w2 = word(), word()
+        assert system.equal(w1, w2) == (reference_trace(table, w1) == reference_trace(table, w2))
+        r = rng.choice(relators)
+        i = rng.randrange(len(w1) + 1)
+        assert system.equal(w1, w1[:i] + (tuple(r) if rng.random() < 0.5 else invert(tuple(r))) + w1[i:])
+
+
+class TestToddCoxeter:
+    """Completion checked against coset enumeration, which shares no code with it."""
+
+    def test_the_corpus_holds_finite_and_free_groups(self):
+        orders = {name: len(table) for name, _, _, table in ENUMERABLE if table is not None}
+        assert orders["s3"] == 6 and orders["hnn-c4-vertex"] == 4 and orders["s4"] == 24 and orders["q8"] == 8
+        assert {name for name, _, relators, _ in ENUMERABLE if not relators} >= {"pushout-wedge-two-loops"}
+
+    @pytest.mark.parametrize("name,generators,relators,table", ENUMERABLE, ids=[c[0] for c in ENUMERABLE])
+    def test_normal_forms_match_the_coset_table(self, name, generators, relators, table):
+        agree_with_coset_enumeration(generators, relators, table, random.Random(name))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda k: st.tuples(
+        st.just("abc"[:k]),
+        st.lists(st.lists(st.tuples(st.sampled_from("abc"[:k]), st.sampled_from([POS, NEG])), min_size=1, max_size=4),
+                 min_size=1, max_size=3),
+    )))
+    def test_random_presentations_match_the_coset_table(self, presentation):
+        generators, relators = tuple(presentation[0]), [tuple(r) for r in presentation[1]]
+        table = reference_coset_table(generators, relators, max_cosets=512)
+        if table is not None and knuth_bendix(generators, relators).complete:
+            agree_with_coset_enumeration(generators, relators, table, random.Random(repr(relators)))
+
+
 class TestKnuthBendix:
     @pytest.mark.parametrize("name,pres", PRESENTATIONS, ids=[name for name, _ in PRESENTATIONS])
     def test_rules_and_verdict_equal_the_oracle(self, name, pres):
@@ -217,9 +307,7 @@ class TestKnuthBendix:
     def test_free_groups_have_the_free_ball_sizes(self, rank):
         system = knuth_bendix(tuple("abc"[:rank]), [])
         assert system.complete
-        for n in range(5):
-            ball = 2 * n + 1 if rank == 1 else 1 + 2 * rank * ((2 * rank - 1) ** n - 1) // (2 * rank - 2)
-            assert len(enumerate_elements(system, n)) == ball
+        assert [len(enumerate_elements(system, n)) for n in range(5)] == reference_ball_sizes("abc"[:rank], [], 4)
 
     def test_enumerate_elements_refuses_an_incomplete_system(self):
         c2 = knuth_bendix(("a",), [(("a", POS),) * 2])
