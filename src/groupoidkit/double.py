@@ -29,9 +29,9 @@ filling the four corners of the net; the exact layout is fixed in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import filterfalse, product as iproduct, repeat
+from itertools import product as iproduct, repeat
 
 from .core import FiniteGroup, FiniteGroupoid, one_object_groupoid, validate_group
 from .errors import (
@@ -525,9 +525,16 @@ class Cube:
 
 
 _FACES = ("top", "bottom", "left", "right", "front", "back")
-# c2 follows c1 in direction d when face `key` of c2 is face `face` of c1:
-# bottom/top, right/left, back/front.  d -> (face, key), as indices into _FACES.
-_FOLLOWS = {1: (1, 0), 2: (3, 2), 3: (5, 4)}
+# Cube composition, d -> (keep, composed), as indices into _FACES.  c2
+# follows c1 in direction d when face `keep` of c2 is face `keep ^ 1` of c1
+# (top/bottom, left/right, front/back).  The composite keeps c1's face
+# `keep`, takes c2's face `keep ^ 1`, and composes each other face of c1
+# with c2's in the square table named beside it.
+_DIRECTIONS = {
+    1: (0, ((2, "comp2"), (3, "comp2"), (4, "comp1"), (5, "comp1"))),
+    2: (2, ((0, "comp2"), (1, "comp2"), (4, "comp2"), (5, "comp2"))),
+    3: (4, ((0, "comp1"), (1, "comp1"), (2, "comp1"), (3, "comp1"))),
+}
 
 
 def _indexed(tab: SquareTables, cube: Cube) -> tuple:
@@ -603,14 +610,15 @@ def compose_cubes(D: DoubleGroupoid, direction: int, c1: Cube, c2: Cube) -> Cube
     """Cube composition in direction 1 (down), 2 (right) or 3 (deep)."""
     validate_cube(D, c1)
     validate_cube(D, c2)
-    if direction not in _FOLLOWS:
+    if direction not in _DIRECTIONS:
         raise NotComposable(f"direction must be 1, 2 or 3, got {direction!r}")
-    face, key = _FOLLOWS[direction]
+    keep = _DIRECTIONS[direction][0]
     tab = D.tables
     i1, i2 = _indexed(tab, c1), _indexed(tab, c2)
-    if i1[face] != i2[key]:
-        raise NotComposable(f"direction {direction} needs {_FACES[face]} == {_FACES[key]}")
-    (out,) = _composites(tab, direction, i1, tuple(zip(i2)))
+    if i1[keep ^ 1] != i2[keep]:
+        raise NotComposable(f"direction {direction} needs {_FACES[keep ^ 1]} == {_FACES[keep]}")
+    cols = tuple(zip(i2))
+    (out,) = _composites(direction, i1, cols, _columns(tab, direction, cols))
     cube = Cube(*map(tab.squares.__getitem__, out))
     validate_cube(D, cube)
     return cube
@@ -659,9 +667,11 @@ class SquareTables:
     are memos over `compose_squares` and `inverse_square`, filled one row
     or entry at a time on first lookup, so every entry is an actual
     operation result and a caller pays only for the rows it reads.
+    ``einv`` is the edge inverse map.  Nothing here refers back to the
+    double that owns the tables, so the double is freed by reference
+    counting alone.
     """
 
-    D: DoubleGroupoid
     squares: tuple
     index: dict
     comp1: dict
@@ -670,6 +680,7 @@ class SquareTables:
     inv2: dict
     gplus: dict
     gminus: dict
+    einv: dict
 
     def net(self, B: int, L: int, R: int, F: int, K: int) -> int:
         """Fold the five non-top faces flat and compose, corners filled by
@@ -684,7 +695,7 @@ class SquareTables:
         front, back = sq[F], sq[K]
         row1 = c2[c2[gplus[front.left]][F]][inv2[gplus[front.right]]]
         row2 = c2[c2[L][B]][inv2[R]]
-        row3 = c2[c2[inv1[gplus[back.left]]][inv1[K]]][self.gminus[self.D.einv(back.right)]]
+        row3 = c2[c2[inv1[gplus[back.left]]][inv1[K]]][self.gminus[self.einv[back.right]]]
         return c1[c1[row1][row2]][row3]
 
     def is_commutative(self, cube: tuple) -> bool:
@@ -693,6 +704,9 @@ class SquareTables:
 
 
 def square_tables(D: DoubleGroupoid) -> SquareTables:
+    # The rows compose on a copy of D without its cached tables: a builder
+    # that held D itself would close a cycle D -> tables -> builder -> D.
+    ops = replace(D)
     squares = tuple(sorted(D.squares, key=repr))
     index = {u: i for i, u in enumerate(squares)}
     by_top: dict = {}
@@ -703,46 +717,41 @@ def square_tables(D: DoubleGroupoid) -> SquareTables:
 
     def row1(u: int) -> dict:
         s = squares[u]
-        return {index[v]: index[compose_squares(D, 1, s, v)] for v in by_top.get(s.bottom, ())}
+        return {index[v]: index[compose_squares(ops, 1, s, v)] for v in by_top.get(s.bottom, ())}
 
     def row2(u: int) -> dict:
         s = squares[u]
-        return {index[v]: index[compose_squares(D, 2, s, v)] for v in by_left.get(s.right, ())}
+        return {index[v]: index[compose_squares(ops, 2, s, v)] for v in by_left.get(s.right, ())}
 
-    inv1 = _Lazy(lambda u: index[inverse_square(D, 1, squares[u])])
-    inv2 = _Lazy(lambda u: index[inverse_square(D, 2, squares[u])])
+    inv1 = _Lazy(lambda u: index[inverse_square(ops, 1, squares[u])])
+    inv2 = _Lazy(lambda u: index[inverse_square(ops, 2, squares[u])])
     gplus = {e: index[gamma_plus(D, e)] for e in D.edge.arrows}
     gminus = {e: index[gamma_minus(D, e)] for e in D.edge.arrows}
-    return SquareTables(D, squares, index, _Lazy(row1), _Lazy(row2), inv1, inv2, gplus, gminus)
+    return SquareTables(squares, index, _Lazy(row1), _Lazy(row2), inv1, inv2, gplus, gminus, D.edge.inv)
 
 
-def _bucket(cubes: list, key: int) -> dict:
-    """Cubes grouped by one face, each group with its six face columns."""
+def _groups(cubes: list, face: int) -> dict:
+    """Cubes grouped by one face, in their order."""
     groups: dict = {}
     for c in cubes:
-        groups.setdefault(c[key], []).append(c)
-    return {k: (group, tuple(zip(*group))) for k, group in groups.items()}
+        groups.setdefault(c[face], []).append(c)
+    return groups
 
 
-def _composites(tab: SquareTables, direction: int, c1: tuple, cols: tuple):
+def _columns(tab: SquareTables, direction: int, cols: tuple) -> _Lazy:
+    """A bucket's composed face columns, keyed (face, square of c1), each built on first use."""
+    tables = dict(_DIRECTIONS[direction][1])
+    return _Lazy(lambda key: tuple(map(getattr(tab, tables[key[0]])[key[1]].__getitem__, cols[key[0]])))
+
+
+def _composites(direction: int, c1: tuple, cols: tuple, columns: _Lazy):
     """Composites of c1 with each cube of a bucket, from the bucket's face columns."""
-    T1, B1, L1, R1, F1, K1 = c1
-    cT, cB, cL, cR, cF, cK = cols
-    r1, r2 = tab.comp1, tab.comp2
-    if direction == 1:
-        return zip(
-            repeat(T1, len(cB)), cB, map(r2[L1].__getitem__, cL), map(r2[R1].__getitem__, cR),
-            map(r1[F1].__getitem__, cF), map(r1[K1].__getitem__, cK),
-        )
-    if direction == 2:
-        return zip(
-            map(r2[T1].__getitem__, cT), map(r2[B1].__getitem__, cB), repeat(L1, len(cR)), cR,
-            map(r2[F1].__getitem__, cF), map(r2[K1].__getitem__, cK),
-        )
-    return zip(
-        map(r1[T1].__getitem__, cT), map(r1[B1].__getitem__, cB), map(r1[L1].__getitem__, cL),
-        map(r1[R1].__getitem__, cR), repeat(F1, len(cK)), cK,
-    )
+    keep, composed = _DIRECTIONS[direction]
+    out = list(cols)
+    out[keep] = repeat(c1[keep], len(cols[keep]))
+    for face, _ in composed:
+        out[face] = columns[face, c1[face]]
+    return zip(*out)
 
 
 def cube_closure_sweep(D: DoubleGroupoid) -> dict:
@@ -750,18 +759,23 @@ def cube_closure_sweep(D: DoubleGroupoid) -> dict:
 
     Returns counts plus the (hopefully empty) list of violating pairs.
     Cube shells are handled as index 6-tuples (top, bottom, left, right,
-    front, back) over the square tables.
+    front, back) over the square tables.  ``composites_checked`` counts
+    every composite tested, one per pair and direction.
 
-    For each c1 and direction, the composites with every c2 in the matching
-    bucket are built column by column from the table rows of c1's faces.
-    Every composite is then checked through a verdict cache.  The verdict
-    `tab.is_commutative` is a pure function of the 6-tuple, and it has
-    already been evaluated on every enumerated shell; a composite equal to
-    a shell that passed is therefore commutative by that evaluation.  When
-    a bucket yields any other composite, its pairs are walked one by one
-    and each composite outside the cache is evaluated again; it is a
-    violation exactly when that evaluation fails.  The cache changes how
-    often the fold runs, never a verdict.
+    The commutative cubes are bucketed per direction by the face c2 meets
+    c1 on.  Within a bucket a composite's face column depends only on the
+    face and on c1's square there, and few distinct squares recur, so each
+    composed column is built once per (face, square) and dropped with the
+    bucket.  Every composite is then checked against the set of
+    commutative shells.  The verdict `tab.is_commutative` is a pure
+    function of the 6-tuple, and it has already been evaluated on every
+    enumerated shell; a composite equal to a shell that passed is
+    therefore commutative by that evaluation.  A c1 with any composite
+    outside the set is a suspect in that direction.  The suspects are
+    then walked pair by pair, in c1-then-direction order, and each
+    composite outside the set is evaluated again; it is a violation
+    exactly when that evaluation fails.  The set changes how often the
+    fold runs, never a verdict.
 
     Raises CapExceeded when the shells pass MAX_CUBE_SHELLS or, before any
     composite is built, when their count would pass MAX_CUBE_COMPOSITES.
@@ -769,22 +783,35 @@ def cube_closure_sweep(D: DoubleGroupoid) -> dict:
     shells = enumerate_cubes(D)
     tab = D.tables
     cubes = [_indexed(tab, c) for c in shells]
+    del shells  # the Cube objects: the rest of the sweep needs only their index tuples
     commutative = [c for c in cubes if tab.is_commutative(c)]
     known = set(commutative)
-    empty = ((), ((),) * 6)
-    joins = [(direction, _bucket(commutative, key), face) for direction, (face, key) in _FOLLOWS.items()]
-    checked = sum(len(buckets.get(c[face], empty)[0]) for c in commutative for _, buckets, face in joins)
+    joins = [
+        (direction, {k: (c2s, tuple(zip(*c2s))) for k, c2s in _groups(commutative, keep).items()},
+         keep ^ 1, _groups(commutative, keep ^ 1))
+        for direction, (keep, _) in _DIRECTIONS.items()
+    ]
+    checked = sum(
+        len(c2s) * len(meeting.get(k, ())) for _, buckets, _, meeting in joins for k, (c2s, _) in buckets.items()
+    )
     if checked > MAX_CUBE_COMPOSITES:
         raise CapExceeded(
             f"cube closure sweep would check {checked} composites, over the cap of {MAX_CUBE_COMPOSITES}"
         )
+    suspects = set()
+    for direction, buckets, _, meeting in joins:
+        for k, (_, cols) in buckets.items():
+            columns = _columns(tab, direction, cols)
+            for c1 in meeting.get(k, ()):
+                if not known.issuperset(_composites(direction, c1, cols, columns)):
+                    suspects.add((c1, direction))
     violations = []
     for c1 in commutative:
-        for direction, buckets, face in joins:
-            bucket, cols = buckets.get(c1[face], empty)
-            if next(filterfalse(known.__contains__, _composites(tab, direction, c1, cols)), None) is None:
+        for direction, buckets, face, _ in joins:
+            if (c1, direction) not in suspects:
                 continue
-            for c2, out in zip(bucket, _composites(tab, direction, c1, cols)):
+            bucket, cols = buckets[c1[face]]
+            for c2, out in zip(bucket, _composites(direction, c1, cols, _columns(tab, direction, cols))):
                 if out not in known and not tab.is_commutative(out):
                     violations.append((direction, c1, c2))
     return {
