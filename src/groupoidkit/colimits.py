@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import partition
+from .core import closure, partition
 from .errors import (
     InvalidPresentationMorphism,
     NotConnected,
@@ -104,58 +104,36 @@ def pushout(f: PresentationMorphism, g: PresentationMorphism) -> PushoutResult:
     """Pushout of B <-f- A -g-> C in presented groupoids."""
     if f.source is not g.source:
         raise WrongShape("the two morphisms must share their source presentation")
-    ok_f, viol_f, assumed_f = validate_presentation_morphism(f)
-    ok_g, viol_g, assumed_g = validate_presentation_morphism(g)
-    if not ok_f or not ok_g:
-        raise InvalidPresentationMorphism(f"leg violations: {viol_f + viol_g!r}")
-    A, B, C = f.source, f.target, g.target
+    legs = (("B", f), ("C", g))
+    checks = [validate_presentation_morphism(m) for _, m in legs]
+    if not all(ok for ok, _, _ in checks):
+        raise InvalidPresentationMorphism(f"leg violations: {[v for _, viol, _ in checks for v in viol]!r}")
+    A = f.source
 
-    tagged_objs = [("B", x) for x in B.objects] + [("C", x) for x in C.objects]
-    glue = [((("B", f.obj_map[a])), (("C", g.obj_map[a]))) for a in A.objects]
+    tagged_objs = [(tag, x) for tag, m in legs for x in m.target.objects]
+    glue = [(("B", f.obj_map[a]), ("C", g.obj_map[a])) for a in A.objects]
     rep = {}  # each object's class, named by its sorted tagged members
     for members in partition(tagged_objs, glue):
         rep.update(dict.fromkeys(members, "{" + ",".join(sorted(f"{t}.{m}" for (t, m) in members)) + "}"))
 
-    def b_obj(x):
-        return rep[("B", x)]
+    def translate(w: Word, tag) -> Word:
+        return Word(rep[(tag, w.start)], tuple((f"{tag}.{e}", s) for (e, s) in w.letters))
 
-    def c_obj(x):
-        return rep[("C", x)]
-
-    gen_edges = []
-    for e in B.generators():
-        gen_edges.append((f"B.{e}", b_obj(B.graph.src[e]), b_obj(B.graph.tgt[e])))
-    for e in C.generators():
-        gen_edges.append((f"C.{e}", c_obj(C.graph.src[e]), c_obj(C.graph.tgt[e])))
-    apex_graph = reflexive_graph(sorted(set(rep.values())), gen_edges)
-
-    def translate(w: Word, tag, obj_of) -> Word:
-        letters = tuple((f"{tag}.{e}", s) for (e, s) in w.letters)
-        return Word(obj_of(w.start), letters)
-
-    relations = []
-    for (w1, w2) in B.relations:
-        relations.append((translate(w1, "B", b_obj), translate(w2, "B", b_obj)))
-    for (w1, w2) in C.relations:
-        relations.append((translate(w1, "C", c_obj), translate(w2, "C", c_obj)))
-    glue_relations = []
-    for e in A.generators():
-        left = translate(f.gen_map[e], "B", b_obj)
-        right = translate(g.gen_map[e], "C", c_obj)
-        glue_relations.append((left, right))
-    apex = FpGroupoid(apex_graph, tuple(relations + glue_relations))
-
-    inj_left = PresentationMorphism(
-        B,
-        apex,
-        {x: b_obj(x) for x in B.objects},
-        {e: Word(b_obj(B.graph.src[e]), ((f"B.{e}", POS),)) for e in B.generators()},
-    )
-    inj_right = PresentationMorphism(
-        C,
-        apex,
-        {x: c_obj(x) for x in C.objects},
-        {e: Word(c_obj(C.graph.src[e]), ((f"C.{e}", POS),)) for e in C.generators()},
+    gen_edges, relations = [], []
+    for tag, m in legs:
+        graph = m.target.graph
+        gen_edges += [(f"{tag}.{e}", rep[(tag, graph.src[e])], rep[(tag, graph.tgt[e])]) for e in graph.generators()]
+        relations += [(translate(w1, tag), translate(w2, tag)) for (w1, w2) in m.target.relations]
+    glue_relations = [(translate(f.gen_map[e], "B"), translate(g.gen_map[e], "C")) for e in A.generators()]
+    apex = FpGroupoid(reflexive_graph(sorted(set(rep.values())), gen_edges), tuple(relations + glue_relations))
+    inj_left, inj_right = (
+        PresentationMorphism(
+            m.target,
+            apex,
+            {x: rep[(tag, x)] for x in m.target.objects},
+            {e: translate(Word(m.target.graph.src[e], ((e, POS),)), tag) for e in m.target.generators()},
+        )
+        for tag, m in legs
     )
     glued = {(reduce_word(l).letters, reduce_word(r).letters) for (l, r) in glue_relations}
     square = {}
@@ -171,7 +149,7 @@ def pushout(f: PresentationMorphism, g: PresentationMorphism) -> PushoutResult:
     transcript = {
         "object_classes": rep,
         "square_on_generators": square,
-        "assumed_relation_images": assumed_f + assumed_g,
+        "assumed_relation_images": [a for _, _, assumed in checks for a in assumed],
     }
     return PushoutResult(apex, inj_left, inj_right, transcript)
 
@@ -209,26 +187,18 @@ def mediating_morphism(
     cocone or the induced map breaks a relation (cannot happen for genuine
     cocones).
     """
-    apex = result.apex
-    B, C = result.inj_left.source, result.inj_right.source
     H = qB.target
     if qC.target is not H:
         raise InvalidPresentationMorphism("cocone legs land in different groupoids")
-    obj_map = {}
-    for x in B.objects:
-        obj_map.setdefault(result.inj_left.obj_map[x], qB.obj_map[x])
-        if obj_map[result.inj_left.obj_map[x]] != qB.obj_map[x]:
-            raise InvalidPresentationMorphism("cocone objects disagree on a glued class")
-    for x in C.objects:
-        obj_map.setdefault(result.inj_right.obj_map[x], qC.obj_map[x])
-        if obj_map[result.inj_right.obj_map[x]] != qC.obj_map[x]:
-            raise InvalidPresentationMorphism("cocone objects disagree on a glued class")
-    gen_map = {}
-    for e in B.generators():
-        gen_map[f"B.{e}"] = qB.gen_map[e]
-    for e in C.generators():
-        gen_map[f"C.{e}"] = qC.gen_map[e]
-    u = PresentationToGroupoidMap(apex, H, obj_map, gen_map)
+    obj_map, gen_map = {}, {}
+    for inj, q in ((result.inj_left, qB), (result.inj_right, qC)):
+        for x in inj.source.objects:
+            if obj_map.setdefault(inj.obj_map[x], q.obj_map[x]) != q.obj_map[x]:
+                raise InvalidPresentationMorphism("cocone objects disagree on a glued class")
+        for e in inj.source.generators():
+            # the apex generator that the injection sends e to
+            gen_map[inj.gen_map[e].letters[0][0]] = q.gen_map[e]
+    u = PresentationToGroupoidMap(result.apex, H, obj_map, gen_map)
     if not u.respects_relations():
         raise InvalidPresentationMorphism("cocone does not respect a pushout relation")
     return u
@@ -260,35 +230,18 @@ def spanning_tree(P: FpGroupoid, base) -> dict:
     graph = P.graph
     if base not in set(graph.objects):
         raise NotConnected(f"unknown base object {base!r}")
-    adj: dict = {x: [] for x in graph.objects}
+    adj: dict = {x: [] for x in graph.objects}  # by generator id, each forward step before its backward one
     for e in sorted(P.generators()):
         adj[graph.src[e]].append((e, POS, graph.tgt[e]))
         adj[graph.tgt[e]].append((e, NEG, graph.src[e]))
     tree = {base: None}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for (e, s, y) in sorted(adj[x], key=lambda t: (t[0], -t[1])):
-                if y not in tree:
-                    tree[y] = (e, s, x)
-                    nxt.append(y)
-        frontier = nxt
+    for x in closure([base], lambda x: (y for (_, _, y) in adj[x])):
+        for (e, s, y) in adj[x]:
+            tree.setdefault(y, (e, s, x))
     if set(tree) != set(graph.objects):
         missing = sorted(set(map(str, set(graph.objects) - set(tree))))
         raise NotConnected(f"objects unreachable from {base!r}: {missing}")
     return tree
-
-
-def _tree_path(P: FpGroupoid, tree: dict, x) -> Word:
-    """Word base -> x along the tree."""
-    letters = []
-    cur = x
-    while tree[cur] is not None:
-        e, s, parent = tree[cur]
-        letters.append((e, s))
-        cur = parent
-    return Word(cur, tuple(letters))
 
 
 def vertex_group_presentation(P: FpGroupoid, base, tree: dict | None = None) -> GroupPresentation:
@@ -299,8 +252,6 @@ def vertex_group_presentation(P: FpGroupoid, base, tree: dict | None = None) -> 
     """
     if tree is None:
         tree = spanning_tree(P, base)
-    graph = P.graph
-    paths = {x: _tree_path(P, tree, x) for x in graph.objects}
     tree_edges = {t[0] for t in tree.values() if t is not None}
 
     def translate(w: Word):

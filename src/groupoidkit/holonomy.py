@@ -20,6 +20,7 @@ the two side leaves are disjoint circles and all holonomy is trivial.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -192,10 +193,8 @@ class HolonomyGroupoid:
 
     def vertex_orders(self) -> dict:
         K = self.groupoid
-        return {
-            x: sum(1 for a in K.arrows if K.src[a] == x and K.tgt[a] == x)
-            for x in K.objects
-        }
+        loops = Counter(K.src[a] for a in K.arrows if K.src[a] == K.tgt[a])
+        return {x: loops[x] for x in K.objects}
 
 
 def holonomy_groupoid(J: GermGroupoid, J0: LocalitySubgroupoid, strict: bool = True) -> HolonomyGroupoid:

@@ -15,6 +15,7 @@ with a critical pair check, both through the reducer and overlap scan of
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .core import (
@@ -22,6 +23,7 @@ from .core import (
     FiniteTopology,
     ValidationReport,
     Violation,
+    closure,
     composable,
     discontinuities,
     make_groupoid,
@@ -211,33 +213,19 @@ def free_groupoid(graph: ReflexiveGraph) -> FpGroupoid:
 
 
 def words_up_to(P: FpGroupoid, x, y, length: int) -> list[Word]:
-    """All reduced words x -> y of length <= `length` in a free presentation."""
+    """All reduced words x -> y of length <= `length` in a free presentation, shortest first."""
     if not P.is_free():
         raise NotFree("words_up_to requires a presentation without relations")
     graph = P.graph
-    signed = []
-    for e in P.generators():
-        signed.append((e, POS))
-        signed.append((e, NEG))
-    out = []
-    frontier = [Word(x, ())]
-    if x == y:
-        out.append(Word(x, ()))
-    for _ in range(length):
-        nxt = []
-        for w in frontier:
-            cur = word_target(graph, w)
-            for letter in signed:
-                if letter_src(graph, letter) != cur:
-                    continue
-                if w.letters and w.letters[0] == (letter[0], -letter[1]):
-                    continue  # would cancel: not reduced
-                w2 = Word(x, (letter,) + w.letters)
-                nxt.append(w2)
-                if letter_tgt(graph, letter) == y:
-                    out.append(w2)
-        frontier = nxt
-    return out
+    signed = [(e, s) for e in P.generators() for s in (POS, NEG)]
+
+    def extensions(w: Word):
+        if len(w) >= length:
+            return ()
+        cur, undo = word_target(graph, w), invert(w.letters[:1])  # undo would leave the word unreduced
+        return (Word(x, (l,) + w.letters) for l in signed if letter_src(graph, l) == cur and (l,) != undo)
+
+    return [w for w in closure([Word(x, ())], extensions) if word_target(graph, w) == y]
 
 
 # ---------------------------------------------------------------------------
@@ -552,31 +540,25 @@ def monodromy_is_finite(M: MonodromyResult) -> bool:
     """Decide finiteness of M via the normal-form adjacency graph.
 
     Normal forms are positive words avoiding rule left-hand sides; they are
-    walks in the digraph "u may follow v".  With no directed cycle every walk
-    is simple, so enumeration up to the generator count is exhaustive.
-    Requires a confluent instance.
+    walks in the digraph "u may follow v", and M is finite exactly when that
+    digraph has no directed cycle.  Generators that may follow none of the
+    generators left are peeled off one at a time (Kahn's topological sort);
+    a cycle is what is left when the peeling stops.  Requires a confluent
+    instance.
     """
     if not M.rewriting.confluent:
         raise RewritingNotConfluent("finiteness needs an instance-confluent system")
     gens = M.presentation.generators()
     allowed = _next_letters(M)
-    # cycle detection over the "next letter" digraph
-    color = {g: 0 for g in gens}
+    waiting = Counter(u for v in gens for u in allowed[v])  # generator -> how many generators it may still follow
 
-    def dfs(u) -> bool:
-        color[u] = 1
-        for v in allowed[u]:
-            if color[v] == 1:
-                return False
-            if color[v] == 0 and not dfs(v):
-                return False
-        color[u] = 2
-        return True
+    def peel(v):
+        for u in allowed[v]:
+            waiting[u] -= 1
+            if not waiting[u]:
+                yield u
 
-    for g in gens:
-        if color[g] == 0 and not dfs(g):
-            return False
-    return True
+    return len(closure([g for g in gens if not waiting[g]], peel)) == len(gens)
 
 
 def _next_letters(M: MonodromyResult) -> dict:
@@ -589,17 +571,17 @@ def _next_letters(M: MonodromyResult) -> dict:
 
 
 def enumerate_monodromy_arrows(M: MonodromyResult) -> list[Word]:
-    """All normal-form words of a finite, confluent monodromy instance."""
+    """All normal-form words of a finite, confluent monodromy instance, shortest first."""
     if not monodromy_is_finite(M):
         raise NotFiniteOnInstance("monodromy groupoid is infinite on this instance")
     graph = M.presentation.graph
     allowed = _next_letters(M)
-    out = [empty_word(x) for x in graph.objects]
-    frontier = [Word(graph.src[g], ((g, POS),)) for g in M.presentation.generators()]
-    while frontier:
-        out.extend(frontier)
-        frontier = [Word(w.start, ((u, POS),) + w.letters) for w in frontier for u in allowed[w.letters[0][0]]]
-    return out
+
+    def longer(w: Word):
+        return (Word(w.start, ((u, POS),) + w.letters) for u in allowed[w.letters[0][0]]) if w.letters else ()
+
+    one_letter = [Word(graph.src[g], ((g, POS),)) for g in M.presentation.generators()]
+    return closure([empty_word(x) for x in graph.objects] + one_letter, longer)
 
 
 def monodromy_groupoid(M: MonodromyResult) -> tuple[FiniteGroupoid, dict]:

@@ -29,7 +29,11 @@ package, kept as a test oracle:
 - `reference_coset_table` is a bounded Todd-Coxeter coset enumeration
   (HLT strategy), independent of the rewriting that `knuth_bendix` does,
   and `reference_ball_sizes` reads word-length balls off its table, or off
-  the free-group formula when there are no relators.
+  the free-group formula when there are no relators;
+- `reference_words_up_to`, `reference_enumerate_monodromy_arrows` and
+  `reference_spanning_tree` walk their own level-by-level frontiers instead
+  of `core.closure`, and `reference_monodromy_is_finite` looks for a cycle
+  with a recursive three-colour depth-first search instead of peeling.
 """
 
 import itertools
@@ -44,10 +48,17 @@ from groupoidkit.core import (
     make_groupoid,
     out_stars,
 )
-from groupoidkit.errors import NotSectionable, WellDefinednessFailure
+from groupoidkit.errors import NotConnected, NotFiniteOnInstance, NotFree, NotSectionable, WellDefinednessFailure
 from groupoidkit.germs import germ, germ_closure, germ_target, window_germs
 from groupoidkit.holonomy import GermGroupoid
-from groupoidkit.presentations import Word
+from groupoidkit.presentations import (
+    Word,
+    _next_letters,
+    empty_word,
+    letter_src,
+    letter_tgt,
+    word_target,
+)
 from groupoidkit.rewriting import NEG, POS, GroupRewriting, _orient, _shortlex_key, free_reduce, invert
 
 
@@ -761,3 +772,94 @@ def reference_ball_sizes(generators, relators, n, table=None):
         frontier = reached
         sizes.append(len(seen))
     return sizes
+
+
+def reference_words_up_to(P, x, y, length: int) -> list:
+    """All reduced words x -> y of length <= `length` in a free presentation, level by level."""
+    if not P.is_free():
+        raise NotFree("words_up_to requires a presentation without relations")
+    graph = P.graph
+    signed = []
+    for e in P.generators():
+        signed.append((e, POS))
+        signed.append((e, NEG))
+    out = []
+    frontier = [Word(x, ())]
+    if x == y:
+        out.append(Word(x, ()))
+    for _ in range(length):
+        nxt = []
+        for w in frontier:
+            cur = word_target(graph, w)
+            for letter in signed:
+                if letter_src(graph, letter) != cur:
+                    continue
+                if w.letters and w.letters[0] == (letter[0], -letter[1]):
+                    continue  # would cancel: not reduced
+                w2 = Word(x, (letter,) + w.letters)
+                nxt.append(w2)
+                if letter_tgt(graph, letter) == y:
+                    out.append(w2)
+        frontier = nxt
+    return out
+
+
+def reference_monodromy_is_finite(M) -> bool:
+    """True iff the "u may follow v" digraph has no directed cycle, by recursive three-colour DFS."""
+    gens = M.presentation.generators()
+    allowed = _next_letters(M)
+    color = {g: 0 for g in gens}
+
+    def dfs(u) -> bool:
+        color[u] = 1
+        for v in allowed[u]:
+            if color[v] == 1:
+                return False
+            if color[v] == 0 and not dfs(v):
+                return False
+        color[u] = 2
+        return True
+
+    for g in gens:
+        if color[g] == 0 and not dfs(g):
+            return False
+    return True
+
+
+def reference_enumerate_monodromy_arrows(M) -> list:
+    """The normal-form words of a finite monodromy instance: empty words, then level by level."""
+    if not reference_monodromy_is_finite(M):
+        raise NotFiniteOnInstance("monodromy groupoid is infinite on this instance")
+    graph = M.presentation.graph
+    allowed = _next_letters(M)
+    out = [empty_word(x) for x in graph.objects]
+    frontier = [Word(graph.src[g], ((g, POS),)) for g in M.presentation.generators()]
+    while frontier:
+        out.extend(frontier)
+        frontier = [Word(w.start, ((u, POS),) + w.letters) for w in frontier for u in allowed[w.letters[0][0]]]
+    return out
+
+
+def reference_spanning_tree(P, base) -> dict:
+    """Breadth-first tree, object -> (edge, sign, parent), one frontier level at a time."""
+    graph = P.graph
+    if base not in set(graph.objects):
+        raise NotConnected(f"unknown base object {base!r}")
+    adj = {x: [] for x in graph.objects}
+    for e in sorted(P.generators()):
+        adj[graph.src[e]].append((e, POS, graph.tgt[e]))
+        adj[graph.tgt[e]].append((e, NEG, graph.src[e]))
+    tree = {base: None}
+    frontier = [base]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for (e, s, y) in sorted(adj[x], key=lambda t: (t[0], -t[1])):
+                if y not in tree:
+                    tree[y] = (e, s, x)
+                    nxt.append(y)
+        frontier = nxt
+    if set(tree) != set(graph.objects):
+        missing = sorted(set(map(str, set(graph.objects) - set(tree))))
+        raise NotConnected(f"objects unreachable from {base!r}: {missing}")
+    return tree

@@ -1,6 +1,7 @@
 """Pushouts, the circle computation, vertex group presentations, HNN shapes."""
 
 import itertools
+import re
 
 import pytest
 
@@ -34,6 +35,9 @@ from groupoidkit.presentations import (
     reflexive_graph,
 )
 from groupoidkit.rewriting import enumerate_elements, free_reduce, knuth_bendix
+
+from corpus import all_presentation_maps, pushout_corpus, small_targets
+from reference_tables import reference_spanning_tree
 
 
 # -- presentation builders ---------------------------------------------------
@@ -242,7 +246,51 @@ class TestUniversalProperty:
             assert cocones > 0
 
 
+class TestMediatingRefusals:
+    """The spans' non-cocones, fed to `mediating_morphism`: each is refused by name."""
+
+    def test_non_cocones_are_refused(self):
+        refused = {"objects": 0, "relation": 0, "targets": 0}
+        targets = [H for _, H in small_targets()]
+        for _, f, g in pushout_corpus():
+            out = pushout(f, g)
+            A, B, C = f.source, f.target, g.target
+            for H in targets:
+                for qB in all_presentation_maps(B, H):
+                    for qC in all_presentation_maps(C, H):
+                        if any(qB.obj_map[f.obj_map[x]] != qC.obj_map[g.obj_map[x]] for x in A.objects):
+                            kind, message = "objects", "cocone objects disagree on a glued class"
+                        elif any(qB.evaluate(f.gen_map[e]) != qC.evaluate(g.gen_map[e]) for e in A.generators()):
+                            kind, message = "relation", "cocone does not respect a pushout relation"
+                        else:
+                            continue
+                        with pytest.raises(InvalidPresentationMorphism, match=re.escape(message)):
+                            mediating_morphism(out, qB, qC)
+                        refused[kind] += 1
+            for H1, H2 in itertools.permutations(targets, 2):
+                qB = next(all_presentation_maps(B, H1))
+                qC = next(all_presentation_maps(C, H2))
+                with pytest.raises(InvalidPresentationMorphism, match="cocone legs land in different groupoids"):
+                    mediating_morphism(out, qB, qC)
+                refused["targets"] += 1
+        assert all(refused.values())
+
+
 class TestVertexGroupPresentation:
+    def test_spanning_tree_matches_reference_in_order(self):
+        for _, f, g in pushout_corpus():
+            apex = pushout(f, g).apex
+            for x in apex.objects:
+                try:
+                    want = list(reference_spanning_tree(apex, x).items())
+                except NotConnected as exc:
+                    with pytest.raises(NotConnected, match=re.escape(str(exc))):
+                        spanning_tree(apex, x)
+                else:
+                    assert list(spanning_tree(apex, x).items()) == want
+            with pytest.raises(NotConnected, match="unknown base object 'nope'"):
+                spanning_tree(apex, "nope")
+
     def test_interval_gives_trivial_group(self):
         P = interval_presentation()
         pres = vertex_group_presentation(P, "0")

@@ -1,5 +1,6 @@
 """Words, free groupoids, local morphisms, and the monodromy construction."""
 
+import itertools
 import json
 import pathlib
 import random
@@ -48,7 +49,13 @@ from groupoidkit.presentations import (
     word_inverse,
     words_up_to,
 )
-from reference_tables import reference_local_data_validate
+from corpus import cyclic_window, monodromy_corpus
+from reference_tables import (
+    reference_enumerate_monodromy_arrows,
+    reference_local_data_validate,
+    reference_monodromy_is_finite,
+    reference_words_up_to,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 LOCAL_DATA_FIXTURES = ["annulus3.json", "c4-window.json", "full-window.json", "mobius3.json"]
@@ -284,6 +291,37 @@ class TestInstanceConfluence:
             D = local_data(G, W, discrete_topology(W))
             assert monodromy(D).rewriting.confluent is expected
             del radius
+
+
+class TestTraversalOracles:
+    """Word and normal-form traversals on `core.closure` against the level-by-level loops."""
+
+    def test_words_up_to_matches_reference_in_order(self):
+        # every graph with 1-3 generators on objects "0" and "1"
+        for k in (1, 2, 3):
+            for ends in itertools.product(itertools.product("01", repeat=2), repeat=k):
+                P = free_groupoid(reflexive_graph(["0", "1"], [(f"e{i}", s, t) for i, (s, t) in enumerate(ends)]))
+                for x, y in itertools.product("01", repeat=2):
+                    for n in range(5):
+                        assert words_up_to(P, x, y, n) == reference_words_up_to(P, x, y, n)
+
+    def test_monodromy_finiteness_and_arrows_match_reference(self):
+        cases = [D for _, D in monodromy_corpus()]
+        cases += [cyclic_window(n, r) for n in range(2, 13) for r in range(min(4, n))]  # g^k != 1 for k <= r
+        verdicts = set()
+        for D in cases:
+            M = monodromy(D)
+            if not M.rewriting.confluent:
+                continue
+            finite = monodromy_is_finite(M)
+            assert finite == reference_monodromy_is_finite(M)
+            verdicts.add(finite)
+            if finite:
+                assert enumerate_monodromy_arrows(M) == reference_enumerate_monodromy_arrows(M)
+            else:
+                with pytest.raises(NotFiniteOnInstance):
+                    enumerate_monodromy_arrows(M)
+        assert verdicts == {True, False}
 
 
 class TestLocalDataValidation:
