@@ -323,7 +323,10 @@ class FiniteGroupoid:
         return tuple(a for a in self.arrows if self.src[a] == x)
 
     def hom(self, x, y) -> tuple:
-        return tuple(a for a in self.arrows if self.src[a] == x and self.tgt[a] == y)
+        """Arrows x -> y.  Raises UnknownObject when x or y is not an object."""
+        star = self.star(x)
+        self.identity(y)
+        return tuple(a for a in star if self.tgt[a] == y)
 
     def composable_pairs(self):
         """(h, g) with tgt g == src h: g in arrow order, then h in arrow order."""
@@ -533,43 +536,17 @@ def indiscrete(n: int) -> FiniteGroupoid:
     if n < 1:
         raise EmptyNotAllowed("indiscrete needs n >= 1")
     objects = [str(i) for i in range(n)]
-    arrows, src, tgt, id_of, inv, comp = [], {}, {}, {}, {}, {}
-
-    def name(i, j):
-        return f"id:{i}" if i == j else f"a:{i}->{j}"
-
-    for i in objects:
-        for j in objects:
-            a = name(i, j)
-            arrows.append(a)
-            src[a], tgt[a] = i, j
-            inv[a] = name(j, i)
-        id_of[i] = name(i, i)
-    for i in objects:
-        for j in objects:
-            for k in objects:
-                comp[(name(j, k), name(i, j))] = name(i, k)
-    return make_groupoid(objects, arrows, src, tgt, id_of, inv, comp)
+    return _pairs_groupoid(objects, [objects], lambda i, j: f"id:{i}" if i == j else f"a:{i}->{j}")
 
 
-def one_object_groupoid(K: FiniteGroup, obj: str = "o") -> FiniteGroupoid:
-    """The group K as a groupoid on one object.
+def one_object_groupoid(K: FiniteGroup) -> FiniteGroupoid:
+    """The group K as a groupoid on one object ``o``: K acting on one point.
 
-    Arrow ids are ``g:<element>`` apart from the identity ``id:<obj>``;
+    Arrow ids are ``g:<element>`` apart from the identity ``id:o``;
     ``G.then`` agrees with ``K.mul``.
     """
-
-    def name(k):
-        return f"id:{obj}" if k == K.identity else f"g:{k}"
-
-    arrows = [name(k) for k in K.elements]
-    elem_of = {name(k): k for k in K.elements}
-    src = {a: obj for a in arrows}
-    tgt = dict(src)
-    id_of = {obj: f"id:{obj}"}
-    inv = {a: name(K.inv[elem_of[a]]) for a in arrows}
-    comp = {(h, g): name(K.mul[(elem_of[g], elem_of[h])]) for h, g in composable(arrows, src, tgt)}
-    return make_groupoid([obj], arrows, src, tgt, id_of, inv, comp)
+    act = {(g, "o"): "o" for g in K.elements}
+    return _action_groupoid(K, ["o"], act, lambda g, x: "id:o" if g == K.identity else f"g:{g}")
 
 
 def action_groupoid(K: FiniteGroup, points, act: dict) -> FiniteGroupoid:
@@ -579,11 +556,12 @@ def action_groupoid(K: FiniteGroup, points, act: dict) -> FiniteGroupoid:
     ``act[(K.mul[(g, h)], x)] == act[(h, act[(g, x)])]``  (apply g, then h).
     Arrows are (g, x): x -> g.x, named ``id:x`` for the identity of K.
     """
+    return _action_groupoid(K, points, act, lambda g, x: f"id:{x}" if g == K.identity else f"g:{g}@{x}")
+
+
+def _action_groupoid(K: FiniteGroup, points, act: dict, name) -> FiniteGroupoid:
+    """`action_groupoid` with the arrow (g, x) named name(g, x)."""
     points = list(points)
-
-    def name(g, x):
-        return f"id:{x}" if g == K.identity else f"g:{g}@{x}"
-
     arrows, src, tgt, id_of, inv = [], {}, {}, {}, {}
     data = {}
     for g in K.elements:
@@ -601,15 +579,21 @@ def action_groupoid(K: FiniteGroup, points, act: dict) -> FiniteGroupoid:
 
 def equivalence_groupoid(points, blocks) -> FiniteGroupoid:
     """Arrows are the ordered same-block pairs: the pair (x, y) is x -> y."""
+    return _pairs_groupoid(points, blocks, lambda x, y: f"id:{x}" if x == y else f"{x}>{y}")
+
+
+def _pairs_groupoid(points, blocks, name) -> FiniteGroupoid:
+    """`equivalence_groupoid` with the pair (x, y) named name(x, y).
+
+    Each block is read in the order given, so the tables' insertion order
+    does not follow the hash seed.
+    """
     points = list(points)
-
-    def name(x, y):
-        return f"id:{x}" if x == y else f"{x}>{y}"
-
     block_of = {}
     for b in blocks:
+        b = tuple(dict.fromkeys(b))
         for x in b:
-            block_of[x] = frozenset(b)
+            block_of[x] = b
     arrows, src, tgt, id_of, inv = [], {}, {}, {}, {}
     for x in points:
         for y in block_of[x]:
@@ -799,14 +783,7 @@ def topology_from_opens(points, opens) -> FiniteTopology:
         for V in fam:
             if U | V not in fam or U & V not in fam:
                 raise UnknownPoint("open family is not closed under union/intersection")
-    mins = {}
-    for x in points:
-        around = [U for U in fam if x in U]
-        m = pset
-        for U in around:
-            m &= U
-        mins[x] = m
-    return FiniteTopology(points, mins)
+    return topology_from_subbase(points, fam)
 
 
 def topology_from_subbase(points, sets) -> FiniteTopology:

@@ -17,10 +17,11 @@ canonical corner fillers; they obey the transport law: the connection of a
 composite edge is a two-by-two composite of the connections of its factors
 padded with degenerate squares.
 
-Two models are built here: the double groupoid of commuting squares of any
-finite groupoid, and the double groupoid of a crossed module (P, M, d),
+Two models are built here: the double groupoid of a crossed module (P, M, d),
 whose squares are boundary tuples together with a filler m in M subject to
-d(m) = d^-1 c^-1 a b (the boundary loop read off the square in path order).
+d(m) = d^-1 c^-1 a b (the boundary loop read off the square in path order),
+and the double groupoid of commuting squares of any finite groupoid, which
+is the same algebra with the one-element filler group.
 A cube (six squares with matched edges) is commutative when its top face
 equals the folded composite of the other five with connection squares
 filling the four corners of the net; the exact layout is fixed in
@@ -33,7 +34,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product as iproduct, repeat
 
-from .core import FiniteGroup, FiniteGroupoid, one_object_groupoid, validate_group
+from .core import FiniteGroup, FiniteGroupoid, one_object_groupoid, out_stars, validate_group
 from .errors import (
     CapExceeded,
     NotACrossedModule,
@@ -57,21 +58,32 @@ class Square:
     filler: object = None
 
 
+# The filler group of the commuting-squares double: its one filler is None.
+NO_FILLERS = FiniteGroup((None,), {(None, None): None}, None, {None: None})
+
+
 @dataclass(frozen=True, eq=False)
 class DoubleGroupoid:
-    """Square set over an edge groupoid, with composition data.
+    """Square set over an edge groupoid, with its filler algebra.
 
-    ``kind`` is "commuting" (squares carry no filler) or "xmod" (fillers in
-    the crossed module's group M, with `xmod`, `edge_elem` and `elem_edge`
-    populated).
+    Fillers lie in the group ``fillers``, and ``act[(e, m)]`` is the action
+    of the edge e on the filler m.  A crossed-module double has the module
+    in `xmod`, its M as fillers and `elem_edge` naming the edge of each P
+    element; a commuting-squares double has `NO_FILLERS`, acted on
+    trivially.
     """
 
     edge: FiniteGroupoid
     squares: frozenset
-    kind: str
+    fillers: FiniteGroup
+    act: dict
     xmod: object = None
-    edge_elem: dict = None
     elem_edge: dict = None
+
+    @property
+    def kind(self) -> str:
+        """The model: "xmod" for the double of a crossed module, else "commuting"."""
+        return "commuting" if self.xmod is None else "xmod"
 
     def seq(self, x, y):
         """Edge x followed by edge y."""
@@ -95,15 +107,9 @@ def _check_member(D: DoubleGroupoid, u: Square) -> Square:
     return u
 
 
-def _act(D: DoubleGroupoid, edge, m):
-    """Action of an edge (as a P element) on a filler."""
-    return D.xmod.action[(D.edge_elem[edge], m)]
-
-
 def _thin(D: DoubleGroupoid, top, right, left, bottom) -> Square:
     """The square on this boundary with the trivial filler."""
-    filler = None if D.kind == "commuting" else D.xmod.M.identity
-    return Square(top, right, left, bottom, filler)
+    return Square(top, right, left, bottom, D.fillers.identity)
 
 
 def eps1(D: DoubleGroupoid, e) -> Square:
@@ -134,23 +140,16 @@ def compose_squares(D: DoubleGroupoid, direction: int, u: Square, v: Square) -> 
     """u then v: downward for direction 1, rightward for direction 2."""
     _check_member(D, u)
     _check_member(D, v)
+    mul, act = D.fillers.mul, D.act
     if direction == 1:
         if v.top != u.bottom:
             raise NotComposable("vertical composition needs v.top == u.bottom")
-        if D.kind == "commuting":
-            filler = None
-        else:
-            M = D.xmod.M
-            filler = M.mul[(v.filler, _act(D, D.einv(v.right), u.filler))]
+        filler = mul[(v.filler, act[(D.einv(v.right), u.filler)])]
         out = Square(u.top, D.seq(u.right, v.right), D.seq(u.left, v.left), v.bottom, filler)
     elif direction == 2:
         if v.left != u.right:
             raise NotComposable("horizontal composition needs v.left == u.right")
-        if D.kind == "commuting":
-            filler = None
-        else:
-            M = D.xmod.M
-            filler = M.mul[(_act(D, D.einv(v.bottom), u.filler), v.filler)]
+        filler = mul[(act[(D.einv(v.bottom), u.filler)], v.filler)]
         out = Square(D.seq(u.top, v.top), v.right, u.left, D.seq(u.bottom, v.bottom), filler)
     else:
         raise NotComposable(f"direction must be 1 or 2, got {direction!r}")
@@ -159,20 +158,11 @@ def compose_squares(D: DoubleGroupoid, direction: int, u: Square, v: Square) -> 
 
 def inverse_square(D: DoubleGroupoid, direction: int, u: Square) -> Square:
     _check_member(D, u)
+    inv, act = D.fillers.inv, D.act
     if direction == 1:
-        if D.kind == "commuting":
-            filler = None
-        else:
-            M = D.xmod.M
-            filler = M.inv[_act(D, u.right, u.filler)]
-        out = Square(u.bottom, D.einv(u.right), D.einv(u.left), u.top, filler)
+        out = Square(u.bottom, D.einv(u.right), D.einv(u.left), u.top, inv[act[(u.right, u.filler)]])
     elif direction == 2:
-        if D.kind == "commuting":
-            filler = None
-        else:
-            M = D.xmod.M
-            filler = _act(D, u.bottom, D.xmod.M.inv[u.filler])
-        out = Square(D.einv(u.top), u.left, u.right, D.einv(u.bottom), filler)
+        out = Square(D.einv(u.top), u.left, u.right, D.einv(u.bottom), act[(u.bottom, inv[u.filler])])
     else:
         raise NotComposable(f"direction must be 1 or 2, got {direction!r}")
     return _check_member(D, out)
@@ -190,7 +180,7 @@ def commuting_squares(G: FiniteGroupoid) -> DoubleGroupoid:
     squares = frozenset(
         Square(a, b, c, d) for paths in factorisations.values() for a, b in paths for c, d in paths
     )
-    return DoubleGroupoid(G, squares, "commuting")
+    return DoubleGroupoid(G, squares, NO_FILLERS, {(e, None): None for e in G.arrows})
 
 
 # ---------------------------------------------------------------------------
@@ -254,31 +244,25 @@ def trivial_boundary_crossed_module(P: FiniteGroup, M: FiniteGroup) -> CrossedMo
 
 
 def xmod_to_double(X: CrossedModule) -> DoubleGroupoid:
-    """Squares are boundary tuples with fillers m satisfying dm = d^-1 c^-1 a b."""
+    """Squares are boundary tuples with fillers m satisfying dm = d^-1 c^-1 a b.
+
+    M is grouped by boundary, so each boundary tuple reads the fillers of
+    its defect d^-1 c^-1 a b off its group.
+    """
     bad = validate_crossed_module(X)
     if bad:
         raise NotACrossedModule(f"axiom failures: {bad[:3]!r}")
     edge = one_object_groupoid(X.P)
-    name = {}
-    for k in X.P.elements:
-        name[k] = "id:o" if k == X.P.identity else f"g:{k}"
-    elem = {v: k for k, v in name.items()}
-
-    def seq(x, y):
-        return edge.comp[(y, x)]
-
-    squares = set()
-    arrows = edge.arrows
-    for a in arrows:
-        for b in arrows:
-            for c in arrows:
-                for d in arrows:
-                    loop = seq(seq(seq(edge.inv[d], edge.inv[c]), a), b)
-                    defect = elem[loop]
-                    for m in X.M.elements:
-                        if X.boundary[m] == defect:
-                            squares.add(Square(a, b, c, d, m))
-    return DoubleGroupoid(edge, frozenset(squares), "xmod", X, elem, name)
+    name = {k: "id:o" if k == X.P.identity else f"g:{k}" for k in X.P.elements}
+    fibres = {name[p]: ms for p, ms in out_stars(X.M.elements, X.boundary).items()}
+    comp, inv = edge.comp, edge.inv
+    squares = frozenset(
+        Square(a, b, c, d, m)
+        for a, b, c, d in iproduct(edge.arrows, repeat=4)
+        for m in fibres.get(comp[(b, comp[(a, comp[(inv[c], inv[d])])])], ())
+    )
+    act = {(name[p], m): X.action[(p, m)] for p in X.P.elements for m in X.M.elements}
+    return DoubleGroupoid(edge, squares, X.M, act, X, name)
 
 
 def double_to_xmod(D: DoubleGroupoid) -> tuple[CrossedModule, dict]:
@@ -311,7 +295,7 @@ def double_to_xmod(D: DoubleGroupoid) -> tuple[CrossedModule, dict]:
             key=repr,
         )
     )
-    ident = next(u for u in m_squares if u.top == one and _is_trivial_filler(D, u))
+    ident = _thin(D, one, one, one, one)
     mul = {}
     for u in m_squares:
         for v in m_squares:
@@ -333,10 +317,6 @@ def double_to_xmod(D: DoubleGroupoid) -> tuple[CrossedModule, dict]:
     if bad:
         raise NotSpecialDouble(f"extracted data fails crossed module axioms: {bad[:3]!r}")
     return X, {"edges": edges, "m_squares": m_squares}
-
-
-def _is_trivial_filler(D: DoubleGroupoid, u: Square) -> bool:
-    return u == _thin(D, u.top, u.right, u.left, u.bottom)
 
 
 def roundtrip_isomorphism(X: CrossedModule) -> dict:
@@ -464,7 +444,7 @@ def interchange_check(D: DoubleGroupoid) -> InterchangeReport:
     the equivalent per-triple identity (`_interchange_factored`); any
     other double by enumerating the blocks (`_interchange_direct`).
     """
-    if D.kind == "xmod" and len(D.squares) > 40:
+    if D.xmod is not None and len(D.squares) > 40:
         return _interchange_factored(D)
     return _interchange_direct(D)
 

@@ -275,9 +275,9 @@ def holonomy_groupoid(J: GermGroupoid, J0: LocalitySubgroupoid, strict: bool = T
     )
 
 
-def holonomy_pipeline(D: LocalGroupoidData, value_normalised: bool = True, strict: bool = True) -> HolonomyGroupoid:
+def holonomy_pipeline(D: LocalGroupoidData) -> HolonomyGroupoid:
     J = germ_groupoid(D)
-    return holonomy_groupoid(J, j0(J, value_normalised=value_normalised), strict=strict)
+    return holonomy_groupoid(J, j0(J))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,12 @@ package, kept as a test oracle:
 - `reference_words_up_to`, `reference_enumerate_monodromy_arrows` and
   `reference_spanning_tree` walk their own level-by-level frontiers instead
   of `core.closure`, and `reference_monodromy_is_finite` looks for a cycle
-  with a recursive three-colour depth-first search instead of peeling.
+  with a recursive three-colour depth-first search instead of peeling;
+- `reference_compose_squares` and `reference_inverse_square` write each
+  filler formula once per model, branching on `D.kind`;
+- `reference_indiscrete` and `reference_one_object_groupoid` build their
+  tables by their own loops, and `reference_topology_from_opens`
+  intersects the opens around each point itself.
 """
 
 import itertools
@@ -48,7 +53,17 @@ from groupoidkit.core import (
     make_groupoid,
     out_stars,
 )
-from groupoidkit.errors import NotConnected, NotFiniteOnInstance, NotFree, NotSectionable, WellDefinednessFailure
+from groupoidkit.double import Square
+from groupoidkit.errors import (
+    EmptyNotAllowed,
+    NotComposable,
+    NotConnected,
+    NotFiniteOnInstance,
+    NotFree,
+    NotSectionable,
+    UnknownPoint,
+    WellDefinednessFailure,
+)
 from groupoidkit.germs import germ, germ_closure, germ_target, window_germs
 from groupoidkit.holonomy import GermGroupoid
 from groupoidkit.presentations import (
@@ -863,3 +878,121 @@ def reference_spanning_tree(P, base) -> dict:
         missing = sorted(set(map(str, set(graph.objects) - set(tree))))
         raise NotConnected(f"objects unreachable from {base!r}: {missing}")
     return tree
+
+
+def _reference_member(D, u):
+    if not D.has_square(u):
+        raise NotComposable(f"square {u!r} does not belong to this double groupoid")
+    return u
+
+
+def _reference_act(D, edge, m):
+    """Action of an edge (as a P element) on a filler."""
+    elem = {name: p for p, name in D.elem_edge.items()}
+    return D.xmod.action[(elem[edge], m)]
+
+
+def reference_compose_squares(D, direction, u, v):
+    _reference_member(D, u)
+    _reference_member(D, v)
+    if direction == 1:
+        if v.top != u.bottom:
+            raise NotComposable("vertical composition needs v.top == u.bottom")
+        if D.kind == "commuting":
+            filler = None
+        else:
+            M = D.xmod.M
+            filler = M.mul[(v.filler, _reference_act(D, D.einv(v.right), u.filler))]
+        out = Square(u.top, D.seq(u.right, v.right), D.seq(u.left, v.left), v.bottom, filler)
+    elif direction == 2:
+        if v.left != u.right:
+            raise NotComposable("horizontal composition needs v.left == u.right")
+        if D.kind == "commuting":
+            filler = None
+        else:
+            M = D.xmod.M
+            filler = M.mul[(_reference_act(D, D.einv(v.bottom), u.filler), v.filler)]
+        out = Square(D.seq(u.top, v.top), v.right, u.left, D.seq(u.bottom, v.bottom), filler)
+    else:
+        raise NotComposable(f"direction must be 1 or 2, got {direction!r}")
+    return _reference_member(D, out)
+
+
+def reference_inverse_square(D, direction, u):
+    _reference_member(D, u)
+    if direction == 1:
+        if D.kind == "commuting":
+            filler = None
+        else:
+            M = D.xmod.M
+            filler = M.inv[_reference_act(D, u.right, u.filler)]
+        out = Square(u.bottom, D.einv(u.right), D.einv(u.left), u.top, filler)
+    elif direction == 2:
+        if D.kind == "commuting":
+            filler = None
+        else:
+            filler = _reference_act(D, u.bottom, D.xmod.M.inv[u.filler])
+        out = Square(D.einv(u.top), u.left, u.right, D.einv(u.bottom), filler)
+    else:
+        raise NotComposable(f"direction must be 1 or 2, got {direction!r}")
+    return _reference_member(D, out)
+
+
+def reference_indiscrete(n):
+    if n < 1:
+        raise EmptyNotAllowed("indiscrete needs n >= 1")
+    objects = [str(i) for i in range(n)]
+    arrows, src, tgt, id_of, inv, comp = [], {}, {}, {}, {}, {}
+
+    def name(i, j):
+        return f"id:{i}" if i == j else f"a:{i}->{j}"
+
+    for i in objects:
+        for j in objects:
+            a = name(i, j)
+            arrows.append(a)
+            src[a], tgt[a] = i, j
+            inv[a] = name(j, i)
+        id_of[i] = name(i, i)
+    for i in objects:
+        for j in objects:
+            for k in objects:
+                comp[(name(j, k), name(i, j))] = name(i, k)
+    return make_groupoid(objects, arrows, src, tgt, id_of, inv, comp)
+
+
+def reference_one_object_groupoid(K, obj="o"):
+    def name(k):
+        return f"id:{obj}" if k == K.identity else f"g:{k}"
+
+    arrows = [name(k) for k in K.elements]
+    elem_of = {name(k): k for k in K.elements}
+    src = {a: obj for a in arrows}
+    tgt = dict(src)
+    id_of = {obj: f"id:{obj}"}
+    inv = {a: name(K.inv[elem_of[a]]) for a in arrows}
+    comp = {(h, g): name(K.mul[(elem_of[g], elem_of[h])]) for h, g in composable(arrows, src, tgt)}
+    return make_groupoid([obj], arrows, src, tgt, id_of, inv, comp)
+
+
+def reference_topology_from_opens(points, opens) -> FiniteTopology:
+    points = tuple(points)
+    pset = frozenset(points)
+    fam = {frozenset(U) for U in opens}
+    if frozenset() not in fam or pset not in fam:
+        raise UnknownPoint("open family must contain the empty set and the full point set")
+    for U in fam:
+        if not U <= pset:
+            raise UnknownPoint(f"open set {sorted(map(repr, U))} has points outside the space")
+    for U in fam:
+        for V in fam:
+            if U | V not in fam or U & V not in fam:
+                raise UnknownPoint("open family is not closed under union/intersection")
+    mins = {}
+    for x in points:
+        around = [U for U in fam if x in U]
+        m = pset
+        for U in around:
+            m &= U
+        mins[x] = m
+    return FiniteTopology(points, mins)

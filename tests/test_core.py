@@ -49,7 +49,10 @@ from groupoidkit.io import crossed_module_from_dict, groupoid_from_dict
 from reference_tables import (
     reference_group_isomorphism,
     reference_groupoid_isomorphism,
+    reference_indiscrete,
+    reference_one_object_groupoid,
     reference_opens,
+    reference_topology_from_opens,
     reference_topology_from_subbase,
     reference_validate_groupoid,
 )
@@ -272,6 +275,25 @@ class TestTopology:
         T = topology_from_opens(["a", "b"], fam)
         assert sorted(map(sorted, T.opens())) == sorted(map(sorted, map(set, fam)))
 
+    def test_from_opens_matches_reference(self):
+        # every family of subsets of {a, b, c} plus one with an outside point:
+        # 256 families, 29 of them topologies
+        points = ["a", "b", "c"]
+        subsets = [frozenset(c) for r in range(4) for c in itertools.combinations(points, r)]
+        families = [fam for r in range(len(subsets) + 1) for fam in itertools.combinations(subsets, r)]
+        families.append((frozenset(), frozenset(points), frozenset({"a", "z"})))
+
+        def outcome(build, fam):
+            try:
+                T = build(points, fam)
+            except UnknownPoint as exc:
+                return str(exc)
+            return T.points, list(T.min_open.items())
+
+        got = [outcome(topology_from_opens, fam) for fam in families]
+        assert got == [outcome(reference_topology_from_opens, fam) for fam in families]
+        assert sum(not isinstance(o, str) for o in got) == 29
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(st.integers(0, 7), unique=True, max_size=7),
@@ -334,6 +356,40 @@ def iso_groups():
             ("S3xC2", x(symmetric_group(3), C(2))), ("S4", symmetric_group(4))]
     out += [("C2xC3", x(C(2), C(3))), ("C4xC2", x(C(4), C(2))), ("C3xC4", x(C(3), C(4)))]
     return out
+
+
+def table_items(G):
+    """Every table of G as item lists, so that insertion order counts."""
+    return (G.objects, G.arrows, *(list(t.items()) for t in (G.src, G.tgt, G.id_of, G.inv, G.comp)))
+
+
+class TestStandardBuilders:
+    """The standard groupoids on their general builders, against their own loops."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_indiscrete_matches_reference_in_order(self, n):
+        assert table_items(indiscrete(n)) == table_items(reference_indiscrete(n))
+
+    def test_indiscrete_refuses_no_objects(self):
+        for build in (indiscrete, reference_indiscrete):
+            with pytest.raises(EmptyNotAllowed, match="n >= 1"):
+                build(0)
+
+    @pytest.mark.parametrize("name, K", iso_groups(), ids=[name for name, _ in iso_groups()])
+    def test_one_object_matches_reference_in_order(self, name, K):
+        assert table_items(one_object_groupoid(K)) == table_items(reference_one_object_groupoid(K))
+
+    def test_blocks_are_read_in_the_order_given(self):
+        G = equivalence_groupoid("ab", [["b", "a", "b"]])
+        assert list(G.src) == ["a>b", "id:a", "id:b", "b>a"]
+        assert G.arrows == ("a>b", "b>a", "id:a", "id:b")
+
+    def test_hom_refuses_unknown_objects(self):
+        G = indiscrete(2)
+        assert G.hom("0", "1") == ("a:0->1",)
+        for x, y in (("nope", "0"), ("0", "nope"), ("nope", "nope")):
+            with pytest.raises(UnknownObject, match="nope"):
+                G.hom(x, y)
 
 
 def iso_groupoids():
