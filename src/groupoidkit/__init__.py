@@ -44,7 +44,6 @@ from .core import (
     ValidationReport,
     action_groupoid,
     components,
-    compose,
     cyclic_group,
     discrete_topology,
     disjoint_union,

@@ -253,48 +253,44 @@ def cmd_extendible(args) -> int:
 
 def _load_double(doc):
     if "P" in doc:
-        X = crossed_module_from_dict(doc)
-        return xmod_to_double(X), X
-    return commuting_squares(_checked(groupoid_from_dict(doc))), None
+        return xmod_to_double(crossed_module_from_dict(doc))
+    return commuting_squares(_checked(groupoid_from_dict(doc)))
+
+
+def _transport(D) -> dict:
+    bad = transport_check(D)
+    return {"ok": not bad, "violations": len(bad)}
+
+
+def _interchange(D) -> dict:
+    rep = interchange_check(D)
+    return {"ok": rep.ok, "method": rep.method, "blocks_checked": rep.blocks_checked}
+
+
+def _cube_closure(D) -> dict:
+    sweep = cube_closure_sweep(D)
+    return {"ok": not sweep["violations"], **{k: sweep[k] for k in ("cubes", "commutative", "composites_checked")}}
+
+
+DOUBLE_CHECKS = {
+    "transport": _transport,
+    "interchange": _interchange,
+    "roundtrip": lambda D: {"ok": roundtrip_isomorphism(D)["is_isomorphism"]},
+    "cube-closure": _cube_closure,
+}
 
 
 def cmd_double(args) -> int:
     started = time.time()
-    doc = _read_json(args.path)
-    D, X = _load_double(doc)
+    D = _load_double(_read_json(args.path))
     checks = [c.strip() for c in (args.check or "").split(",") if c.strip()]
-    results = {"kind": D.kind, "square_count": len(D.squares), "checks": {}}
-    ok = True
-    for check in checks:
-        if check == "transport":
-            bad = transport_check(D)
-            results["checks"]["transport"] = {"ok": not bad, "violations": len(bad)}
-            ok &= not bad
-        elif check == "interchange":
-            rep = interchange_check(D)
-            results["checks"]["interchange"] = {
-                "ok": rep.ok,
-                "method": rep.method,
-                "blocks_checked": rep.blocks_checked,
-            }
-            ok &= rep.ok
-        elif check == "roundtrip":
-            if X is None:
-                raise SchemaError("roundtrip check needs a crossed module input")
-            out = roundtrip_isomorphism(X)
-            results["checks"]["roundtrip"] = {"ok": out["is_isomorphism"]}
-            ok &= out["is_isomorphism"]
-        elif check == "cube-closure":
-            sweep = cube_closure_sweep(D)
-            results["checks"]["cube-closure"] = {
-                "ok": not sweep["violations"],
-                "cubes": sweep["cubes"],
-                "commutative": sweep["commutative"],
-                "composites_checked": sweep["composites_checked"],
-            }
-            ok &= not sweep["violations"]
-        else:
+    for check in checks:  # the whole list is refused before any check runs
+        if check not in DOUBLE_CHECKS:
             raise SchemaError(f"unknown check {check!r}")
+        if check == "roundtrip" and D.xmod is None:
+            raise SchemaError("roundtrip check needs a crossed module input")
+    results = {"kind": D.kind, "square_count": len(D.squares), "checks": {c: DOUBLE_CHECKS[c](D) for c in checks}}
+    ok = all(out["ok"] for out in results["checks"].values())
     if args.emit_squares is not None:
         with open(args.emit_squares, "w", encoding="utf-8") as fh:
             fh.write(canonical_dumps(catalogue_to_dict(D)))
@@ -304,7 +300,7 @@ def cmd_double(args) -> int:
 
 def cmd_cube(args) -> int:
     started = time.time()
-    D, _ = _load_double(_read_json(args.path))
+    D = _load_double(_read_json(args.path))
     cube_doc = _read_json(args.cube)
     cube = cube_from_dict(cube_doc, square_catalogue(D))
     try:

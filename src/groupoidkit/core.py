@@ -70,7 +70,7 @@ def closure(seeds, products, max_elements: int | None = None) -> list:
 
     The one closure loop of the package: semigroups of bisections, germs,
     open sets and subgroups differ only in their elements and products.
-    Raises CapExceeded as soon as more than max_elements elements are reached.
+    The cap is found during the walk, as the size cannot be known ahead: CapExceeded past max_elements.
     """
     seen = set(seeds)
     elements = list(seeds)
@@ -135,14 +135,6 @@ class FiniteGroup:
 
     def inverse(self, a):
         return self.inv[a]
-
-    def power(self, a, n: int):
-        if n < 0:
-            return self.power(self.inv[a], -n)
-        out = self.identity
-        for _ in range(n):
-            out = self.mul[(out, a)]
-        return out
 
     def element_order(self, a) -> int:
         n, x = 1, a
@@ -300,10 +292,6 @@ class FiniteGroupoid:
         except KeyError:
             raise NotComposable(f"cannot compose {h!r} after {g!r}") from None
 
-    def then(self, a, b):
-        """a followed by b (path order)."""
-        return self.compose(b, a)
-
     def identity(self, x):
         try:
             return self.id_of[x]
@@ -352,15 +340,10 @@ def composable(arrows, src, tgt):
 
 
 def make_groupoid(objects, arrows, src, tgt, id_of, inv, comp) -> FiniteGroupoid:
-    """Freeze constructor: sorts object/arrow listings for determinism."""
+    """Freeze constructor: sorts object/arrow listings for determinism.  The groupoid
+    owns the five tables it is handed, uncopied: callers pass fresh dicts and leave them."""
     return FiniteGroupoid(
-        tuple(sorted(objects, key=repr)),
-        tuple(sorted(arrows, key=repr)),
-        dict(src),
-        dict(tgt),
-        dict(id_of),
-        dict(inv),
-        dict(comp),
+        tuple(sorted(objects, key=repr)), tuple(sorted(arrows, key=repr)), src, tgt, id_of, inv, comp
     )
 
 
@@ -394,12 +377,12 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
         ai = G.inv.get(a)
         if ai not in aset:
             bad.append(Violation("inverse-exists", (a,), "no inverse arrow"))
-    pairs = list(G.composable_pairs())
-    pair_set = set(pairs)
     for key in G.comp:
-        if key not in pair_set:
+        # a key that is not a pair of arrows is reported, not unpacked
+        if not (isinstance(key, tuple) and len(key) == 2 and key[0] in aset and key[1] in aset
+                and G.tgt[key[1]] == G.src[key[0]]):
             bad.append(Violation("composition-domain", key, "comp defined on a non-composable pair"))
-    for (h, g) in pairs:
+    for (h, g) in G.composable_pairs():
         if (h, g) not in G.comp:
             bad.append(Violation("composition-total", (h, g), "composable pair missing from comp"))
             continue
@@ -428,7 +411,6 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     # Associativity by columns of arrow numbers: col[a] lists k∘a for k out of
     # tgt a, cpos[a] places each k∘a in the star of src a.  For all k at once,
     # k∘(h∘g) is col[h∘g] and (k∘h)∘g is col[g] read at cpos[h].
-    del pairs, pair_set  # freed before the columns are built, to keep the peak down
     comp, tgt = G.comp, G.tgt
     stars = out_stars(arrows, G.src)
     num = {a: i for i, a in enumerate(arrows)}
@@ -443,10 +425,6 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
                     if x != y:
                         bad.append(Violation("associativity", (k, h, g), "associativity fails"))
     return ValidationReport(tuple(bad))
-
-
-def compose(G: FiniteGroupoid, h, g):
-    return G.compose(h, g)
 
 
 def vertex_group(G: FiniteGroupoid, x) -> FiniteGroup:
@@ -543,7 +521,7 @@ def one_object_groupoid(K: FiniteGroup) -> FiniteGroupoid:
     """The group K as a groupoid on one object ``o``: K acting on one point.
 
     Arrow ids are ``g:<element>`` apart from the identity ``id:o``;
-    ``G.then`` agrees with ``K.mul``.
+    ``K.mul[(a, b)]`` ("a followed by b") is ``G.compose(b, a)``.
     """
     act = {(g, "o"): "o" for g in K.elements}
     return _action_groupoid(K, ["o"], act, lambda g, x: "id:o" if g == K.identity else f"g:{g}")
@@ -749,9 +727,10 @@ class FiniteTopology:
         return sorted(found, key=lambda s: (len(s), sorted(map(repr, s))))
 
     def subspace(self, subset) -> "FiniteTopology":
-        subset = [p for p in self.points if p in set(subset)]
-        mins = {x: frozenset(self.min_open[x]) & frozenset(subset) for x in subset}
-        return FiniteTopology(tuple(subset), mins)
+        """The points of subset in the space's order, each minimal open cut to them; others are dropped."""
+        kept = frozenset(subset).intersection(self.points)
+        points = tuple(p for p in self.points if p in kept)
+        return FiniteTopology(points, {x: kept & self.min_open[x] for x in points})
 
     def product(self, other: "FiniteTopology") -> "FiniteTopology":
         pts = tuple((x, y) for x in self.points for y in other.points)

@@ -30,9 +30,11 @@ filling the four corners of the net; the exact layout is fixed in
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product as iproduct, repeat
+from operator import attrgetter
 
 from .core import FiniteGroup, FiniteGroupoid, one_object_groupoid, out_stars, validate_group
 from .errors import (
@@ -319,9 +321,11 @@ def double_to_xmod(D: DoubleGroupoid) -> tuple[CrossedModule, dict]:
     return X, {"edges": edges, "m_squares": m_squares}
 
 
-def roundtrip_isomorphism(X: CrossedModule) -> dict:
-    """Explicit isomorphism X -> double_to_xmod(xmod_to_double(X))."""
-    D = xmod_to_double(X)
+def roundtrip_isomorphism(D: DoubleGroupoid) -> dict:
+    """Explicit isomorphism X -> double_to_xmod(D) for the double D of X = D.xmod; NotSpecialDouble if D has none."""
+    X = D.xmod
+    if X is None:
+        raise NotSpecialDouble("the round trip needs the double of a crossed module")
     Y, _tables = double_to_xmod(D)
     phi_p = {p: D.elem_edge[p] for p in X.P.elements}
     phi_m = {
@@ -381,13 +385,42 @@ class InterchangeReport:
     witnesses: tuple
 
 
+def _interchange_blocks(D: DoubleGroupoid) -> int:
+    """The blocks (u, v, w, z) that `_interchange_direct` walks, counted from the squares' edges alone.
+
+    Each edge r and bottoms (b1, b2) give #{u: right r, bottom b1} x #{v: left r, bottom b2}
+    x the sum over w with top b1 of #{z: top b2, left = right of w}.  The
+    MAX_INTERCHANGE_BLOCKS cap is counted first: CapExceeded as soon as the count passes it.
+    """
+    def grouped(first, second) -> dict:
+        """Each `first` edge mapped to {`second` edge: the number of squares with both}."""
+        out: dict = {}
+        for (x, y), n in Counter(map(attrgetter(first, second), D.squares)).items():
+            out.setdefault(x, {})[y] = n
+        return out
+
+    right_bottom, left_bottom, top_right = grouped("right", "bottom"), grouped("left", "bottom"), grouped("top", "right")
+    top_left = Counter(map(attrgetter("top", "left"), D.squares))
+    lower = _Lazy(lambda b: sum(n * top_left[b[1], e] for e, n in top_right.get(b[0], {}).items()))
+    blocks = 0
+    for r, uppers in right_bottom.items():
+        for b2, nv in left_bottom.get(r, {}).items():
+            for b1, nu in uppers.items():
+                blocks += nu * nv * lower[b1, b2]
+                if blocks > MAX_INTERCHANGE_BLOCKS:
+                    raise CapExceeded(f"interchange check passed the cap of {MAX_INTERCHANGE_BLOCKS} blocks")
+    return blocks
+
+
 def _interchange_direct(D: DoubleGroupoid) -> InterchangeReport:
     """Every block read off the square rows, in repr order of (u, v, w, z).
 
     A block's lower row (w, z) depends only on the bottom edges of u and v,
-    so its columns w, z and w +2 z are built once per edge pair.  Raises
-    CapExceeded as soon as the blocks pass MAX_INTERCHANGE_BLOCKS.
+    so its columns w, z and w +2 z are built once per edge pair.  The
+    blocks are counted first (`_interchange_blocks`), so a double past
+    MAX_INTERCHANGE_BLOCKS raises CapExceeded before any row is read.
     """
+    _interchange_blocks(D)
     tab = D.tables
     sq, c1, c2 = tab.squares, tab.comp1, tab.comp2
     lower: dict = {}
@@ -401,8 +434,6 @@ def _interchange_direct(D: DoubleGroupoid) -> InterchangeReport:
                 lower[key] = tuple(zip(*pairs)) or ((), (), ())
             ws, zs, wzs = lower[key]
             blocks += len(ws)
-            if blocks > MAX_INTERCHANGE_BLOCKS:
-                raise CapExceeded(f"interchange check passed the cap of {MAX_INTERCHANGE_BLOCKS} blocks")
             uws = map(c1[u].__getitem__, ws)
             lhs = list(map(c1[uv].__getitem__, wzs))
             rhs = list(map(dict.__getitem__, map(c2.__getitem__, uws), map(c1[v].__getitem__, zs)))
@@ -453,7 +484,8 @@ def square_groupoid_axioms(D: DoubleGroupoid, direction: int) -> list:
     """Identity, inverse and associativity laws of one composition.
 
     Exhaustive over the square rows, witnesses in repr order.  Associativity
-    is cubic, so past MAX_AXIOM_SQUARES squares it raises CapExceeded.
+    is cubic, so the squares are counted first: past MAX_AXIOM_SQUARES of
+    them it raises CapExceeded before any law is checked.
     """
     if len(D.squares) > MAX_AXIOM_SQUARES:
         raise CapExceeded(f"axiom sweep limited to {MAX_AXIOM_SQUARES} squares")
@@ -757,8 +789,9 @@ def cube_closure_sweep(D: DoubleGroupoid) -> dict:
     exactly when that evaluation fails.  The set changes how often the
     fold runs, never a verdict.
 
-    Raises CapExceeded when the shells pass MAX_CUBE_SHELLS or, before any
-    composite is built, when their count would pass MAX_CUBE_COMPOSITES.
+    Raises CapExceeded when the shells pass MAX_CUBE_SHELLS, found during
+    their enumeration, or when the composites, counted first, would pass
+    MAX_CUBE_COMPOSITES: that cap is met before any composite is built.
     """
     shells = enumerate_cubes(D)
     tab = D.tables
@@ -806,8 +839,8 @@ def enumerate_cubes(D: DoubleGroupoid) -> list[Cube]:
     """All cube shells over D, in repr order of (front, top, left, right, bottom, back).
 
     A join on shared edges: each face after the front is looked up by the
-    edges it shares with the faces already placed.  Raises CapExceeded as
-    soon as the shells pass MAX_CUBE_SHELLS.
+    edges it shares with the faces already placed.  The MAX_CUBE_SHELLS cap
+    is found during the walk: CapExceeded is raised as soon as it is passed.
     """
     squares = sorted(D.squares, key=repr)
     by_top: dict = {}

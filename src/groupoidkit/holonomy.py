@@ -92,13 +92,13 @@ def germ_groupoid(D: LocalGroupoidData) -> GermGroupoid:
     for a, (_, arrs) in codes.items():
         inverse_at = {G.tgt[b]: G.inv[b] for b in arrs}
         inv[a] = named[(tgt[a], tuple([inverse_at[p] for p in points[tgt[a]]]))]
-    value_at = {a: dict(zip(points[x], arrs)) for a, (x, arrs) in codes.items()}
+    position = {x: {p: i for i, p in enumerate(pts)} for x, pts in points.items()}
     comp = {}
     for h, t in composable(arrows, src, tgt):
         x, arrs = codes[t]
-        h_at = value_at[h]
-        comp[(h, t)] = named[(x, tuple([G.comp[(h_at[G.tgt[b]], b)] for b in arrs]))]
-    del codes, named, value_at  # freed before make_groupoid copies the tables
+        y, h_arrs = codes[h]
+        at = position[y]
+        comp[(h, t)] = named[(x, tuple([G.comp[(h_arrs[at[G.tgt[b]]], b)] for b in arrs]))]
     groupoid = make_groupoid(G.objects, arrows, src, tgt, id_of, inv, comp)
     return GermGroupoid(D, groupoid, dict(zip(arrows, germs)), dict(zip(germs, arrows)), gens)
 
@@ -208,15 +208,9 @@ def holonomy_groupoid(J: GermGroupoid, J0: LocalitySubgroupoid, strict: bool = T
     K = J.groupoid
     if not J0.ok:
         raise WellDefinednessFailure("J0 is not a wide normal subgroupoid; cannot form the quotient")
-    loops_at: dict = {}
-    for d in J0.arrows:
-        loops_at.setdefault(K.src[d], []).append(d)
-
-    coset_key: dict = {}
-    for a in K.arrows:
-        members = frozenset(K.comp[(a, d)] for d in loops_at.get(K.src[a], ()))
-        coset_key[a] = members
-    classes = sorted({coset_key[a] for a in K.arrows}, key=lambda s: sorted(s))
+    loops_at = out_stars(J0.arrows, K.src)
+    coset_key = {a: frozenset([K.comp[(a, d)] for d in loops_at.get(K.src[a], ())]) for a in K.arrows}
+    classes = sorted(set(coset_key.values()), key=sorted)
     name = {cls: f"h{i}" for i, cls in enumerate(classes)}
     coset_of = {a: name[coset_key[a]] for a in K.arrows}
     members = {name[cls]: cls for cls in classes}
@@ -371,9 +365,6 @@ def _band_model(n: int, twist: bool) -> LocalGroupoidData:
     centres = [f"c{i}" for i in range(n)]
     sides = [f"{i}{s}" for i in range(n) for s in "+-"]
     points = centres + sides
-
-    def flip(sign: str) -> str:
-        return "-" if sign == "+" else "+"
 
     # leaves
     if twist:

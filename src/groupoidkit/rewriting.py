@@ -19,7 +19,7 @@ from functools import cached_property
 from .errors import RewritingNotConfluent
 
 POS, NEG = 1, -1
-MAX_RULES, MAX_LEN = 300, 16  # completion gives up past these
+MAX_RULES, MAX_LEN = 300, 16  # found during completion, which gives up past these
 
 
 def invert(word):

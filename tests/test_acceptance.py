@@ -255,16 +255,17 @@ def test_criterion_7_double_groupoid_laws():
         ("c2-by-c2", trivial_boundary_crossed_module(cyclic_group(2), cyclic_group(2))),
         ("inner-s3", inner_crossed_module(symmetric_group(3))),
     ]
+    doubles = [(name, xmod_to_double(X)) for name, X in xmods]
     structures = [
         ("box-c2", commuting_squares(one_object_groupoid(cyclic_group(2)))),
         ("box-interval", commuting_squares(indiscrete(2))),
-    ] + [(name, xmod_to_double(X)) for name, X in xmods]
+    ] + doubles
     for name, D in structures:
         assert transport_check(D) == [], f"{name}: transport law fails"
         rep = interchange_check(D)
         assert rep.ok, f"{name}: interchange fails via {rep.method}"
-    for name, X in xmods:
-        out = roundtrip_isomorphism(X)
+    for name, D in doubles:
+        out = roundtrip_isomorphism(D)
         assert out["is_isomorphism"], f"{name}: no explicit round-trip isomorphism"
     report(7, "transport, interchange and crossed-module round trips", started, 60)
 

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import groupoidkit
+from groupoidkit import cli
 from groupoidkit.cli import main
 from groupoidkit.core import cyclic_group, discrete_topology, one_object_groupoid
 from groupoidkit.io import canonical_dumps, local_data_to_dict
@@ -361,6 +362,15 @@ class TestDouble:
         code, _, err = run(capsys, "double", fx("box-c2.json"), "--check", "nonsense")
         assert code == 2
         assert "parse error" in err
+
+    @pytest.mark.parametrize("path, checks, message", [
+        ("xmod-c2c2.json", "transport,interchange,roundtrip,cube-closure,bogus", "unknown check 'bogus'"),
+        ("box-c2.json", "transport,interchange,cube-closure,roundtrip", "roundtrip check needs a crossed module input"),
+    ], ids=["unknown-name", "roundtrip-on-a-groupoid"])
+    def test_bad_check_list_is_refused_before_any_check_runs(self, capsys, monkeypatch, path, checks, message):
+        for name in ("transport_check", "interchange_check", "roundtrip_isomorphism", "cube_closure_sweep"):
+            monkeypatch.setattr(cli, name, lambda D, name=name: pytest.fail(f"{name} ran before the list was checked"))
+        assert run(capsys, "double", fx(path), "--check", checks) == (2, "", f"parse error: {message}\n")
 
 
 class TestCube:

@@ -16,7 +16,6 @@ from groupoidkit.core import (
     Violation,
     action_groupoid,
     components,
-    compose,
     cyclic_group,
     direct_product_group,
     discontinuities,
@@ -29,6 +28,7 @@ from groupoidkit.core import (
     indiscrete_topology,
     is_continuous,
     is_covering,
+    make_groupoid,
     minimal_open,
     one_object_groupoid,
     pair_groupoid,
@@ -135,22 +135,22 @@ class TestValidation:
 class TestCompose:
     def test_identity_law(self):
         G = indiscrete(2)
-        assert compose(G, "id:1", "a:0->1") == "a:0->1"
+        assert G.compose("id:1", "a:0->1") == "a:0->1"
 
     def test_inverse_law(self):
         G = indiscrete(2)
-        assert compose(G, G.inv["a:0->1"], "a:0->1") == "id:0"
+        assert G.compose(G.inv["a:0->1"], "a:0->1") == "id:0"
 
     def test_swap_arrows_compose_to_identity(self):
         G = swap_action_2pts()
         swap_p = next(a for a in G.arrows if not a.startswith("id:") and G.src[a] == "p")
         swap_q = next(a for a in G.arrows if not a.startswith("id:") and G.src[a] == "q")
-        assert compose(G, swap_q, swap_p) == "id:p"
+        assert G.compose(swap_q, swap_p) == "id:p"
 
     def test_non_composable_raises(self):
         G = indiscrete(2)
         with pytest.raises(NotComposable):
-            compose(G, "a:0->1", "a:0->1")
+            G.compose("a:0->1", "a:0->1")
 
 
 class TestVertexGroup:
@@ -384,6 +384,13 @@ class TestStandardBuilders:
         assert list(G.src) == ["a>b", "id:a", "id:b", "b>a"]
         assert G.arrows == ("a>b", "b>a", "id:a", "id:b")
 
+    def test_make_groupoid_keeps_the_tables_it_is_handed(self):
+        G = indiscrete(3)
+        tables = [dict(t) for t in (G.src, G.tgt, G.id_of, G.inv, G.comp)]
+        H = make_groupoid(reversed(G.objects), reversed(G.arrows), *tables)
+        assert all(held is given for held, given in zip((H.src, H.tgt, H.id_of, H.inv, H.comp), tables))
+        assert (H.objects, H.arrows) == (G.objects, G.arrows)
+
     def test_hom_refuses_unknown_objects(self):
         G = indiscrete(2)
         assert G.hom("0", "1") == ("a:0->1",)
@@ -468,6 +475,21 @@ class TestIsomorphismOracles:
     def test_opens_match_the_frontier_loop(self):
         for T in iso_topologies():
             assert T.opens() == reference_opens(T)
+
+    def test_subspace_matches_the_per_point_reference(self):
+        # subsets in the space's order, every other point, reversed with repeats, with points outside, empty
+        for T in iso_topologies():
+            pts = list(T.points)
+            for subset in (pts, pts[::2], pts[::-1] + pts[:2], pts[1::3] + ["zz", ("outside",)], []):
+                S = T.subspace(iter(subset))
+                assert (S.points, list(S.min_open.items())) == reference_subspace(T, subset)
+                assert all(type(U) is frozenset for U in S.min_open.values())
+
+
+def reference_subspace(T, subset):
+    """The subspace point by point: the points of T that subset lists, each with its minimal open cut to them."""
+    kept = tuple(p for p in T.points if p in subset)
+    return kept, [(x, frozenset(y for y in T.min_open[x] if y in kept)) for x in kept]
 
 
 def reference_composable_pairs(G):
@@ -618,12 +640,18 @@ def mutated_groupoids(draw):
     """A small groupoid with one table entry broken: a comp row dropped, a
     composite pointed at a non-arrow, two inverses swapped, two composites
     with the same endpoints swapped, a comp or inv row with one name
-    renamed, or an inv row dropped."""
+    renamed, an inv row dropped, or a comp row added on two arrows that
+    do not compose."""
     G = draw(small_groupoids())
     comp, inv = dict(G.comp), dict(G.inv)
     kind = draw(st.sampled_from(
-        ["drop", "non-arrow", "swap-inverse", "swap-composites", "rename-comp", "drop-inv", "rename-inv"]))
-    if kind == "swap-inverse":
+        ["drop", "non-arrow", "swap-inverse", "swap-composites", "rename-comp", "drop-inv", "rename-inv",
+         "non-composable"]))
+    if kind == "non-composable":
+        apart = [(h, g) for h in G.arrows for g in G.arrows if G.tgt[g] != G.src[h]]
+        if apart:
+            comp[draw(st.sampled_from(apart))] = draw(st.sampled_from(G.arrows))
+    elif kind == "swap-inverse":
         if len(G.arrows) > 1:
             a, b = draw(st.permutations(G.arrows))[:2]
             inv[a], inv[b] = inv[b], inv[a]

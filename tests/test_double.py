@@ -20,11 +20,13 @@ from groupoidkit.core import (
     cyclic_group,
     indiscrete,
     one_object_groupoid,
+    pair_groupoid,
     symmetric_group,
     trivial_group,
 )
 from groupoidkit.double import (
     CrossedModule,
+    _interchange_blocks,
     _interchange_direct,
     _interchange_factored,
     Cube,
@@ -67,6 +69,12 @@ from groupoidkit.io import crossed_module_from_dict, groupoid_from_dict, square_
 from reference_tables import reference_compose_squares, reference_inverse_square
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fixture_double(name):
+    """The double a fixture file describes: a crossed module's, or the commuting squares of a groupoid."""
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    return xmod_to_double(crossed_module_from_dict(doc)) if "P" in doc else commuting_squares(groupoid_from_dict(doc))
 
 
 def box_c2():
@@ -345,16 +353,26 @@ class TestExtraction:
         assert X.P.order == 2
 
     def test_roundtrip_c2(self):
-        out = roundtrip_isomorphism(xmod_c2())
+        out = roundtrip_isomorphism(xmod_to_double(xmod_c2()))
         assert out["is_isomorphism"]
 
     def test_roundtrip_trivial(self):
-        out = roundtrip_isomorphism(xmod_trivial())
+        out = roundtrip_isomorphism(xmod_to_double(xmod_trivial()))
         assert out["is_isomorphism"]
 
     def test_roundtrip_inner_s3(self):
-        out = roundtrip_isomorphism(inner_crossed_module(symmetric_group(3)))
+        out = roundtrip_isomorphism(xmod_to_double(inner_crossed_module(symmetric_group(3))))
         assert out["is_isomorphism"]
+
+    def test_roundtrip_reads_the_double_it_is_given(self, monkeypatch):
+        D = xmod_to_double(xmod_c2())
+        monkeypatch.setattr(double, "xmod_to_double", lambda X: pytest.fail("the double was built again"))
+        out = roundtrip_isomorphism(D)
+        assert out["double"] is D and out["is_isomorphism"]
+
+    def test_roundtrip_needs_a_crossed_module_double(self):
+        with pytest.raises(NotSpecialDouble):
+            roundtrip_isomorphism(box_c2())
 
     def test_extraction_needs_one_object(self):
         with pytest.raises(NotSpecialDouble):
@@ -920,6 +938,26 @@ class TestSquareEngine:
         with pytest.raises(CapExceeded) as info:
             interchange_check(D)
         assert "255" in str(info.value)
+
+    @pytest.mark.parametrize("name, blocks", [
+        ("box-c2", 256), ("xmod-trivial", 256), ("interval", 512),
+        ("full-window", 768), ("c4-window", 65_536), ("xmod-c2c2", 4_096),
+    ])
+    def test_interchange_count_matches_the_walk(self, name, blocks):
+        D = fixture_double(name)
+        assert _interchange_blocks(D) == _interchange_direct(D).blocks_checked == blocks
+
+    def test_interchange_cap_refused_before_any_table_read(self, monkeypatch):
+        # the commuting squares of the pair groupoid on 7 points form 7^9 blocks, past the cap of 2^25
+        D = commuting_squares(pair_groupoid(range(7)))
+
+        def unreadable(D):
+            raise AssertionError("square tables read before the blocks were counted")
+
+        monkeypatch.setattr(double, "square_tables", unreadable)
+        with pytest.raises(CapExceeded) as info:
+            interchange_check(D)
+        assert str(info.value) == f"interchange check passed the cap of {double.MAX_INTERCHANGE_BLOCKS} blocks"
 
     def test_axiom_sweep_cap_boundary(self, monkeypatch):
         with pytest.raises(CapExceeded) as info:
