@@ -274,7 +274,7 @@ def inverse_semigroup_laws(S: InverseSemigroup) -> list:
 
 
 # germs build on the bisection operations above, so import them only here
-from .germs import germ_closure, window_germs  # noqa: E402
+from .germs import germ_closure, left_translations, window_germs  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +311,9 @@ def check_extendible(D: LocalGroupoidData) -> ExtendibilityResult:
     The candidate topology is generated by the window's basic opens plus
     left-translation images L_s(V) with s running over the generated
     bisections.  Each L_s(V) is a union of germ-level pieces, so the germs
-    suffice as translation data.  Each germ visits only the window opens
-    with an arrow into its domain (indexed once, by target).  Failure kinds:
+    suffice as translation data: the pieces of V under every germ at x zip
+    V's columns of `left_translations`, for each V with an arrow into
+    min_open[x] (indexed once, by target).  Failure kinds:
 
     - ``window-not-open``: W is not open in the result;
     - ``window-subspace``: the result does not restrict to the window
@@ -326,9 +327,9 @@ def check_extendible(D: LocalGroupoidData) -> ExtendibilityResult:
     window_base = TW.base()
     subbase: set = set(window_base)
     meeting = opens_meeting(window_base, G.tgt.__getitem__)
-    for germ in closure:
-        m = germ.as_dict()
-        subbase.update(frozenset(G.comp[(m[G.tgt[v]], v)] for v in V if G.tgt[v] in m) for V in meeting(m))
+    for x, col in left_translations(D, closure, D.window).items():
+        for V in meeting(D.t_objects.min_open[x]):
+            subbase.update(map(frozenset, zip(*[col[v] for v in V if v in col])))
     T_arr = topology_from_subbase(G.arrows, subbase)
 
     failures = []

@@ -77,6 +77,8 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"{path}: no such file")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, an unreadable file, bytes that are not UTF-8
+        raise SchemaError(f"{path}: cannot read: {exc}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
 
@@ -212,7 +214,7 @@ def cmd_holonomy(args) -> int:
     D = _load_local_data(args.path)
     J = germ_groupoid(D)
     N = j0(J, value_normalised=not args.paper_literal_j0)
-    hol = holonomy_groupoid(J, N, strict=False)
+    hol = holonomy_groupoid(J, N)
     results = {
         "germ_count": len(J.groupoid.arrows),
         "j0_count": len(N.arrows),

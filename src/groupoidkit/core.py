@@ -3,11 +3,9 @@
 A groupoid is stored by enumerating its arrows together with source/target,
 identity, inverse and composition tables.  Composition follows the convention
 that ``comp(h, g)`` is "h after g": it is defined exactly when
-``tgt(g) == src(h)`` and the composite runs ``src(g) -> tgt(h)``.  The helper
-``G.then(a, b)`` ("a followed by b") is provided for path-order formulas.
+``tgt(g) == src(h)`` and the composite runs ``src(g) -> tgt(h)``.
 
-All values here are immutable after construction; every operation is a pure
-function, so instances may be shared freely between workers.
+Operations never change their inputs' tables.
 """
 
 from __future__ import annotations

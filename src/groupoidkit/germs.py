@@ -9,7 +9,8 @@ of every iterated product of window bisections; the closure computed here is
 therefore the arrow set of the germ groupoid without ever materialising the
 full inverse semigroup.  The closure runs on codes through `core.closure`,
 as the semigroup's does: a germ at x is coded (x, its arrows over min_open[x] in repr
-point order), and the germ groupoid's tables are computed on the same codes.
+point order), and every germ product h(beta a) . a is read from one table,
+`left_translations`.
 """
 
 from __future__ import annotations
@@ -77,31 +78,25 @@ def point_orders(D: LocalGroupoidData) -> dict:
     return {x: tuple(sorted(U, key=repr)) for x, U in D.t_objects.min_open.items()}
 
 
-def _left_translations(D: LocalGroupoidData, gens, points: dict):
-    """t -> the codes h * t for the generator germs h at the target y of t's value.
+def left_translations(D: LocalGroupoidData, germs, arrows) -> dict:
+    """y -> each of the arrows a into min_open[y] -> the column of h(beta a) . a
+    over the germs h at y, in the order given.
 
-    h * t keeps t's base and points (beta t maps min_open[x] into min_open[y])
-    and carries h(beta a) . a at each arrow a of t.  One column per arrow a
-    into min_open[y] holds that arrow for every h at y, so zipping the
-    columns that t selects yields every h * t.
+    The one place germ products are computed.  h * t keeps t's base and points
+    (beta t maps min_open[x] into min_open[y]) and carries h(beta a) . a at each
+    arrow a of t, so zipping the columns of t's arrows yields every h * t.  A
+    caller passes the arrows it reads: all of them for products of germs, the
+    window arrows to translate window germs and window opens.
     """
     G = D.G
-    into = out_stars(G.arrows, G.tgt)  # point -> the arrows into it
-    at: dict = {y: [] for y in G.objects}  # y -> the value maps of the generators at y
-    for h in gens:
+    into = out_stars(arrows, G.tgt)  # point -> the arrows into it
+    at: dict = {y: [] for y in G.objects}  # y -> the value maps of the germs at y
+    for h in germs:
         at[h.base].append(h.as_dict())
-    columns = {
-        y: {a: tuple([G.comp[(h[G.tgt[a]], a)] for h in hs]) for p in D.t_objects.min_open[y] for a in into.get(p, ())}
+    return {
+        y: {a: tuple([G.comp[(h[p], a)] for h in hs]) for p in D.t_objects.min_open[y] for a in into.get(p, ())}
         for y, hs in at.items()
     }
-    base_at = {x: pts.index(x) for x, pts in points.items()}
-
-    def products(t):
-        x, arrows = t
-        col = columns[G.tgt[arrows[base_at[x]]]]
-        return ((x, c) for c in zip(*map(col.__getitem__, arrows)))
-
-    return products
 
 
 def germ_closure(D: LocalGroupoidData) -> tuple[tuple[Germ, ...], tuple[Germ, ...]]:
@@ -110,13 +105,22 @@ def germ_closure(D: LocalGroupoidData) -> tuple[tuple[Germ, ...], tuple[Germ, ..
     The closure is exactly the set of germs of all products of window
     bisections: the germ of s_k * ... * s_1 at x is the composite of the
     factor germs along the orbit of x, and conversely.  It is closed on
-    codes and decoded once, at the end, onto the topology's own minimal
-    opens; a generator's code decodes to the generator.
+    codes by the generators' `left_translations` and decoded once, at the
+    end, onto the topology's own minimal opens; a generator's code decodes
+    to the generator.
     """
+    G, points, min_open = D.G, point_orders(D), D.t_objects.min_open
     gens = window_germs(D)
     given = {germ_code(g): g for g in gens}
-    points, min_open = point_orders(D), D.t_objects.min_open
-    codes = closure(list(given), _left_translations(D, gens, points))  # frees the columns
+    columns = left_translations(D, gens, G.arrows)
+    base_at = {x: pts.index(x) for x, pts in points.items()}
+
+    def products(t):
+        x, arrows = t
+        col = columns[G.tgt[arrows[base_at[x]]]]
+        return ((x, c) for c in zip(*map(col.__getitem__, arrows)))
+
+    codes = closure(list(given), products)
 
     def decode(code):
         x, arrows = code

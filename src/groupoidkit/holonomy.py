@@ -44,7 +44,7 @@ from .errors import (
     TooSmall,
     WellDefinednessFailure,
 )
-from .germs import Germ, germ, germ_closure, germ_code, point_orders
+from .germs import Germ, germ_closure, germ_code, left_translations, point_orders
 from .germs import window_germs  # noqa: F401  (perfbench traces holonomy.window_germs)
 from .presentations import (
     LocalGroupoidData,
@@ -76,8 +76,8 @@ def germ_groupoid(D: LocalGroupoidData) -> GermGroupoid:
 
     On codes, the identity at x holds the identities over min_open[x]; the
     inverse of a germ with target y holds the inverses of its arrows, each
-    at its target, over min_open[y]; h * t carries h(beta a) . a at each
-    arrow a of t.
+    at its target, over min_open[y]; the products h * t with every h at
+    the target of t zip t's columns of `left_translations`.
     """
     G = D.G
     gens, germs = germ_closure(D)
@@ -92,13 +92,12 @@ def germ_groupoid(D: LocalGroupoidData) -> GermGroupoid:
     for a, (_, arrs) in codes.items():
         inverse_at = {G.tgt[b]: G.inv[b] for b in arrs}
         inv[a] = named[(tgt[a], tuple([inverse_at[p] for p in points[tgt[a]]]))]
-    position = {x: {p: i for i, p in enumerate(pts)} for x, pts in points.items()}
+    columns, at = left_translations(D, germs, G.arrows), out_stars(arrows, src)
     comp = {}
-    for h, t in composable(arrows, src, tgt):
-        x, arrs = codes[t]
-        y, h_arrs = codes[h]
-        at = position[y]
-        comp[(h, t)] = named[(x, tuple([G.comp[(h_arrs[at[G.tgt[b]]], b)] for b in arrs]))]
+    for t, (x, arrs) in codes.items():  # the germs at y come in the order of the J arrows at y
+        col = columns[tgt[t]]
+        for h, c in zip(at.get(tgt[t], ()), zip(*map(col.__getitem__, arrs))):
+            comp[(h, t)] = named[(x, c)]
     groupoid = make_groupoid(G.objects, arrows, src, tgt, id_of, inv, comp)
     return GermGroupoid(D, groupoid, dict(zip(arrows, germs)), dict(zip(germs, arrows)), gens)
 
@@ -167,29 +166,24 @@ class HolonomyGroupoid:
     embedding_injective: bool
 
     @cached_property
-    def chart_rows(self):
-        """chart_rows(r): (window position, w, class of r . f in J) for the window
-        arrows w into the base of the J arrow r and the window germs f through w,
-        or NotSectionable (no f) or WellDefinednessFailure (depends on f).  The
-        indices are built once; rows are a few lookups, so they are not kept."""
-        # the rows do not reach self: a cycle would hold each quotient until a full collection
-        K, G, coset_of = self.J.groupoid, self.data.G, self.coset_of
-        through: dict = {}  # w -> J arrows of the window germs with value w
+    def chart_index(self) -> tuple:
+        """(left translations of J's germs on the window arrows, germ code -> (its
+        place among the germs at its base, its class), x -> the window arrows into
+        min_open[x] in repr order, w -> the codes of the window germs through w).
+        Built once, from plain tables: a reference to self would hold each
+        quotient in a cycle."""
+        D, germs = self.data, self.J.germ_of_arrow
+        codes = {a: germ_code(g) for a, g in germs.items()}  # in closure order, as the columns
+        index = {codes[a]: (i, self.coset_of[a]) for star in out_stars(codes, self.J.groupoid.src).values()
+                 for i, a in enumerate(star)}
+        through: dict = {}
         for g in self.J.generator_germs:
-            through.setdefault(g.value, []).append(self.J.arrow_of_germ[g])
-        into: dict = {}  # y -> (position, w) for the window arrows w into y
-        for i, w in enumerate(sorted(self.data.window, key=repr)):
-            into.setdefault(G.tgt[w], []).append((i, w))
-
-        def row(r):
-            out = []
-            for i, w in into.get(K.src[r], ()):
-                classes = {coset_of[K.comp[(r, f)]] for f in through.get(w, ())}
-                failure = WellDefinednessFailure if classes else NotSectionable
-                out.append((i, w, classes.pop() if len(classes) == 1 else failure))
-            return out
-
-        return row
+            through.setdefault(g.value, []).append(germ_code(g))
+        into = out_stars(D.window, D.G.tgt)
+        covered = {x: sorted((w for y in U for w in into.get(y, ())), key=repr)
+                   for x, U in D.t_objects.min_open.items()}
+        # a window germ has only window arrows, so charts read only their columns
+        return left_translations(D, germs.values(), D.window), index, covered, through
 
     def vertex_orders(self) -> dict:
         K = self.groupoid
@@ -197,12 +191,12 @@ class HolonomyGroupoid:
         return {x: loops[x] for x in K.objects}
 
 
-def holonomy_groupoid(J: GermGroupoid, J0: LocalitySubgroupoid, strict: bool = True) -> HolonomyGroupoid:
+def holonomy_groupoid(J: GermGroupoid, J0: LocalitySubgroupoid) -> HolonomyGroupoid:
     """Quotient of the germ groupoid by the locality subgroupoid.
 
-    ``strict`` raises WellDefinednessFailure when the projection is not
-    constant on a class (possible only for the literal J0 variant); with
-    strict=False the failure is recorded on the result instead.
+    A projection that is not constant on a class (possible only for the
+    literal J0 variant) is recorded in ``projection_constant`` and
+    ``projection_witness``, not raised.
     """
     D = J.data
     K = J.groupoid
@@ -224,18 +218,10 @@ def holonomy_groupoid(J: GermGroupoid, J0: LocalitySubgroupoid, strict: bool = T
     comp = {(h, g): coset_of[K.comp[(rep[h], rep[g])]] for h, g in composable(arrows, src, tgt)}
     groupoid = make_groupoid(K.objects, arrows, src, tgt, id_of, inv, comp)
 
-    # the projection must be constant on classes
-    projection = {}
-    witness = None
-    for h in arrows:
-        values = {J.germ_of_arrow[a].value for a in members[h]}
-        if len(values) != 1:
-            witness = witness or (h, frozenset(values))
-            if strict:
-                raise WellDefinednessFailure(
-                    f"projection not constant on class {h}: values {sorted(map(repr, values))}"
-                )
-        projection[h] = sorted(values, key=repr)[0]
+    # the projection should be constant on classes; the first class where it is not is the witness
+    values = {h: {J.germ_of_arrow[a].value for a in members[h]} for h in arrows}
+    projection = {h: min(vs, key=repr) for h, vs in values.items()}
+    witness = next(((h, frozenset(vs)) for h, vs in values.items() if len(vs) > 1), None)
 
     # the window embeds via any window bisection through each arrow
     gen_by_value: dict = {}
@@ -282,19 +268,22 @@ def holonomy_pipeline(D: LocalGroupoidData) -> HolonomyGroupoid:
 def chart(hol: HolonomyGroupoid, s_germ: Germ) -> dict:
     """The partial map sigma_s on window arrows whose target s covers.
 
-    sigma_s(w) is the class of (s at beta w) composed with any window germ f
-    through w; independence from the choice of f is enforced (it is also
-    checked exhaustively by the test suite).  It merges the rows
-    (`HolonomyGroupoid.chart_rows`, one per J arrow) of s's restrictions,
-    in window repr order, raising at the repr-smallest failing w."""
-    D, rows, name = hol.data, hol.chart_rows, hol.J.arrow_of_germ
+    sigma_s(w) is the class of s * f for any window germ f through w, coded
+    (alpha w, s(beta b) . b for the arrows b of f) and read off s's place in
+    the columns of `HolonomyGroupoid.chart_index`.  Independence from the
+    choice of f is enforced in window repr order, raising at the
+    repr-smallest failing w."""
+    columns, index, covered, through = hol.chart_index
+    x = s_germ.base
+    col, (i, _) = columns[x], index[germ_code(s_germ)]
     out = {}
-    for _, w, h in sorted(e for y in D.t_objects.min_open[s_germ.base] for e in rows(name[germ(D, s_germ, y)])):
-        if h is NotSectionable:
+    for w in covered[x]:
+        classes = {index[(f, tuple([col[b][i] for b in arrs]))][1] for f, arrs in through.get(w, ())}
+        if not classes:
             raise NotSectionable(f"no window bisection through {w!r}")
-        if h is WellDefinednessFailure:
+        if len(classes) > 1:
             raise WellDefinednessFailure(f"chart value at {w!r} depends on the bisection choice")
-        out[w] = h
+        out[w] = classes.pop()
     return out
 
 

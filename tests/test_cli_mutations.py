@@ -133,3 +133,27 @@ def test_damaged_groupoid_file(workdir, command, case):
 @given(case=damaged(tuple(READERS)))
 def test_damaged_companion_file(workdir, case):
     assert_exits_cleanly(workdir, READERS[case[0]], case)
+
+
+# every command that reads a file, with PATH in each kind of input slot
+UNREADABLE_SLOTS = {
+    **{command: [command, "PATH"] for command in COMMANDS},
+    **{f"{READERS[name][0]}-{name}": READERS[name] for name in READERS},
+    "vertex-group": ["vertex-group", "PATH", "m"],
+}
+
+
+@pytest.mark.parametrize("slot", sorted(UNREADABLE_SLOTS))
+@pytest.mark.parametrize("kind", ["directory", "undecodable"])
+def test_unreadable_input_is_a_parse_error(workdir, slot, kind):
+    path = workdir / kind
+    if kind == "directory":
+        path.mkdir(exist_ok=True)
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(path) if a == "PATH" else a for a in UNREADABLE_SLOTS[slot]])
+    out, err = out.getvalue(), err.getvalue()
+    assert code == PARSE and out == ""
+    assert err.startswith(f"parse error: {path}: ") and err.count("\n") == 1, err

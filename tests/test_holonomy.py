@@ -29,13 +29,11 @@ from groupoidkit.errors import (
     NotFiniteOnInstance,
     OutOfDomain,
     TooSmall,
-    WellDefinednessFailure,
 )
-from groupoidkit.germs import germ_target
+from groupoidkit.germs import germ, germ_target
 from groupoidkit.holonomy import (
     annulus_model,
     chart,
-    germ,
     germ_groupoid,
     holonomy_groupoid,
     holonomy_pipeline,
@@ -207,16 +205,14 @@ class TestHolonomyQuotient:
         J = germ_groupoid(D)
         literal = j0(J, value_normalised=False)
         assert literal.ok  # still wide and normal on this instance
-        with pytest.raises(WellDefinednessFailure):
-            holonomy_groupoid(J, literal, strict=True)
-        hol = holonomy_groupoid(J, literal, strict=False)
+        hol = holonomy_groupoid(J, literal)
         assert not hol.projection_constant
         h, values = hol.projection_witness
         assert values == {J.germ_of_arrow[a].value for a in hol.members[h]} and len(values) > 1
         assert all(
             len({J.germ_of_arrow[a].value for a in hol.members[k]}) == 1 for k in sorted(hol.members) if k < h
         )
-        assert holonomy_groupoid(J, j0(J), strict=True).projection_witness is None
+        assert holonomy_groupoid(J, j0(J)).projection_witness is None
 
     def test_holonomy_detects_nonlocality(self):
         # coset counts are consistent with J0 membership: the vertex order is

@@ -11,11 +11,10 @@ from groupoidkit import bisections, holonomy
 from groupoidkit.bisections import check_extendible, generate_semigroup, identity_bisection, w_bisections
 from groupoidkit.core import FiniteTopology, cyclic_group, disjoint_union, one_object_groupoid
 from groupoidkit.errors import WellDefinednessFailure
-from groupoidkit.germs import germ_closure
+from groupoidkit.germs import germ, germ_closure, left_translations
 from groupoidkit.holonomy import (
     annulus_model,
     chart,
-    germ,
     germ_groupoid,
     holonomy_pipeline,
     holonomy_topology,
@@ -126,6 +125,23 @@ def test_germ_closure_matches_reference(name):
 
 
 @pytest.mark.parametrize("name", sorted(CLOSURE_CORPUS))
+def test_left_translations_match_left_translate(name):
+    D = CLOSURE_CORPUS[name]()
+    G = D.G
+    _, closure = germ_closure(D)
+    table = left_translations(D, closure, G.arrows)
+    into = {y: [a for a in G.arrows if G.tgt[a] in D.t_objects.min_open[y]] for y in G.objects}
+    for y in G.objects:
+        at = [h for h in closure if h.base == y]
+        assert sorted(table[y], key=repr) == sorted(into[y], key=repr)
+        for a in into[y]:
+            assert table[y][a] == tuple(bisections.left_translate(G, h, a) for h in at)
+    # the columns of the arrows given, as the charts and extendibility ask for the window's
+    window_columns = {y: {a: col[a] for a in col if a in D.window} for y, col in table.items()}
+    assert left_translations(D, closure, D.window) == window_columns
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_CORPUS))
 def test_every_identity_germ_is_in_the_closure(name):
     D = CLOSURE_CORPUS[name]()
     _, closure = germ_closure(D)
@@ -190,7 +206,7 @@ class TestChartErrors:
         D = model(4)
         hol = holonomy_pipeline(D)
         holonomy_topology(hol)  # reads every J arrow's chart
-        assert "chart_rows" in vars(hol)  # the row indices are built and kept
+        assert "chart_index" in vars(hol)  # the chart index is built and kept
         identity = identity_bisection(D.G, D.G.objects)
         covered = {}
         for x in D.G.objects:
