@@ -1,9 +1,12 @@
 """Command line for groupoidkit.
 
-Every command prints one canonical JSON manifest to stdout: command name,
-input digests, tool version, a ``results`` object (byte-stable across runs
-with identical inputs) and the elapsed time.  Exit codes: 0 success,
-1 semantic failure, 2 parse failure, 3 diagnostic finding.
+Every command but ``mobius`` and ``annulus`` prints one canonical JSON
+manifest to stdout: command name, the input files in the order they were
+read (each with the sha256 of the bytes parsed), tool version, a
+``results`` object (byte-stable across runs with identical inputs) and the
+elapsed time.  Output files (``--emit-dot``, ``--emit-squares``) are written
+before the manifest; an unwritable output path is a parse failure.  Exit
+codes: 0 success, 1 semantic failure, 2 parse failure, 3 diagnostic finding.
 """
 
 from __future__ import annotations
@@ -71,10 +74,12 @@ from .presentations import (
 OK, SEMANTIC, PARSE, FINDING = 0, 1, 2, 3
 
 
-def _read_json(path: str) -> dict:
+def _read_json(path: str) -> tuple[dict, str]:
+    """The JSON document in the file at `path`, and the sha256 of its bytes."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
     except FileNotFoundError:
         raise SchemaError(f"{path}: no such file")
     except (OSError, UnicodeDecodeError) as exc:  # a directory, an unreadable file, bytes that are not UTF-8
@@ -83,23 +88,37 @@ def _read_json(path: str) -> dict:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
 
 
-def _digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+def _run(args) -> int:
+    """Run `args.cmd(args, read)`, write the output files it returns, then print the manifest.
 
+    A command returns (results, exit code, {output path: text}); the
+    manifest's inputs are its `read(path)` calls, in order.
+    """
+    started = time.time()
+    inputs = []
 
-def _emit(command: str, paths: list[str], results: dict, started: float) -> None:
+    def read(path):
+        doc, sha256 = _read_json(path)
+        inputs.append({"path": path, "sha256": sha256})
+        return doc
+
+    results, code, outputs = args.cmd(args, read)
+    for path, text in outputs.items():
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(f"{path}: cannot write: {exc}")
     manifest = {
         "schema_version": 1,
         "tool": {"name": "groupoidkit", "version": __version__},
-        "command": command,
-        "inputs": [{"path": p, "sha256": _digest(p)} for p in paths],
+        "command": args.command,
+        "inputs": inputs,
         "results": results,
         "timing_ms": int((time.time() - started) * 1000),
     }
     sys.stdout.write(canonical_dumps(manifest))
+    return code
 
 
 def _checked(G):
@@ -110,25 +129,22 @@ def _checked(G):
     return G
 
 
-def _load_local_data(path):
-    """Local data from a file whose groupoid passes the axioms before the window is read."""
-    doc = _read_json(path)
+def _load_local_data(doc):
+    """Local data from a document whose groupoid passes the axioms before the window is read."""
     return local_data_from_dict(doc, _checked(groupoid_from_dict(doc)))
 
 
-def _load_presentation(path):
-    """The presentation in a file, once it is well formed; otherwise IllFormedWord names the first violation."""
-    P = presentation_from_dict(_read_json(path))
+def _load_presentation(doc):
+    """The presentation in a document, once it is well formed; otherwise IllFormedWord names the first violation."""
+    P = presentation_from_dict(doc)
     report = P.validate()
     if not report.ok:
         raise IllFormedWord(f"invalid presentation: {report.violations[0]}")
     return P
 
 
-def cmd_validate(args) -> int:
-    started = time.time()
-    G = groupoid_from_dict(_read_json(args.path))
-    report = validate_groupoid(G)
+def cmd_validate(args, read):
+    report = validate_groupoid(groupoid_from_dict(read(args.path)))
     results = {
         "valid": report.ok,
         "violations": [
@@ -136,8 +152,7 @@ def cmd_validate(args) -> int:
             for v in report.violations
         ],
     }
-    _emit("validate", [args.path], results, started)
-    return OK if report.ok else SEMANTIC
+    return results, OK if report.ok else SEMANTIC, {}
 
 
 def _vertex_group_results(P, obj) -> dict:
@@ -146,11 +161,10 @@ def _vertex_group_results(P, obj) -> dict:
     return {"object": obj, "generators": list(pres.generators), "relators": relators}
 
 
-def cmd_pushout(args) -> int:
-    started = time.time()
-    A, B, C = (_load_presentation(path) for path in (args.a, args.b, args.c))
-    f = morphism_from_dict(_read_json(args.f), A, B)
-    g = morphism_from_dict(_read_json(args.g), A, C)
+def cmd_pushout(args, read):
+    A, B, C = (_load_presentation(read(path)) for path in (args.a, args.b, args.c))
+    f = morphism_from_dict(read(args.f), A, B)
+    g = morphism_from_dict(read(args.g), A, C)
     out = pushout(f, g)
     results = {
         "apex": presentation_to_dict(out.apex),
@@ -164,20 +178,15 @@ def cmd_pushout(args) -> int:
     }
     if args.vertex_group is not None:
         results["vertex_group"] = _vertex_group_results(out.apex, args.vertex_group)
-    _emit("pushout", [args.a, args.b, args.c, args.f, args.g], results, started)
-    return OK
+    return results, OK, {}
 
 
-def cmd_vertex_group(args) -> int:
-    started = time.time()
-    P = _load_presentation(args.path)
-    _emit("vertex-group", [args.path], _vertex_group_results(P, args.object), started)
-    return OK
+def cmd_vertex_group(args, read):
+    return _vertex_group_results(_load_presentation(read(args.path)), args.object), OK, {}
 
 
-def cmd_monodromy(args) -> int:
-    started = time.time()
-    D = _load_local_data(args.path)
+def cmd_monodromy(args, read):
+    D = _load_local_data(read(args.path))
     M = monodromy(D)
     finite = monodromy_is_finite(M) if M.rewriting.confluent else None
     results = {
@@ -189,10 +198,8 @@ def cmd_monodromy(args) -> int:
         "iprime_injective": M.iprime_injective(),
     }
     code = OK
-    inputs = [args.path]
     if args.extend is not None:
-        inputs.append(args.extend)
-        H, f = extension_from_dict(_read_json(args.extend))
+        H, f = extension_from_dict(read(args.extend))
         _checked(H)
         if not is_local_morphism(D, H, f):
             pair = broken_product(D, H, f)
@@ -205,13 +212,11 @@ def cmd_monodromy(args) -> int:
                 "objects": sorted([str(k), str(v)] for k, v in fp.obj_map.items()),
                 "generators": sorted([e, fp.gen_map[e]] for e in M.presentation.generators()),
             }
-    _emit("monodromy", inputs, results, started)
-    return code
+    return results, code, {}
 
 
-def cmd_holonomy(args) -> int:
-    started = time.time()
-    D = _load_local_data(args.path)
+def cmd_holonomy(args, read):
+    D = _load_local_data(read(args.path))
     J = germ_groupoid(D)
     N = j0(J, value_normalised=not args.paper_literal_j0)
     hol = holonomy_groupoid(J, N)
@@ -231,17 +236,12 @@ def cmd_holonomy(args) -> int:
             witness = {"class": witness[0], "values": sorted(map(str, witness[1]))}
         results["well_definedness_witness"] = witness
         code = FINDING
-    _emit("holonomy", [args.path], results, started)
-    if args.emit_dot is not None:
-        with open(args.emit_dot, "w", encoding="utf-8") as fh:
-            fh.write(groupoid_to_dot(hol.groupoid, name="holonomy"))
-    return code
+    outputs = {} if args.emit_dot is None else {args.emit_dot: groupoid_to_dot(hol.groupoid, name="holonomy")}
+    return results, code, outputs
 
 
-def cmd_extendible(args) -> int:
-    started = time.time()
-    D = _load_local_data(args.path)
-    res = check_extendible(D)
+def cmd_extendible(args, read):
+    res = check_extendible(_load_local_data(read(args.path)))
     results = {
         "extendible": res.ok,
         "failures": [[kind, str(witness)] for (kind, witness) in res.failures],
@@ -249,8 +249,7 @@ def cmd_extendible(args) -> int:
         "iterated_germs": len(res.closure_germs),
         "arrow_topology_base": sorted(sorted(map(str, U)) for U in res.topology.base()),
     }
-    _emit("extendible", [args.path], results, started)
-    return OK if res.ok else FINDING
+    return results, OK if res.ok else FINDING, {}
 
 
 def _load_double(doc):
@@ -282,9 +281,8 @@ DOUBLE_CHECKS = {
 }
 
 
-def cmd_double(args) -> int:
-    started = time.time()
-    D = _load_double(_read_json(args.path))
+def cmd_double(args, read):
+    D = _load_double(read(args.path))
     checks = [c.strip() for c in (args.check or "").split(",") if c.strip()]
     for check in checks:  # the whole list is refused before any check runs
         if check not in DOUBLE_CHECKS:
@@ -293,30 +291,21 @@ def cmd_double(args) -> int:
             raise SchemaError("roundtrip check needs a crossed module input")
     results = {"kind": D.kind, "square_count": len(D.squares), "checks": {c: DOUBLE_CHECKS[c](D) for c in checks}}
     ok = all(out["ok"] for out in results["checks"].values())
-    if args.emit_squares is not None:
-        with open(args.emit_squares, "w", encoding="utf-8") as fh:
-            fh.write(canonical_dumps(catalogue_to_dict(D)))
-    _emit("double", [args.path], results, started)
-    return OK if ok else SEMANTIC
+    outputs = {} if args.emit_squares is None else {args.emit_squares: canonical_dumps(catalogue_to_dict(D))}
+    return results, OK if ok else SEMANTIC, outputs
 
 
-def cmd_cube(args) -> int:
-    started = time.time()
-    D = _load_double(_read_json(args.path))
-    cube_doc = _read_json(args.cube)
-    cube = cube_from_dict(cube_doc, square_catalogue(D))
+def cmd_cube(args, read):
+    D = _load_double(read(args.path))
+    cube = cube_from_dict(read(args.cube), square_catalogue(D))
     try:
-        verdict = is_commutative_cube(D, cube)
+        return {"commutative": is_commutative_cube(D, cube)}, OK, {}
     except GroupoidKitError as exc:
-        _emit("cube", [args.path, args.cube], {"error": str(exc)}, started)
-        return SEMANTIC
-    _emit("cube", [args.path, args.cube], {"commutative": verdict}, started)
-    return OK
+        return {"error": str(exc)}, SEMANTIC, {}
 
 
-def _cmd_band(args, model) -> int:
-    D = model(args.segments)
-    sys.stdout.write(canonical_dumps(local_data_to_dict(D)))
+def _cmd_band(args) -> int:
+    sys.stdout.write(canonical_dumps(local_data_to_dict(args.model(args.segments))))
     return OK
 
 
@@ -326,7 +315,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("validate", help="check a groupoid file against the axioms")
     p.add_argument("path")
-    p.set_defaults(fn=cmd_validate)
+    p.set_defaults(fn=_run, cmd=cmd_validate)
 
     p = sub.add_parser("pushout", help="pushout of B <- A -> C presentations")
     p.add_argument("a")
@@ -335,47 +324,47 @@ def main(argv=None) -> int:
     p.add_argument("f")
     p.add_argument("g")
     p.add_argument("--vertex-group", default=None, metavar="OBJ")
-    p.set_defaults(fn=cmd_pushout)
+    p.set_defaults(fn=_run, cmd=cmd_pushout)
 
     p = sub.add_parser("vertex-group", help="spanning-tree vertex group presentation")
     p.add_argument("path")
     p.add_argument("object")
-    p.set_defaults(fn=cmd_vertex_group)
+    p.set_defaults(fn=_run, cmd=cmd_vertex_group)
 
     p = sub.add_parser("monodromy", help="monodromy groupoid of a window")
     p.add_argument("path")
     p.add_argument("--extend", default=None, metavar="FILE")
-    p.set_defaults(fn=cmd_monodromy)
+    p.set_defaults(fn=_run, cmd=cmd_monodromy)
 
     p = sub.add_parser("holonomy", help="germ and holonomy groupoids of a window")
     p.add_argument("path")
     p.add_argument("--paper-literal-j0", action="store_true", dest="paper_literal_j0",
                    help="drop the identity-value normalisation from J0")
     p.add_argument("--emit-dot", default=None, metavar="PATH")
-    p.set_defaults(fn=cmd_holonomy)
+    p.set_defaults(fn=_run, cmd=cmd_holonomy)
 
     p = sub.add_parser("extendible", help="try to extend the window topology")
     p.add_argument("path")
-    p.set_defaults(fn=cmd_extendible)
+    p.set_defaults(fn=_run, cmd=cmd_extendible)
 
     p = sub.add_parser("double", help="double groupoid checks on a groupoid or crossed module file")
     p.add_argument("path")
     p.add_argument("--check", default="", help="comma list: transport,interchange,roundtrip,cube-closure")
     p.add_argument("--emit-squares", default=None, metavar="PATH")
-    p.set_defaults(fn=cmd_double)
+    p.set_defaults(fn=_run, cmd=cmd_double)
 
     p = sub.add_parser("cube", help="commutativity verdict for a cube file")
     p.add_argument("path", help="groupoid or crossed module file defining the squares")
     p.add_argument("cube", help="cube file with catalogue indices")
-    p.set_defaults(fn=cmd_cube)
+    p.set_defaults(fn=_run, cmd=cmd_cube)
 
     p = sub.add_parser("mobius", help="emit the twisted band model")
     p.add_argument("--segments", type=int, required=True)
-    p.set_defaults(fn=lambda args: _cmd_band(args, mobius_model))
+    p.set_defaults(fn=_cmd_band, model=mobius_model)
 
     p = sub.add_parser("annulus", help="emit the straight band model")
     p.add_argument("--segments", type=int, required=True)
-    p.set_defaults(fn=lambda args: _cmd_band(args, annulus_model))
+    p.set_defaults(fn=_cmd_band, model=annulus_model)
 
     args = parser.parse_args(argv)
     try:

@@ -13,12 +13,12 @@ Formats (all documents carry ``schema_version``):
 * presentation: ``objects``, ``generators`` ([{id, src, tgt}]),
   ``relations`` ([[word, word]]); a word is {"start": object,
   "letters": [[generator, "+"|"-"], ...]} with the rightmost letter acting
-  first.
+  first.  Object and generator names are strings throughout.
 * presentation morphism: ``objects`` ([[from, to]]) and ``generators``
   ([[generator, word]]).
 * crossed module: groups ``P`` and ``M`` as {"elements": [names],
-  "table": [[index]]} multiplication tables (table[i][j] names the product
-  elements[i] . elements[j]), ``boundary`` ([[m, p]]) and ``action``
+  "table": [[index]]} multiplication tables (table[i][j], an integer and
+  not a boolean, indexes the product elements[i] . elements[j]), ``boundary`` ([[m, p]]) and ``action``
   ([[p, m, result]]).
 * cube: {"faces": {"top": i, "bottom": i, "left": i, "right": i,
   "front": i, "back": i}} with indices into the square catalogue emitted by
@@ -28,6 +28,7 @@ Formats (all documents carry ``schema_version``):
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .core import FiniteGroup, FiniteGroupoid, FiniteTopology, make_groupoid, topology_from_subbase
 from .double import CrossedModule, Cube, DoubleGroupoid, Square
@@ -67,6 +68,10 @@ def _name_rows(doc, key, where, shape, optional=False):
     """doc[key] as a list of rows of names shaped like `shape`, e.g. "[m, p]"."""
     rows = _require(doc, key, list, where) if key in doc or not optional else []
     n = shape.count(",") + 1
+    # one pass in C over every row; the loop below only names the first bad one
+    if {list} >= set(map(type, rows)) and {n} >= set(map(len, rows)):
+        if {str} >= set(map(type, chain.from_iterable(rows))):
+            return rows
     for i, row in enumerate(rows):
         if type(row) is not list or len(row) != n or not all(type(v) is str for v in row):
             raise SchemaError(f"{where}.{key}[{i}]: expected {shape}")
@@ -105,11 +110,7 @@ def groupoid_from_dict(doc: dict) -> FiniteGroupoid:
             raise SchemaError(f"groupoid: no identity arrow {ident!r}")
         id_of[x] = ident
     inv = dict(_name_rows(doc, "inv", "groupoid", "[arrow, inverse]"))
-    comp = {}
-    for i, triple in enumerate(_require(doc, "comp", list, "groupoid")):
-        if type(triple) is not list or len(triple) != 3 or not type(triple[0]) is type(triple[1]) is type(triple[2]) is str:
-            raise SchemaError(f"groupoid.comp[{i}]: expected [h, g, h_after_g]")
-        comp[(triple[0], triple[1])] = triple[2]
+    comp = {(h, g): hg for h, g, hg in _name_rows(doc, "comp", "groupoid", "[h, g, h_after_g]")}
     return make_groupoid(objects, arrows, src, tgt, id_of, inv, comp)
 
 
@@ -184,12 +185,12 @@ def word_to_dict(w: Word) -> dict:
 
 def word_from_dict(doc: dict, where="word") -> Word:
     start = _require(doc, "start", str, where)
-    letters_doc = _require(doc, "letters", list, where)
+    shape = "[generator, '+'|'-']"
     letters = []
-    for i, pair in enumerate(letters_doc):
-        if not isinstance(pair, list) or len(pair) != 2 or pair[1] not in ("+", "-"):
-            raise SchemaError(f"{where}.letters[{i}]: expected [generator, '+'|'-']")
-        letters.append((pair[0], POS if pair[1] == "+" else NEG))
+    for i, (e, sign) in enumerate(_name_rows(doc, "letters", where, shape)):
+        if sign not in ("+", "-"):
+            raise SchemaError(f"{where}.letters[{i}]: expected {shape}")
+        letters.append((e, POS if sign == "+" else NEG))
     return Word(start, tuple(letters))
 
 
@@ -262,7 +263,7 @@ def group_from_dict(doc: dict, where="group") -> FiniteGroup:
     for i, a in enumerate(names):
         for j, b in enumerate(names):
             k = table[i][j]
-            if not isinstance(k, int) or not 0 <= k < n:
+            if type(k) is not int or not 0 <= k < n:
                 raise SchemaError(f"{where}: table[{i}][{j}] out of range")
             mul[(a, b)] = names[k]
     ident = doc.get("identity")

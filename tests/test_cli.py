@@ -1,5 +1,6 @@
 """Command line surface: manifests, exit codes, byte stability."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -37,6 +38,33 @@ BAD_RELATION = (
     "error: invalid presentation: relation-word(Word(start='p', letters=(('zz', 1), ('eU', 1))), "
     "Word(start='p', letters=(('eU', 1),))): unknown generator 'zz'\n"
 )
+
+
+class TestManifest:
+    @pytest.mark.parametrize("argv", [
+        ["pushout", "circle-w.json", "circle-u.json", "circle-v.json", "circle-i.json", "circle-j.json"],
+        ["cube", "box-c2.json", "cube-degenerate.json"],
+        ["monodromy", "c4-window.json", "--extend", "extend-c8.json"],
+        ["holonomy", "mobius3.json"],
+    ], ids=lambda argv: argv[0])
+    def test_inputs_are_the_files_read_in_order(self, capsys, argv):
+        argv = [fx(a) if a.endswith(".json") else a for a in argv]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        paths = [a for a in argv if a.endswith(".json")]
+        assert json.loads(out)["inputs"] == [
+            {"path": p, "sha256": hashlib.sha256(pathlib.Path(p).read_bytes()).hexdigest()} for p in paths
+        ]
+
+    @pytest.mark.parametrize("argv", [
+        ["holonomy", "mobius3.json", "--emit-dot"],
+        ["double", "c4-window.json", "--emit-squares"],
+    ], ids=lambda argv: argv[-1])
+    def test_unwritable_output_is_a_parse_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out"
+        code, out, err = run(capsys, argv[0], fx(argv[1]), argv[2], str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"parse error: {target}: cannot write: ") and err.count("\n") == 1, err
 
 
 class TestValidate:
@@ -373,6 +401,16 @@ class TestDouble:
         assert run(capsys, "double", fx(path), "--check", checks) == (2, "", f"parse error: {message}\n")
 
 
+    def test_boolean_group_table_entries_are_a_parse_error(self, capsys, tmp_path):
+        doc = json.loads((FIXTURES / "xmod-trivial.json").read_text())
+        doc["P"]["table"] = [[False, True], [True, False]]
+        path = tmp_path / "xmod-bool.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "double", str(path), "--check", "transport") == (
+            2, "", "parse error: P: table[0][0] out of range\n"
+        )
+
+
 class TestCube:
     def test_degenerate_cube_commutative(self, capsys):
         code, out, _ = run(capsys, "cube", fx("box-c2.json"), fx("cube-degenerate.json"))
@@ -407,6 +445,16 @@ class TestVertexGroup:
 
     def test_unknown_generator_in_a_relation_is_refused(self, capsys):
         assert run(capsys, "vertex-group", fx("bad-relation.json"), "m") == (1, "", BAD_RELATION)
+
+    @pytest.mark.parametrize("generator", [[], {}, 7, None], ids=repr)
+    def test_non_string_generator_in_a_relation_is_a_parse_error(self, capsys, tmp_path, generator):
+        doc = json.loads((FIXTURES / "bad-relation.json").read_text())
+        doc["relations"][0][0]["letters"][0][0] = generator
+        path = tmp_path / "bad-letter.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "vertex-group", str(path), "m") == (
+            2, "", "parse error: presentation.relations[0][0].letters[0]: expected [generator, '+'|'-']\n"
+        )
 
     def test_relation_with_different_endpoints_is_refused(self, capsys, tmp_path):
         doc = json.loads((FIXTURES / "circle-u.json").read_text())

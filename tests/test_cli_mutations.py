@@ -39,6 +39,7 @@ READERS = {
     "circle-i": ["pushout", fx("circle-w.json"), fx("circle-u.json"), fx("circle-v.json"), "PATH",
                  fx("circle-j.json"), "--vertex-group", "{B.m,C.m}"],
     "extend-c8": ["monodromy", fx("c4-window.json"), "--extend", "PATH"],
+    "bad-relation": ["vertex-group", "PATH", "m"],
 }
 DOCS = {name: json.loads((FIXTURES / f"{name}.json").read_text()) for name in NAMES + tuple(READERS)}
 WRONG = (None, 7, 1.5, True, "x", [], [[]], {}, {"id": 1})
