@@ -155,7 +155,7 @@ def validate_group(K: FiniteGroup) -> ValidationReport:
     elems = K.elements
     eset = set(elems)
     if len(eset) != len(elems):
-        bad.append(Violation("distinct-elements", (), "duplicate elements"))
+        return ValidationReport((Violation("distinct-elements", (), "duplicate elements"),))
     if K.identity not in eset:
         bad.append(Violation("identity-element", (K.identity,), "identity not an element"))
         return ValidationReport(tuple(bad))
@@ -171,11 +171,10 @@ def validate_group(K: FiniteGroup) -> ValidationReport:
         ai = K.inv.get(a)
         if ai not in eset or K.mul[(a, ai)] != K.identity or K.mul[(ai, a)] != K.identity:
             bad.append(Violation("inverse-law", (a,), "inverse law fails"))
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                if K.mul[(K.mul[(a, b)], c)] != K.mul[(a, K.mul[(b, c)])]:
-                    bad.append(Violation("associativity", (a, b, c), "associativity fails"))
+    # the elements as the arrows of one object, "a then b" composed as b∘a
+    one, comp = dict.fromkeys(elems, K.identity), {(b, a): ab for (a, b), ab in K.mul.items()}
+    bad.extend(Violation("associativity", (a, b, c), "associativity fails")
+               for c, b, a in associativity_failures(elems, one, one, comp))
     return ValidationReport(tuple(bad))
 
 
@@ -406,11 +405,21 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
             bad.append(Violation("inverse-law", (a,), "inv(a)∘a != id(src a)"))
         if G.comp[(a, ai)] != G.id_of[G.tgt[a]]:
             bad.append(Violation("inverse-law", (a,), "a∘inv(a) != id(tgt a)"))
-    # Associativity by columns of arrow numbers: col[a] lists k∘a for k out of
-    # tgt a, cpos[a] places each k∘a in the star of src a.  For all k at once,
-    # k∘(h∘g) is col[h∘g] and (k∘h)∘g is col[g] read at cpos[h].
-    comp, tgt = G.comp, G.tgt
-    stars = out_stars(arrows, G.src)
+    bad.extend(Violation("associativity", kgh, "associativity fails")
+               for kgh in associativity_failures(arrows, G.src, G.tgt, G.comp))
+    return ValidationReport(tuple(bad))
+
+
+def associativity_failures(arrows, src, tgt, comp):
+    """Each (k, h, g) with k∘(h∘g) != (k∘h)∘g: g in the order given, then h
+    and k in the order of their stars.  The arrows must be distinct, and comp
+    total and closed on the composable pairs.
+
+    By columns of arrow numbers: col[a] lists k∘a for k out of tgt a, cpos[a]
+    places each k∘a in the star of src a.  For all k at once, k∘(h∘g) is
+    col[h∘g] and (k∘h)∘g is col[g] read at cpos[h].
+    """
+    stars = out_stars(arrows, src)
     num = {a: i for i, a in enumerate(arrows)}
     pos = {a: i for star in stars.values() for i, a in enumerate(star)}
     col = [tuple([num[comp[(k, a)]] for k in stars[tgt[a]]]) for a in arrows]
@@ -421,8 +430,7 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
             if col[hg] != right:
                 for k, x, y in zip(stars[tgt[h]], col[hg], right):
                     if x != y:
-                        bad.append(Violation("associativity", (k, h, g), "associativity fails"))
-    return ValidationReport(tuple(bad))
+                        yield k, h, g
 
 
 def vertex_group(G: FiniteGroupoid, x) -> FiniteGroup:

@@ -1,9 +1,8 @@
 """Germ groupoids, holonomy quotients, charts, and the band foliation models.
 
 The germ groupoid J of a window has one arrow per germ of an iterated local
-procedure; its subgroupoid J0 holds the germs that are still local: loops
-whose value is the identity and whose germ is window-valued and window-
-continuous.  (Without the identity-value condition the projection onto the
+procedure; its subgroupoid J0 holds the germs that are still local: the
+identity-valued loops among the window germs.  (Without the identity-value condition the projection onto the
 ambient groupoid would not be constant on quotient classes; the literal
 variant is available behind a flag and its failures are reported, not
 raised.)  The holonomy groupoid is the quotient J/J0; the window embeds in
@@ -24,7 +23,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bisections import is_window_bisection
 from .core import (
     FiniteGroupoid,
     FiniteTopology,
@@ -123,16 +121,16 @@ class LocalitySubgroupoid:
 def j0(J: GermGroupoid, value_normalised: bool = True) -> LocalitySubgroupoid:
     """Germs that are still local procedures.
 
-    Membership: a loop germ (target equals base) whose restriction to the
-    minimal open is window-valued and window-continuous; with
-    ``value_normalised`` (the default) the value at the base must be the
-    identity arrow.  The report checks wideness and stability under
-    conjugation exhaustively.
+    Membership: a loop germ (target equals base) that is one of the window
+    germs, the window-valued and window-continuous sections over the minimal
+    open at its base; with ``value_normalised`` (the default) the value at
+    the base must be the identity arrow.  The report checks wideness and
+    stability under conjugation exhaustively.
     """
-    D, K = J.data, J.groupoid
+    G, K, window = J.data.G, J.groupoid, set(J.generator_germs)
     loops = [
         a for a, g in J.germ_of_arrow.items()
-        if K.tgt[a] == g.base and (not value_normalised or g.value == D.G.id_of[g.base]) and is_window_bisection(D, g)
+        if K.tgt[a] == g.base and (not value_normalised or g.value == G.id_of[g.base]) and g in window
     ]
     members = frozenset(loops)
     wide = all(K.id_of[x] in members for x in K.objects)
@@ -278,9 +276,7 @@ def chart(hol: HolonomyGroupoid, s_germ: Germ) -> dict:
     col, (i, _) = columns[x], index[germ_code(s_germ)]
     out = {}
     for w in covered[x]:
-        classes = {index[(f, tuple([col[b][i] for b in arrs]))][1] for f, arrs in through.get(w, ())}
-        if not classes:
-            raise NotSectionable(f"no window bisection through {w!r}")
+        classes = {index[(f, tuple([col[b][i] for b in arrs]))][1] for f, arrs in through[w]}
         if len(classes) > 1:
             raise WellDefinednessFailure(f"chart value at {w!r} depends on the bisection choice")
         out[w] = classes.pop()
@@ -328,10 +324,7 @@ def monodromy_pair(D: LocalGroupoidData) -> tuple[LocalGroupoidData, dict]:
     """
     M = monodromy(D)
     Mfin, name = monodromy_groupoid(M)
-    embed = {}
-    for w in D.window:
-        im = M.iprime[w]
-        embed[w] = name[(im.start, im.letters)]
+    embed = {w: name[M.iprime[w]] for w in D.window}
     if len(set(embed.values())) != len(embed):
         raise WellDefinednessFailure("window embedding into the monodromy groupoid not injective")
     w_prime = frozenset(embed.values())

@@ -71,6 +71,8 @@ class ReflexiveGraph:
         idset = set(self.id_edge.values())
         if len(idset) != len(self.objects):
             bad.append(Violation("identity-edge", (), "identity edges not distinct"))
+        bad.extend(Violation("distinct-edges", (e,), "edge id listed more than once")
+                   for e, n in Counter(self.edges).items() if n > 1)
         for e in self.edges:
             if self.src.get(e) not in set(self.objects) or self.tgt.get(e) not in set(self.objects):
                 bad.append(Violation("edge-endpoints", (e,), "unknown endpoint"))
@@ -395,33 +397,9 @@ class PairRewriting:
         return Word(w.start, self.reduce(w.letters))
 
 
-def _build_pair_rules(D: LocalGroupoidData):
-    """Rules and presentation data for the monodromy quotient."""
-    G, W = D.G, D.window
-    gens = sorted(w for w in W if not G.is_identity(w))
-    graph = reflexive_graph(G.objects, [(w, G.src[w], G.tgt[w]) for w in gens])
-    inv_gen = {w: G.inv[w] for w in gens}
-    rules = {}
-    relations = []
-    ending_at = out_stars(gens, G.tgt)
-    for u in gens:
-        for v in ending_at.get(G.src[u], ()):
-            uv = G.comp[(u, v)]
-            if uv not in W:
-                continue
-            lhs = Word(G.src[v], ((u, POS), (v, POS)))
-            if G.is_identity(uv):
-                rules[(u, v)] = None
-                relations.append((lhs, empty_word(G.src[v])))
-            else:
-                rules[(u, v)] = uv
-                relations.append((lhs, Word(G.src[v], ((uv, POS),))))
-    return graph, inv_gen, rules, tuple(relations)
-
-
-def _pair_rewriting(graph: ReflexiveGraph, inv_gen: dict, pair_rules: dict, relations) -> PairRewriting:
-    """The pair relations [u][v] = [uv] as letter rules, checked on every overlap [u][v][w]."""
-    letter_rules = {lhs.letters: rhs.letters for lhs, rhs in relations}
+def _pair_rewriting(graph: ReflexiveGraph, inv_gen: dict, pair_rules: dict) -> PairRewriting:
+    """The pair rules [u][v] -> [uv] as letter rules, checked on every overlap [u][v][w]."""
+    letter_rules = {((u, POS), (v, POS)): () if uv is None else ((uv, POS),) for (u, v), uv in pair_rules.items()}
     letter_rules.update({((e, NEG),): ((inv, POS),) for e, inv in inv_gen.items()})
     reduce = rewriter(letter_rules)
     failures = []
@@ -468,35 +446,36 @@ class MonodromyResult:
         return self.rewriting.normal_form(w)
 
     def iprime_injective(self) -> bool:
-        nfs = {}
-        for w, im in self.iprime.items():
-            key = (
-                word_source(im),
-                word_target(self.presentation.graph, im),
-                self.rewriting.normal_form(im).letters if self.rewriting.confluent else im.letters,
-            )
-            if key in nfs and nfs[key] != w:
-                return False
-            nfs[key] = w
-        return True
+        """The images are normal forms, so i' is injective iff they are distinct words."""
+        return len(set(self.iprime.values())) == len(self.iprime)
 
 
 def monodromy(D: LocalGroupoidData) -> MonodromyResult:
-    """The monodromy groupoid M(G, W) with projection p and embedding i'."""
-    G = D.G
-    graph, inv_gen, rules, relations = _build_pair_rules(D)
-    rewriting = _pair_rewriting(graph, inv_gen, rules, relations)
-    pres = FpGroupoid(graph, relations)
+    """The monodromy groupoid M(G, W) with projection p and embedding i'.
+
+    The relations and the letter rules are both read off one table of pair
+    rules.  i' sends w to [w], and id_x to the empty word at x: normal forms,
+    since no letter rule has one positive letter as its left-hand side.
+    """
+    G, W = D.G, D.window
+    gens = sorted(w for w in W if not G.is_identity(w))
+    graph = reflexive_graph(G.objects, [(w, G.src[w], G.tgt[w]) for w in gens])
+    rules = {}
+    ending_at = out_stars(gens, G.tgt)
+    for u in gens:
+        for v in ending_at.get(G.src[u], ()):
+            uv = G.comp[(u, v)]
+            if uv in W:
+                rules[(u, v)] = None if G.is_identity(uv) else uv
+    rewriting = _pair_rewriting(graph, {w: G.inv[w] for w in gens}, rules)
+    relations = tuple(
+        (Word(G.src[v], ((u, POS), (v, POS))), Word(G.src[v], () if uv is None else ((uv, POS),)))
+        for (u, v), uv in rules.items()
+    )
     p_obj = {x: x for x in G.objects}
     p_gen = {e: e for e in graph.generators()}
-    iprime = {}
-    for w in D.window:
-        if G.is_identity(w):
-            iprime[w] = empty_word(G.src[w])
-        else:
-            im = Word(G.src[w], ((w, POS),))
-            iprime[w] = rewriting.normal_form(im) if rewriting.confluent else im
-    return MonodromyResult(D, pres, rewriting, p_obj, p_gen, iprime)
+    iprime = {w: Word(G.src[w], () if G.is_identity(w) else ((w, POS),)) for w in W}
+    return MonodromyResult(D, FpGroupoid(graph, relations), rewriting, p_obj, p_gen, iprime)
 
 
 @dataclass(frozen=True, eq=False)
@@ -587,31 +566,28 @@ def enumerate_monodromy_arrows(M: MonodromyResult) -> list[Word]:
 def monodromy_groupoid(M: MonodromyResult) -> tuple[FiniteGroupoid, dict]:
     """Materialise a finite monodromy instance as explicit tables.
 
-    Returns the groupoid together with the word -> arrow id translation.
+    Returns the groupoid together with the translation from each normal-form
+    `Word` to its arrow id.
     """
     words = enumerate_monodromy_arrows(M)
     graph = M.presentation.graph
-
-    def key(w: Word):
-        return (w.start, w.letters)
-
     name = {}
-    for w in sorted(words, key=lambda w: (len(w.letters), repr(key(w)))):
+    for w in sorted(words, key=lambda w: (len(w), repr(w))):
         if not w.letters:
-            name[key(w)] = f"id:{w.start}"
+            name[w] = f"id:{w.start}"
         else:
-            name[key(w)] = "w:" + ".".join(e for (e, _) in w.letters)
+            name[w] = "w:" + ".".join(e for (e, _) in w.letters)
     arrows = list(name.values())
-    src = {name[key(w)]: word_source(w) for w in words}
-    tgt = {name[key(w)]: word_target(graph, w) for w in words}
+    src = {name[w]: word_source(w) for w in words}
+    tgt = {name[w]: word_target(graph, w) for w in words}
     id_of = {x: f"id:{x}" for x in graph.objects}
     inv = {}
     for w in words:
         wi = M.rewriting.normal_form(word_inverse(graph, w))
-        inv[name[key(w)]] = name[key(wi)]
-    word_of = {name[key(w)]: w for w in words}
+        inv[name[w]] = name[wi]
+    word_of = {name[w]: w for w in words}
     comp = {
-        (h, g): name[key(M.rewriting.normal_form(concat(graph, word_of[h], word_of[g])))]
+        (h, g): name[M.rewriting.normal_form(concat(graph, word_of[h], word_of[g]))]
         for h, g in composable(arrows, src, tgt)
     }
     return make_groupoid(graph.objects, arrows, src, tgt, id_of, inv, comp), name

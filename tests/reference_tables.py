@@ -12,7 +12,8 @@ package, kept as a test oracle:
   through each window arrow;
 - `reference_holonomy_topology` and `reference_check_extendible` take the
   image of every basic window open under every chart or germ;
-- `reference_validate_groupoid` tests associativity one triple at a time;
+- `reference_validate_groupoid` and `reference_validate_group` test
+  associativity one triple at a time;
 - `reference_local_data_validate`, `reference_is_valid_bisection` and
   `reference_is_window_bisection` write each continuity test as its own
   loop over the minimal opens instead of calling `core.discontinuities`;
@@ -22,6 +23,9 @@ package, kept as a test oracle:
 - `reference_exhaust` and `reference_check_confluence` are the monodromy
   pair rewriting written on its own: signs normalised first, then the
   leftmost pair rewritten, restarting from the left;
+- `reference_pair_rules` builds the monodromy pair rules and the relations
+  in one loop, each on its own, and `reference_monodromy_groupoid` names the
+  normal forms by (start, letters) keys and normalises every composite;
 - `reference_group_isomorphism` closes every partial map under all
   products, and `reference_groupoid_isomorphism` backtracks over object
   maps and then over permutations of each hom-set;
@@ -69,9 +73,13 @@ from groupoidkit.holonomy import GermGroupoid
 from groupoidkit.presentations import (
     Word,
     _next_letters,
+    concat,
     empty_word,
+    enumerate_monodromy_arrows,
     letter_src,
     letter_tgt,
+    word_inverse,
+    word_source,
     word_target,
 )
 from groupoidkit.rewriting import NEG, POS, GroupRewriting, _orient, _shortlex_key, free_reduce, invert
@@ -265,6 +273,37 @@ def reference_validate_groupoid(G) -> ValidationReport:
         for k in stars.get(G.tgt[h], ()):
             if G.comp[(k, hg)] != G.comp[(G.comp[(k, h)], g)]:
                 bad.append(Violation("associativity", (k, h, g), "associativity fails"))
+    return ValidationReport(tuple(bad))
+
+
+def reference_validate_group(K) -> ValidationReport:
+    """`validate_group` with associativity tested triple by triple, (a·b)·c
+    against a·(b·c) for a, then b, then c in element order."""
+    bad = []
+    elems = K.elements
+    eset = set(elems)
+    if len(eset) != len(elems):
+        return ValidationReport((Violation("distinct-elements", (), "duplicate elements"),))
+    if K.identity not in eset:
+        bad.append(Violation("identity-element", (K.identity,), "identity not an element"))
+        return ValidationReport(tuple(bad))
+    for a in elems:
+        for b in elems:
+            if (a, b) not in K.mul or K.mul[(a, b)] not in eset:
+                bad.append(Violation("closure", (a, b), "product missing or outside group"))
+    if bad:
+        return ValidationReport(tuple(bad))
+    for a in elems:
+        if K.mul[(K.identity, a)] != a or K.mul[(a, K.identity)] != a:
+            bad.append(Violation("identity-law", (a,), "identity law fails"))
+        ai = K.inv.get(a)
+        if ai not in eset or K.mul[(a, ai)] != K.identity or K.mul[(ai, a)] != K.identity:
+            bad.append(Violation("inverse-law", (a,), "inverse law fails"))
+    for a in elems:
+        for b in elems:
+            for c in elems:
+                if K.mul[(K.mul[(a, b)], c)] != K.mul[(a, K.mul[(b, c)])]:
+                    bad.append(Violation("associativity", (a, b, c), "associativity fails"))
     return ValidationReport(tuple(bad))
 
 
@@ -498,6 +537,59 @@ def reference_check_confluence(graph, inv_gen, pair_rules):
             if a != b:
                 failures.append(((u, v, w), a, b))
     return (not failures), tuple(failures)
+
+
+def reference_pair_rules(D):
+    """The monodromy pair rules (u, v) -> uv, None when uv is an identity, and
+    the relations [u][v] = [uv], built side by side in one loop."""
+    G, W = D.G, D.window
+    gens = sorted(w for w in W if not G.is_identity(w))
+    rules = {}
+    relations = []
+    ending_at = out_stars(gens, G.tgt)
+    for u in gens:
+        for v in ending_at.get(G.src[u], ()):
+            uv = G.comp[(u, v)]
+            if uv not in W:
+                continue
+            lhs = Word(G.src[v], ((u, POS), (v, POS)))
+            if G.is_identity(uv):
+                rules[(u, v)] = None
+                relations.append((lhs, empty_word(G.src[v])))
+            else:
+                rules[(u, v)] = uv
+                relations.append((lhs, Word(G.src[v], ((uv, POS),))))
+    return rules, tuple(relations)
+
+
+def reference_monodromy_groupoid(M):
+    """`monodromy_groupoid` with each normal form named through a (start, letters) key."""
+    words = enumerate_monodromy_arrows(M)
+    graph = M.presentation.graph
+
+    def key(w):
+        return (w.start, w.letters)
+
+    name = {}
+    for w in sorted(words, key=lambda w: (len(w.letters), repr(key(w)))):
+        if not w.letters:
+            name[key(w)] = f"id:{w.start}"
+        else:
+            name[key(w)] = "w:" + ".".join(e for (e, _) in w.letters)
+    arrows = list(name.values())
+    src = {name[key(w)]: word_source(w) for w in words}
+    tgt = {name[key(w)]: word_target(graph, w) for w in words}
+    id_of = {x: f"id:{x}" for x in graph.objects}
+    inv = {}
+    for w in words:
+        wi = M.rewriting.normal_form(word_inverse(graph, w))
+        inv[name[key(w)]] = name[key(wi)]
+    word_of = {name[key(w)]: w for w in words}
+    comp = {
+        (h, g): name[key(M.rewriting.normal_form(concat(graph, word_of[h], word_of[g])))]
+        for h, g in composable(arrows, src, tgt)
+    }
+    return make_groupoid(graph.objects, arrows, src, tgt, id_of, inv, comp), name
 
 
 def reference_group_isomorphism(A, B):

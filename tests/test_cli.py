@@ -39,6 +39,18 @@ BAD_RELATION = (
     "Word(start='p', letters=(('eU', 1),))): unknown generator 'zz'\n"
 )
 
+# identity-generator.json lists a generator named like the identity edge of its object
+DISTINCT_EDGES = "error: invalid presentation: distinct-edges('id:m',): edge id listed more than once\n"
+
+
+def repeated_generator(tmp_path):
+    """circle-u.json with its generator listed again as a loop at m."""
+    doc = json.loads((FIXTURES / "circle-u.json").read_text())
+    doc["generators"].append({"id": "eU", "src": "m", "tgt": "m"})
+    path = tmp_path / "repeated-generator.json"
+    path.write_text(json.dumps(doc))
+    return str(path), "error: invalid presentation: distinct-edges('eU',): edge id listed more than once\n"
+
 
 class TestManifest:
     @pytest.mark.parametrize("argv", [
@@ -166,6 +178,18 @@ class TestPushout:
         circle[1] = fx("bad-relation.json")
         assert run(capsys, "pushout", *circle) == (1, "", BAD_RELATION)
 
+    @pytest.mark.parametrize("slot", [0, 1, 2], ids=["A", "B", "C"])
+    def test_identity_named_generator_is_refused_in_every_slot(self, capsys, slot):
+        circle = [fx(f"circle-{c}.json") for c in "wuvij"]
+        circle[slot] = fx("identity-generator.json")
+        assert run(capsys, "pushout", *circle) == (1, "", DISTINCT_EDGES)
+
+    @pytest.mark.parametrize("slot", [0, 1, 2], ids=["A", "B", "C"])
+    def test_repeated_generator_is_refused_in_every_slot(self, capsys, tmp_path, slot):
+        circle = [fx(f"circle-{c}.json") for c in "wuvij"]
+        circle[slot], message = repeated_generator(tmp_path)
+        assert run(capsys, "pushout", *circle) == (1, "", message)
+
 
 class TestMonodromy:
     def test_c4_window_flags_infinite(self, capsys):
@@ -231,6 +255,11 @@ class TestHolonomy:
         assert res["projection_constant"] is False
         assert res["well_definedness_witness"] is not None
 
+    def test_window_arrow_without_a_bisection_is_refused(self, capsys):
+        assert run(capsys, "holonomy", fx("sierpinski.json")) == (
+            1, "", "error: no window bisection through 'a>b'\n"
+        )
+
     def test_emit_dot(self, capsys, tmp_path):
         target = tmp_path / "hol.dot"
         code, _, _ = run(capsys, "holonomy", fx("annulus3.json"), "--emit-dot", str(target))
@@ -250,6 +279,11 @@ class TestExtendible:
         code, out, _ = run(capsys, "extendible", fx("annulus3.json"))
         assert code == 0
         assert results_of(out)["extendible"] is True
+
+    def test_sierpinski_composition_is_discontinuous(self, capsys):
+        code, out, _ = run(capsys, "extendible", fx("sierpinski.json"))
+        assert code == 3
+        assert results_of(out)["failures"] == [["composition-discontinuous", "('a>b', 'b>a', 'a>b', 'id:a')"]]
 
     def test_c4_window_succeeds(self, capsys):
         code, out, _ = run(capsys, "extendible", fx("c4-window.json"))
@@ -445,6 +479,13 @@ class TestVertexGroup:
 
     def test_unknown_generator_in_a_relation_is_refused(self, capsys):
         assert run(capsys, "vertex-group", fx("bad-relation.json"), "m") == (1, "", BAD_RELATION)
+
+    def test_identity_named_generator_is_refused(self, capsys):
+        assert run(capsys, "vertex-group", fx("identity-generator.json"), "m") == (1, "", DISTINCT_EDGES)
+
+    def test_repeated_generator_is_refused(self, capsys, tmp_path):
+        path, message = repeated_generator(tmp_path)
+        assert run(capsys, "vertex-group", path, "m") == (1, "", message)
 
     @pytest.mark.parametrize("generator", [[], {}, 7, None], ids=repr)
     def test_non_string_generator_in_a_relation_is_a_parse_error(self, capsys, tmp_path, generator):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import pathlib
+import random
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from corpus import monodromy_corpus, small_targets
 from groupoidkit.core import (
+    FiniteGroup,
     FiniteGroupoid,
     GroupoidMorphism,
     Violation,
@@ -54,6 +56,7 @@ from reference_tables import (
     reference_opens,
     reference_topology_from_opens,
     reference_topology_from_subbase,
+    reference_validate_group,
     reference_validate_groupoid,
 )
 
@@ -702,6 +705,47 @@ class TestValidateAgainstReference:
         # validate_groupoid reports broken tables and never raises on them
         assert_same_violations(G)
         assert validate_groupoid(G) == reference_validate_groupoid(G)
+
+
+def perturbed_groups():
+    """C1-C8, S3, S4 and the Klein group, each whole and damaged once in
+    derandomised ways: two products swapped, a wrong inverse, a wrong identity."""
+    klein = direct_product_group(cyclic_group(2), cyclic_group(2))
+    groups = [(f"C{n}", cyclic_group(n)) for n in range(1, 9)]
+    groups += [("S3", symmetric_group(3)), ("S4", symmetric_group(4)), ("Klein", klein)]
+    out = []
+    for name, K in groups:
+        rng = random.Random(name)
+        elems, pairs = K.elements, list(K.mul)
+        out.append((name, K))
+        for i in range(40 if len(pairs) > 1 else 0):
+            p, q = rng.sample(pairs, 2)
+            out.append((f"{name}-swap{i}", FiniteGroup(elems, {**K.mul, p: K.mul[q], q: K.mul[p]}, K.identity, K.inv)))
+        for i in range(10 if len(elems) > 1 else 0):
+            a, b = rng.sample(elems, 2)
+            out.append((f"{name}-inverse{i}", FiniteGroup(elems, K.mul, K.identity, {**K.inv, a: b})))
+        for e in elems[1:6]:
+            out.append((f"{name}-identity-{e}", FiniteGroup(elems, K.mul, e, K.inv)))
+    return out
+
+
+class TestValidateGroupAgainstReference:
+    """`validate_group` through the column join against the triple loop."""
+
+    def test_perturbed_tables_give_the_same_reports(self):
+        cases = perturbed_groups()
+        assert len(cases) > 500
+        rules = Counter()
+        for name, K in cases:
+            got = validate_group(K)
+            assert got == reference_validate_group(K), name
+            rules.update(v.rule for v in got.violations)
+        assert {"associativity", "inverse-law", "identity-law"} <= set(rules)
+
+    def test_duplicate_elements_stop_the_check(self):
+        K = cyclic_group(3)
+        twice = FiniteGroup(K.elements + (0,), K.mul, K.identity, K.inv)
+        assert validate_group(twice).violations == (Violation("distinct-elements", (), "duplicate elements"),)
 
 
 def corpus_groupoids():

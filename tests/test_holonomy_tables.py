@@ -10,7 +10,7 @@ from corpus import cyclic_window, full_window, klein_window, sierpinski_pair_dat
 from groupoidkit import bisections, holonomy
 from groupoidkit.bisections import check_extendible, generate_semigroup, identity_bisection, w_bisections
 from groupoidkit.core import FiniteTopology, cyclic_group, disjoint_union, one_object_groupoid
-from groupoidkit.errors import WellDefinednessFailure
+from groupoidkit.errors import NotSectionable, WellDefinednessFailure
 from groupoidkit.germs import germ, germ_closure, left_translations
 from groupoidkit.holonomy import (
     annulus_model,
@@ -18,6 +18,7 @@ from groupoidkit.holonomy import (
     germ_groupoid,
     holonomy_pipeline,
     holonomy_topology,
+    j0,
     mobius_model,
 )
 from groupoidkit.io import local_data_from_dict
@@ -31,6 +32,7 @@ from reference_tables import (
     reference_germ_groupoid_from_closure,
     reference_holonomy_subbase,
     reference_holonomy_topology,
+    reference_is_window_bisection,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -180,6 +182,26 @@ def test_extendibility_matches_reference(name, monkeypatch):
     assert spy.families == [reference_extendible_subbase(D)]
     assert list(res.topology.min_open.items()) == list(want_T.min_open.items())
     assert res.failures == want_failures
+
+
+@pytest.mark.parametrize("value_normalised", [True, False], ids=["normalised", "literal"])
+@pytest.mark.parametrize("name", sorted(GERM_CORPUS))
+def test_j0_members_are_the_window_bisection_loops(name, value_normalised):
+    D = GERM_CORPUS[name]()
+    J = germ_groupoid(D)
+    K = J.groupoid
+    want = {
+        a for a, g in J.germ_of_arrow.items()
+        if K.tgt[a] == g.base and (not value_normalised or g.value == D.G.id_of[g.base])
+        and reference_is_window_bisection(D, g)
+    }
+    assert j0(J, value_normalised).arrows == want
+
+
+def test_no_window_bisection_through_a_window_arrow_is_refused():
+    with pytest.raises(NotSectionable) as got:
+        holonomy_pipeline(sierpinski_pair_data())
+    assert str(got.value) == "no window bisection through 'a>b'"
 
 
 class TestChartErrors:

@@ -146,6 +146,19 @@ class TestFreeGroupoid:
         with pytest.raises(NotFree):
             words_up_to(M.presentation, "o", "o", 2)
 
+    def test_repeated_edge_ids_are_reported_once_each_in_listing_order(self):
+        graph = reflexive_graph(["m", "p"], [("b", "p", "m"), ("id:m", "p", "m"), ("a", "m", "p"),
+                                             ("b", "m", "m"), ("a", "p", "m"), ("b", "p", "p")])
+        # id:m listed as a generator from p also moves the identity edge off its object
+        assert [(v.rule, v.witness) for v in graph.validate().violations] == [
+            ("identity-edge", ("m", "id:m")),
+            ("distinct-edges", ("id:m",)),
+            ("distinct-edges", ("b",)),
+            ("distinct-edges", ("a",)),
+        ]
+        with pytest.raises(IllFormedWord):
+            free_groupoid(reflexive_graph(["m"], [("id:m", "m", "m")]))
+
 
 class TestLocalMorphism:
     def test_inclusion_is_local(self):

@@ -6,7 +6,9 @@ oracles in `reference_tables` are the two separate rewriters they replaced.
 """
 
 import gc
+import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -17,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import cyclic_window, full_window, monodromy_corpus, pushout_corpus
+from groupoidkit.holonomy import monodromy_pair
+from groupoidkit.io import local_data_from_dict
 from groupoidkit.colimits import GroupPresentation, HnnInput, hnn_from_pushout, pushout, vertex_group_presentation
 from groupoidkit.core import (
     cyclic_group,
@@ -26,8 +30,18 @@ from groupoidkit.core import (
     product_groupoid,
     symmetric_group,
 )
-from groupoidkit.errors import NotConnected, RewritingNotConfluent
-from groupoidkit.presentations import NEG, POS, Word, letter_src, letter_tgt, local_data, monodromy
+from groupoidkit.errors import NotConnected, PartialMap, RewritingNotConfluent
+from groupoidkit.presentations import (
+    NEG,
+    POS,
+    Word,
+    letter_src,
+    letter_tgt,
+    local_data,
+    monodromy,
+    monodromy_groupoid,
+    monodromy_is_finite,
+)
 from groupoidkit.rewriting import (
     GroupRewriting,
     enumerate_elements,
@@ -44,10 +58,14 @@ from reference_tables import (
     reference_exhaust,
     reference_inclusions,
     reference_knuth_bendix,
+    reference_monodromy_groupoid,
     reference_overlaps,
+    reference_pair_rules,
     reference_rewrite,
     reference_trace,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def presentation_corpus():
@@ -89,8 +107,22 @@ def two_object_c8_window():
     return local_data(G, W, discrete_topology(W))
 
 
+def local_data_fixtures():
+    """Every fixture that loads as local groupoid data; truncated.json is not JSON."""
+    out = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        if path.name == "truncated.json" or "window" not in (doc := json.loads(path.read_text())):
+            continue
+        try:
+            out.append((path.name, local_data_from_dict(doc)))
+        except PartialMap:  # drop-inv.json and open-window.json are refused at load
+            continue
+    return out
+
+
 PRESENTATIONS = presentation_corpus()
 MONODROMY = monodromy_instances()
+WINDOWS = MONODROMY + local_data_fixtures()
 
 
 def letter_rules(R):
@@ -345,6 +377,39 @@ class TestMonodromyRewriting:
     def test_overlaps_of_letter_rules_follow_the_all_pairs_loop(self, name, D):
         rules = letter_rules(monodromy(D).rewriting)
         assert list(overlaps(rules)) == reference_overlaps(rules)
+
+
+class TestMonodromyTables:
+    """One pair-rule table read twice, window images as normal forms, arrows named by their words."""
+
+    @pytest.mark.parametrize("name,D", WINDOWS, ids=[name for name, _ in WINDOWS])
+    def test_rules_and_relations_equal_the_one_loop_oracle(self, name, D):
+        M = monodromy(D)
+        rules, relations = reference_pair_rules(D)
+        assert list(M.rewriting.pair_rules.items()) == list(rules.items())
+        assert M.presentation.relations == relations
+
+    @pytest.mark.parametrize("name,D", WINDOWS, ids=[name for name, _ in WINDOWS])
+    def test_window_images_are_normal_forms(self, name, D):
+        M = monodromy(D)
+        if not M.rewriting.confluent:
+            return
+        for w, im in M.iprime.items():
+            assert im.letters in ((), ((w, POS),))
+            assert M.normal_form(im) == im
+
+    @pytest.mark.parametrize("name,D", WINDOWS, ids=[name for name, _ in WINDOWS])
+    def test_groupoid_and_embedding_equal_the_keyed_oracle(self, name, D):
+        M = monodromy(D)
+        if not (M.rewriting.confluent and monodromy_is_finite(M)):
+            return
+        K, name_of = monodromy_groupoid(M)
+        L, keyed = reference_monodromy_groupoid(M)
+        assert (K.objects, K.arrows, K.src, K.tgt, K.id_of, K.inv) == (L.objects, L.arrows, L.src, L.tgt, L.id_of, L.inv)
+        assert list(K.comp.items()) == list(L.comp.items())
+        assert [((w.start, w.letters), a) for w, a in name_of.items()] == list(keyed.items())
+        _, embed = monodromy_pair(D)
+        assert embed == {w: keyed[(M.iprime[w].start, M.iprime[w].letters)] for w in D.window}
 
 
 class TestReducer:
