@@ -837,17 +837,39 @@ def continuity_witnesses(G: FiniteGroupoid, T: FiniteTopology) -> tuple:
     For the first failing pair (h, g) the witness names the repr-smallest
     (h2, g2) near it whose composite leaves the minimal open around h∘g, so
     it does not depend on set iteration order.
+
+    Only the other composable pairs near (h, g) are tested, since h∘g lies
+    in its own minimal open: (h2, g2) with h2 in U_h - {h} and g2 in U_g,
+    joined by endpoint (U_g is grouped by target once per g), and (h, g2)
+    with g2 in U_g - {g} and tgt g2 = tgt g.  A pair of two open points
+    (U_h = {h}, U_g = {g}) has no other pair near it, so for an open g
+    only the h of the star of tgt g that are not open are visited.
     """
-    inversion = next(discontinuities(G.inv, G.arrows, T.min_open, T.min_open), None)
-    for (h, g) in G.composable_pairs():
-        near = T.min_open[G.comp[(h, g)]]
-        failing = (
-            (h2, g2)
-            for h2 in T.min_open[h]
-            for g2 in T.min_open[g]
-            if G.tgt[g2] == G.src[h2] and G.comp[(h2, g2)] not in near
-        )
-        first = next(failing, None)
-        if first is not None:
-            return inversion, (h, g) + min([first, *failing], key=repr)
+    near, src, tgt, comp = T.min_open, G.src, G.tgt, G.comp
+    inversion = next(discontinuities(G.inv, G.arrows, near, near), None)
+
+    def witness(h, g, by_tgt, around):
+        failing = [(h2, g2) for h2 in near[h] for g2 in by_tgt.get(src[h2], ()) if comp[h2, g2] not in around]
+        return inversion, (h, g) + min(failing, key=repr)
+
+    stars = out_stars(G.arrows, src)
+    others = {a: [b for b in near[a] if b != a] for a in G.arrows}  # empty exactly at the open points
+    not_open = {x: [h for h in star if others[h]] for x, star in stars.items()}
+    for g in G.arrows:
+        hs = (stars if others[g] else not_open).get(tgt[g])
+        if not hs:
+            continue
+        by_tgt: dict = {}
+        for g2 in near[g]:
+            by_tgt.setdefault(tgt[g2], []).append(g2)
+        beside = [g2 for g2 in by_tgt[tgt[g]] if g2 != g]
+        for h in hs:
+            around = near[comp[h, g]]
+            for h2 in others[h]:
+                for g2 in by_tgt.get(src[h2], ()):
+                    if comp[h2, g2] not in around:
+                        return witness(h, g, by_tgt, around)
+            for g2 in beside:
+                if comp[h, g2] not in around:
+                    return witness(h, g, by_tgt, around)
     return inversion, None

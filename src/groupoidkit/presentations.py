@@ -62,19 +62,21 @@ class ReflexiveGraph:
 
     def validate(self) -> ValidationReport:
         bad = []
+        edges, objects = set(self.edges), set(self.objects)
         for x in self.objects:
             e = self.id_edge.get(x)
-            if e not in set(self.edges):
+            if e not in edges:
                 bad.append(Violation("identity-edge", (x,), "missing identity edge"))
             elif self.src[e] != x or self.tgt[e] != x:
                 bad.append(Violation("identity-edge", (x, e), "identity edge not a loop at its object"))
         idset = set(self.id_edge.values())
         if len(idset) != len(self.objects):
             bad.append(Violation("identity-edge", (), "identity edges not distinct"))
-        bad.extend(Violation("distinct-edges", (e,), "edge id listed more than once")
-                   for e, n in Counter(self.edges).items() if n > 1)
+        if len(edges) != len(self.edges):
+            bad.extend(Violation("distinct-edges", (e,), "edge id listed more than once")
+                       for e, n in Counter(self.edges).items() if n > 1)
         for e in self.edges:
-            if self.src.get(e) not in set(self.objects) or self.tgt.get(e) not in set(self.objects):
+            if self.src.get(e) not in objects or self.tgt.get(e) not in objects:
                 bad.append(Violation("edge-endpoints", (e,), "unknown endpoint"))
         return ValidationReport(tuple(bad))
 
@@ -456,10 +458,15 @@ def monodromy(D: LocalGroupoidData) -> MonodromyResult:
     The relations and the letter rules are both read off one table of pair
     rules.  i' sends w to [w], and id_x to the empty word at x: normal forms,
     since no letter rule has one positive letter as its left-hand side.
+    Raises IllFormedWord, naming every graph violation, when a window
+    arrow is named like the identity edge `id:x` of an object.
     """
     G, W = D.G, D.window
     gens = sorted(w for w in W if not G.is_identity(w))
     graph = reflexive_graph(G.objects, [(w, G.src[w], G.tgt[w]) for w in gens])
+    rep = graph.validate()
+    if not rep.ok:
+        raise IllFormedWord("invalid monodromy graph: " + "; ".join(map(str, rep.violations)))
     rules = {}
     ending_at = out_stars(gens, G.tgt)
     for u in gens:

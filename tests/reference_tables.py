@@ -12,6 +12,8 @@ package, kept as a test oracle:
   through each window arrow;
 - `reference_holonomy_topology` and `reference_check_extendible` take the
   image of every basic window open under every chart or germ;
+- `reference_continuity_witnesses` tests every composable pair, and for
+  each one filters all of U_h × U_g for composable pairs;
 - `reference_validate_groupoid` and `reference_validate_group` test
   associativity one triple at a time;
 - `reference_local_data_validate`, `reference_is_valid_bisection` and
@@ -53,7 +55,7 @@ from groupoidkit.core import (
     ValidationReport,
     Violation,
     composable,
-    continuity_witnesses,
+    discontinuities,
     make_groupoid,
     out_stars,
 )
@@ -168,10 +170,27 @@ def reference_holonomy_subbase(hol) -> set:
     return subbase
 
 
+def reference_continuity_witnesses(G, T) -> tuple:
+    """`continuity_witnesses` without skipping pairs of open points or joining by endpoint."""
+    inversion = next(discontinuities(G.inv, G.arrows, T.min_open, T.min_open), None)
+    for (h, g) in G.composable_pairs():
+        near = T.min_open[G.comp[(h, g)]]
+        failing = (
+            (h2, g2)
+            for h2 in T.min_open[h]
+            for g2 in T.min_open[g]
+            if G.tgt[g2] == G.src[h2] and G.comp[(h2, g2)] not in near
+        )
+        first = next(failing, None)
+        if first is not None:
+            return inversion, (h, g) + min([first, *failing], key=repr)
+    return inversion, None
+
+
 def reference_holonomy_topology(hol):
     K = hol.groupoid
     T = reference_topology_from_subbase(K.arrows, reference_holonomy_subbase(hol))
-    inversion, composition = continuity_witnesses(K, T)
+    inversion, composition = reference_continuity_witnesses(K, T)
     return T, {"composition_continuous": composition is None, "inversion_continuous": inversion is None}
 
 
@@ -201,7 +220,7 @@ def reference_check_extendible(D):
         if sub.min_open[w] != TW.min_open[w]:
             failures.append(("window-subspace", w))
             break
-    inversion, composition = continuity_witnesses(G, T_arr)
+    inversion, composition = reference_continuity_witnesses(G, T_arr)
     if inversion is not None:
         failures.append(("inversion-discontinuous", inversion))
     if composition is not None:

@@ -13,6 +13,7 @@ from groupoidkit.core import (
     FiniteTopology,
     cyclic_group,
     discrete_topology,
+    make_groupoid,
     one_object_groupoid,
     validate_groupoid,
 )
@@ -237,6 +238,20 @@ class TestMonodromy:
             assert M.iprime_injective()
             for w in D.window:
                 assert M.project_word(M.iprime[w]) == w
+
+    def test_window_arrow_named_like_an_identity_edge_is_refused(self):
+        # the pair groupoid on x, y with identities ex, ey: the arrow x -> y is
+        # named id:y, the name reflexive_graph gives y's identity edge
+        name = {("x", "x"): "ex", ("y", "y"): "ey", ("x", "y"): "id:y", ("y", "x"): "back"}
+        ends = {a: xy for xy, a in name.items()}
+        src = {a: s for a, (s, _) in ends.items()}
+        tgt = {a: t for a, (_, t) in ends.items()}
+        comp = {(h, g): name[src[g], tgt[h]] for h in ends for g in ends if tgt[g] == src[h]}
+        inv = {a: name[t, s] for a, (s, t) in ends.items()}
+        G = make_groupoid(["x", "y"], list(ends), src, tgt, {"x": "ex", "y": "ey"}, inv, comp)
+        assert validate_groupoid(G).ok
+        with pytest.raises(IllFormedWord, match=r"distinct-edges\('id:y',\)"):
+            monodromy(full_window_data(G))
 
 
 class TestExtension:
