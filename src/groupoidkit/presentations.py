@@ -8,9 +8,9 @@ that object's identity.
 The monodromy groupoid of a window W inside a groupoid G is the free
 groupoid on W (as a reflexive graph) modulo [u][v] = [uv] whenever u, v and
 uv all lie in W with uv defined in G.  Equality of elements is decided by a
-length-reducing rewriting system whose confluence is verified per instance
-with a critical pair check, both through the reducer and overlap scan of
-`rewriting`; non-confluent instances are reported, never silently accepted.
+length-reducing rewriting system whose confluence is verified per instance:
+its critical pairs [u][v][w] join the pair-rule table with itself.
+Non-confluent instances are reported, never silently accepted.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import (
     PartialMap,
     RewritingNotConfluent,
 )
-from .rewriting import NEG, POS, free_reduce, invert, overlaps, rewriter
+from .rewriting import NEG, POS, free_reduce, invert, rewriter
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +381,7 @@ class PairRewriting:
 
     `reduce` rewrites letters with the pair rules plus (e,-1) -> (inv e,+1),
     which the window's closedness under inversion allows.  `confluent`
-    records the instance critical pair check.
+    records the critical pair check, a join of `pair_rules` on the middle letter.
     """
 
     graph: ReflexiveGraph
@@ -400,17 +400,31 @@ class PairRewriting:
 
 
 def _pair_rewriting(graph: ReflexiveGraph, inv_gen: dict, pair_rules: dict) -> PairRewriting:
-    """The pair rules [u][v] -> [uv] as letter rules, checked on every overlap [u][v][w]."""
+    """The pair rules [u][v] -> [uv] as letter rules, checked on every overlap [u][v][w].
+
+    The only overlaps are [u][v][w], rules on (u, v) then (v, w), each in rule
+    order; both sides, [uv][w] and [u][vw], reduce with one more lookup.
+    """
     letter_rules = {((u, POS), (v, POS)): () if uv is None else ((uv, POS),) for (u, v), uv in pair_rules.items()}
     letter_rules.update({((e, NEG),): ((inv, POS),) for e, inv in inv_gen.items()})
-    reduce = rewriter(letter_rules)
+    one = {None: (), **{e: ((e, POS),) for e in inv_gen}}  # generator (None: identity) -> its word
+
+    def side(x, y):
+        """The normal form of [x][y]; None stands for an identity."""
+        if x is None or y is None:
+            return one[x if y is None else y]
+        if (x, y) in pair_rules:
+            return one[pair_rules[(x, y)]]
+        return ((x, POS), (y, POS))
+
+    starting = out_stars(pair_rules, {p: p[0] for p in pair_rules})
     failures = []
-    for l1, l2, k in overlaps(letter_rules):
-        a, b = reduce(letter_rules[l1] + l2[k:]), reduce(l1[:-k] + letter_rules[l2])
-        if a != b:
-            start = graph.src[l2[-1][0]]
-            failures.append((tuple(e for (e, _) in l1 + l2[k:]), Word(start, a), Word(start, b)))
-    return PairRewriting(graph, inv_gen, pair_rules, not failures, tuple(failures), reduce)
+    for (u, v), uv in pair_rules.items():
+        for _, w in starting.get(v, ()):
+            a, b = side(uv, w), side(u, pair_rules[(v, w)])
+            if a != b:
+                failures.append(((u, v, w), Word(graph.src[w], a), Word(graph.src[w], b)))
+    return PairRewriting(graph, inv_gen, pair_rules, not failures, tuple(failures), rewriter(letter_rules))
 
 
 def _evaluate_word(H: FiniteGroupoid, obj_map: dict, gen_map: dict, w: Word):

@@ -1,11 +1,11 @@
 """String rewriting on words of signed generators: one reducer, one overlap scan.
 
 Words are tuples of signed generators ((gen, +1|-1), ...) in path order.
-`rewriter` reduces and `overlaps` (with `inclusions` on its index) finds
-the critical pairs for both systems of the package: the monodromy pair
-rules, whose confluence is checked per instance (`presentations.monodromy`),
-and the bounded shortlex Knuth-Bendix completion that counts vertex group
-elements for the colimit machinery.
+`rewriter` is the one word reducer of the package: the monodromy pair rules
+(`presentations.monodromy`) and the bounded shortlex Knuth-Bendix completion
+that counts vertex group elements for the colimit machinery both reduce
+with it.  `overlaps` (with `inclusions` on its index) finds completion's
+critical pairs; the monodromy check joins its pair table instead.
 Completion builds free cancellation in as explicit rules; an instance that
 does not complete within the bound reports that instead of silently
 mis-deciding equality.
@@ -50,17 +50,20 @@ def rewriter(rules: dict):
     """The reducer of the rewriting system `rules` (lhs -> rhs), built once per dict.
 
     The reducer freely reduces a word, then replaces the leftmost left-hand
-    side in it (at one position the shorter first) until none is left.  It
-    reads `rules` live: a rule removed later stops applying, and a rule added
-    later applies if its lhs is no longer than the longest at build time.
+    side in it (at one position the shorter first) until none is left.  With
+    `extended` and a word w·x whose w is irreducible, x cancels w's last
+    letter or every left-hand side ends at x: same rewrites, confluent or not.
+    It reads `rules` live: a rule removed later stops applying, and a rule
+    added later applies if its lhs is no longer than the longest at build time.
     """
     longest = max(map(len, rules), default=0)
     lengths = range(1, longest + 1)
     get = rules.get
 
-    def reduce(word):
-        word = free_reduce(word)
-        i = 0
+    def reduce(word, extended=False):
+        if extended and len(word) > 1 and word[-2] == (word[-1][0], -word[-1][1]):
+            return word[:-2]
+        word, i = (word, max(0, len(word) - longest)) if extended else (free_reduce(word), 0)
         while i < len(word):
             for n in lengths:
                 rhs = get(word[i : i + n])
@@ -197,7 +200,10 @@ def knuth_bendix(generators, relators) -> GroupRewriting:
 
 
 def enumerate_elements(system: GroupRewriting, max_len: int):
-    """Distinct normal forms of all words up to the length bound; needs a complete system."""
+    """Distinct normal forms of all words up to the length bound; needs a complete system.
+
+    Each is a shorter one (freely reduced: completion keeps the cancellation
+    rules) extended by one letter and reduced from the tail."""
     if not system.complete:
         raise RewritingNotConfluent("rewriting system did not complete")
     seen = {()}
@@ -207,7 +213,7 @@ def enumerate_elements(system: GroupRewriting, max_len: int):
         nxt = []
         for w in frontier:
             for let in letters:
-                nf = system.reduce(w + (let,))
+                nf = system.reduce(w + (let,), extended=True)
                 if nf not in seen:
                     seen.add(nf)
                     nxt.append(nf)

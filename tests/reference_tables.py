@@ -22,9 +22,14 @@ package, kept as a test oracle:
 - `reference_rewrite` rescans the word once per rule, in rule order, and
   `reference_knuth_bendix` completes with it over the all-pairs overlap
   and inclusion loops `reference_overlaps` and `reference_inclusions`;
+- `reference_enumerate_elements` reduces each word w·x from scratch instead
+  of from its tail;
 - `reference_exhaust` and `reference_check_confluence` are the monodromy
   pair rewriting written on its own: signs normalised first, then the
   leftmost pair rewritten, restarting from the left;
+- `reference_pair_rewriting` finds the monodromy critical pairs with
+  `rewriting.overlaps` over the letter rules and reduces both sides of each
+  with the rewriter, instead of joining the pair-rule table;
 - `reference_pair_rules` builds the monodromy pair rules and the relations
   in one loop, each on its own, and `reference_monodromy_groupoid` names the
   normal forms by (start, letters) keys and normalises every composite;
@@ -73,6 +78,7 @@ from groupoidkit.errors import (
 from groupoidkit.germs import germ, germ_closure, germ_target, window_germs
 from groupoidkit.holonomy import GermGroupoid
 from groupoidkit.presentations import (
+    PairRewriting,
     Word,
     _next_letters,
     concat,
@@ -84,7 +90,17 @@ from groupoidkit.presentations import (
     word_source,
     word_target,
 )
-from groupoidkit.rewriting import NEG, POS, GroupRewriting, _orient, _shortlex_key, free_reduce, invert
+from groupoidkit.rewriting import (
+    NEG,
+    POS,
+    GroupRewriting,
+    _orient,
+    _shortlex_key,
+    free_reduce,
+    invert,
+    overlaps,
+    rewriter,
+)
 
 
 def reference_topology_from_subbase(points, sets) -> FiniteTopology:
@@ -513,6 +529,23 @@ def reference_knuth_bendix(generators, relators, max_rules=300, max_len=16) -> G
     )
 
 
+def reference_enumerate_elements(system: GroupRewriting, max_len: int) -> set:
+    """Distinct normal forms of all words up to the length bound, each w·x reduced from scratch."""
+    seen = {()}
+    frontier = [()]
+    letters = [(g, s) for g in system.generators for s in (POS, NEG)]
+    for _ in range(max_len):
+        nxt = []
+        for w in frontier:
+            for let in letters:
+                nf = system.reduce(w + (let,))
+                if nf not in seen:
+                    seen.add(nf)
+                    nxt.append(nf)
+        frontier = nxt
+    return seen
+
+
 def reference_rewrite_once(pair_rules, w):
     """The word with its leftmost positive pair [u][v] that has a rule rewritten; None if none has."""
     letters = w.letters
@@ -556,6 +589,21 @@ def reference_check_confluence(graph, inv_gen, pair_rules):
             if a != b:
                 failures.append(((u, v, w), a, b))
     return (not failures), tuple(failures)
+
+
+def reference_pair_rewriting(graph, inv_gen, pair_rules) -> PairRewriting:
+    """`presentations._pair_rewriting` with its critical pairs from `overlaps` over
+    the letter rules, both sides of each reduced by the rewriter."""
+    letter_rules = {((u, POS), (v, POS)): () if uv is None else ((uv, POS),) for (u, v), uv in pair_rules.items()}
+    letter_rules.update({((e, NEG),): ((inv, POS),) for e, inv in inv_gen.items()})
+    reduce = rewriter(letter_rules)
+    failures = []
+    for l1, l2, k in overlaps(letter_rules):
+        a, b = reduce(letter_rules[l1] + l2[k:]), reduce(l1[:-k] + letter_rules[l2])
+        if a != b:
+            start = graph.src[l2[-1][0]]
+            failures.append((tuple(e for (e, _) in l1 + l2[k:]), Word(start, a), Word(start, b)))
+    return PairRewriting(graph, inv_gen, pair_rules, not failures, tuple(failures), reduce)
 
 
 def reference_pair_rules(D):

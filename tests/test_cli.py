@@ -208,6 +208,13 @@ class TestMonodromy:
         res = results_of(out)
         assert res["finite"] is True
 
+    def test_window_that_fails_its_critical_pairs(self, capsys):
+        code, out, _ = run(capsys, "monodromy", fx("c6-window-2.json"))
+        assert code == 0
+        res = results_of(out)
+        assert res["rewriting_confluent"] is False
+        assert res["finite"] is None
+
     def test_extension_into_c8(self, capsys):
         code, out, _ = run(capsys, "monodromy", fx("c4-window.json"), "--extend", fx("extend-c8.json"))
         assert code == 0

@@ -55,6 +55,7 @@ from reference_tables import (
     reference_enumerate_monodromy_arrows,
     reference_local_data_validate,
     reference_monodromy_is_finite,
+    reference_pair_rewriting,
     reference_words_up_to,
 )
 
@@ -311,6 +312,20 @@ class TestInstanceConfluence:
         # the algebraic data is still usable: projection and embedding hold
         for w in D.window:
             assert M.project_word(M.iprime[w]) == w
+
+    def test_c6_window_fixture_fails_eight_critical_pairs(self):
+        D = local_data_from_dict(json.loads((FIXTURES / "c6-window-2.json").read_text()))
+        R = monodromy(D).rewriting
+        oracle = reference_pair_rewriting(R.graph, R.inv_gen, R.pair_rules)
+        assert not R.confluent and len(R.critical_failures) == 8
+        assert R.critical_failures == oracle.critical_failures
+        # g:1 g:1 g:1 gives g:2 g:1 and g:1 g:2, both irreducible
+        g1, g2 = ("g:1", POS), ("g:2", POS)
+        assert R.critical_failures[0] == (("g:1", "g:1", "g:1"), Word("o", (g2, g1)), Word("o", (g1, g2)))
+        with pytest.raises(RewritingNotConfluent) as refused:
+            R.normal_form(Word("o", (g1,)))
+        assert str(refused.value) == (
+            f"instance rewriting system failed critical pairs: {oracle.critical_failures[:3]!r}")
 
     def test_confluent_windows_flagging(self):
         for radius, expected in ((1, True),):

@@ -1,8 +1,13 @@
-"""The one word reducer and overlap scan, against the rewriters they replaced.
+"""The one word reducer, the overlap scan and the pair-table join, against the code they replaced.
 
-`rewriting.rewriter` and `rewriting.overlaps` serve both the Knuth-Bendix
-completion of vertex group presentations and the monodromy pair rules; the
-oracles in `reference_tables` are the two separate rewriters they replaced.
+`rewriting.rewriter` reduces for both the Knuth-Bendix completion of vertex
+group presentations and the monodromy pair rules; `rewriting.overlaps`
+finds completion's critical pairs, and the monodromy check joins its
+pair-rule table instead.  `enumerate_elements` reduces each normal form
+extended by one letter from its tail.  The oracles in `reference_tables`
+are the two separate rewriters these replaced, the enumeration that reduces
+every word from scratch, and the overlap scan over the monodromy letter
+rules.
 """
 
 import gc
@@ -24,7 +29,9 @@ from groupoidkit.io import local_data_from_dict
 from groupoidkit.colimits import GroupPresentation, HnnInput, hnn_from_pushout, pushout, vertex_group_presentation
 from groupoidkit.core import (
     cyclic_group,
+    direct_product_group,
     discrete_topology,
+    indiscrete,
     one_object_groupoid,
     pair_groupoid,
     product_groupoid,
@@ -45,6 +52,7 @@ from groupoidkit.presentations import (
 from groupoidkit.rewriting import (
     GroupRewriting,
     enumerate_elements,
+    free_reduce,
     inclusions,
     invert,
     knuth_bendix,
@@ -55,11 +63,13 @@ from reference_tables import (
     reference_ball_sizes,
     reference_check_confluence,
     reference_coset_table,
+    reference_enumerate_elements,
     reference_exhaust,
     reference_inclusions,
     reference_knuth_bendix,
     reference_monodromy_groupoid,
     reference_overlaps,
+    reference_pair_rewriting,
     reference_pair_rules,
     reference_rewrite,
     reference_trace,
@@ -187,6 +197,26 @@ def letters_of(text):
     return tuple((c.lower(), NEG if c.isupper() else POS) for c in text)
 
 
+def irreducible(rules, word):
+    """Freely reduced, with no left-hand side of `rules` in it."""
+    n = len(word)
+    return free_reduce(word) == word and not any(word[i:j] in rules for i in range(n) for j in range(i + 1, n + 1))
+
+
+# not confluent: a b b b rewrites to b leftmost first, and to a with b b b first (TestReducer)
+LEFTMOST_SHORTER = {(("a", POS), ("b", POS)): (("b", POS),), (("b", POS),) * 2: (("a", POS),), (("b", POS),) * 3: ()}
+
+
+def tail_reduction_cases():
+    """(name, generators, rules) for every completed corpus system and two rule sets that are not confluent."""
+    c6 = monodromy(cyclic_window(6, 2)).rewriting
+    cases = [(name, pres.generators, dict(knuth_bendix(pres.generators, pres.relators).rules))
+             for name, pres in PRESENTATIONS]
+    cases.append(("leftmost-shorter", ("a", "b"), LEFTMOST_SHORTER))
+    cases.append(("c6-window-2-letter-rules", tuple(c6.inv_gen), letter_rules(c6)))
+    return cases
+
+
 def enumerable_presentations():
     """(name, generators, relators, coset table) for every corpus presentation a coset enumeration can check.
 
@@ -259,6 +289,40 @@ class TestToddCoxeter:
         table = reference_coset_table(generators, relators, max_cosets=512)
         if table is not None and knuth_bendix(generators, relators).complete:
             agree_with_coset_enumeration(generators, relators, table, random.Random(repr(relators)))
+
+
+TAIL_CASES = tail_reduction_cases()
+
+
+class TestEnumeration:
+    """Normal forms extended by one letter and reduced from the tail, against reduction from scratch."""
+
+    @pytest.mark.parametrize("name,generators,rules", TAIL_CASES, ids=[c[0] for c in TAIL_CASES])
+    def test_tail_reduction_equals_reduction_from_scratch(self, name, generators, rules):
+        reduce = rewriter(rules)
+        letters = [(g, s) for g in generators for s in (POS, NEG)]
+        for w in filter(lambda w: irreducible(rules, w), all_words(generators, 4)):
+            for x in letters:
+                assert reduce(w + (x,), extended=True) == reduce(w + (x,))
+
+    @pytest.mark.parametrize("name,pres", PRESENTATIONS, ids=[name for name, _ in PRESENTATIONS])
+    def test_elements_equal_the_from_scratch_oracle(self, name, pres):
+        system = knuth_bendix(pres.generators, pres.relators)
+        assert system.complete
+        for n in (0, 1, 5):
+            assert enumerate_elements(system, n) == reference_enumerate_elements(system, n)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda k: st.tuples(
+        st.just("abc"[:k]),
+        st.lists(st.lists(st.tuples(st.sampled_from("abc"[:k]), st.sampled_from([POS, NEG])), min_size=1, max_size=4),
+                 max_size=3),
+    )))
+    def test_random_presentations_equal_the_from_scratch_oracle(self, presentation):
+        generators, relators = tuple(presentation[0]), [tuple(r) for r in presentation[1]]
+        system = knuth_bendix(generators, relators)
+        if system.complete:
+            assert enumerate_elements(system, 4) == reference_enumerate_elements(system, 4)
 
 
 class TestKnuthBendix:
@@ -348,7 +412,62 @@ class TestKnuthBendix:
             enumerate_elements(GroupRewriting(c2.generators, c2.rules, complete=False), 2)
 
 
+GENERATED_WINDOW_GROUPOIDS = [
+    one_object_groupoid(cyclic_group(7)),
+    one_object_groupoid(cyclic_group(10)),
+    one_object_groupoid(symmetric_group(3)),
+    one_object_groupoid(direct_product_group(cyclic_group(2), cyclic_group(4))),
+    indiscrete(3),
+    product_groupoid(one_object_groupoid(cyclic_group(4)), pair_groupoid(["x", "y"])),
+]
+
+
+@st.composite
+def generated_windows(draw):
+    """A small groupoid with a drawn window: identities, and drawn arrows closed under inversion."""
+    G = draw(st.sampled_from(GENERATED_WINDOW_GROUPOIDS))
+    arrows = [a for a in G.arrows if not G.is_identity(a)]
+    chosen = draw(st.sets(st.sampled_from(arrows)))
+    W = sorted(set(G.id_of.values()) | chosen | {G.inv[a] for a in chosen})
+    return local_data(G, W, discrete_topology(W))
+
+
+def assert_pair_rewriting_equals_the_overlap_scan(D, rng, words=30):
+    """Verdict, failures in order, pair rules and normal forms (or the refusal) of both builds."""
+    M = monodromy(D)
+    R = M.rewriting
+    old = reference_pair_rewriting(R.graph, R.inv_gen, R.pair_rules)
+    assert list(R.pair_rules.items()) == list(reference_pair_rules(D)[0].items())
+    assert (R.confluent, R.critical_failures) == (old.confluent, old.critical_failures)
+    if not R.confluent:
+        messages = []
+        for system in (R, old):
+            with pytest.raises(RewritingNotConfluent) as refused:
+                system.normal_form(Word(M.presentation.objects[0], ()))
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
+        return
+    for _ in range(words):
+        w = random_word(M.presentation.graph, rng, rng.randint(0, 8))
+        assert R.normal_form(w) == old.normal_form(w)
+
+
 class TestMonodromyRewriting:
+    @pytest.mark.parametrize("name,D", WINDOWS + [("c8-pair", two_object_c8_window())],
+                             ids=[name for name, _ in WINDOWS] + ["c8-pair"])
+    def test_pair_table_join_equals_the_overlap_scan(self, name, D):
+        assert_pair_rewriting_equals_the_overlap_scan(D, random.Random(name))
+
+    def test_the_join_is_checked_on_windows_that_fail(self):
+        failing = {name: len(monodromy(D).rewriting.critical_failures) for name, D in WINDOWS}
+        assert failing["c6-window-2"] == 8 and failing["c8-window-2"] == 4 and failing["c6-window-2.json"] == 8
+        assert {"c12-full", "c16-full", "c24-full", "s4-full"} <= set(failing)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(generated_windows())
+    def test_generated_windows_join_as_the_overlap_scan(self, D):
+        assert_pair_rewriting_equals_the_overlap_scan(D, random.Random(repr(sorted(D.window))), words=10)
+
     @pytest.mark.parametrize("name,D", MONODROMY, ids=[name for name, _ in MONODROMY])
     def test_confluence_and_failures_equal_the_oracle(self, name, D):
         R = monodromy(D).rewriting
@@ -415,7 +534,7 @@ class TestMonodromyTables:
 class TestReducer:
     def test_leftmost_then_shorter(self):
         a, b = ("a", POS), ("b", POS)
-        reduce = rewriter({(a, b): (b,), (b, b): (a,), (b,) * 3: ()})
+        reduce = rewriter(LEFTMOST_SHORTER)
         # a b at 0 is leftmost, then b b before b b b: a b b b -> b b b -> a b -> b
         assert reduce((a, b, b, b)) == (b,)
         # the rule-by-rule rescan tries b b b first: a b b b -> a

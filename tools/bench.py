@@ -3,6 +3,8 @@
     python3 tools/bench.py --parent ../parent --change . \\
         --workload foliation --workload semigroup --seeds 1-10 --seconds 20 \\
         --probe "tools/continuity_probe.py 32" --out BENCH_continuity.json
+    python3 tools/bench.py --parent ../parent --change . --workload tables \\
+        --seeds 1-10 --per-layer 1-3 --seconds 20 --out BENCH_rewriting.json
 
 For each workload and each seed, ``perfbench/run.py --trace 0`` runs once in
 each checkout, each run in its own process: the parent first on odd seeds
@@ -19,6 +21,12 @@ as working directory and its ``src`` first on ``PYTHONPATH``.  Its last
 stdout line is
 ``{"label": ..., "metrics": {NAME: {"value": ..., "unit": ...}}}``; the
 runs go into a separately labelled ``in_process`` section.
+
+``--per-layer SEEDS`` also runs ``perfbench/run.py --trace 1`` once per seed
+of SEEDS and side for every workload, alternating the same way.  A traced
+run reports the median of its traced passes for each layer; one such run
+does not compare across runs, so the runs of each side go into a separate
+``per_layer`` section with the same summary fields as ``workloads``.
 
 ``--smoke`` passes ``--smoke`` to perfbench (tiny jobs, one pass): it checks
 that the writer still works, and its numbers mean nothing.
@@ -65,10 +73,15 @@ def _run(argv, checkout, env=None) -> dict:
     return last_json_line(proc.stdout)
 
 
-def perfbench_argv(workload, seed, seconds, smoke, checkout):
+def perfbench_argv(workload, seed, seconds, smoke, checkout, trace=0):
     argv = [sys.executable, os.path.join(checkout, "perfbench", "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     return argv + ["--smoke"] if smoke else argv
+
+
+def perfbench_command(seconds, smoke, trace=0) -> str:
+    return (f"python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds {seconds} --trace {trace}"
+            + (" --smoke" if smoke else ""))
 
 
 def alternate(label, seeds, run) -> list:
@@ -141,6 +154,18 @@ def probe_summary(command, runs) -> dict:
     }
 
 
+def per_layer_summary(seconds, smoke, seeds, sections) -> dict:
+    """The per-layer section from traced runs: `sections` as in `bench_document`."""
+    return {
+        "command": perfbench_command(seconds, smoke, trace=1),
+        "seeds": list(seeds),
+        "order": ORDER,
+        "source": "the last JSON line of each traced run: each layer's median over the run's traced passes; "
+                  "layer times are wall times, not corrected to the nominal machine speed",
+        "workloads": {w: workload_summary(pairs) for w, pairs in sorted(sections.items())},
+    }
+
+
 def machine() -> dict:
     cpu = platform.processor()
     try:
@@ -158,7 +183,7 @@ def commit(checkout):
     return proc.stdout.strip() or None
 
 
-def bench_document(describe, commits, seconds, smoke, seeds, sections, probe=None) -> dict:
+def bench_document(describe, commits, seconds, smoke, seeds, sections, probe=None, per_layer=None) -> dict:
     """The BENCH file: `sections` maps each workload to its (parent result, change result) pair per seed."""
     doc = {
         "label": "written by tools/bench.py" + (" (smoke: tiny jobs, one pass; not a measurement)" if smoke else ""),
@@ -166,8 +191,7 @@ def bench_document(describe, commits, seconds, smoke, seeds, sections, probe=Non
         "parent_commit": commits[0],
         "change_commit": commits[1],
         "machine": {**machine(), "note": "perfbench's times are wall times corrected to its nominal machine speed"},
-        "command": f"python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds {seconds} --trace 0"
-                   + (" --smoke" if smoke else ""),
+        "command": perfbench_command(seconds, smoke),
         "seconds": seconds,
         "seeds": list(seeds),
         "order": ORDER,
@@ -176,6 +200,8 @@ def bench_document(describe, commits, seconds, smoke, seeds, sections, probe=Non
     }
     if probe is not None:
         doc["in_process"] = probe_summary(*probe)
+    if per_layer is not None:
+        doc["per_layer"] = per_layer_summary(seconds, smoke, *per_layer)
     return doc
 
 
@@ -188,17 +214,25 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--smoke", action="store_true", help="perfbench --smoke: tiny jobs, one pass")
     parser.add_argument("--probe", help="in-process timing script and its arguments, run against each checkout's src")
+    parser.add_argument("--per-layer", metavar="SEEDS", help="also run perfbench --trace 1 on these seeds")
     parser.add_argument("--describe", default="", help="one line saying what the change is")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     checkouts = dict(zip(SIDES, (os.path.abspath(args.parent), os.path.abspath(args.change))))
     seeds = parse_seeds(args.seeds)
 
-    sections = {
-        name: alternate(name, seeds, lambda seed, side, name=name: _run(
-            perfbench_argv(name, seed, args.seconds, args.smoke, checkouts[side]), checkouts[side]))
-        for name in dict.fromkeys(args.workload)
-    }
+    def runs(seeds, trace):
+        return {
+            name: alternate(f"{name} trace {trace}", seeds, lambda seed, side, name=name: _run(
+                perfbench_argv(name, seed, args.seconds, args.smoke, checkouts[side], trace), checkouts[side]))
+            for name in dict.fromkeys(args.workload)
+        }
+
+    sections = runs(seeds, 0)
+    per_layer = None
+    if args.per_layer:
+        per_layer_seeds = parse_seeds(args.per_layer)
+        per_layer = (per_layer_seeds, runs(per_layer_seeds, 1))
     probe = None
     if args.probe:
         script, *probe_args = shlex.split(args.probe)
@@ -211,7 +245,7 @@ def main(argv=None) -> int:
         probe = (args.probe, alternate("probe", seeds, lambda seed, side: _run(argv, checkouts[side], env(side))))
 
     doc = bench_document(args.describe, [commit(checkouts[s]) for s in SIDES], args.seconds, args.smoke,
-                         seeds, sections, probe)
+                         seeds, sections, probe, per_layer)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=1) + "\n")
     return 0
