@@ -25,6 +25,7 @@ from .core import (
     closure,
     continuity_witnesses,
     discontinuities,
+    group_by,
     opens_meeting,
     topology_from_subbase,
 )
@@ -140,9 +141,7 @@ def sections_over(G: FiniteGroupoid, carriers, pool, accept) -> list[LocalBisect
 
     Each section's domain is its carrier set itself, not a copy.
     """
-    by_src: dict = {}
-    for a in sorted(pool, key=repr):
-        by_src.setdefault(G.src[a], []).append(a)
+    by_src = group_by(sorted(pool, key=repr), G.src.__getitem__)
     out = []
     for U in carriers:
         pts = sorted(U, key=repr)

@@ -60,8 +60,9 @@ def validate_presentation_morphism(m: PresentationMorphism) -> tuple[bool, list,
     """
     violations, assumed = [], []
     A, B = m.source, m.target
+    b_objects = set(B.objects)
     for x in A.objects:
-        if m.obj_map.get(x) not in set(B.objects):
+        if m.obj_map.get(x) not in b_objects:
             violations.append(("object-image", x))
     for e in A.generators():
         im = m.gen_map.get(e)

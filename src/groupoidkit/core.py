@@ -82,6 +82,18 @@ def closure(seeds, products, max_elements: int | None = None) -> list:
     return elements
 
 
+def group_by(items, key) -> dict:
+    """Each key mapped to the items with that key: keys in order of first appearance, items in the order given.
+
+    The one group-by of the package: stars of a groupoid, the blocks of a
+    partition, germs by base, squares and cubes by their edges and faces.
+    """
+    groups: dict = {}
+    for a in items:
+        groups.setdefault(key(a), []).append(a)
+    return groups
+
+
 def partition(items, pairs) -> list:
     """The blocks of the equivalence relation that pairs generate on items, by union-find.
 
@@ -100,10 +112,7 @@ def partition(items, pairs) -> list:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    blocks: dict = {}
-    for i in items:
-        blocks.setdefault(find(i), []).append(i)
-    return list(blocks.values())
+    return list(group_by(items, find).values())
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +253,7 @@ def group_isomorphism(A: FiniteGroup, B: FiniteGroup) -> dict | None:
         if a not in span:
             gens.append(a)
             span = set(closure([A.identity], lambda x: (A.mul[(x, g)] for g in gens)))
-    by_order: dict[int, list] = {}
-    for b in B.elements:
-        by_order.setdefault(B.element_order(b), []).append(b)
+    by_order = group_by(B.elements, B.element_order)
 
     def backtrack(images: list) -> dict | None:
         pairs = list(zip(gens, images))
@@ -318,21 +325,13 @@ class FiniteGroupoid:
         return composable(self.arrows, self.src, self.tgt)
 
 
-def out_stars(arrows, src) -> dict:
-    """Each endpoint mapped to the arrows with that source, in the order given."""
-    stars: dict = {}
-    for a in arrows:
-        stars.setdefault(src[a], []).append(a)
-    return stars
-
-
 def composable(arrows, src, tgt):
     """The pairs (h, g) with tgt g == src h: g in the order given, then h.
 
     The pairs are generated, not listed: a table built from them never
     holds the pairs and the table at once.
     """
-    stars = out_stars(arrows, src)
+    stars = group_by(arrows, src.__getitem__)
     return ((h, g) for g in arrows for h in stars.get(tgt[g], ()))
 
 
@@ -419,7 +418,7 @@ def associativity_failures(arrows, src, tgt, comp):
     places each k∘a in the star of src a.  For all k at once, k∘(h∘g) is
     col[h∘g] and (k∘h)∘g is col[g] read at cpos[h].
     """
-    stars = out_stars(arrows, src)
+    stars = group_by(arrows, src.__getitem__)
     num = {a: i for i, a in enumerate(arrows)}
     pos = {a: i for star in stars.values() for i, a in enumerate(star)}
     col = [tuple([num[comp[(k, a)]] for k in stars[tgt[a]]]) for a in arrows]
@@ -468,12 +467,13 @@ class GroupoidMorphism:
 def validate_morphism(p: GroupoidMorphism) -> ValidationReport:
     bad: list[Violation] = []
     G, H = p.source, p.target
+    h_objects, h_arrows = set(H.objects), set(H.arrows)
     for x in G.objects:
-        if p.obj_map.get(x) not in set(H.objects):
+        if p.obj_map.get(x) not in h_objects:
             bad.append(Violation("object-map", (x,), "object image missing/unknown"))
     for a in G.arrows:
         fa = p.arr_map.get(a)
-        if fa not in set(H.arrows):
+        if fa not in h_arrows:
             bad.append(Violation("arrow-map", (a,), "arrow image missing/unknown"))
     if bad:
         return ValidationReport(tuple(bad))
@@ -502,7 +502,7 @@ def is_covering(p: GroupoidMorphism) -> bool:
 def unique_lifting_holds(p: GroupoidMorphism) -> bool:
     """For a covering: each arrow out of p(x~) has exactly one lift at x~."""
     G, H = p.source, p.target
-    g_stars, h_stars = out_stars(G.arrows, G.src), out_stars(H.arrows, H.src)
+    g_stars, h_stars = group_by(G.arrows, G.src.__getitem__), group_by(H.arrows, H.src.__getitem__)
     for x in G.objects:
         lifts = Counter(p.arr_map[a] for a in g_stars.get(x, ()))
         if any(lifts[g] != 1 for g in h_stars.get(p.obj_map[x], ())):
@@ -663,7 +663,7 @@ def groupoid_isomorphism(G: FiniteGroupoid, H: FiniteGroupoid) -> tuple[dict, di
     """
     if len(G.objects) != len(H.objects) or len(G.arrows) != len(H.arrows):
         return None
-    g_stars, h_stars = out_stars(G.arrows, G.src), out_stars(H.arrows, H.src)
+    g_stars, h_stars = group_by(G.arrows, G.src.__getitem__), group_by(H.arrows, H.src.__getitem__)
 
     def tree(K, stars, x) -> dict:
         t = {x: K.id_of[x]}
@@ -852,16 +852,14 @@ def continuity_witnesses(G: FiniteGroupoid, T: FiniteTopology) -> tuple:
         failing = [(h2, g2) for h2 in near[h] for g2 in by_tgt.get(src[h2], ()) if comp[h2, g2] not in around]
         return inversion, (h, g) + min(failing, key=repr)
 
-    stars = out_stars(G.arrows, src)
+    stars = group_by(G.arrows, src.__getitem__)
     others = {a: [b for b in near[a] if b != a] for a in G.arrows}  # empty exactly at the open points
     not_open = {x: [h for h in star if others[h]] for x, star in stars.items()}
     for g in G.arrows:
         hs = (stars if others[g] else not_open).get(tgt[g])
         if not hs:
             continue
-        by_tgt: dict = {}
-        for g2 in near[g]:
-            by_tgt.setdefault(tgt[g2], []).append(g2)
+        by_tgt = group_by(near[g], tgt.__getitem__)
         beside = [g2 for g2 in by_tgt[tgt[g]] if g2 != g]
         for h in hs:
             around = near[comp[h, g]]

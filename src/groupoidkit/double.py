@@ -34,9 +34,9 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product as iproduct, repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
-from .core import FiniteGroup, FiniteGroupoid, one_object_groupoid, out_stars, validate_group
+from .core import FiniteGroup, FiniteGroupoid, group_by, one_object_groupoid, validate_group
 from .errors import (
     CapExceeded,
     NotACrossedModule,
@@ -176,11 +176,9 @@ def commuting_squares(G: FiniteGroupoid) -> DoubleGroupoid:
     Such a square is a pair of factorisations of one arrow, so the
     composable pairs are grouped by composite and each group is squared.
     """
-    factorisations: dict = {}
-    for h, g in G.composable_pairs():
-        factorisations.setdefault(G.comp[(h, g)], []).append((g, h))
+    factorisations = group_by(G.composable_pairs(), G.comp.__getitem__)
     squares = frozenset(
-        Square(a, b, c, d) for paths in factorisations.values() for a, b in paths for c, d in paths
+        Square(a, b, c, d) for paths in factorisations.values() for b, a in paths for d, c in paths
     )
     return DoubleGroupoid(G, squares, NO_FILLERS, {(e, None): None for e in G.arrows})
 
@@ -210,12 +208,13 @@ def validate_crossed_module(X: CrossedModule) -> list:
     action is total; the action and crossed module laws."""
     P, M, d, act = X.P, X.M, X.boundary, X.action
     Ps, Ms = P.elements, M.elements
+    p_set, m_set = set(Ps), set(Ms)
     bad = [(f"{name}-{v.rule}", v.witness) for name, K in (("P", P), ("M", M)) for v in validate_group(K).violations]
-    bad = bad or [("boundary-total", m) for m in Ms if d.get(m) not in set(Ps)]
+    bad = bad or [("boundary-total", m) for m in Ms if d.get(m) not in p_set]
     if bad:
         return bad
     bad = [("boundary-homomorphism", (m, n)) for m, n in iproduct(Ms, Ms) if d[M.mul[(m, n)]] != P.mul[(d[m], d[n])]]
-    bad += [("action-total", (p, m)) for p, m in iproduct(Ps, Ms) if (p, m) not in act or act[(p, m)] not in set(Ms)]
+    bad += [("action-total", (p, m)) for p, m in iproduct(Ps, Ms) if (p, m) not in act or act[(p, m)] not in m_set]
     if bad:
         return bad
     bad = [("action-identity", m) for m in Ms if act[(P.identity, m)] != m]
@@ -256,7 +255,7 @@ def xmod_to_double(X: CrossedModule) -> DoubleGroupoid:
         raise NotACrossedModule(f"axiom failures: {bad[:3]!r}")
     edge = one_object_groupoid(X.P)
     name = {k: "id:o" if k == X.P.identity else f"g:{k}" for k in X.P.elements}
-    fibres = {name[p]: ms for p, ms in out_stars(X.M.elements, X.boundary).items()}
+    fibres = {name[p]: ms for p, ms in group_by(X.M.elements, X.boundary.__getitem__).items()}
     comp, inv = edge.comp, edge.inv
     squares = frozenset(
         Square(a, b, c, d, m)
@@ -721,11 +720,7 @@ def square_tables(D: DoubleGroupoid) -> SquareTables:
     ops = replace(D)
     squares = tuple(sorted(D.squares, key=repr))
     index = {u: i for i, u in enumerate(squares)}
-    by_top: dict = {}
-    by_left: dict = {}
-    for v in squares:
-        by_top.setdefault(v.top, []).append(v)
-        by_left.setdefault(v.left, []).append(v)
+    by_top, by_left = group_by(squares, attrgetter("top")), group_by(squares, attrgetter("left"))
 
     def row1(u: int) -> dict:
         s = squares[u]
@@ -740,14 +735,6 @@ def square_tables(D: DoubleGroupoid) -> SquareTables:
     gplus = {e: index[gamma_plus(D, e)] for e in D.edge.arrows}
     gminus = {e: index[gamma_minus(D, e)] for e in D.edge.arrows}
     return SquareTables(squares, index, _Lazy(row1), _Lazy(row2), inv1, inv2, gplus, gminus, D.edge.inv)
-
-
-def _groups(cubes: list, face: int) -> dict:
-    """Cubes grouped by one face, in their order."""
-    groups: dict = {}
-    for c in cubes:
-        groups.setdefault(c[face], []).append(c)
-    return groups
 
 
 def _columns(tab: SquareTables, direction: int, cols: tuple) -> _Lazy:
@@ -800,8 +787,8 @@ def cube_closure_sweep(D: DoubleGroupoid) -> dict:
     commutative = [c for c in cubes if tab.is_commutative(c)]
     known = set(commutative)
     joins = [
-        (direction, {k: (c2s, tuple(zip(*c2s))) for k, c2s in _groups(commutative, keep).items()},
-         keep ^ 1, _groups(commutative, keep ^ 1))
+        (direction, {k: (c2s, tuple(zip(*c2s))) for k, c2s in group_by(commutative, itemgetter(keep)).items()},
+         keep ^ 1, group_by(commutative, itemgetter(keep ^ 1)))
         for direction, (keep, _) in _DIRECTIONS.items()
     ]
     checked = sum(
@@ -843,15 +830,10 @@ def enumerate_cubes(D: DoubleGroupoid) -> list[Cube]:
     is found during the walk: CapExceeded is raised as soon as it is passed.
     """
     squares = sorted(D.squares, key=repr)
-    by_top: dict = {}
-    by_top_left: dict = {}
-    by_top_left_right: dict = {}
-    by_boundary: dict = {}
-    for u in squares:
-        by_top.setdefault(u.top, []).append(u)
-        by_top_left.setdefault((u.top, u.left), []).append(u)
-        by_top_left_right.setdefault((u.top, u.left, u.right), []).append(u)
-        by_boundary.setdefault((u.top, u.right, u.left, u.bottom), []).append(u)
+    by_top = group_by(squares, attrgetter("top"))
+    by_top_left = group_by(squares, attrgetter("top", "left"))
+    by_top_left_right = group_by(squares, attrgetter("top", "left", "right"))
+    by_boundary = group_by(squares, attrgetter("top", "right", "left", "bottom"))
     out = []
     for F in squares:
         for T in by_top.get(F.top, ()):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bisections import LocalBisection, is_window_bisection, sections_over
-from .core import closure, out_stars
+from .core import closure, group_by
 from .errors import OutOfDomain
 from .presentations import LocalGroupoidData
 
@@ -60,9 +60,7 @@ def window_germs(D: LocalGroupoidData) -> tuple[Germ, ...]:
     itself, so enumerating window bisections on minimal opens is exhaustive.
     """
     T0 = D.t_objects
-    bases: dict = {}  # minimal open -> the points it is minimal around
-    for x in D.G.objects:
-        bases.setdefault(T0.min_open[x], []).append(x)
+    bases = group_by(D.G.objects, T0.min_open.__getitem__)  # minimal open -> the points it is minimal around
     sections = sections_over(D.G, bases, D.window, lambda s: is_window_bisection(D, s))
     out = [Germ(T0.min_open[x], s.values, x) for s in sections for x in bases[s.domain]]
     return tuple(sorted(out, key=lambda g: (repr(g.base), g.values)))
@@ -89,7 +87,7 @@ def left_translations(D: LocalGroupoidData, germs, arrows) -> dict:
     window arrows to translate window germs and window opens.
     """
     G = D.G
-    into = out_stars(arrows, G.tgt)  # point -> the arrows into it
+    into = group_by(arrows, G.tgt.__getitem__)  # point -> the arrows into it
     at: dict = {y: [] for y in G.objects}  # y -> the value maps of the germs at y
     for h in germs:
         at[h.base].append(h.as_dict())

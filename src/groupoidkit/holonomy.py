@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from .core import (
     FiniteGroupoid,
@@ -30,10 +31,10 @@ from .core import (
     composable,
     continuity_witnesses,
     equivalence_groupoid,
+    group_by,
     is_continuous,
     make_groupoid,
     opens_meeting,
-    out_stars,
     topology_from_subbase,
     validate_groupoid,
 )
@@ -90,7 +91,7 @@ def germ_groupoid(D: LocalGroupoidData) -> GermGroupoid:
     for a, (_, arrs) in codes.items():
         inverse_at = {G.tgt[b]: G.inv[b] for b in arrs}
         inv[a] = named[(tgt[a], tuple([inverse_at[p] for p in points[tgt[a]]]))]
-    columns, at = left_translations(D, germs, G.arrows), out_stars(arrows, src)
+    columns, at = left_translations(D, germs, G.arrows), group_by(arrows, src.__getitem__)
     comp = {}
     for t, (x, arrs) in codes.items():  # the germs at y come in the order of the J arrows at y
         col = columns[tgt[t]]
@@ -134,7 +135,7 @@ def j0(J: GermGroupoid, value_normalised: bool = True) -> LocalitySubgroupoid:
     ]
     members = frozenset(loops)
     wide = all(K.id_of[x] in members for x in K.objects)
-    loops_at = out_stars(loops, K.src)
+    loops_at = group_by(loops, K.src.__getitem__)
     witnesses = [
         (a, d, conj) for a in K.arrows for d in loops_at.get(K.src[a], ())
         for conj in [K.comp[(K.comp[(a, d)], K.inv[a])]] if conj not in members
@@ -172,12 +173,11 @@ class HolonomyGroupoid:
         quotient in a cycle."""
         D, germs = self.data, self.J.germ_of_arrow
         codes = {a: germ_code(g) for a, g in germs.items()}  # in closure order, as the columns
-        index = {codes[a]: (i, self.coset_of[a]) for star in out_stars(codes, self.J.groupoid.src).values()
+        index = {codes[a]: (i, self.coset_of[a]) for star in group_by(codes, self.J.groupoid.src.__getitem__).values()
                  for i, a in enumerate(star)}
-        through: dict = {}
-        for g in self.J.generator_germs:
-            through.setdefault(g.value, []).append(germ_code(g))
-        into = out_stars(D.window, D.G.tgt)
+        through = {w: list(map(germ_code, gs))
+                   for w, gs in group_by(self.J.generator_germs, attrgetter("value")).items()}
+        into = group_by(D.window, D.G.tgt.__getitem__)
         covered = {x: sorted((w for y in U for w in into.get(y, ())), key=repr)
                    for x, U in D.t_objects.min_open.items()}
         # a window germ has only window arrows, so charts read only their columns
@@ -200,7 +200,7 @@ def holonomy_groupoid(J: GermGroupoid, J0: LocalitySubgroupoid) -> HolonomyGroup
     K = J.groupoid
     if not J0.ok:
         raise WellDefinednessFailure("J0 is not a wide normal subgroupoid; cannot form the quotient")
-    loops_at = out_stars(J0.arrows, K.src)
+    loops_at = group_by(J0.arrows, K.src.__getitem__)
     coset_key = {a: frozenset([K.comp[(a, d)] for d in loops_at.get(K.src[a], ())]) for a in K.arrows}
     classes = sorted(set(coset_key.values()), key=sorted)
     name = {cls: f"h{i}" for i, cls in enumerate(classes)}
@@ -222,9 +222,7 @@ def holonomy_groupoid(J: GermGroupoid, J0: LocalitySubgroupoid) -> HolonomyGroup
     witness = next(((h, frozenset(vs)) for h, vs in values.items() if len(vs) > 1), None)
 
     # the window embeds via any window bisection through each arrow
-    gen_by_value: dict = {}
-    for g in J.generator_germs:
-        gen_by_value.setdefault((g.base, g.value), []).append(g)
+    gen_by_value = group_by(J.generator_germs, attrgetter("base", "value"))
     embedding = {}
     well_defined = True
     for w in sorted(D.window, key=repr):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .core import (
     FiniteGroupoid,
@@ -26,8 +27,8 @@ from .core import (
     closure,
     composable,
     discontinuities,
+    group_by,
     make_groupoid,
-    out_stars,
 )
 from .errors import (
     IllFormedWord,
@@ -129,11 +130,11 @@ def word_target(graph: ReflexiveGraph, w: Word):
 
 def check_word(graph: ReflexiveGraph, w: Word) -> None:
     """Raise IllFormedWord unless w is composable and names no identities."""
-    idset = set(graph.id_edge.values())
+    idset, edges = set(graph.id_edge.values()), set(graph.edges)
     if w.start not in set(graph.objects):
         raise IllFormedWord(f"unknown start object {w.start!r}")
     for (e, s) in w.letters:
-        if e not in set(graph.edges):
+        if e not in edges:
             raise IllFormedWord(f"unknown generator {e!r}")
         if e in idset:
             raise IllFormedWord(f"letter names identity edge {e!r}")
@@ -346,9 +347,10 @@ def is_local_morphism(D: LocalGroupoidData, H: FiniteGroupoid, f: WindowMap) -> 
     for x in G.objects:
         if x not in f.obj_map:
             raise PartialMap(f"no value for object {x!r}")
+    h_arrows = set(H.arrows)
     for w in W:
         fw = f.arrow_map[w]
-        if fw not in set(H.arrows):
+        if fw not in h_arrows:
             return False
         if H.src[fw] != f.obj_map[G.src[w]] or H.tgt[fw] != f.obj_map[G.tgt[w]]:
             return False
@@ -417,7 +419,7 @@ def _pair_rewriting(graph: ReflexiveGraph, inv_gen: dict, pair_rules: dict) -> P
             return one[pair_rules[(x, y)]]
         return ((x, POS), (y, POS))
 
-    starting = out_stars(pair_rules, {p: p[0] for p in pair_rules})
+    starting = group_by(pair_rules, itemgetter(0))
     failures = []
     for (u, v), uv in pair_rules.items():
         for _, w in starting.get(v, ()):
@@ -482,7 +484,7 @@ def monodromy(D: LocalGroupoidData) -> MonodromyResult:
     if not rep.ok:
         raise IllFormedWord("invalid monodromy graph: " + "; ".join(map(str, rep.violations)))
     rules = {}
-    ending_at = out_stars(gens, G.tgt)
+    ending_at = group_by(gens, G.tgt.__getitem__)
     for u in gens:
         for v in ending_at.get(G.src[u], ()):
             uv = G.comp[(u, v)]
@@ -566,7 +568,7 @@ def _next_letters(M: MonodromyResult) -> dict:
     of it in a normal form: src u == tgt v and no rule rewrites [u][v]."""
     graph, rules = M.presentation.graph, M.rewriting.pair_rules
     gens = M.presentation.generators()
-    starting_at = out_stars(gens, graph.src)
+    starting_at = group_by(gens, graph.src.__getitem__)
     return {v: [u for u in starting_at.get(graph.tgt[v], ()) if (u, v) not in rules] for v in gens}
 
 

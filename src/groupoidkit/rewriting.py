@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .core import group_by
 from .errors import RewritingNotConfluent
 
 POS, NEG = 1, -1
@@ -82,10 +83,7 @@ def rewriter(rules: dict):
 def _by_first_letter(rules):
     """The left-hand sides, and each letter mapped to the positions of those that start with it."""
     lhss = list(rules)
-    starting: dict = {}
-    for j, lhs in enumerate(lhss):
-        starting.setdefault(lhs[0], []).append(j)
-    return lhss, starting
+    return lhss, group_by(range(len(lhss)), lambda j: lhss[j][0])
 
 
 def overlaps(rules):
@@ -202,13 +200,19 @@ def knuth_bendix(generators, relators) -> GroupRewriting:
 def enumerate_elements(system: GroupRewriting, max_len: int):
     """Distinct normal forms of all words up to the length bound; needs a complete system.
 
-    Each is a shorter one (freely reduced: completion keeps the cancellation
-    rules) extended by one letter and reduced from the tail."""
+    Each is a shorter one extended by one letter and reduced from the tail,
+    which needs freely reduced normal forms: a system that lacks the
+    cancellation rule x x^-1 -> 1 of some letter x (completion keeps them
+    all) is refused."""
     if not system.complete:
         raise RewritingNotConfluent("rewriting system did not complete")
+    letters = [(g, s) for g in system.generators for s in (POS, NEG)]
+    rules = set(system.rules)
+    for lhs in ((x, (x[0], -x[1])) for x in letters):
+        if (lhs, ()) not in rules:
+            raise RewritingNotConfluent(f"rewriting system lacks the cancellation rule {lhs!r} -> ()")
     seen = {()}
     frontier = [()]
-    letters = [(g, s) for g in system.generators for s in (POS, NEG)]
     for _ in range(max_len):
         nxt = []
         for w in frontier:

@@ -61,8 +61,8 @@ from groupoidkit.core import (
     Violation,
     composable,
     discontinuities,
+    group_by,
     make_groupoid,
-    out_stars,
 )
 from groupoidkit.double import Square
 from groupoidkit.errors import (
@@ -302,7 +302,7 @@ def reference_validate_groupoid(G) -> ValidationReport:
             bad.append(Violation("inverse-law", (a,), "inv(a)∘a != id(src a)"))
         if G.comp[(a, ai)] != G.id_of[G.tgt[a]]:
             bad.append(Violation("inverse-law", (a,), "a∘inv(a) != id(tgt a)"))
-    stars = out_stars(arrows, G.src)
+    stars = group_by(arrows, G.src.__getitem__)
     for (h, g) in pairs:
         hg = G.comp[(h, g)]
         for k in stars.get(G.tgt[h], ()):
@@ -613,7 +613,7 @@ def reference_pair_rules(D):
     gens = sorted(w for w in W if not G.is_identity(w))
     rules = {}
     relations = []
-    ending_at = out_stars(gens, G.tgt)
+    ending_at = group_by(gens, G.tgt.__getitem__)
     for u in gens:
         for v in ending_at.get(G.src[u], ()):
             uv = G.comp[(u, v)]

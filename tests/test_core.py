@@ -5,9 +5,10 @@ import json
 import pathlib
 import random
 from collections import Counter
+from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import monodromy_corpus, small_targets
@@ -24,6 +25,7 @@ from groupoidkit.core import (
     discrete_topology,
     disjoint_union,
     equivalence_groupoid,
+    group_by,
     group_isomorphism,
     groupoid_isomorphism,
     indiscrete,
@@ -542,6 +544,26 @@ class TestComposablePairs:
     @given(small_groupoids())
     def test_generated_match_reference(self, G):
         assert list(G.composable_pairs()) == reference_composable_pairs(G)
+
+
+class TestGroupBy:
+    """The one group-by against one filter over the items per key."""
+
+    @staticmethod
+    def reference(items, key):
+        return {k: [a for a in items if key(a) == k] for k in dict.fromkeys(map(key, items))}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 9)), max_size=30),
+        st.sampled_from([itemgetter(0), itemgetter(1), lambda a: a[1] % 3, lambda a: None, lambda a: a]),
+    )
+    @example([], itemgetter(0))
+    @example([(1, 0), (0, 1), (1, 2), (0, 3), (1, 4)], itemgetter(0))
+    def test_matches_reference(self, items, key):
+        expected = list(self.reference(items, key).items())  # keys in order of first appearance
+        assert list(group_by(items, key).items()) == expected
+        assert list(group_by(iter(items), key).items()) == expected  # one pass over the items
 
 
 def reference_validate(G):

@@ -15,6 +15,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -410,6 +411,22 @@ class TestKnuthBendix:
         assert c2.complete and len(enumerate_elements(c2, 2)) == 2
         with pytest.raises(RewritingNotConfluent):
             enumerate_elements(GroupRewriting(c2.generators, c2.rules, complete=False), 2)
+
+    def test_enumerate_elements_refuses_a_system_without_free_cancellation(self):
+        # b -> a^-1 alone leaves a a^-1 irreducible: its normal forms are not freely reduced
+        b_to_a_inverse = ((("b", POS),), (("a", NEG),))
+        system = GroupRewriting(("a", "b"), (b_to_a_inverse,), complete=True)
+        with pytest.raises(RewritingNotConfluent, match=re.escape(repr((("a", POS), ("a", NEG))))):
+            enumerate_elements(system, 3)
+
+    @pytest.mark.parametrize("dropped", range(4))
+    def test_enumerate_elements_names_the_missing_cancellation_rule(self, dropped):
+        c2 = knuth_bendix(("a", "b"), C2_BY_TWO_GENERATORS[1])
+        core = [((g, s), (g, -s)) for g in ("a", "b") for s in (POS, NEG)]
+        assert c2.complete and all((lhs, ()) in c2.rules for lhs in core)
+        rules = tuple(rule for rule in c2.rules if rule[0] != core[dropped])
+        with pytest.raises(RewritingNotConfluent, match=re.escape(repr(core[dropped]))):
+            enumerate_elements(GroupRewriting(c2.generators, rules, complete=True), 2)
 
 
 GENERATED_WINDOW_GROUPOIDS = [
