@@ -74,7 +74,7 @@ def validate_presentation_morphism(m: PresentationMorphism) -> tuple[bool, list,
         except Exception as exc:  # noqa: BLE001 - collected into the report
             violations.append(("generator-image-word", (e, str(exc))))
             continue
-        if word_source(im) != m.obj_map[A.graph.src[e]] or word_target(B.graph, im) != m.obj_map[A.graph.tgt[e]]:
+        if word_source(im) != m.obj_map.get(A.graph.src[e]) or word_target(B.graph, im) != m.obj_map.get(A.graph.tgt[e]):
             violations.append(("generator-image-endpoints", e))
     if violations:
         return False, violations, assumed

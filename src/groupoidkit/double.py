@@ -26,6 +26,9 @@ A cube (six squares with matched edges) is commutative when its top face
 equals the folded composite of the other five with connection squares
 filling the four corners of the net; the exact layout is fixed in
 `SquareTables.net`, which every cube verdict and the closure sweep read.
+Below the single-cube API a cube shell is six catalogue indices in `_FACES`
+order, as in a cube file; `enumerate_cubes` returns shells in this form, and
+`_SHELL` lists the twelve edge identifications of a shell.
 """
 
 from __future__ import annotations
@@ -331,25 +334,14 @@ def roundtrip_isomorphism(D: DoubleGroupoid) -> dict:
         m: Square(D.elem_edge[X.boundary[m]], "id:o", "id:o", "id:o", m)
         for m in X.M.elements
     }
+    Ps, Ms = X.P.elements, X.M.elements
     ok = (
         sorted(map(repr, phi_p.values())) == sorted(map(repr, Y.P.elements))
         and sorted(map(repr, phi_m.values())) == sorted(map(repr, Y.M.elements))
-        and all(
-            phi_p[X.P.mul[(p, q)]] == Y.P.mul[(phi_p[p], phi_p[q])]
-            for p in X.P.elements
-            for q in X.P.elements
-        )
-        and all(
-            phi_m[X.M.mul[(m, n)]] == Y.M.mul[(phi_m[m], phi_m[n])]
-            for m in X.M.elements
-            for n in X.M.elements
-        )
-        and all(phi_p[X.boundary[m]] == Y.boundary[phi_m[m]] for m in X.M.elements)
-        and all(
-            phi_m[X.action[(p, m)]] == Y.action[(phi_p[p], phi_m[m])]
-            for p in X.P.elements
-            for m in X.M.elements
-        )
+        and all(phi_p[X.P.mul[(p, q)]] == Y.P.mul[(phi_p[p], phi_p[q])] for p, q in iproduct(Ps, Ps))
+        and all(phi_m[X.M.mul[(m, n)]] == Y.M.mul[(phi_m[m], phi_m[n])] for m, n in iproduct(Ms, Ms))
+        and all(phi_p[X.boundary[m]] == Y.boundary[phi_m[m]] for m in Ms)
+        and all(phi_m[X.action[(p, m)]] == Y.action[(phi_p[p], phi_m[m])] for p, m in iproduct(Ps, Ms))
     )
     return {"double": D, "extracted": Y, "phi_p": phi_p, "phi_m": phi_m, "is_isomorphism": ok}
 
@@ -520,7 +512,7 @@ def square_groupoid_axioms(D: DoubleGroupoid, direction: int) -> list:
 
 @dataclass(frozen=True)
 class Cube:
-    """Six faces; the shell conventions are checked by `validate_cube`.
+    """Six faces; the shell's twelve edge identifications are the table `_SHELL`.
 
     With F = (a, b, c, d) in front, K = (a', b', c', d') in back, and depth
     edges p, q, r, s at the four front corners, the faces sit as
@@ -536,6 +528,13 @@ class Cube:
 
 
 _FACES = ("top", "bottom", "left", "right", "front", "back")
+# A shell's twelve edge identifications, (face, side) == (face, side) written as
+# (face, side, face, side) with faces indexed as in _FACES, in the order `validate_cube` reports them.
+_SHELL = (
+    (0, "top", 4, "top"), (0, "bottom", 5, "top"), (1, "top", 4, "bottom"), (1, "bottom", 5, "bottom"),
+    (2, "top", 4, "left"), (2, "bottom", 5, "left"), (2, "left", 0, "left"), (2, "right", 1, "left"),
+    (3, "top", 4, "right"), (3, "bottom", 5, "right"), (3, "left", 0, "right"), (3, "right", 1, "right"),
+)
 # Cube composition, d -> (keep, composed), as indices into _FACES.  c2
 # follows c1 in direction d when face `keep` of c2 is face `keep ^ 1` of c1
 # (top/bottom, left/right, front/back).  The composite keeps c1's face
@@ -548,40 +547,29 @@ _DIRECTIONS = {
 }
 
 
-def _indexed(tab: SquareTables, cube: Cube) -> tuple:
-    """A cube's faces as square indices, in `_FACES` order."""
-    return tuple(tab.index[getattr(cube, f)] for f in _FACES)
-
-
-def validate_cube(D: DoubleGroupoid, cube: Cube) -> None:
-    for face in (cube.top, cube.bottom, cube.left, cube.right, cube.front, cube.back):
-        if not D.has_square(face):
-            raise NotACube(f"face {face!r} is not a square here")
-    F, K, T, B, L, R = cube.front, cube.back, cube.top, cube.bottom, cube.left, cube.right
-    checks = [
-        (T.top, F.top),
-        (T.bottom, K.top),
-        (B.top, F.bottom),
-        (B.bottom, K.bottom),
-        (L.top, F.left),
-        (L.bottom, K.left),
-        (L.left, T.left),
-        (L.right, B.left),
-        (R.top, F.right),
-        (R.bottom, K.right),
-        (R.left, T.right),
-        (R.right, B.right),
-    ]
-    for i, (x, y) in enumerate(checks):
+def _check_shell(faces: tuple) -> None:
+    """NotACube at the first identification of `_SHELL` that six squares, in `_FACES` order, fail."""
+    for i, (f, side, g, other) in enumerate(_SHELL):
+        x, y = getattr(faces[f], side), getattr(faces[g], other)
         if x != y:
             raise NotACube(f"edge identification {i} fails: {x!r} != {y!r}")
 
 
+def validate_cube(D: DoubleGroupoid, cube: Cube) -> tuple:
+    """The cube's faces as square indices in `_FACES` order; NotACube unless they are squares of D forming a shell."""
+    faces = tuple(getattr(cube, f) for f in _FACES)
+    index = D.tables.index
+    for face in faces:
+        if face not in index:
+            raise NotACube(f"face {face!r} is not a square here")
+    _check_shell(faces)
+    return tuple(map(index.__getitem__, faces))
+
+
 def net_composite(D: DoubleGroupoid, cube: Cube) -> Square:
     """The fold of the five non-top faces of a cube shell, `SquareTables.net`, as a square."""
-    validate_cube(D, cube)
     tab = D.tables
-    return tab.squares[tab.net(*_indexed(tab, cube)[1:])]
+    return tab.squares[tab.net(*validate_cube(D, cube)[1:])]
 
 
 def is_commutative_cube(D: DoubleGroupoid, cube: Cube) -> bool:
@@ -619,20 +607,18 @@ def square_as_cube(D: DoubleGroupoid, u: Square, bottom: Square | None = None) -
 
 def compose_cubes(D: DoubleGroupoid, direction: int, c1: Cube, c2: Cube) -> Cube:
     """Cube composition in direction 1 (down), 2 (right) or 3 (deep)."""
-    validate_cube(D, c1)
-    validate_cube(D, c2)
+    i1, i2 = validate_cube(D, c1), validate_cube(D, c2)
     if direction not in _DIRECTIONS:
         raise NotComposable(f"direction must be 1, 2 or 3, got {direction!r}")
     keep = _DIRECTIONS[direction][0]
-    tab = D.tables
-    i1, i2 = _indexed(tab, c1), _indexed(tab, c2)
     if i1[keep ^ 1] != i2[keep]:
         raise NotComposable(f"direction {direction} needs {_FACES[keep ^ 1]} == {_FACES[keep]}")
+    tab = D.tables
     cols = tuple(zip(i2))
     (out,) = _composites(direction, i1, cols, _columns(tab, direction, cols))
-    cube = Cube(*map(tab.squares.__getitem__, out))
-    validate_cube(D, cube)
-    return cube
+    faces = tuple(map(tab.squares.__getitem__, out))
+    _check_shell(faces)
+    return Cube(*faces)
 
 
 def cube_composition_closure(D: DoubleGroupoid, c1: Cube, c2: Cube, direction: int) -> dict:
@@ -780,10 +766,8 @@ def cube_closure_sweep(D: DoubleGroupoid) -> dict:
     their enumeration, or when the composites, counted first, would pass
     MAX_CUBE_COMPOSITES: that cap is met before any composite is built.
     """
-    shells = enumerate_cubes(D)
     tab = D.tables
-    cubes = [_indexed(tab, c) for c in shells]
-    del shells  # the Cube objects: the rest of the sweep needs only their index tuples
+    cubes = enumerate_cubes(D)
     commutative = [c for c in cubes if tab.is_commutative(c)]
     known = set(commutative)
     joins = [
@@ -822,26 +806,29 @@ def cube_closure_sweep(D: DoubleGroupoid) -> dict:
     }
 
 
-def enumerate_cubes(D: DoubleGroupoid) -> list[Cube]:
-    """All cube shells over D, in repr order of (front, top, left, right, bottom, back).
+def enumerate_cubes(D: DoubleGroupoid) -> list[tuple]:
+    """All cube shells over D, as square indices in `_FACES` order.
 
-    A join on shared edges: each face after the front is looked up by the
+    The shells come sorted by (front, top, left, right, bottom, back).  A
+    join on shared edges: each face after the front is looked up by the
     edges it shares with the faces already placed.  The MAX_CUBE_SHELLS cap
     is found during the walk: CapExceeded is raised as soon as it is passed.
     """
-    squares = sorted(D.squares, key=repr)
-    by_top = group_by(squares, attrgetter("top"))
-    by_top_left = group_by(squares, attrgetter("top", "left"))
-    by_top_left_right = group_by(squares, attrgetter("top", "left", "right"))
-    by_boundary = group_by(squares, attrgetter("top", "right", "left", "bottom"))
+    squares = D.tables.squares
+    tops, lefts, rights, bottoms = (tuple(map(attrgetter(s), squares)) for s in ("top", "left", "right", "bottom"))
+    n = range(len(squares))
+    by_top = group_by(n, tops.__getitem__)
+    by_top_left = group_by(n, list(zip(tops, lefts)).__getitem__)
+    by_top_left_right = group_by(n, list(zip(tops, lefts, rights)).__getitem__)
+    by_boundary = group_by(n, list(zip(tops, rights, lefts, bottoms)).__getitem__)
     out = []
-    for F in squares:
-        for T in by_top.get(F.top, ()):
-            for L in by_top_left.get((F.left, T.left), ()):
-                for R in by_top_left.get((F.right, T.right), ()):
-                    for B in by_top_left_right.get((F.bottom, L.right, R.right), ()):
-                        backs = by_boundary.get((T.bottom, R.bottom, L.bottom, B.bottom), ())
-                        out.extend(Cube(T, B, L, R, F, K) for K in backs)
+    for F in n:
+        for T in by_top.get(tops[F], ()):
+            for L in by_top_left.get((lefts[F], lefts[T]), ()):
+                for R in by_top_left.get((rights[F], rights[T]), ()):
+                    for B in by_top_left_right.get((bottoms[F], rights[L], rights[R]), ()):
+                        backs = by_boundary.get((bottoms[T], bottoms[R], bottoms[L], bottoms[B]), ())
+                        out.extend((T, B, L, R, F, K) for K in backs)
                         if len(out) > MAX_CUBE_SHELLS:
                             raise CapExceeded(f"cube enumeration passed the cap of {MAX_CUBE_SHELLS} shells")
     return out

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
 from .core import (
@@ -56,6 +57,11 @@ class ReflexiveGraph:
     tgt: dict
     id_edge: dict  # object -> its identity edge
 
+    @cached_property
+    def lookup(self) -> tuple:
+        """The object, edge and identity-edge sets, built on first use: `validate` and every `check_word` read them."""
+        return set(self.objects), set(self.edges), set(self.id_edge.values())
+
     def generators(self) -> tuple:
         """Non-identity edges, in listed order."""
         idset = set(self.id_edge.values())
@@ -63,14 +69,13 @@ class ReflexiveGraph:
 
     def validate(self) -> ValidationReport:
         bad = []
-        edges, objects = set(self.edges), set(self.objects)
+        objects, edges, idset = self.lookup
         for x in self.objects:
             e = self.id_edge.get(x)
             if e not in edges:
                 bad.append(Violation("identity-edge", (x,), "missing identity edge"))
             elif self.src[e] != x or self.tgt[e] != x:
                 bad.append(Violation("identity-edge", (x, e), "identity edge not a loop at its object"))
-        idset = set(self.id_edge.values())
         if len(idset) != len(self.objects):
             bad.append(Violation("identity-edge", (), "identity edges not distinct"))
         if len(edges) != len(self.edges):
@@ -130,8 +135,8 @@ def word_target(graph: ReflexiveGraph, w: Word):
 
 def check_word(graph: ReflexiveGraph, w: Word) -> None:
     """Raise IllFormedWord unless w is composable and names no identities."""
-    idset, edges = set(graph.id_edge.values()), set(graph.edges)
-    if w.start not in set(graph.objects):
+    objects, edges, idset = graph.lookup
+    if w.start not in objects:
         raise IllFormedWord(f"unknown start object {w.start!r}")
     for (e, s) in w.letters:
         if e not in edges:

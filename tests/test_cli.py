@@ -190,6 +190,19 @@ class TestPushout:
         circle[slot], message = repeated_generator(tmp_path)
         assert run(capsys, "pushout", *circle) == (1, "", message)
 
+    def test_morphism_without_an_endpoint_object_is_refused(self, capsys, tmp_path):
+        # circle-uv.json maps eU: p -> m to eV; without its ["m", "m"] row, eU's target has no image
+        legs = [fx(f"{name}.json") for name in ("circle-u", "circle-v", "circle-v", "circle-uv", "circle-uv")]
+        code, out, _ = run(capsys, "pushout", *legs)
+        assert code == 0 and results_of(out)["square_commutes_on_generators"] is True
+        doc = json.loads((FIXTURES / "circle-uv.json").read_text())
+        doc["objects"] = [row for row in doc["objects"] if row[0] != "m"]
+        legs[3] = str(tmp_path / "circle-uv-without-m.json")
+        pathlib.Path(legs[3]).write_text(json.dumps(doc))
+        assert run(capsys, "pushout", *legs) == (
+            1, "", "error: leg violations: [('object-image', 'm'), ('generator-image-endpoints', 'eU')]\n"
+        )
+
 
 class TestMonodromy:
     def test_c4_window_flags_infinite(self, capsys):
@@ -457,6 +470,12 @@ class TestCube:
         code, out, _ = run(capsys, "cube", fx("box-c2.json"), fx("cube-degenerate.json"))
         assert code == 0
         assert results_of(out)["commutative"] is True
+
+    def test_mismatched_shell_names_the_first_failing_identification(self, capsys):
+        # cube-mismatched.json is a box-c2 shell whose left face has the wrong left edge
+        code, out, err = run(capsys, "cube", fx("box-c2.json"), fx("cube-mismatched.json"))
+        assert (code, err) == (1, "")
+        assert results_of(out) == {"error": "edge identification 6 fails: 'id:o' != 'g:1'"}
 
     def test_malformed_cube(self, capsys, tmp_path):
         bad = tmp_path / "bad-cube.json"

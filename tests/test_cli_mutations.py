@@ -38,6 +38,9 @@ READERS = {
                  fx("circle-j.json"), "--vertex-group", "{B.m,C.m}"],
     "circle-i": ["pushout", fx("circle-w.json"), fx("circle-u.json"), fx("circle-v.json"), "PATH",
                  fx("circle-j.json"), "--vertex-group", "{B.m,C.m}"],
+    # a dropped objects row reaches the generator endpoint check
+    "circle-uv": ["pushout", fx("circle-u.json"), fx("circle-v.json"), fx("circle-v.json"), "PATH",
+                  fx("circle-uv.json")],
     "extend-c8": ["monodromy", fx("c4-window.json"), "--extend", "PATH"],
     "bad-relation": ["vertex-group", "PATH", "m"],
 }

@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import weakref
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -109,6 +110,17 @@ SWEEP_CORPUS = {
     "xmod-c2": lambda: xmod_to_double(xmod_c2()),
     "xmod-c2c2-fixture": xmod_c2c2_fixture,
 }
+
+# The fixtures the `double` command accepts whose shells stay under MAX_CUBE_SHELLS
+# (c6-window-2, mobius3, open-window and xmod-inner-s3 pass it).
+DOUBLE_FIXTURES = (
+    "annulus3", "box-c2", "c4-window", "full-window", "interval", "sierpinski", "xmod-c2c2", "xmod-trivial",
+)
+
+
+def cube_objects(D):
+    """`enumerate_cubes` decoded into `Cube` objects for the single-cube API."""
+    return [Cube(*map(D.tables.squares.__getitem__, c)) for c in enumerate_cubes(D)]
 
 
 def three_crossed_modules():
@@ -452,7 +464,7 @@ class TestCubes:
 class TestCubeClosure:
     def test_direct_api_closure_exhaustive_on_commuting_c2(self):
         D = box_c2()
-        cubes = enumerate_cubes(D)
+        cubes = cube_objects(D)
         commutative = [c for c in cubes if is_commutative_cube(D, c)]
         assert commutative
         by_top = {}
@@ -490,9 +502,8 @@ class TestCubeClosure:
         D = xmod_to_double(xmod_c2())
         tab = square_tables(D)
         cubes = enumerate_cubes(D)
-        idx = tab.index
-        for c in cubes[:: max(1, len(cubes) // 97)]:
-            tup = (idx[c.top], idx[c.bottom], idx[c.left], idx[c.right], idx[c.front], idx[c.back])
+        for tup in cubes[:: max(1, len(cubes) // 97)]:
+            c = Cube(*map(tab.squares.__getitem__, tup))
             assert tab.is_commutative(tup) == (c.top == reference_net(D, c))
 
     def test_one_table_per_double(self, monkeypatch):
@@ -618,11 +629,7 @@ def reference_interchange(D):
 def reference_sweep(D):
     """The per-pair closure sweep: every composite built from the rows, and its `tab.is_commutative` verdict."""
     tab = double.square_tables(D)
-    idx = tab.index
-    cubes = [
-        (idx[c.top], idx[c.bottom], idx[c.left], idx[c.right], idx[c.front], idx[c.back])
-        for c in enumerate_cubes(D)
-    ]
+    cubes = enumerate_cubes(D)
     commutative = [c for c in cubes if tab.is_commutative(c)]
     by_top, by_left, by_front = {}, {}, {}
     for c in commutative:
@@ -721,8 +728,9 @@ def tables_with_flips(D, flips):
     taken modulo their range.  In a commuting-squares double a square is
     its boundary, so there the other square is a twin of the composite
     added to the tables: a filler no square of the double has, with the
-    composite's rows, inverses and columns.  Every later lookup still
-    resolves; only verdicts can change.
+    composite's rows, inverses and columns.  `enumerate_cubes` reads the
+    tables' squares, so the shells of both sweeps take in the twins too.
+    Every later lookup still resolves; only verdicts can change.
     """
     tab = square_tables(D)
     n = len(tab.squares)
@@ -802,16 +810,35 @@ class TestSweepKernel:
         assert double.MAX_CUBE_SHELLS >= 8 * out["cubes"]
         assert double.MAX_CUBE_COMPOSITES >= 8 * out["composites_checked"]
 
+    def test_sweep_builds_no_cube(self, monkeypatch):
+        expected = cube_closure_sweep(xmod_c2c2_fixture())
+
+        def refuse(*faces):
+            raise AssertionError("the sweep built a Cube")
+
+        monkeypatch.setattr(double, "Cube", refuse)
+        assert cube_closure_sweep(xmod_c2c2_fixture()) == expected
+
 
 class TestEnumerateCubes:
-    """The boundary-keyed join against the eight-loop enumeration."""
+    """The index join against the eight-loop enumeration, and the shells against `_SHELL`."""
 
-    @pytest.mark.parametrize("name", sorted(SWEEP_CORPUS))
+    @pytest.mark.parametrize("name", sorted(SWEEP_CORPUS) + [f"fixture:{n}" for n in DOUBLE_FIXTURES])
     def test_matches_reference(self, name):
-        D = SWEEP_CORPUS[name]()
+        D = fixture_double(name[8:]) if name.startswith("fixture:") else SWEEP_CORPUS[name]()
         cubes = enumerate_cubes(D)
-        assert len(cubes) == len(set(cubes))
-        assert set(cubes) == set(reference_cubes(D))
+        index = D.tables.index
+        reference = [tuple(index[getattr(c, f)] for f in double._FACES) for c in reference_cubes(D)]
+        assert sorted(cubes) == sorted(reference) and len(set(cubes)) == len(cubes)
+        assert cubes == sorted(cubes, key=itemgetter(4, 0, 2, 3, 1, 5))  # front, top, left, right, bottom, back
+
+    @pytest.mark.parametrize("name", DOUBLE_FIXTURES)
+    def test_every_shell_passes_the_layout(self, name):
+        D = fixture_double(name)
+        sq = D.tables.squares
+        for c in enumerate_cubes(D):
+            for f, side, g, other in double._SHELL:
+                assert getattr(sq[c[f]], side) == getattr(sq[c[g]], other), (c, f, side, g, other)
 
     def test_order_independent_of_hash_seed(self):
         script = (
@@ -846,7 +873,7 @@ class TestEnumerateCubes:
 
 def commutative_pairs(D):
     """Every (direction, c1, c2) with c1, c2 commutative and c2 following c1."""
-    commutative = [c for c in enumerate_cubes(D) if c.top == reference_net(D, c)]
+    commutative = [c for c in cube_objects(D) if c.top == reference_net(D, c)]
     follows = {1: ("bottom", "top"), 2: ("right", "left"), 3: ("back", "front")}
     for direction, (face, key) in follows.items():
         by_key = {}
@@ -863,7 +890,7 @@ class TestSquareEngine:
     @pytest.mark.parametrize("name", sorted(SWEEP_CORPUS))
     def test_net_view_matches_reference(self, name):
         D = SWEEP_CORPUS[name]()
-        for c in enumerate_cubes(D):
+        for c in cube_objects(D):
             assert net_composite(D, c) == reference_net(D, c)
 
     # box-C2 has 6,144 composable pairs, all compared; xmod-C2 has 3,145,728,
