@@ -633,9 +633,9 @@ def cube_composition_closure(D: DoubleGroupoid, c1: Cube, c2: Cube, direction: i
     }
 
 
-# Size caps for the exhaustive sweeps.  The cube caps are at least 8x the
-# largest instance in the corpus (xmod-c2c2: 8,192 shells, 3,145,728
-# composites); the block cap is 3.3x mobius3's 10,097,379 blocks.  The
+# Size caps for the exhaustive sweeps.  The cube caps are at least 2.5x the
+# tightest fixtures: annulus3's 19,683 shells (3.3x), c4-window's 12,582,912
+# composites (2.7x).  The block cap is 3.3x mobius3's 10,097,379 blocks.  The
 # axiom sweep is cubic in the squares and stays on small doubles.
 MAX_CUBE_SHELLS = 1 << 16
 MAX_CUBE_COMPOSITES = 1 << 25

@@ -15,12 +15,15 @@ point order), and every germ product h(beta a) . a is read from one table,
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .bisections import LocalBisection, is_window_bisection, sections_over
 from .core import closure, group_by
 from .errors import OutOfDomain
 from .presentations import LocalGroupoidData
+
+_windows = weakref.WeakKeyDictionary()  # window -> [generator germs, closure, window table once built]
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,7 @@ def left_translations(D: LocalGroupoidData, germs, arrows) -> dict:
 
 
 def germ_closure(D: LocalGroupoidData) -> tuple[tuple[Germ, ...], tuple[Germ, ...]]:
-    """(generator germs, closure under composition with generators).
+    """(generator germs, their closure under composition), closed once per window and kept.
 
     The closure is exactly the set of germs of all products of window
     bisections: the germ of s_k * ... * s_1 at x is the composite of the
@@ -107,21 +110,33 @@ def germ_closure(D: LocalGroupoidData) -> tuple[tuple[Germ, ...], tuple[Germ, ..
     end, onto the topology's own minimal opens; a generator's code decodes
     to the generator.
     """
-    G, points, min_open = D.G, point_orders(D), D.t_objects.min_open
-    gens = window_germs(D)
-    given = {germ_code(g): g for g in gens}
-    columns = left_translations(D, gens, G.arrows)
-    base_at = {x: pts.index(x) for x, pts in points.items()}
+    if D not in _windows:
+        G, points, min_open = D.G, point_orders(D), D.t_objects.min_open
+        gens = window_germs(D)
+        given = {germ_code(g): g for g in gens}
+        columns = left_translations(D, gens, G.arrows)
+        base_at = {x: pts.index(x) for x, pts in points.items()}
 
-    def products(t):
-        x, arrows = t
-        col = columns[G.tgt[arrows[base_at[x]]]]
-        return ((x, c) for c in zip(*map(col.__getitem__, arrows)))
+        def products(t):
+            x, arrows = t
+            col = columns[G.tgt[arrows[base_at[x]]]]
+            return ((x, c) for c in zip(*map(col.__getitem__, arrows)))
 
-    codes = closure(list(given), products)
+        codes = closure(list(given), products)
 
-    def decode(code):
-        x, arrows = code
-        return given.get(code) or Germ(min_open[x], tuple(zip(points[x], arrows)), x)
+        def decode(code):
+            x, arrows = code
+            return given.get(code) or Germ(min_open[x], tuple(zip(points[x], arrows)), x)
 
-    return gens, tuple(sorted(map(decode, codes), key=lambda g: (repr(g.base), g.values)))
+        _windows[D] = [gens, tuple(sorted(map(decode, codes), key=lambda g: (repr(g.base), g.values)))]
+    return tuple(_windows[D][:2])
+
+
+def window_translations(D: LocalGroupoidData) -> tuple[tuple[Germ, ...], dict]:
+    """(the kept closure, its `left_translations` on the window arrows), the table kept on first request."""
+    if D not in _windows:
+        germ_closure(D)
+    kept = _windows[D]
+    if len(kept) == 2:
+        kept.append(left_translations(D, kept[1], D.window))
+    return kept[1], kept[2]

@@ -43,7 +43,7 @@ from .errors import (
     TooSmall,
     WellDefinednessFailure,
 )
-from .germs import Germ, germ_closure, germ_code, left_translations, point_orders
+from .germs import Germ, germ_closure, germ_code, left_translations, point_orders, window_translations
 from .germs import window_germs  # noqa: F401  (perfbench traces holonomy.window_germs)
 from .presentations import (
     LocalGroupoidData,
@@ -166,22 +166,17 @@ class HolonomyGroupoid:
 
     @cached_property
     def chart_index(self) -> tuple:
-        """(left translations of J's germs on the window arrows, germ code -> (its
-        place among the germs at its base, its class), x -> the window arrows into
-        min_open[x] in repr order, w -> the codes of the window germs through w).
-        Built once, from plain tables: a reference to self would hold each
-        quotient in a cycle."""
-        D, germs = self.data, self.J.germ_of_arrow
-        codes = {a: germ_code(g) for a, g in germs.items()}  # in closure order, as the columns
-        index = {codes[a]: (i, self.coset_of[a]) for star in group_by(codes, self.J.groupoid.src.__getitem__).values()
-                 for i, a in enumerate(star)}
+        """(the window's kept `window_translations` columns, germ code -> (its place
+        among the closure's germs at its base, as in the columns, its class), x -> the
+        window arrows into min_open[x] in repr order, w -> the codes of the window germs
+        through w).  Built once from plain tables, so no quotient sits in a cycle."""
+        closure, columns = window_translations(self.data)
+        index = {germ_code(g): (i, self.coset_of[self.J.arrow_of_germ[g]])
+                 for star in group_by(closure, attrgetter("base")).values() for i, g in enumerate(star)}
         through = {w: list(map(germ_code, gs))
                    for w, gs in group_by(self.J.generator_germs, attrgetter("value")).items()}
-        into = group_by(D.window, D.G.tgt.__getitem__)
-        covered = {x: sorted((w for y in U for w in into.get(y, ())), key=repr)
-                   for x, U in D.t_objects.min_open.items()}
-        # a window germ has only window arrows, so charts read only their columns
-        return left_translations(D, germs.values(), D.window), index, covered, through
+        covered = {x: sorted(col, key=repr) for x, col in columns.items()}
+        return columns, index, covered, through
 
     def vertex_orders(self) -> dict:
         K = self.groupoid

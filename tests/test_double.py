@@ -806,9 +806,11 @@ class TestSweepKernel:
         assert str(checked - 1) in str(info.value)
 
     def test_caps_leave_room_over_the_corpus(self):
-        out = cube_closure_sweep(xmod_c2c2_fixture())
-        assert double.MAX_CUBE_SHELLS >= 8 * out["cubes"]
-        assert double.MAX_CUBE_COMPOSITES >= 8 * out["composites_checked"]
+        # every double fixture is answered, at least 2.5x under each cap, as `double.py` states
+        for name in DOUBLE_FIXTURES:
+            out = cube_closure_sweep(fixture_double(name))
+            assert double.MAX_CUBE_SHELLS >= 2.5 * out["cubes"], name
+            assert double.MAX_CUBE_COMPOSITES >= 2.5 * out["composites_checked"], name
 
     def test_sweep_builds_no_cube(self, monkeypatch):
         expected = cube_closure_sweep(xmod_c2c2_fixture())

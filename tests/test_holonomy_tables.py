@@ -1,27 +1,30 @@
 """Germ products, charts and subbases read from tables, against the object-level loops."""
 
 import dataclasses
+import gc
 import json
 import pathlib
+import weakref
 
 import pytest
 
 from corpus import cyclic_window, full_window, klein_window, sierpinski_pair_data, swap3_groupoid
-from groupoidkit import bisections, holonomy
+from groupoidkit import bisections, germs, holonomy
 from groupoidkit.bisections import check_extendible, generate_semigroup, identity_bisection, w_bisections
-from groupoidkit.core import FiniteTopology, cyclic_group, disjoint_union, one_object_groupoid
+from groupoidkit.core import FiniteTopology, closure, cyclic_group, disjoint_union, one_object_groupoid
 from groupoidkit.errors import NotSectionable, WellDefinednessFailure
 from groupoidkit.germs import germ, germ_closure, left_translations
 from groupoidkit.holonomy import (
     annulus_model,
     chart,
     germ_groupoid,
+    holonomy_groupoid,
     holonomy_pipeline,
     holonomy_topology,
     j0,
     mobius_model,
 )
-from groupoidkit.io import local_data_from_dict
+from groupoidkit.io import canonical_dumps, local_data_from_dict, local_data_to_dict
 from groupoidkit.presentations import local_data
 from holonomy_oracle import semigroup_germ_groupoid
 from reference_tables import (
@@ -236,3 +239,105 @@ class TestChartErrors:
             assert all(h == hol.embedding[w] for w, h in table.items())
             covered.update(table)
         assert covered == hol.embedding
+
+
+# ---------------------------------------------------------------------------
+# one window, one germ closure, one window translation table
+# ---------------------------------------------------------------------------
+
+# windows as documents: the band models at the sizes the foliation jobs start
+# from, and every fixture that parses as local data
+WINDOW_TEXTS = {
+    **{f"{m.__name__.split('_')[0]}({n})": (lambda m=m, n=n: canonical_dumps(local_data_to_dict(m(n))))
+       for m in (mobius_model, annulus_model) for n in (3, 5, 8)},
+    **{f"{name}.json": (lambda name=name: (FIXTURES / f"{name}.json").read_text())
+       for name in ("annulus3", "c4-window", "c6-window-2", "full-window", "mobius3", "sierpinski")},
+}
+
+
+def parse(text):
+    return local_data_from_dict(json.loads(text))
+
+
+def observed(J, make_hol, D_ext):
+    """J's tables, every chart, the holonomy topology and the extendibility result.
+
+    `make_hol` builds the quotient of J, and `D_ext` is the window that
+    `check_extendible` reads.  A window with no holonomy quotient records the
+    refusal in their place."""
+    K = J.groupoid
+    out = {
+        "J": (K.objects, K.arrows, list(K.src.items()), list(K.tgt.items()), list(K.id_of.items()),
+              list(K.inv.items()), list(K.comp.items()), list(J.germ_of_arrow.items()), J.generator_germs),
+    }
+    try:
+        hol = make_hol(J)
+    except NotSectionable as refused:
+        out["holonomy"] = str(refused)
+    else:
+        T, report = holonomy_topology(hol)
+        out["charts"] = [list(chart(hol, J.germ_of_arrow[a]).items()) for a in K.arrows]
+        out["holonomy"] = (list(hol.coset_of.items()), T.points, list(T.min_open.items()), report)
+    ext = check_extendible(D_ext)
+    out["extendible"] = (ext.ok, list(ext.topology.min_open.items()), ext.failures,
+                         ext.generator_germs, ext.closure_germs)
+    return out
+
+
+def quotient(J):
+    return holonomy_groupoid(J, j0(J))
+
+
+def test_one_window_closes_its_germs_once_and_builds_one_window_table(monkeypatch):
+    closures, tables = [], []
+
+    def closing(*args):
+        closures.append(args)
+        return closure(*args)
+
+    def translating(D, germ_list, arrows):
+        tables.append(arrows)
+        return left_translations(D, germ_list, arrows)
+
+    monkeypatch.setattr(germs, "closure", closing)
+    monkeypatch.setattr(germs, "left_translations", translating)
+    monkeypatch.setattr(holonomy, "left_translations", translating)
+    D = mobius_model(4)
+    J = germ_groupoid(D)
+    hol = holonomy_groupoid(J, j0(J))
+    holonomy_topology(hol)
+    ext = check_extendible(D)
+    assert not ext.ok and hol.J is J
+    assert len(closures) == 1
+    assert sum(arrows is D.window for arrows in tables) == 1
+    assert (ext.generator_germs, ext.closure_germs) == (J.generator_germs, tuple(J.germ_of_arrow.values()))
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_TEXTS))
+def test_kept_tables_give_what_fresh_windows_give(name):
+    text = WINDOW_TEXTS[name]()
+    D = parse(text)
+    shared = observed(germ_groupoid(D), quotient, D)
+    # each stage on its own freshly parsed window, J built by the reference
+    # loops, so the charts close the window's germs themselves
+    fresh = parse(text)
+    reference_J = reference_germ_groupoid_from_closure(fresh, *reference_germ_closure(fresh))
+    assert observed(reference_J, quotient, parse(text)) == shared
+
+
+def test_kept_tables_are_freed_with_the_window():
+    D = mobius_model(3)
+    gc.collect()
+    gc.disable()
+    try:
+        J = germ_groupoid(D)
+        hol = holonomy_groupoid(J, j0(J))
+        holonomy_topology(hol)
+        ext = check_extendible(D)
+        assert D in germs._windows
+        ref = weakref.ref(D)
+        del D, J, hol
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert ext.closure_germs == germ_closure(mobius_model(3))[1]  # the result outlives its window
