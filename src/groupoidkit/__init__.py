@@ -65,7 +65,6 @@ from .core import (
 )
 from .double import (
     CrossedModule,
-    Cube,
     DoubleGroupoid,
     Square,
     commuting_squares,

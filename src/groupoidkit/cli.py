@@ -75,17 +75,23 @@ OK, SEMANTIC, PARSE, FINDING = 0, 1, 2, 3
 
 
 def _read_json(path: str) -> tuple[dict, str]:
-    """The JSON document in the file at `path`, and the sha256 of its bytes."""
+    """The JSON object in the file at `path`, and the sha256 of its bytes.
+
+    Every input schema is an object at the top level, so any other document is refused here.
+    """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
+        doc = json.loads(data.decode("utf-8"))
     except FileNotFoundError:
         raise SchemaError(f"{path}: no such file")
     except (OSError, UnicodeDecodeError) as exc:  # a directory, an unreadable file, bytes that are not UTF-8
         raise SchemaError(f"{path}: cannot read: {exc}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected a JSON object at the top level")
+    return doc, hashlib.sha256(data).hexdigest()
 
 
 def _run(args) -> int:

@@ -245,15 +245,14 @@ def spanning_tree(P: FpGroupoid, base) -> dict:
     return tree
 
 
-def vertex_group_presentation(P: FpGroupoid, base, tree: dict | None = None) -> GroupPresentation:
+def vertex_group_presentation(P: FpGroupoid, base) -> GroupPresentation:
     """Present the vertex group of a connected presentation at the base.
 
     Each generator e becomes the loop (path to src e) . e . (path back from
-    tgt e); tree edges collapse to the trivial word and are dropped.
+    tgt e) along `spanning_tree(P, base)`; tree edges collapse to the
+    trivial word and are dropped.
     """
-    if tree is None:
-        tree = spanning_tree(P, base)
-    tree_edges = {t[0] for t in tree.values() if t is not None}
+    tree_edges = {t[0] for t in spanning_tree(P, base).values() if t is not None}
 
     def translate(w: Word):
         # path order, first-acting letter first; tree edges collapse

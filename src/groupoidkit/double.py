@@ -22,13 +22,13 @@ whose squares are boundary tuples together with a filler m in M subject to
 d(m) = d^-1 c^-1 a b (the boundary loop read off the square in path order),
 and the double groupoid of commuting squares of any finite groupoid, which
 is the same algebra with the one-element filler group.
-A cube (six squares with matched edges) is commutative when its top face
-equals the folded composite of the other five with connection squares
-filling the four corners of the net; the exact layout is fixed in
-`SquareTables.net`, which every cube verdict and the closure sweep read.
-Below the single-cube API a cube shell is six catalogue indices in `_FACES`
-order, as in a cube file; `enumerate_cubes` returns shells in this form, and
-`_SHELL` lists the twelve edge identifications of a shell.
+A cube is six square indices in `_FACES` order, the catalogue indices a
+cube file holds, whose squares meet along the twelve edge identifications
+of `_SHELL`.  Every cube function takes and returns cubes in this form.  A
+cube is commutative when its top face equals the folded composite of the
+other five with connection squares filling the four corners of the net;
+the exact layout is fixed in `SquareTables.net`, which every cube verdict
+and the closure sweep read.
 """
 
 from __future__ import annotations
@@ -269,13 +269,12 @@ def xmod_to_double(X: CrossedModule) -> DoubleGroupoid:
     return DoubleGroupoid(edge, squares, X.M, act, X, name)
 
 
-def double_to_xmod(D: DoubleGroupoid) -> tuple[CrossedModule, dict]:
+def double_to_xmod(D: DoubleGroupoid) -> CrossedModule:
     """Extract the crossed module of a one-object double groupoid.
 
     P is the edge vertex group; M consists of the squares with all faces
     but the top degenerate, multiplied horizontally; the boundary reads the
-    top edge and the action conjugates through connection squares.  Returns
-    the crossed module and the extraction tables.
+    top edge and the action conjugates through connection squares.
     """
     G = D.edge
     if len(G.objects) != 1:
@@ -320,7 +319,7 @@ def double_to_xmod(D: DoubleGroupoid) -> tuple[CrossedModule, dict]:
     bad = validate_crossed_module(X)
     if bad:
         raise NotSpecialDouble(f"extracted data fails crossed module axioms: {bad[:3]!r}")
-    return X, {"edges": edges, "m_squares": m_squares}
+    return X
 
 
 def roundtrip_isomorphism(D: DoubleGroupoid) -> dict:
@@ -328,7 +327,7 @@ def roundtrip_isomorphism(D: DoubleGroupoid) -> dict:
     X = D.xmod
     if X is None:
         raise NotSpecialDouble("the round trip needs the double of a crossed module")
-    Y, _tables = double_to_xmod(D)
+    Y = double_to_xmod(D)
     phi_p = {p: D.elem_edge[p] for p in X.P.elements}
     phi_m = {
         m: Square(D.elem_edge[X.boundary[m]], "id:o", "id:o", "id:o", m)
@@ -510,23 +509,9 @@ def square_groupoid_axioms(D: DoubleGroupoid, direction: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cube:
-    """Six faces; the shell's twelve edge identifications are the table `_SHELL`.
-
-    With F = (a, b, c, d) in front, K = (a', b', c', d') in back, and depth
-    edges p, q, r, s at the four front corners, the faces sit as
-    T = (a, q, p, a'), B = (d, s, r, d'), L = (c, r, p, c'), R = (b, s, q, b').
-    """
-
-    top: Square
-    bottom: Square
-    left: Square
-    right: Square
-    front: Square
-    back: Square
-
-
+# A cube's six faces.  With F = (a, b, c, d) in front, K = (a', b', c', d') in
+# back, and depth edges p, q, r, s at the four front corners, the faces sit as
+# T = (a, q, p, a'), B = (d, s, r, d'), L = (c, r, p, c'), R = (b, s, q, b').
 _FACES = ("top", "bottom", "left", "right", "front", "back")
 # A shell's twelve edge identifications, (face, side) == (face, side) written as
 # (face, side, face, side) with faces indexed as in _FACES, in the order `validate_cube` reports them.
@@ -535,7 +520,7 @@ _SHELL = (
     (2, "top", 4, "left"), (2, "bottom", 5, "left"), (2, "left", 0, "left"), (2, "right", 1, "left"),
     (3, "top", 4, "right"), (3, "bottom", 5, "right"), (3, "left", 0, "right"), (3, "right", 1, "right"),
 )
-# Cube composition, d -> (keep, composed), as indices into _FACES.  c2
+# Composition of cubes, d -> (keep, composed), as indices into _FACES.  c2
 # follows c1 in direction d when face `keep` of c2 is face `keep ^ 1` of c1
 # (top/bottom, left/right, front/back).  The composite keeps c1's face
 # `keep`, takes c2's face `keep ^ 1`, and composes each other face of c1
@@ -547,45 +532,41 @@ _DIRECTIONS = {
 }
 
 
-def _check_shell(faces: tuple) -> None:
-    """NotACube at the first identification of `_SHELL` that six squares, in `_FACES` order, fail."""
+def validate_cube(D: DoubleGroupoid, cube) -> tuple:
+    """`cube`, once it is a tuple of six square indices of D, in `_FACES` order, whose squares
+    meet along every identification of `_SHELL`; otherwise NotACube names the first failure."""
+    squares = D.tables.squares
+    if type(cube) is not tuple or len(cube) != 6 or not all(type(i) is int and 0 <= i < len(squares) for i in cube):
+        raise NotACube(f"a cube is six indices of the {len(squares)} squares, got {cube!r}")
+    faces = tuple(map(squares.__getitem__, cube))
     for i, (f, side, g, other) in enumerate(_SHELL):
         x, y = getattr(faces[f], side), getattr(faces[g], other)
         if x != y:
             raise NotACube(f"edge identification {i} fails: {x!r} != {y!r}")
+    return cube
 
 
-def validate_cube(D: DoubleGroupoid, cube: Cube) -> tuple:
-    """The cube's faces as square indices in `_FACES` order; NotACube unless they are squares of D forming a shell."""
-    faces = tuple(getattr(cube, f) for f in _FACES)
+def net_composite(D: DoubleGroupoid, cube) -> int:
+    """The fold of the five non-top faces of a cube, `SquareTables.net`, as a square index."""
+    return D.tables.net(*validate_cube(D, cube)[1:])
+
+
+def is_commutative_cube(D: DoubleGroupoid, cube) -> bool:
+    return D.tables.is_commutative(validate_cube(D, cube))
+
+
+def _cube_of(D: DoubleGroupoid, *faces: Square) -> tuple:
+    """Six squares, in `_FACES` order, as a cube; NotACube for a face that is not a square of D."""
     index = D.tables.index
     for face in faces:
         if face not in index:
             raise NotACube(f"face {face!r} is not a square here")
-    _check_shell(faces)
     return tuple(map(index.__getitem__, faces))
 
 
-def net_composite(D: DoubleGroupoid, cube: Cube) -> Square:
-    """The fold of the five non-top faces of a cube shell, `SquareTables.net`, as a square."""
-    tab = D.tables
-    return tab.squares[tab.net(*validate_cube(D, cube)[1:])]
-
-
-def is_commutative_cube(D: DoubleGroupoid, cube: Cube) -> bool:
-    return cube.top == net_composite(D, cube)
-
-
-def prism_cube(D: DoubleGroupoid, u: Square) -> Cube:
+def prism_cube(D: DoubleGroupoid, u: Square) -> tuple:
     """u as front and back of a depth-degenerate cube."""
-    return Cube(
-        top=eps1(D, u.top),
-        bottom=eps1(D, u.bottom),
-        left=eps1(D, u.left),
-        right=eps1(D, u.right),
-        front=u,
-        back=u,
-    )
+    return _cube_of(D, eps1(D, u.top), eps1(D, u.bottom), eps1(D, u.left), eps1(D, u.right), u, u)
 
 
 def corner_square(D: DoubleGroupoid, e) -> Square:
@@ -593,35 +574,26 @@ def corner_square(D: DoubleGroupoid, e) -> Square:
     return compose_squares(D, 1, gamma_plus(D, e), gamma_minus(D, e))
 
 
-def square_as_cube(D: DoubleGroupoid, u: Square, bottom: Square | None = None) -> Cube:
+def square_as_cube(D: DoubleGroupoid, u: Square, bottom: Square | None = None) -> tuple:
     """u as the lid of a height-degenerate cube; `bottom` defaults to u."""
-    return Cube(
-        top=u,
-        bottom=bottom if bottom is not None else u,
-        left=corner_square(D, u.left),
-        right=corner_square(D, u.right),
-        front=eps1(D, u.top),
-        back=eps1(D, u.bottom),
-    )
+    corners = corner_square(D, u.left), corner_square(D, u.right)
+    return _cube_of(D, u, u if bottom is None else bottom, *corners, eps1(D, u.top), eps1(D, u.bottom))
 
 
-def compose_cubes(D: DoubleGroupoid, direction: int, c1: Cube, c2: Cube) -> Cube:
-    """Cube composition in direction 1 (down), 2 (right) or 3 (deep)."""
-    i1, i2 = validate_cube(D, c1), validate_cube(D, c2)
+def compose_cubes(D: DoubleGroupoid, direction: int, c1, c2) -> tuple:
+    """The composite of two cubes in direction 1 (down), 2 (right) or 3 (deep)."""
+    c1, c2 = validate_cube(D, c1), validate_cube(D, c2)
     if direction not in _DIRECTIONS:
         raise NotComposable(f"direction must be 1, 2 or 3, got {direction!r}")
     keep = _DIRECTIONS[direction][0]
-    if i1[keep ^ 1] != i2[keep]:
+    if c1[keep ^ 1] != c2[keep]:
         raise NotComposable(f"direction {direction} needs {_FACES[keep ^ 1]} == {_FACES[keep]}")
-    tab = D.tables
-    cols = tuple(zip(i2))
-    (out,) = _composites(direction, i1, cols, _columns(tab, direction, cols))
-    faces = tuple(map(tab.squares.__getitem__, out))
-    _check_shell(faces)
-    return Cube(*faces)
+    cols = tuple(zip(c2))
+    (out,) = _composites(direction, c1, cols, _columns(D.tables, direction, cols))
+    return validate_cube(D, out)
 
 
-def cube_composition_closure(D: DoubleGroupoid, c1: Cube, c2: Cube, direction: int) -> dict:
+def cube_composition_closure(D: DoubleGroupoid, c1, c2, direction: int) -> dict:
     """Compose two commutative cubes and report the composite's verdict."""
     if not is_commutative_cube(D, c1) or not is_commutative_cube(D, c2):
         raise NotACube("closure check expects commutative inputs")
@@ -743,9 +715,8 @@ def cube_closure_sweep(D: DoubleGroupoid) -> dict:
     """Exhaustively compose all pairs of commutative cubes in each direction.
 
     Returns counts plus the (hopefully empty) list of violating pairs.
-    Cube shells are handled as index 6-tuples (top, bottom, left, right,
-    front, back) over the square tables.  ``composites_checked`` counts
-    every composite tested, one per pair and direction.
+    ``composites_checked`` counts every composite tested, one per pair and
+    direction.
 
     The commutative cubes are bucketed per direction by the face c2 meets
     c1 on.  Within a bucket a composite's face column depends only on the

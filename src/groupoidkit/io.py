@@ -1,6 +1,6 @@
 """JSON interchange for groupoids, topologies, presentations, crossed modules.
 
-Formats (all documents carry ``schema_version``):
+Formats (all documents are JSON objects and carry ``schema_version``):
 
 * groupoid: ``objects`` (strings), ``arrows`` ([{id, src, tgt}]), ``inv``
   ([[g, g_inverse]]), ``comp`` ([[h, g, h_after_g]]); the identity of an
@@ -22,7 +22,8 @@ Formats (all documents carry ``schema_version``):
   ([[p, m, result]]).
 * cube: {"faces": {"top": i, "bottom": i, "left": i, "right": i,
   "front": i, "back": i}} with indices into the square catalogue emitted by
-  the double command.
+  the double command; `cube_from_dict` returns them in `double._FACES`
+  order, the six-index cube that every cube function of `double` takes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import json
 from itertools import chain
 
 from .core import FiniteGroup, FiniteGroupoid, FiniteTopology, make_groupoid, topology_from_subbase
-from .double import CrossedModule, Cube, DoubleGroupoid, Square
+from .double import _FACES, CrossedModule, DoubleGroupoid, Square
 from .errors import SchemaError
 from .presentations import (
     NEG,
@@ -313,15 +314,16 @@ def catalogue_to_dict(D: DoubleGroupoid) -> dict:
     }
 
 
-def cube_from_dict(doc: dict, catalogue: list[Square]) -> Cube:
+def cube_from_dict(doc: dict, catalogue: list[Square]) -> tuple:
+    """The cube file's six catalogue indices, in `_FACES` order."""
     faces = _require(doc, "faces", dict, "cube")
-    got = {}
-    for name in ("top", "bottom", "left", "right", "front", "back"):
+    cube = []
+    for name in _FACES:
         idx = _require(faces, name, int, "cube.faces")
         if isinstance(idx, bool) or not 0 <= idx < len(catalogue):
             raise SchemaError(f"cube.faces.{name}: index {idx} out of range")
-        got[name] = catalogue[idx]
-    return Cube(**got)
+        cube.append(idx)
+    return tuple(cube)
 
 
 # ---------------------------------------------------------------------------

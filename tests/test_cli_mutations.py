@@ -144,20 +144,25 @@ UNREADABLE_SLOTS = {
     **{command: [command, "PATH"] for command in COMMANDS},
     **{f"{READERS[name][0]}-{name}": READERS[name] for name in READERS},
     "vertex-group": ["vertex-group", "PATH", "m"],
+    "pushout-g": ["pushout", fx("circle-w.json"), fx("circle-u.json"), fx("circle-v.json"), fx("circle-i.json"),
+                  "PATH", "--vertex-group", "{B.m,C.m}"],
 }
 
 
 @pytest.mark.parametrize("slot", sorted(UNREADABLE_SLOTS))
-@pytest.mark.parametrize("kind", ["directory", "undecodable"])
+@pytest.mark.parametrize("kind", ["directory", "undecodable", "null", "7", "1.5", "true", '"x"', '"P"', "[]", "[[]]"])
 def test_unreadable_input_is_a_parse_error(workdir, slot, kind):
     path = workdir / kind
     if kind == "directory":
         path.mkdir(exist_ok=True)
-    else:
+    elif kind == "undecodable":
         path.write_bytes(b"\xff\xfe{}")
+    else:  # a JSON document, but not the object that every input schema is
+        path.write_text(kind)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(path) if a == "PATH" else a for a in UNREADABLE_SLOTS[slot]])
     out, err = out.getvalue(), err.getvalue()
     assert code == PARSE and out == ""
     assert err.startswith(f"parse error: {path}: ") and err.count("\n") == 1, err
+

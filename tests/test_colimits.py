@@ -55,6 +55,19 @@ def loop_presentation(loops=("a",), obj="v"):
     return free_groupoid(reflexive_graph([obj], [(e, obj, obj) for e in loops]))
 
 
+def with_tree_edge(P, e):
+    """P with generator e renamed "!" + e, which sorts before every other generator,
+    so `spanning_tree` reaches e's far end along e."""
+    name = {e: "!" + e}
+    graph = P.graph
+    gens = [(name.get(x, x), graph.src[x], graph.tgt[x]) for x in P.generators()]
+
+    def word(w):
+        return Word(w.start, tuple((name.get(x, x), sign) for x, sign in w.letters))
+
+    return FpGroupoid(reflexive_graph(graph.objects, gens), tuple((word(a), word(b)) for a, b in P.relations))
+
+
 def include_objects(A, B):
     """Object-only morphism between presentations sharing object names."""
     return PresentationMorphism(A, B, {x: x for x in A.objects}, {})
@@ -329,30 +342,29 @@ class TestVertexGroupPresentation:
             vertex_group_presentation(P, "0")
 
     def test_tree_independence_bounded_counts(self):
-        # theta graph: two objects, three parallel edges; compare two trees
+        # theta graph: two objects, three parallel edges; each edge in turn is the tree
         P = free_groupoid(
             reflexive_graph(["0", "1"], [("e1", "0", "1"), ("e2", "0", "1"), ("e3", "0", "1")])
         )
-        t1 = spanning_tree(P, "0")
-        t2 = {"0": None, "1": ("e3", POS, "0")}
-        p1 = vertex_group_presentation(P, "0", t1)
-        p2 = vertex_group_presentation(P, "0", t2)
-        assert p1.element_count_up_to(4) == p2.element_count_up_to(4)
+        counts = set()
+        for e in ("e1", "e2", "e3"):
+            Q = with_tree_edge(P, e)
+            assert spanning_tree(Q, "0") == {"0": None, "1": ("!" + e, POS, "0")}
+            counts.add(vertex_group_presentation(Q, "0").element_count_up_to(4))
+        assert len(counts) == 1
 
     def test_tree_independence_on_circle(self):
-        out = circle_pushout()
-        base = sorted(out.apex.objects)[0]
-        trees = []
-        gens = sorted(out.apex.generators())
-        other = sorted(out.apex.objects)[1]
-        for e in gens:
-            src, tgt = out.apex.graph.src[e], out.apex.graph.tgt[e]
-            if base == src:
-                trees.append({base: None, other: (e, POS, base)})
-            elif base == tgt:
-                trees.append({base: None, other: (e, NEG, base)})
-        counts = {vertex_group_presentation(out.apex, base, t).element_count_up_to(4) for t in trees}
-        assert len(counts) == 1
+        apex = circle_pushout().apex
+        base, other = sorted(apex.objects)
+        counts = []
+        for e in sorted(apex.generators()):
+            ends = (apex.graph.src[e], apex.graph.tgt[e])
+            if ends not in ((base, other), (other, base)):
+                continue
+            Q = with_tree_edge(apex, e)
+            assert spanning_tree(Q, base) == {base: None, other: ("!" + e, POS if ends[0] == base else NEG, base)}
+            counts.append(vertex_group_presentation(Q, base).element_count_up_to(4))
+        assert len(counts) == 2 and len(set(counts)) == 1
 
 
 class TestHnn:

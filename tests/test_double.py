@@ -30,7 +30,6 @@ from groupoidkit.double import (
     _interchange_blocks,
     _interchange_direct,
     _interchange_factored,
-    Cube,
     Square,
     commuting_squares,
     compose_cubes,
@@ -66,7 +65,7 @@ from groupoidkit.errors import (
     NotComposable,
     NotSpecialDouble,
 )
-from groupoidkit.io import crossed_module_from_dict, groupoid_from_dict, square_catalogue
+from groupoidkit.io import crossed_module_from_dict, cube_from_dict, groupoid_from_dict, square_catalogue
 from reference_tables import reference_compose_squares, reference_inverse_square
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -116,11 +115,6 @@ SWEEP_CORPUS = {
 DOUBLE_FIXTURES = (
     "annulus3", "box-c2", "c4-window", "full-window", "interval", "sierpinski", "xmod-c2c2", "xmod-trivial",
 )
-
-
-def cube_objects(D):
-    """`enumerate_cubes` decoded into `Cube` objects for the single-cube API."""
-    return [Cube(*map(D.tables.squares.__getitem__, c)) for c in enumerate_cubes(D)]
 
 
 def three_crossed_modules():
@@ -360,7 +354,7 @@ class TestCrossedModules:
 
 class TestExtraction:
     def test_box_gives_trivial_m(self):
-        X, _ = double_to_xmod(box_c2())
+        X = double_to_xmod(box_c2())
         assert X.M.order == 1
         assert X.P.order == 2
 
@@ -413,7 +407,7 @@ class TestCubes:
         D = xmod_to_double(inner_crossed_module(symmetric_group(3)))
         u = next(iter(D.squares))
         net = net_composite(D, square_as_cube(D, u))
-        assert net == u
+        assert D.tables.squares[net] == u
         # build a wrong lid: same boundary, different filler (S3 inner has a
         # unique filler per boundary, so perturb via a different boundary's
         # square and check NotACube instead)
@@ -451,7 +445,7 @@ class TestCubes:
         D = box_c2()
         u = eps1(D, "g:1")
         good = prism_cube(D, u)
-        bad = Cube(good.top, good.bottom, good.left, good.right, good.front, eps1(D, "id:o"))
+        bad = good[:5] + (D.tables.index[eps1(D, "id:o")],)
         with pytest.raises(NotACube):
             is_commutative_cube(D, bad)
 
@@ -461,30 +455,83 @@ class TestCubes:
         assert (sq.top, sq.right, sq.left, sq.bottom) == ("id:o", "g:1", "g:1", "id:o")
 
 
+# Each damage takes a cube whose top index is 0 or 1 and the catalogue size.
+NOT_A_CUBE = {
+    "list": lambda c, n: list(c),
+    "five-entries": lambda c, n: c[:5],
+    "seven-entries": lambda c, n: c + (0,),
+    "bool": lambda c, n: (bool(c[0]),) + c[1:],
+    "str": lambda c, n: (str(c[0]),) + c[1:],
+    "minus-one": lambda c, n: (-1,) + c[1:],
+    "past-the-end": lambda c, n: (n,) + c[1:],
+}
+
+
+class TestCubeContract:
+    """A cube is six in-range `int` square indices in `_FACES` order; anything else is NotACube."""
+
+    @pytest.mark.parametrize("damage", sorted(NOT_A_CUBE))
+    def test_not_six_square_indices_is_not_a_cube(self, damage):
+        D = box_c2()
+        good = next(c for c in enumerate_cubes(D) if c[0] in (0, 1) and is_commutative_cube(D, c))
+        bad = NOT_A_CUBE[damage](good, len(D.tables.squares))
+        calls = [
+            lambda: double.validate_cube(D, bad),
+            lambda: net_composite(D, bad),
+            lambda: is_commutative_cube(D, bad),
+            lambda: compose_cubes(D, 1, bad, good),
+            lambda: compose_cubes(D, 3, good, bad),
+        ]
+        for call in calls:
+            with pytest.raises(NotACube, match="a cube is six indices of the 8 squares"):
+                call()
+
+    def test_constructors_refuse_a_face_outside_the_double(self):
+        D = xmod_to_double(xmod_c2())
+        u = next(iter(D.squares))
+        stranger = Square(u.top, u.right, u.left, u.bottom, "not a filler")
+        for build in (lambda: prism_cube(D, stranger), lambda: square_as_cube(D, u, bottom=stranger)):
+            with pytest.raises(NotACube, match="is not a square here"):
+                build()
+
+    def test_cube_file_is_read_in_face_order(self):
+        D = box_c2()
+        doc = {"faces": dict(zip(reversed(double._FACES), range(6)))}  # back first, top last
+        assert cube_from_dict(doc, square_catalogue(D)) == (5, 4, 3, 2, 1, 0)
+
+    def test_cube_functions_return_index_cubes(self):
+        D = box_c2()
+        u = sorted(D.squares, key=repr)[0]
+        c = prism_cube(D, u)
+        assert c == tuple(map(D.tables.index.__getitem__, (eps1(D, u.top), eps1(D, u.bottom), eps1(D, u.left),
+                                                           eps1(D, u.right), u, u)))
+        assert compose_cubes(D, 3, c, c) == c and cube_composition_closure(D, c, c, 3)["composite"] == c
+
+
 class TestCubeClosure:
     def test_direct_api_closure_exhaustive_on_commuting_c2(self):
         D = box_c2()
-        cubes = cube_objects(D)
+        cubes = enumerate_cubes(D)
         commutative = [c for c in cubes if is_commutative_cube(D, c)]
         assert commutative
         by_top = {}
         by_left = {}
         by_front = {}
         for c in commutative:
-            by_top.setdefault(c.top, []).append(c)
-            by_left.setdefault(c.left, []).append(c)
-            by_front.setdefault(c.front, []).append(c)
+            by_top.setdefault(c[0], []).append(c)
+            by_left.setdefault(c[2], []).append(c)
+            by_front.setdefault(c[4], []).append(c)
         checked = 0
         for c1 in commutative:
-            for c2 in by_top.get(c1.bottom, ()):
+            for c2 in by_top.get(c1[1], ()):  # bottom
                 out = compose_cubes(D, 1, c1, c2)
                 assert is_commutative_cube(D, out)
                 checked += 1
-            for c2 in by_left.get(c1.right, ()):
+            for c2 in by_left.get(c1[3], ()):  # right
                 out = compose_cubes(D, 2, c1, c2)
                 assert is_commutative_cube(D, out)
                 checked += 1
-            for c2 in by_front.get(c1.back, ()):
+            for c2 in by_front.get(c1[5], ()):  # back
                 out = compose_cubes(D, 3, c1, c2)
                 assert is_commutative_cube(D, out)
                 checked += 1
@@ -502,9 +549,8 @@ class TestCubeClosure:
         D = xmod_to_double(xmod_c2())
         tab = square_tables(D)
         cubes = enumerate_cubes(D)
-        for tup in cubes[:: max(1, len(cubes) // 97)]:
-            c = Cube(*map(tab.squares.__getitem__, tup))
-            assert tab.is_commutative(tup) == (c.top == reference_net(D, c))
+        for c in cubes[:: max(1, len(cubes) // 97)]:
+            assert tab.is_commutative(c) == (tab.squares[c[0]] == reference_net(D, c))
 
     def test_one_table_per_double(self, monkeypatch):
         D = box_c2()
@@ -541,8 +587,8 @@ class TestCubeClosure:
 
 
 def reference_net(D, cube):
-    """The net fold on square objects, one `compose_squares` call per step."""
-    F, K, B, L, R = cube.front, cube.back, cube.bottom, cube.left, cube.right
+    """The net fold on the cube's square objects, one `compose_squares` call per step."""
+    _, B, L, R, F, K = map(D.tables.squares.__getitem__, cube)
     c, b = F.left, F.right
     cp, bp = K.left, K.right
     row1 = compose_squares(
@@ -559,44 +605,35 @@ def reference_net(D, cube):
 
 
 def reference_compose_cubes(D, direction, c1, c2):
-    """Cube composition face by face on square objects."""
+    """Cube composition face by face on the cubes' square objects."""
     double.validate_cube(D, c1)
     double.validate_cube(D, c2)
+    T1, B1, L1, R1, F1, K1 = map(D.tables.squares.__getitem__, c1)
+    T2, B2, L2, R2, F2, K2 = map(D.tables.squares.__getitem__, c2)
     if direction == 1:
-        if c1.bottom != c2.top:
+        if B1 != T2:
             raise NotComposable("direction 1 needs bottom == top")
-        cube = Cube(
-            top=c1.top,
-            bottom=c2.bottom,
-            left=compose_squares(D, 2, c1.left, c2.left),
-            right=compose_squares(D, 2, c1.right, c2.right),
-            front=compose_squares(D, 1, c1.front, c2.front),
-            back=compose_squares(D, 1, c1.back, c2.back),
+        faces = (
+            T1, B2, compose_squares(D, 2, L1, L2), compose_squares(D, 2, R1, R2),
+            compose_squares(D, 1, F1, F2), compose_squares(D, 1, K1, K2),
         )
     elif direction == 2:
-        if c1.right != c2.left:
+        if R1 != L2:
             raise NotComposable("direction 2 needs right == left")
-        cube = Cube(
-            top=compose_squares(D, 2, c1.top, c2.top),
-            bottom=compose_squares(D, 2, c1.bottom, c2.bottom),
-            left=c1.left,
-            right=c2.right,
-            front=compose_squares(D, 2, c1.front, c2.front),
-            back=compose_squares(D, 2, c1.back, c2.back),
+        faces = (
+            compose_squares(D, 2, T1, T2), compose_squares(D, 2, B1, B2), L1, R2,
+            compose_squares(D, 2, F1, F2), compose_squares(D, 2, K1, K2),
         )
     elif direction == 3:
-        if c1.back != c2.front:
+        if K1 != F2:
             raise NotComposable("direction 3 needs back == front")
-        cube = Cube(
-            top=compose_squares(D, 1, c1.top, c2.top),
-            bottom=compose_squares(D, 1, c1.bottom, c2.bottom),
-            left=compose_squares(D, 1, c1.left, c2.left),
-            right=compose_squares(D, 1, c1.right, c2.right),
-            front=c1.front,
-            back=c2.back,
+        faces = (
+            compose_squares(D, 1, T1, T2), compose_squares(D, 1, B1, B2),
+            compose_squares(D, 1, L1, L2), compose_squares(D, 1, R1, R2), F1, K2,
         )
     else:
         raise NotComposable(f"direction must be 1, 2 or 3, got {direction!r}")
+    cube = tuple(map(D.tables.index.__getitem__, faces))
     double.validate_cube(D, cube)
     return cube
 
@@ -672,7 +709,7 @@ def reference_sweep(D):
 
 
 def reference_cubes(D):
-    """All cube shells by eight nested edge loops and a boundary lookup per face."""
+    """All cube shells, as square indices, by eight nested edge loops and a boundary lookup per face."""
     by_boundary = {}
     for u in D.squares:
         by_boundary.setdefault((u.top, u.right, u.left, u.bottom), []).append(u)
@@ -698,8 +735,8 @@ def reference_cubes(D):
                                                 for L in faces(c, r, p, cp):
                                                     for R in faces(b, s, q, bp):
                                                         for K in faces(ap, bp, cp, dp):
-                                                            out.append(Cube(T, B, L, R, F, K))
-    return out
+                                                            out.append((T, B, L, R, F, K))
+    return [tuple(map(D.tables.index.__getitem__, c)) for c in out]
 
 
 def tables_with_one_filler_flipped(D):
@@ -812,15 +849,6 @@ class TestSweepKernel:
             assert double.MAX_CUBE_SHELLS >= 2.5 * out["cubes"], name
             assert double.MAX_CUBE_COMPOSITES >= 2.5 * out["composites_checked"], name
 
-    def test_sweep_builds_no_cube(self, monkeypatch):
-        expected = cube_closure_sweep(xmod_c2c2_fixture())
-
-        def refuse(*faces):
-            raise AssertionError("the sweep built a Cube")
-
-        monkeypatch.setattr(double, "Cube", refuse)
-        assert cube_closure_sweep(xmod_c2c2_fixture()) == expected
-
 
 class TestEnumerateCubes:
     """The index join against the eight-loop enumeration, and the shells against `_SHELL`."""
@@ -829,8 +857,7 @@ class TestEnumerateCubes:
     def test_matches_reference(self, name):
         D = fixture_double(name[8:]) if name.startswith("fixture:") else SWEEP_CORPUS[name]()
         cubes = enumerate_cubes(D)
-        index = D.tables.index
-        reference = [tuple(index[getattr(c, f)] for f in double._FACES) for c in reference_cubes(D)]
+        reference = reference_cubes(D)
         assert sorted(cubes) == sorted(reference) and len(set(cubes)) == len(cubes)
         assert cubes == sorted(cubes, key=itemgetter(4, 0, 2, 3, 1, 5))  # front, top, left, right, bottom, back
 
@@ -875,14 +902,14 @@ class TestEnumerateCubes:
 
 def commutative_pairs(D):
     """Every (direction, c1, c2) with c1, c2 commutative and c2 following c1."""
-    commutative = [c for c in cube_objects(D) if c.top == reference_net(D, c)]
-    follows = {1: ("bottom", "top"), 2: ("right", "left"), 3: ("back", "front")}
+    commutative = [c for c in enumerate_cubes(D) if D.tables.squares[c[0]] == reference_net(D, c)]
+    follows = {1: (1, 0), 2: (3, 2), 3: (5, 4)}  # (face of c1, face of c2): bottom/top, right/left, back/front
     for direction, (face, key) in follows.items():
         by_key = {}
         for c in commutative:
-            by_key.setdefault(getattr(c, key), []).append(c)
+            by_key.setdefault(c[key], []).append(c)
         for c1 in commutative:
-            for c2 in by_key.get(getattr(c1, face), ()):
+            for c2 in by_key.get(c1[face], ()):
                 yield direction, c1, c2
 
 
@@ -892,8 +919,8 @@ class TestSquareEngine:
     @pytest.mark.parametrize("name", sorted(SWEEP_CORPUS))
     def test_net_view_matches_reference(self, name):
         D = SWEEP_CORPUS[name]()
-        for c in cube_objects(D):
-            assert net_composite(D, c) == reference_net(D, c)
+        for c in enumerate_cubes(D):
+            assert D.tables.squares[net_composite(D, c)] == reference_net(D, c)
 
     # box-C2 has 6,144 composable pairs, all compared; xmod-C2 has 3,145,728,
     # of which every 1,021st (a prime stride, so every direction and face
