@@ -186,38 +186,25 @@ class InverseSemigroup:
         return tuple(s for s in self.elements if self.multiply(s, s) == s)
 
 
-def _left_products(G: FiniteGroupoid, arrows: list, arr_index: dict, tgt: list, seeds: list):
-    """t -> the codes g_i * t for every seed g_i, read off the left-translation columns.
-
-    col[a][i] = index of g_i(beta a) . a, or -1 off dom g_i; col[-1] is all -1.
-    The columns live only as long as the returned function.
-    """
-    columns = []
-    for a, b in enumerate(arrows):
-        y = tgt[a]
-        columns.append(tuple([
-            arr_index[G.comp[(arrows[g[y]], b)]] if g[y] >= 0 else -1 for g in seeds
-        ]))
-    columns.append((-1,) * len(seeds))
-    return lambda t: zip(*map(columns.__getitem__, t))
-
-
 def generate_semigroup(G: FiniteGroupoid, gens, max_elements: int | None = None) -> InverseSemigroup:
     """Close gens and their relative inverses under the * product.
 
     Left multiplication by the inverse-closed seed reaches every finite
-    product, so each element is multiplied once by every seed.  Raises
+    product; `core.closure` takes the seeds as generators greedily, so a
+    seed that the closure already holds is never multiplied.  Raises
     CapExceeded, an OverflowError, exactly when the closure exceeds
-    max_elements (used by tests to skip oversized corpus instances rather
-    than stall).
+    max_elements.
 
-    The closure runs on integer codes through `core.closure`.  With objects
-    and arrows numbered in repr order, a bisection s is the tuple c over
-    object positions with c[x] the arrow index of s(x), or -1 off the
-    domain, and (g_i * t)[x] = col[t[x]][i] for the columns of
-    `_left_products`.  Cost: |closure| * |seeds| products.  Memory: |seeds| * (|arrows| + 1) ints
-    for the columns plus one tuple of |objects| ints per element.  Codes
-    are decoded once, at the end; a generator's code decodes to it.
+    The closure runs on integer codes.  With objects and arrows numbered in
+    repr order, a bisection s is the tuple c over object positions with c[x]
+    the arrow index of s(x), or -1 off the domain, and (g * t)[x] =
+    table[t[x]][i] for the i-th generator g: table[a][i] is the index of
+    g(beta a) . a, or -1 off dom g, and the last row, for -1, is all -1.
+    Cost: |closure| * |generators| products, each element by each generator
+    once: in the backfill of a new generator for the elements closed before
+    it, in the walk for the rest.  Memory: (|arrows| + 1) * |generators| ints
+    (columns for generators only) plus one tuple of |objects| ints per
+    element.  Codes are decoded at the end, a generator's code to it.
     """
     objects = sorted(G.objects, key=repr)
     arrows = sorted(G.arrows, key=repr)
@@ -241,8 +228,15 @@ def generate_semigroup(G: FiniteGroupoid, gens, max_elements: int | None = None)
         return tuple(out)
 
     seeds = list(set(given).union(map(relative_inverse_code, given)))
-    # the helpers free the columns and the seen set before decoding starts
-    elements = closure(seeds, _left_products(G, arrows, arr_index, tgt, seeds), max_elements)
+    table = [[] for _ in range(len(arrows) + 1)]  # a column per generator, appended by adjoin
+
+    def adjoin(g):
+        col = [arr_index[G.comp[(arrows[g[y]], b)]] if g[y] >= 0 else -1 for b, y in zip(arrows, tgt)] + [-1]
+        for c, row in zip(col, table):
+            row.append(c)
+        return lambda t: tuple(map(col.__getitem__, t))
+
+    elements = closure(seeds, lambda t: zip(*map(table.__getitem__, t)), max_elements, adjoin)
 
     def decode(code):
         s = given.get(code)

@@ -63,23 +63,44 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def closure(seeds, products, max_elements: int | None = None) -> list:
+def closure(seeds, products, max_elements: int | None = None, adjoin=None) -> list:
     """Seeds, then every new element among products(t) of each element t, in order of discovery.
 
     The one closure loop of the package: semigroups of bisections, germs,
     open sets and subgroups differ only in their elements and products.
-    The cap is found during the walk, as the size cannot be known ahead: CapExceeded past max_elements.
+    With adjoin, seeds become generators greedily (the closure step of
+    Froidure and Pin): a seed the closure holds is skipped; adjoin(g) adds a
+    new one to those products(t) multiplies t by and returns t -> g * t,
+    taken with every element walked so far.  The set is the one all seeds
+    generate.  Seeds count too: CapExceeded past max_elements elements.
     """
-    seen = set(seeds)
-    elements = list(seeds)
-    for t in elements:  # grows as new products are appended
-        fresh = dict.fromkeys(itertools.filterfalse(seen.__contains__, products(t)))
+    if adjoin is None:
+        seen, elements = set(seeds), list(seeds)
+        batches = map(products, elements)  # map reads elements as they are appended
+    else:
+        seen, elements = set(), []
+        batches = _greedy_batches(seeds, products, adjoin, seen, elements)
+    is_seen = seen.__contains__
+    for batch in batches:
+        if max_elements is not None and len(seen) > max_elements:
+            break
+        fresh = dict.fromkeys(itertools.filterfalse(is_seen, batch))
         if fresh:
             seen.update(fresh)
-            if max_elements is not None and len(seen) > max_elements:
-                raise CapExceeded(f"semigroup closure exceeded {max_elements} elements")
             elements.extend(fresh)
+    if max_elements is not None and len(seen) > max_elements:
+        raise CapExceeded(f"semigroup closure exceeded {max_elements} elements")
     return elements
+
+
+def _greedy_batches(seeds, products, adjoin, seen, elements):
+    """`closure`'s batches with adjoin: each new generator with its products, then the walk of what they found."""
+    walked = 0
+    for g in seeds:
+        if g not in seen:
+            yield itertools.chain((g,), map(adjoin(g), elements[:walked]))
+            yield from map(products, itertools.islice(elements, walked, None))
+            walked = len(elements)
 
 
 def group_by(items, key) -> dict:

@@ -53,11 +53,11 @@ def canonical_dumps(doc) -> str:
 
 
 def _require(doc, key, kind, where, strings=False):
-    """doc[key], checked to be a `kind` (and, with `strings`, a list of strings)."""
+    """doc[key], checked to be a `kind`, where a JSON boolean is no int (and, with `strings`, a list of strings)."""
     if not isinstance(doc, dict) or key not in doc:
         raise SchemaError(f"{where}: missing field {key!r}")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (not isinstance(value, kind) or kind is int and isinstance(value, bool)):
         raise SchemaError(f"{where}: field {key!r} has wrong type")
     for i, v in enumerate(value if strings else ()):
         if not isinstance(v, str):
@@ -320,7 +320,7 @@ def cube_from_dict(doc: dict, catalogue: list[Square]) -> tuple:
     cube = []
     for name in _FACES:
         idx = _require(faces, name, int, "cube.faces")
-        if isinstance(idx, bool) or not 0 <= idx < len(catalogue):
+        if not 0 <= idx < len(catalogue):
             raise SchemaError(f"cube.faces.{name}: index {idx} out of range")
         cube.append(idx)
     return tuple(cube)

@@ -16,6 +16,9 @@ package, kept as a test oracle:
   each one filters all of U_h × U_g for composable pairs;
 - `reference_validate_groupoid` and `reference_validate_group` test
   associativity one triple at a time;
+- `reference_generate_semigroup` closes the bisection codes with every
+  element multiplied by every seed, through one left-translation column
+  per seed, instead of from a greedy generating set;
 - `reference_local_data_validate`, `reference_is_valid_bisection` and
   `reference_is_window_bisection` write each continuity test as its own
   loop over the minimal opens instead of calling `core.discontinuities`;
@@ -54,7 +57,7 @@ package, kept as a test oracle:
 
 import itertools
 
-from groupoidkit.bisections import compose_bisections, identity_bisection, relative_inverse
+from groupoidkit.bisections import LocalBisection, compose_bisections, identity_bisection, relative_inverse
 from groupoidkit.core import (
     FiniteTopology,
     ValidationReport,
@@ -425,6 +428,50 @@ def reference_is_window_bisection(D, s) -> bool:
         if not {m[q] for q in (T0.min_open[p] & s.domain)} <= TW.min_open[m[p]]:
             return False
     return True
+
+
+def reference_generate_semigroup(G, gens) -> tuple:
+    """The elements of `generate_semigroup(G, gens)`, closed on codes by multiplying every element by every seed."""
+    objects = sorted(G.objects, key=repr)
+    arrows = sorted(G.arrows, key=repr)
+    obj_index = {x: i for i, x in enumerate(objects)}
+    arr_index = {a: i for i, a in enumerate(arrows)}
+    tgt = [obj_index[G.tgt[a]] for a in arrows]
+    given = {}
+    for s in gens:
+        code = [-1] * len(objects)
+        for x, a in s.values:
+            code[obj_index[x]] = arr_index[a]
+        given.setdefault(tuple(code), s)
+    seeds = set(given)
+    for code in given:
+        inverse = [-1] * len(objects)
+        for a in code:
+            if a >= 0:
+                inverse[tgt[a]] = arr_index[G.inv[arrows[a]]]
+        seeds.add(tuple(inverse))
+    seeds = list(seeds)
+    # columns[a][i]: the index of seeds[i](beta a) . a, or -1 off its domain; the last column is for -1
+    columns = [
+        [arr_index[G.comp[(arrows[g[tgt[a]]], arrows[a])]] if g[tgt[a]] >= 0 else -1 for g in seeds]
+        for a in range(len(arrows))
+    ]
+    columns.append([-1] * len(seeds))
+    seen = set(seeds)
+    elements = list(seeds)
+    for t in elements:
+        for product in zip(*[columns[a] for a in t]):
+            if product not in seen:
+                seen.add(product)
+                elements.append(product)
+
+    def decode(code):
+        if code in given:
+            return given[code]
+        pairs = [(objects[x], arrows[a]) for x, a in enumerate(code) if a >= 0]
+        return LocalBisection(frozenset(p for p, _ in pairs), tuple(pairs))
+
+    return tuple(sorted(map(decode, elements), key=lambda s: (len(s.domain), s.values)))
 
 
 def reference_rewrite(rules, word):

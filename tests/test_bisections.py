@@ -32,11 +32,11 @@ from groupoidkit.bisections import (
     sections_over,
     w_bisections,
 )
-from groupoidkit.core import FiniteTopology, action_groupoid, cyclic_group, discrete_topology, pair_groupoid
+from groupoidkit.core import FiniteTopology, action_groupoid, closure, cyclic_group, discrete_topology, pair_groupoid
 from groupoidkit.errors import CapExceeded, GroupoidKitError, OutOfDomain
 from groupoidkit.holonomy import mobius_model
 from groupoidkit.presentations import local_data
-from reference_tables import reference_is_valid_bisection, reference_is_window_bisection
+from reference_tables import reference_generate_semigroup, reference_is_valid_bisection, reference_is_window_bisection
 
 
 def swap3_data():
@@ -319,6 +319,7 @@ SEMIGROUP_CORPUS = {
     "sierpinski": sierpinski_pair_data,
     "swap2-full": lambda: full_window(swap2_groupoid()),
     "swap3-full": swap3_data,
+    "pair4-full": lambda: full_window(pair_groupoid(list("abcd"))),
     "pair4-chain": lambda: chain_window(4),
     "pair5-chain": lambda: chain_window(5),
     "no-objects": lambda: full_window(pair_groupoid([])),
@@ -376,13 +377,45 @@ class TestSemigroupKernel:
         assert S.elements == expected
         assert inverse_semigroup_laws(S) == []
 
-    def test_generators_keep_their_objects(self):
-        D = chain_window(4)
+    @pytest.mark.parametrize("name", sorted(SEMIGROUP_CORPUS) + ["pair5-full"])
+    def test_corpus_matches_the_all_seeds_oracle(self, name):
+        # pair5-full, whose 1,546 seeds are all of I_5, is too large for the object-path reference
+        D = full_window(pair_groupoid(list("abcde"))) if name == "pair5-full" else SEMIGROUP_CORPUS[name]()
         gens = w_bisections(D)
-        by_value = {s: s for s in generate_semigroup(D.G, gens).elements}
-        assert all(by_value[s] is s for s in gens)
+        assert generate_semigroup(D.G, gens).elements == reference_generate_semigroup(D.G, gens)
 
-    @pytest.mark.parametrize("name", ["c8-window-2", "pair4-chain"])
+    @settings(max_examples=40, deadline=None)
+    @given(small_window_data(), st.randoms(use_true_random=False))
+    def test_greedy_closure_ignores_seed_order(self, D, rnd):
+        G = D.G
+        family = w_bisections(D)
+        seeds = list(dict.fromkeys(family + [relative_inverse(G, s) for s in family]))
+        expected = reference_closure(G, family)
+        for _ in range(3):
+            rnd.shuffle(seeds)
+            generators = []
+
+            def adjoin(g):
+                generators.append(g)
+                return lambda t: compose_bisections(G, g, t)
+
+            found = closure(seeds, lambda t: [compose_bisections(G, g, t) for g in generators], adjoin=adjoin)
+            assert len(found) == len(set(found))
+            assert tuple(sorted(found, key=lambda s: (len(s.domain), s.values))) == expected
+            assert set(closure(generators, lambda t: [compose_bisections(G, g, t) for g in generators])) == set(expected)
+            shuffled = family[:]
+            rnd.shuffle(shuffled)
+            assert generate_semigroup(G, shuffled).elements == expected
+
+    def test_generators_keep_their_objects(self):
+        # on pair4-full 9 of the 209 seeds become generators, so most are found as products
+        for name in ["pair4-chain", "pair4-full"]:
+            D = SEMIGROUP_CORPUS[name]()
+            gens = w_bisections(D)
+            by_value = {s: s for s in generate_semigroup(D.G, gens).elements}
+            assert all(by_value[s] is s for s in gens)
+
+    @pytest.mark.parametrize("name", ["c8-window-2", "pair4-chain", "pair4-full"])
     def test_cap_boundary(self, name):
         D = SEMIGROUP_CORPUS[name]()
         gens = w_bisections(D)

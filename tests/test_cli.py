@@ -484,14 +484,18 @@ class TestCube:
         assert code == 1
         assert "error" in results_of(out)
 
-    @pytest.mark.parametrize("top", [10_000, "0", True], ids=["out-of-range", "wrong-type", "bool"])
-    def test_bad_face_index_is_parse_error(self, capsys, tmp_path, top):
+    @pytest.mark.parametrize("top, message", [
+        (10_000, "cube.faces.top: index 10000 out of range"),
+        ("0", "cube.faces: field 'top' has wrong type"),
+        (True, "cube.faces: field 'top' has wrong type"),
+    ], ids=["out-of-range", "wrong-type", "bool"])
+    def test_bad_face_index_is_parse_error(self, capsys, tmp_path, top, message):
         bad = tmp_path / "bad-cube.json"
         bad.write_text(json.dumps({"faces": {"top": top, "bottom": 0, "left": 0, "right": 0, "front": 0, "back": 0}}))
         code, out, err = run(capsys, "cube", fx("box-c2.json"), str(bad))
         assert code == 2
         assert out == ""
-        assert err.startswith("parse error: cube.faces")
+        assert err == f"parse error: {message}\n"
 
 
 class TestVertexGroup:

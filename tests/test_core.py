@@ -18,6 +18,7 @@ from groupoidkit.core import (
     GroupoidMorphism,
     Violation,
     action_groupoid,
+    closure,
     components,
     cyclic_group,
     direct_product_group,
@@ -47,7 +48,7 @@ from groupoidkit.core import (
     validate_morphism,
     vertex_group,
 )
-from groupoidkit.errors import EmptyNotAllowed, NotComposable, UnknownObject, UnknownPoint
+from groupoidkit.errors import CapExceeded, EmptyNotAllowed, NotComposable, UnknownObject, UnknownPoint
 from groupoidkit.holonomy import mobius_model
 from groupoidkit.io import crossed_module_from_dict, groupoid_from_dict
 from reference_tables import (
@@ -564,6 +565,58 @@ class TestGroupBy:
         expected = list(self.reference(items, key).items())  # keys in order of first appearance
         assert list(group_by(items, key).items()) == expected
         assert list(group_by(iter(items), key).items()) == expected  # one pass over the items
+
+
+
+class TestClosure:
+    """The one closure loop, with fixed products and with a greedy generating set, against a fixpoint."""
+
+    @staticmethod
+    def compose(g, t):
+        return tuple(g[i] for i in t)
+
+    @classmethod
+    def reference(cls, seeds):
+        found = set(seeds)
+        while True:
+            more = {cls.compose(g, t) for g in seeds for t in found} - found
+            if not more:
+                return found
+            found |= more
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 3)] * 4), max_size=6))
+    def test_both_walks_match_the_fixpoint(self, seeds):
+        expected = self.reference(seeds)
+        generators = []
+
+        def adjoin(g):
+            generators.append(g)
+            return lambda t: self.compose(g, t)
+
+        def greedy(cap=None):
+            generators.clear()
+            return closure(seeds, lambda t: [self.compose(g, t) for g in generators], cap, adjoin)
+
+        def fixed(cap=None):
+            return closure(list(dict.fromkeys(seeds)), lambda t: [self.compose(g, t) for g in seeds], cap)
+
+        for walk in (fixed, greedy):
+            found = walk()
+            assert len(found) == len(set(found)) and set(found) == expected
+            assert len(walk(len(expected))) == len(expected)
+            if expected:
+                with pytest.raises(CapExceeded):
+                    walk(len(expected) - 1)
+        greedy()
+        assert self.reference(generators) == expected
+
+    def test_seeds_count_against_the_cap(self):
+        assert closure([1, 2, 3], lambda t: (), 3) == [1, 2, 3]
+        with pytest.raises(CapExceeded):
+            closure([1, 2, 3], lambda t: (), 2)
+        with pytest.raises(CapExceeded):
+            closure([1, 2, 3], lambda t: [], 2, lambda g: lambda t: t)
 
 
 def reference_validate(G):
