@@ -229,12 +229,14 @@ def generate_semigroup(G: FiniteGroupoid, gens, max_elements: int | None = None)
 
     seeds = list(set(given).union(map(relative_inverse_code, given)))
     table = [[] for _ in range(len(arrows) + 1)]  # a column per generator, appended by adjoin
+    walked = []
 
-    def adjoin(g):
+    def adjoin(g, fresh):
         col = [arr_index[G.comp[(arrows[g[y]], b)]] if g[y] >= 0 else -1 for b, y in zip(arrows, tgt)] + [-1]
         for c, row in zip(col, table):
             row.append(c)
-        return lambda t: tuple(map(col.__getitem__, t))
+        walked.extend(fresh)
+        return (tuple(map(col.__getitem__, t)) for t in walked)
 
     elements = closure(seeds, lambda t: zip(*map(table.__getitem__, t)), max_elements, adjoin)
 

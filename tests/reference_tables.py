@@ -15,7 +15,8 @@ package, kept as a test oracle:
 - `reference_continuity_witnesses` tests every composable pair, and for
   each one filters all of U_h × U_g for composable pairs;
 - `reference_validate_groupoid` and `reference_validate_group` test
-  associativity one triple at a time;
+  associativity one triple at a time, and report a `mul-domain` key the way
+  the package does;
 - `reference_generate_semigroup` closes the bisection codes with every
   element multiplied by every seed, through one left-translation column
   per seed, instead of from a greedy generating set;
@@ -53,6 +54,12 @@ package, kept as a test oracle:
 - `reference_indiscrete` and `reference_one_object_groupoid` build their
   tables by their own loops, and `reference_topology_from_opens`
   intersects the opens around each point itself.
+
+The column join of `core.associativity_failures`, which compares every
+composable pair, is not an oracle here: it is the package's own failure
+path, run only when Light's test on a generating set finds a failing
+middle arrow, to list the witnesses in order.  The triple loops above are
+the oracles for both paths.
 """
 
 import itertools
@@ -325,6 +332,10 @@ def reference_validate_group(K) -> ValidationReport:
     if K.identity not in eset:
         bad.append(Violation("identity-element", (K.identity,), "identity not an element"))
         return ValidationReport(tuple(bad))
+    pairs = set(itertools.product(elems, elems))
+    for key in K.mul:
+        if key not in pairs:
+            bad.append(Violation("mul-domain", key, "mul defined outside elements × elements"))
     for a in elems:
         for b in elems:
             if (a, b) not in K.mul or K.mul[(a, b)] not in eset:

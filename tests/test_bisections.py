@@ -393,11 +393,12 @@ class TestSemigroupKernel:
         expected = reference_closure(G, family)
         for _ in range(3):
             rnd.shuffle(seeds)
-            generators = []
+            generators, walked = [], []
 
-            def adjoin(g):
+            def adjoin(g, fresh):
                 generators.append(g)
-                return lambda t: compose_bisections(G, g, t)
+                walked.extend(fresh)
+                return [compose_bisections(G, g, t) for t in walked]
 
             found = closure(seeds, lambda t: [compose_bisections(G, g, t) for g in generators], adjoin=adjoin)
             assert len(found) == len(set(found))

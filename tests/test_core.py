@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import monodromy_corpus, small_targets
+from groupoidkit import core
 from groupoidkit.core import (
     FiniteGroup,
     FiniteGroupoid,
@@ -588,14 +589,16 @@ class TestClosure:
     @given(st.lists(st.tuples(*[st.integers(0, 3)] * 4), max_size=6))
     def test_both_walks_match_the_fixpoint(self, seeds):
         expected = self.reference(seeds)
-        generators = []
+        generators, walked = [], []
 
-        def adjoin(g):
+        def adjoin(g, fresh):
             generators.append(g)
-            return lambda t: self.compose(g, t)
+            walked.extend(fresh)
+            return [self.compose(g, t) for t in walked]
 
         def greedy(cap=None):
             generators.clear()
+            walked.clear()
             return closure(seeds, lambda t: [self.compose(g, t) for g in generators], cap, adjoin)
 
         def fixed(cap=None):
@@ -616,7 +619,7 @@ class TestClosure:
         with pytest.raises(CapExceeded):
             closure([1, 2, 3], lambda t: (), 2)
         with pytest.raises(CapExceeded):
-            closure([1, 2, 3], lambda t: [], 2, lambda g: lambda t: t)
+            closure([1, 2, 3], lambda t: [], 2, lambda g, walked: walked)
 
 
 def reference_validate(G):
@@ -817,6 +820,18 @@ class TestValidateGroupAgainstReference:
             rules.update(v.rule for v in got.violations)
         assert {"associativity", "inverse-law", "identity-law"} <= set(rules)
 
+    def test_mul_keys_outside_the_elements_are_reported(self):
+        # a key that is not a pair, or a pair with a non-element, is a mul-domain violation and stops the check
+        for extra in ["x", ("e", "z"), ("e", "e", "e")]:
+            K = FiniteGroup(("e",), {("e", "e"): "e", extra: "e"}, "e", {"e": "e"})
+            want = (Violation("mul-domain", extra, "mul defined outside elements × elements"),)
+            assert validate_group(K).violations == want
+            assert reference_validate_group(K).violations == want
+        K = cyclic_group(3)
+        broken = FiniteGroup(K.elements, {**K.mul, (0, 7): 0, (0, 0): 9}, K.identity, K.inv)
+        assert [v.rule for v in validate_group(broken).violations] == ["mul-domain", "closure"]
+        assert validate_group(broken) == reference_validate_group(broken)
+
     def test_duplicate_elements_stop_the_check(self):
         K = cyclic_group(3)
         twice = FiniteGroup(K.elements + (0,), K.mul, K.identity, K.inv)
@@ -849,6 +864,164 @@ class TestValidateColumns:
             rep = validate_groupoid(H)
             assert "associativity" in rep.rules()
             assert rep == reference_validate_groupoid(H)
+
+
+def light_verdict(G):
+    """Light's test on G's own greedy generating set: True iff it finds no failure."""
+    _, _, col, at = core._columns(G.arrows, G.src, G.tgt, G.comp)
+    return core._light(G.arrows, G.src, G.tgt, col, at)
+
+
+def generators(G):
+    """The greedy generating set that `associativity_failures` checks, as arrows."""
+    _, _, col, at = core._columns(G.arrows, G.src, G.tgt, G.comp)
+    return [G.arrows[h] for h in core._generators(G.arrows, G.src, G.tgt, col, at)]
+
+
+def light_corpus():
+    """The groupoids of tests/corpus.py, S3 and S4, each with the comp keys whose
+    composite has another arrow with the same endpoints."""
+    out = [(name, D.G) for name, D in monodromy_corpus()] + [(f"target-{name}", G) for name, G in small_targets()]
+    out += [("S3", one_object_groupoid(symmetric_group(3))), ("S4", one_object_groupoid(symmetric_group(4)))]
+    keyed = []
+    for name, G in out:
+        hom = group_by(G.arrows, lambda a: (G.src[a], G.tgt[a]))
+        keys = [(h, g) for h, g in sorted(G.comp) if len(hom[G.src[g], G.tgt[h]]) > 1]
+        if keys:
+            keyed.append((name, G, hom, keys))
+    return keyed
+
+
+LIGHT_CORPUS = light_corpus()
+
+
+def recompose(G, changes):
+    """G with comp[key] set to the arrow given for each key."""
+    return FiniteGroupoid(G.objects, G.arrows, G.src, G.tgt, G.id_of, G.inv, {**G.comp, **changes})
+
+
+@st.composite
+def damaged_tables(draw):
+    """A corpus groupoid with one or two composites replaced by another arrow
+    with the same endpoints, so that comp stays total and closed."""
+    _, G, hom, keys = draw(st.sampled_from(LIGHT_CORPUS))
+    changes = {}
+    for h, g in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2, unique=True)):
+        changes[h, g] = draw(st.sampled_from([a for a in hom[G.src[g], G.tgt[h]] if a != G.comp[h, g]]))
+    return recompose(G, changes)
+
+
+LIGHT_GROUPS = [symmetric_group(3), symmetric_group(4), direct_product_group(cyclic_group(2), symmetric_group(3))]
+
+
+@st.composite
+def damaged_groups(draw):
+    """S3, S4 or C2×S3 with one or two products replaced by another element."""
+    K = draw(st.sampled_from(LIGHT_GROUPS))
+    mul = dict(K.mul)
+    for key in draw(st.lists(st.sampled_from(sorted(K.mul, key=repr)), min_size=1, max_size=2, unique=True)):
+        mul[key] = draw(st.sampled_from([x for x in K.elements if x != K.mul[key]]))
+    return FiniteGroup(K.elements, mul, K.identity, K.inv)
+
+
+class TestLight:
+    """Light's test on a greedy generating set, against the triple-by-triple
+    oracles: the same reports, and a verdict that fails exactly when some
+    triple does."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(damaged_tables())
+    def test_damaged_tables(self, G):
+        want = reference_validate_groupoid(G)
+        assert validate_groupoid(G) == want
+        assert light_verdict(G) == ("associativity" not in want.rules())
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(damaged_groups())
+    def test_damaged_groups(self, K):
+        assert validate_group(K) == reference_validate_group(K)
+
+    def test_every_corpus_table_passes(self):
+        for name, G, _, _ in LIGHT_CORPUS:
+            assert light_verdict(G), name
+
+    def test_broken_assoc_fixture(self):
+        G = groupoid_from_dict(json.loads((FIXTURES / "broken-assoc.json").read_text()))
+        rep = validate_groupoid(G)
+        assert not light_verdict(G)
+        assert rep == reference_validate_groupoid(G)
+        assert [v.rule for v in rep.violations] == ["associativity"] * 15
+
+    def test_nonassociative_loop(self):
+        # the P of xmod-loop5 is a loop: identities and inverses hold, associativity does not
+        P = crossed_module_from_dict(json.loads((FIXTURES / "xmod-loop5.json").read_text())).P
+        rep = validate_group(P)
+        assert rep.rules() == {"associativity"} and rep == reference_validate_group(P)
+        one, comp = dict.fromkeys(P.elements, P.identity), {(b, a): ab for (a, b), ab in P.mul.items()}
+        assert not light_verdict(FiniteGroupoid(("o",), P.elements, one, one, {"o": P.identity}, P.inv, comp))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_damage_off_the_generators_is_caught_through_them(self, n):
+        # only composites h∘g with h outside A change, and A stays the same
+        G = one_object_groupoid(symmetric_group(n))
+        A = generators(G)
+        rng = random.Random(n)
+        others = [a for a in G.arrows if a not in A]
+        for _ in range(20):
+            h, g = rng.choice(others), rng.choice(G.arrows)
+            H = recompose(G, {(h, g): rng.choice([a for a in G.arrows if a != G.comp[h, g]])})
+            assert generators(H) == A
+            rep = validate_groupoid(H)
+            assert not light_verdict(H) and "associativity" in rep.rules()
+            assert rep == reference_validate_groupoid(H)
+
+
+def generating_set_corpus():
+    out = [pytest.param(G, id=name) for name, G, _, _ in light_corpus()]
+    out.append(pytest.param(one_object_groupoid(symmetric_group(5)), id="S5"))
+    out.append(pytest.param(mobius_model(16).G, id="mobius16"))
+    return out
+
+
+class TestGenerators:
+    """The greedy generating set A that Light's test reads."""
+
+    @staticmethod
+    def generated(G, A):
+        """The arrows that composites of arrows of A reach, by a search of its own."""
+        leaving = group_by(A, G.src.__getitem__)
+        found, frontier = set(A), list(A)
+        while frontier:
+            t = frontier.pop()
+            for a in leaving.get(G.tgt[t], ()):
+                if G.comp[a, t] not in found:
+                    found.add(G.comp[a, t])
+                    frontier.append(G.comp[a, t])
+        return found
+
+    @pytest.mark.parametrize("G", generating_set_corpus())
+    def test_generates_every_arrow_greedily(self, G):
+        A = generators(G)
+        assert self.generated(G, A) == set(G.arrows)
+        # each generator is the first arrow, in arrow order, that the ones before it miss
+        order = {a: i for i, a in enumerate(G.arrows)}
+        for i, a in enumerate(A):
+            before = self.generated(G, A[:i])
+            missed = [b for b in G.arrows if b not in before]
+            assert missed[0] == a and (i == 0 or order[A[i - 1]] < order[a])
+
+    @pytest.mark.parametrize("G", generating_set_corpus())
+    def test_light_pairs_never_exceed_the_join(self, G):
+        into = Counter(G.tgt.values())
+        light_pairs = sum(into[G.src[a]] for a in generators(G))
+        join_pairs = sum(1 for _ in G.composable_pairs())
+        assert light_pairs <= join_pairs
+
+    def test_sizes(self):
+        # S5 is generated by its four adjacent transpositions; the Möbius band needs many more
+        assert len(generators(one_object_groupoid(symmetric_group(5)))) == 4
+        G = mobius_model(16).G
+        assert len(generators(G)) < len(G.arrows) // 10
 
 
 def all_pairs(G, product):
