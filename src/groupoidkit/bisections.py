@@ -17,7 +17,6 @@ continuous.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product as iproduct
 
 from .core import (
     FiniteGroupoid,
@@ -137,16 +136,28 @@ def left_translate(G: FiniteGroupoid, s: LocalBisection, g):
 
 
 def sections_over(G: FiniteGroupoid, carriers, pool, accept) -> list[LocalBisection]:
-    """Every section of the source map over a carrier, valued in pool, that accept passes.
+    """Every section of the source map over a carrier, valued in pool, with
+    distinct targets, that accept passes.
 
-    Each section's domain is its carrier set itself, not a copy.
+    A section whose targets repeat is never a bisection, so it is never
+    built: each carrier's sections grow one point at a time, in repr point
+    order, and a partial section is dropped as soon as a target repeats.
+    The sections come in the order of `itertools.product` over the points'
+    arrows, less those with a repeated target.  Cost: per carrier, one tuple
+    per partial section with distinct targets, those over the points so far
+    held at once, and accept once per full section.  Each section's domain
+    is its carrier set itself, not a copy.
     """
+    tgt = G.tgt
     by_src = group_by(sorted(pool, key=repr), G.src.__getitem__)
     out = []
     for U in carriers:
-        pts = sorted(U, key=repr)
-        for choice in iproduct(*[by_src.get(p, ()) for p in pts]):
-            s = LocalBisection(U, tuple(zip(pts, choice)))
+        partial = [((), ())]  # (values so far, their targets)
+        for p in sorted(U, key=repr):
+            step = [(((p, a),), tgt[a]) for a in by_src.get(p, ())]
+            partial = [(values + pa, hit + (t,)) for values, hit in partial for pa, t in step if t not in hit]
+        for values, _ in partial:
+            s = LocalBisection(U, values)
             if accept(s):
                 out.append(s)
     return out
@@ -186,6 +197,41 @@ class InverseSemigroup:
         return tuple(s for s in self.elements if self.multiply(s, s) == s)
 
 
+class _Numbering:
+    """Objects and arrows numbered in repr order, and bisections coded on them.
+
+    The code of a bisection s is the tuple c over object positions with c[x]
+    the arrow index of s(x), or -1 off the domain; equal codes are equal
+    bisections.  `generate_semigroup` closes codes and
+    `inverse_semigroup_laws` checks them, both on this one numbering.
+    """
+
+    def __init__(self, G: FiniteGroupoid):
+        self.objects = sorted(G.objects, key=repr)
+        self.arrows = sorted(G.arrows, key=repr)
+        self.obj_index = {x: i for i, x in enumerate(self.objects)}
+        self.arr_index = {a: i for i, a in enumerate(self.arrows)}
+        self.tgt = [self.obj_index[G.tgt[a]] for a in self.arrows]
+        self.inv = [self.arr_index[G.inv[a]] for a in self.arrows]
+
+    def encode(self, s: LocalBisection) -> tuple:
+        code, obj_index, arr_index = [-1] * len(self.objects), self.obj_index, self.arr_index
+        for x, a in s.values:
+            code[obj_index[x]] = arr_index[a]
+        return tuple(code)
+
+    def decode(self, code) -> LocalBisection:
+        pairs = [(self.objects[x], self.arrows[a]) for x, a in enumerate(code) if a >= 0]
+        return LocalBisection(frozenset(p for p, _ in pairs), tuple(pairs))
+
+    def relative_inverse(self, code) -> tuple:
+        out, tgt, inv = [-1] * len(self.objects), self.tgt, self.inv
+        for a in code:
+            if a >= 0:
+                out[tgt[a]] = inv[a]
+        return tuple(out)
+
+
 def generate_semigroup(G: FiniteGroupoid, gens, max_elements: int | None = None) -> InverseSemigroup:
     """Close gens and their relative inverses under the * product.
 
@@ -195,9 +241,7 @@ def generate_semigroup(G: FiniteGroupoid, gens, max_elements: int | None = None)
     CapExceeded, an OverflowError, exactly when the closure exceeds
     max_elements.
 
-    The closure runs on integer codes.  With objects and arrows numbered in
-    repr order, a bisection s is the tuple c over object positions with c[x]
-    the arrow index of s(x), or -1 off the domain, and (g * t)[x] =
+    The closure runs on the codes of `_Numbering`, and (g * t)[x] =
     table[t[x]][i] for the i-th generator g: table[a][i] is the index of
     g(beta a) . a, or -1 off dom g, and the last row, for -1, is all -1.
     Cost: |closure| * |generators| products, each element by each generator
@@ -206,28 +250,13 @@ def generate_semigroup(G: FiniteGroupoid, gens, max_elements: int | None = None)
     (columns for generators only) plus one tuple of |objects| ints per
     element.  Codes are decoded at the end, a generator's code to it.
     """
-    objects = sorted(G.objects, key=repr)
-    arrows = sorted(G.arrows, key=repr)
-    obj_index = {x: i for i, x in enumerate(objects)}
-    arr_index = {a: i for i, a in enumerate(arrows)}
-    tgt = [obj_index[G.tgt[a]] for a in arrows]
-    inv = [arr_index[G.inv[a]] for a in arrows]
-
+    num = _Numbering(G)
+    arrows, arr_index, tgt = num.arrows, num.arr_index, num.tgt
     given: dict = {}  # code -> the caller's generator
     for s in gens:
-        code = [-1] * len(objects)
-        for x, a in s.values:
-            code[obj_index[x]] = arr_index[a]
-        given.setdefault(tuple(code), s)
+        given.setdefault(num.encode(s), s)
 
-    def relative_inverse_code(code):
-        out = [-1] * len(objects)
-        for a in code:
-            if a >= 0:
-                out[tgt[a]] = inv[a]
-        return tuple(out)
-
-    seeds = list(set(given).union(map(relative_inverse_code, given)))
+    seeds = list(set(given).union(map(num.relative_inverse, given)))
     table = [[] for _ in range(len(arrows) + 1)]  # a column per generator, appended by adjoin
     walked = []
 
@@ -239,31 +268,49 @@ def generate_semigroup(G: FiniteGroupoid, gens, max_elements: int | None = None)
         return (tuple(map(col.__getitem__, t)) for t in walked)
 
     elements = closure(seeds, lambda t: zip(*map(table.__getitem__, t)), max_elements, adjoin)
-
-    def decode(code):
-        s = given.get(code)
-        if s is None:
-            pairs = [(objects[x], arrows[a]) for x, a in enumerate(code) if a >= 0]
-            s = LocalBisection(frozenset(p for p, _ in pairs), tuple(pairs))
-        return s
-
-    out = sorted(map(decode, elements), key=lambda s: (len(s.domain), s.values))
+    decoded = [given.get(code) or num.decode(code) for code in elements]  # bisections are truthy
+    out = sorted(decoded, key=lambda s: (len(s.domain), s.values))
     return InverseSemigroup(G, tuple(out))
 
 
 def inverse_semigroup_laws(S: InverseSemigroup) -> list:
-    """Violations of s s' s = s, s' s s' = s', and commuting idempotents."""
+    """Violations of s s' s = s, s' s s' = s', and commuting idempotents.
+
+    Each element is encoded once by `_Numbering`, and a product is |objects|
+    lookups: (s * t)[x] = row[t[x]][s[beta t x]], where row[a] maps each
+    arrow h out of beta a to the index of h . a, and -1 to -1; the last row,
+    for -1, maps everything to -1.  Elements compare as codes, that is
+    extensionally.  The witnesses are the elements themselves:
+    ("ss's=s", s) and ("s'ss'=s'", s) in element order, then
+    ("idempotents-commute", (e, f)) over the pairs of idempotents in that
+    order.  Cost: 5 |elements| + 2 |idempotents|^2 products.  Memory: one
+    row entry per composable pair, 2 |arrows| + 1 more, and one code per
+    element.
+    """
+    G = S.groupoid
+    num = _Numbering(G)
+    arr_index = num.arr_index
+    row: list = [{-1: -1} for _ in num.arrows]
+    for (h, a), c in G.comp.items():
+        row[arr_index[a]][arr_index[h]] = arr_index[c]
+    row.append(dict.fromkeys(range(-1, len(num.arrows)), -1))
+    tgt = num.tgt + [0]  # any position serves -1, whose row is all -1
+
+    def mul(s, t):
+        return tuple([row[a][s[tgt[a]]] for a in t])
+
+    coded = [(s, num.encode(s)) for s in S.elements]
     bad = []
-    for s in S.elements:
-        sp = S.inverse(s)
-        if S.multiply(S.multiply(s, sp), s) != s:
+    for s, c in coded:
+        cp = num.relative_inverse(c)
+        if mul(mul(c, cp), c) != c:
             bad.append(("ss's=s", s))
-        if S.multiply(S.multiply(sp, s), sp) != sp:
+        if mul(mul(cp, c), cp) != cp:
             bad.append(("s'ss'=s'", s))
-    idem = S.idempotents()
-    for e in idem:
-        for f in idem:
-            if S.multiply(e, f) != S.multiply(f, e):
+    idem = [(s, c) for s, c in coded if mul(c, c) == c]
+    for e, ce in idem:
+        for f, cf in idem:
+            if mul(ce, cf) != mul(cf, ce):
                 bad.append(("idempotents-commute", (e, f)))
     return bad
 

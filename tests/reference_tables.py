@@ -20,6 +20,10 @@ package, kept as a test oracle:
 - `reference_generate_semigroup` closes the bisection codes with every
   element multiplied by every seed, through one left-translation column
   per seed, instead of from a greedy generating set;
+- `reference_sections_over` tries every section over each carrier, repeated
+  targets included, and leaves them all to accept;
+- `reference_inverse_semigroup_laws` composes bisection objects with
+  `compose_bisections`, one call per product, instead of codes;
 - `reference_local_data_validate`, `reference_is_valid_bisection` and
   `reference_is_window_bisection` write each continuity test as its own
   loop over the minimal opens instead of calling `core.discontinuities`;
@@ -439,6 +443,36 @@ def reference_is_window_bisection(D, s) -> bool:
         if not {m[q] for q in (T0.min_open[p] & s.domain)} <= TW.min_open[m[p]]:
             return False
     return True
+
+
+def reference_sections_over(G, carriers, pool, accept) -> list:
+    """Every section of the source map over a carrier, valued in pool, that accept passes, targets repeated or not."""
+    by_src = group_by(sorted(pool, key=repr), G.src.__getitem__)
+    out = []
+    for U in carriers:
+        pts = sorted(U, key=repr)
+        for choice in itertools.product(*[by_src.get(p, ()) for p in pts]):
+            s = LocalBisection(U, tuple(zip(pts, choice)))
+            if accept(s):
+                out.append(s)
+    return out
+
+
+def reference_inverse_semigroup_laws(S) -> list:
+    """`inverse_semigroup_laws` with every product a `compose_bisections` call on the elements themselves."""
+    bad = []
+    for s in S.elements:
+        sp = S.inverse(s)
+        if S.multiply(S.multiply(s, sp), s) != s:
+            bad.append(("ss's=s", s))
+        if S.multiply(S.multiply(sp, s), sp) != sp:
+            bad.append(("s'ss'=s'", s))
+    idem = S.idempotents()
+    for e in idem:
+        for f in idem:
+            if S.multiply(e, f) != S.multiply(f, e):
+                bad.append(("idempotents-commute", (e, f)))
+    return bad
 
 
 def reference_generate_semigroup(G, gens) -> tuple:

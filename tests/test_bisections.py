@@ -17,6 +17,7 @@ from corpus import (
 )
 from groupoidkit.bisections import (
     EMPTY_BISECTION,
+    InverseSemigroup,
     check_extendible,
     compose_bisections,
     generate_semigroup,
@@ -32,11 +33,25 @@ from groupoidkit.bisections import (
     sections_over,
     w_bisections,
 )
-from groupoidkit.core import FiniteTopology, action_groupoid, closure, cyclic_group, discrete_topology, pair_groupoid
+from groupoidkit.core import (
+    FiniteTopology,
+    action_groupoid,
+    closure,
+    cyclic_group,
+    discrete_topology,
+    group_by,
+    pair_groupoid,
+)
 from groupoidkit.errors import CapExceeded, GroupoidKitError, OutOfDomain
-from groupoidkit.holonomy import mobius_model
+from groupoidkit.holonomy import annulus_model, mobius_model
 from groupoidkit.presentations import local_data
-from reference_tables import reference_generate_semigroup, reference_is_valid_bisection, reference_is_window_bisection
+from reference_tables import (
+    reference_generate_semigroup,
+    reference_inverse_semigroup_laws,
+    reference_is_valid_bisection,
+    reference_is_window_bisection,
+    reference_sections_over,
+)
 
 
 def swap3_data():
@@ -375,7 +390,7 @@ class TestSemigroupKernel:
         expected = reference_closure(D.G, gens)
         S = generate_semigroup(D.G, gens)
         assert S.elements == expected
-        assert inverse_semigroup_laws(S) == []
+        assert inverse_semigroup_laws(S) == reference_inverse_semigroup_laws(S) == []
 
     @pytest.mark.parametrize("name", sorted(SEMIGROUP_CORPUS) + ["pair5-full"])
     def test_corpus_matches_the_all_seeds_oracle(self, name):
@@ -426,11 +441,52 @@ class TestSemigroupKernel:
             generate_semigroup(D.G, gens, max_elements=n - 1)
 
 
-def candidate_sections(G, pool):
-    """Every section of the source map over every set of objects, open or not, valued in pool."""
+def every_carrier(G):
+    """Every set of objects, open or not."""
     objects = sorted(G.objects, key=repr)
-    carriers = [frozenset(c) for k in range(len(objects) + 1) for c in combinations(objects, k)]
-    return sections_over(G, carriers, pool, lambda s: True)
+    return [frozenset(c) for k in range(len(objects) + 1) for c in combinations(objects, k)]
+
+
+def candidate_sections(G, pool):
+    """Every section of the source map over every set of objects, valued in pool, repeated targets included."""
+    return reference_sections_over(G, every_carrier(G), pool, lambda s: True)
+
+
+def distinct_targets(G, s):
+    targets = [G.tgt[a] for _, a in s.values]
+    return len(set(targets)) == len(targets)
+
+
+class TestSectionSearch:
+    """The pruned section search against every section, filtered to distinct targets."""
+
+    @staticmethod
+    def assert_matches_reference(G, carriers, pool):
+        carriers = list(carriers)
+        expected = [s for s in reference_sections_over(G, carriers, pool, lambda s: True) if distinct_targets(G, s)]
+        found = sections_over(G, carriers, pool, lambda s: True)
+        assert found == expected
+        assert [s.values for s in found] == [s.values for s in expected]  # the order of values too
+        assert all(any(s.domain is U for U in carriers) for s in found)
+
+    @pytest.mark.parametrize("name", sorted(SEMIGROUP_CORPUS))
+    def test_corpus_matches_reference(self, name):
+        D = SEMIGROUP_CORPUS[name]()
+        for carriers in (D.t_objects.opens(), every_carrier(D.G)):
+            for pool in (D.window, D.G.arrows):
+                self.assert_matches_reference(D.G, carriers, pool)
+
+    @pytest.mark.parametrize("model", [mobius_model, annulus_model])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_window_germ_bases_match_reference(self, model, n):
+        D = model(n)
+        self.assert_matches_reference(D.G, group_by(D.G.objects, D.t_objects.min_open.__getitem__), D.window)
+
+    def test_accept_sees_only_distinct_targets(self):
+        D = SEMIGROUP_CORPUS["pair4-full"]()
+        seen = []
+        sections_over(D.G, every_carrier(D.G), D.G.arrows, seen.append)
+        assert seen and all(distinct_targets(D.G, s) for s in seen)
 
 
 class TestBisectionContinuity:
@@ -460,7 +516,7 @@ class TestBisectionContinuity:
     def test_band_sample_matches_reference(self):
         # mobius(3) has a non-discrete object topology; a fixed sample of its window-valued sections over opens
         D = mobius_model(3)
-        sections = sections_over(D.G, D.t_objects.opens(), D.window, lambda s: True)
+        sections = reference_sections_over(D.G, D.t_objects.opens(), D.window, lambda s: True)
         sample = random.Random(0).sample(sections, 3000)
         verdicts = set()
         for s in sample:
@@ -469,3 +525,43 @@ class TestBisectionContinuity:
             assert window == reference_is_window_bisection(D, s)
             verdicts.add(window)
         assert verdicts == {True, False}
+
+
+def all_sections(G):
+    """Every section of the source map over every set of objects, repeated targets included."""
+    return tuple(reference_sections_over(G, every_carrier(G), G.arrows, lambda s: True))
+
+
+class TestLawsKernel:
+    """The laws on codes against `compose_bisections` on the elements themselves."""
+
+    @pytest.mark.parametrize("name", sorted(SEMIGROUP_CORPUS) + ["pair5-full"])
+    def test_corpus_matches_reference(self, name):
+        D = full_window(pair_groupoid(list("abcde"))) if name == "pair5-full" else SEMIGROUP_CORPUS[name]()
+        S = generate_semigroup(D.G, w_bisections(D))
+        assert inverse_semigroup_laws(S) == reference_inverse_semigroup_laws(S) == []
+
+    @pytest.mark.parametrize("points", ["ab", "abc"])
+    def test_every_violation_kind_matches_reference(self, points):
+        # On a source section s, s s' is the identity on the image, so the two inverse laws hold even when
+        # targets repeat: they fail only for values off the source section, like {a: id_b}.  Non-injective
+        # sections break the third law: on pair(2), {a: a>b, b: id_b} and {a: id_a, b: b>a} do not commute.
+        G = pair_groupoid(list(points))
+        off_section = [make_bisection({"a": "id:b"}), make_bisection({"b": "id:a"})]
+        S = InverseSemigroup(G, all_sections(G) + tuple(off_section))
+        laws = inverse_semigroup_laws(S)
+        assert laws == reference_inverse_semigroup_laws(S)
+        assert {kind for kind, _ in laws} == {"ss's=s", "s'ss'=s'", "idempotents-commute"}
+        assert [w for kind, w in laws if kind == "ss's=s"] == off_section
+        e, f = make_bisection({"a": "a>b", "b": "id:b"}), make_bisection({"a": "id:a", "b": "b>a"})
+        assert ("idempotents-commute", (e, f)) in laws
+
+    def test_laws_find_the_idempotents(self):
+        # every idempotent of pair(2) but the empty and the full identity fails to commute with another,
+        # so the commuting witnesses name exactly the idempotents the laws found
+        G = pair_groupoid(["a", "b"])
+        central = {EMPTY_BISECTION, identity_bisection(G, G.objects)}
+        S = InverseSemigroup(G, tuple(s for s in all_sections(G) if s not in central))
+        found = {e for kind, pair in inverse_semigroup_laws(S) if kind == "idempotents-commute" for e in pair}
+        assert len(S.idempotents()) > 2 and len(S.idempotents()) < len(S.elements)
+        assert found == set(S.idempotents())
