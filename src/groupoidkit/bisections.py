@@ -70,17 +70,14 @@ def identity_bisection(G: FiniteGroupoid, domain) -> LocalBisection:
 
 def is_valid_bisection(G: FiniteGroupoid, T0: FiniteTopology, s: LocalBisection) -> bool:
     """Open domain, source section, target shadow an open homeomorphism."""
-    m = s.as_dict()
     if not T0.is_open(s.domain):
         return False
-    for p, a in m.items():
+    for p, a in s.values:
         if G.src.get(a) != p:  # None for a non-arrow
             return False
-    beta = {p: G.tgt[a] for (p, a) in m.items()}
-    if len(set(beta.values())) != len(beta):
-        return False
+    beta = {p: G.tgt[a] for (p, a) in s.values}
     image = frozenset(beta.values())
-    if not T0.is_open(image):
+    if len(image) != len(beta) or not T0.is_open(image):
         return False
     # domain and image are open, so each minimal open around their points stays inside them
     inv_beta = {v: k for k, v in beta.items()}

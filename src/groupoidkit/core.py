@@ -24,6 +24,8 @@ from .errors import (
     UnknownPoint,
 )
 
+_MISSING = object()  # the validators' marker for a product missing from its table
+
 
 # ---------------------------------------------------------------------------
 # validation reports
@@ -182,34 +184,36 @@ class FiniteGroup:
 
 
 def validate_group(K: FiniteGroup) -> ValidationReport:
-    """Exhaustively check the group axioms, reporting every violation."""
+    """Exhaustively check the group axioms, reporting every violation.
+
+    As `validate_groupoid` on one object, a·b being b∘a: one walk over K.mul
+    checks closure and numbers a·b into col[a], b in element order.  Cost:
+    |K|² product reads and 4|K| for the laws, then `associativity_failures`.
+    """
     bad: list[Violation] = []
     elems = K.elements
-    eset = set(elems)
-    if len(eset) != len(elems):
+    num = {a: i for i, a in enumerate(elems)}
+    if len(num) != len(elems):
         return ValidationReport((Violation("distinct-elements", (), "duplicate elements"),))
-    if K.identity not in eset:
-        bad.append(Violation("identity-element", (K.identity,), "identity not an element"))
-        return ValidationReport(tuple(bad))
+    if K.identity not in num:
+        return ValidationReport((Violation("identity-element", (K.identity,), "identity not an element"),))
     for key in K.mul:  # a key that is not a pair of elements is reported, not unpacked
-        if not (isinstance(key, tuple) and len(key) == 2 and key[0] in eset and key[1] in eset):
+        if not (isinstance(key, tuple) and len(key) == 2 and key[0] in num and key[1] in num):
             bad.append(Violation("mul-domain", key, "mul defined outside elements × elements"))
-    for a in elems:
-        for b in elems:
-            if (a, b) not in K.mul or K.mul[(a, b)] not in eset:
-                bad.append(Violation("closure", (a, b), "product missing or outside group"))
+    col = [tuple([num.get(K.mul.get((a, b), _MISSING)) for b in elems]) for a in elems]
+    bad.extend(Violation("closure", (a, b), "product missing or outside group")
+               for a, column in zip(elems, col) for b, ab in zip(elems, column) if ab is None)
     if bad:
         return ValidationReport(tuple(bad))
     for a in elems:
         if K.mul[(K.identity, a)] != a or K.mul[(a, K.identity)] != a:
             bad.append(Violation("identity-law", (a,), "identity law fails"))
         ai = K.inv.get(a)
-        if ai not in eset or K.mul[(a, ai)] != K.identity or K.mul[(ai, a)] != K.identity:
+        if ai not in num or K.mul[(a, ai)] != K.identity or K.mul[(ai, a)] != K.identity:
             bad.append(Violation("inverse-law", (a,), "inverse law fails"))
-    # the elements as the arrows of one object, "a then b" composed as b∘a
-    one, comp = dict.fromkeys(elems, K.identity), {(b, a): ab for (a, b), ab in K.mul.items()}
+    one = dict.fromkeys(elems, K.identity)  # "a then b" composed as b∘a
     bad.extend(Violation("associativity", (a, b, c), "associativity fails")
-               for c, b, a in associativity_failures(elems, one, one, comp))
+               for c, b, a in associativity_failures(elems, one, one, {K.identity: elems}, col))
     return ValidationReport(tuple(bad))
 
 
@@ -373,75 +377,82 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     """Check every groupoid axiom on the tables; list all violations.
 
     The report is empty iff G is a groupoid.  Nothing raises here so that
-    deliberately broken tables can be diagnosed.
+    deliberately broken tables can be diagnosed.  One walk, g in arrow order
+    and then h in the star of tgt g, reads each comp entry once: it checks
+    totality, closure and endpoints, and numbers h∘g into the column col[g]
+    of `associativity_failures`.  Cost: one read per composable pair and four
+    per arrow for the identity and inverse laws, then `associativity_failures`.
     """
     bad: list[Violation] = []
-    arrows = G.arrows
-    aset = set(arrows)
+    arrows, src, tgt, comp = G.arrows, G.src, G.tgt, G.comp
+    num = {a: i for i, a in enumerate(arrows)}
     oset = set(G.objects)
-    if len(aset) != len(arrows):
+    if len(num) != len(arrows):
         bad.append(Violation("distinct-arrows", (), "duplicate arrow ids"))
     if len(oset) != len(G.objects):
         bad.append(Violation("distinct-objects", (), "duplicate object ids"))
     for a in arrows:
-        if G.src.get(a) not in oset or G.tgt.get(a) not in oset:
+        if src.get(a) not in oset or tgt.get(a) not in oset:
             bad.append(Violation("endpoints", (a,), "src/tgt missing or unknown"))
     if bad:
         return ValidationReport(tuple(bad))
     for x in G.objects:
         e = G.id_of.get(x)
-        if e not in aset:
+        if e not in num:
             bad.append(Violation("identity-exists", (x,), "no identity arrow"))
             continue
-        if G.src[e] != x or G.tgt[e] != x:
+        if src[e] != x or tgt[e] != x:
             bad.append(Violation("identity-endpoints", (x, e), "identity endpoints differ from its object"))
     for a in arrows:
         ai = G.inv.get(a)
-        if ai not in aset:
+        if ai not in num:
             bad.append(Violation("inverse-exists", (a,), "no inverse arrow"))
-    for key in G.comp:
+    for key in comp:
         # a key that is not a pair of arrows is reported, not unpacked
-        if not (isinstance(key, tuple) and len(key) == 2 and key[0] in aset and key[1] in aset
-                and G.tgt[key[1]] == G.src[key[0]]):
+        if not (isinstance(key, tuple) and len(key) == 2 and key[0] in num and key[1] in num
+                and tgt[key[1]] == src[key[0]]):
             bad.append(Violation("composition-domain", key, "comp defined on a non-composable pair"))
-    for (h, g) in G.composable_pairs():
-        if (h, g) not in G.comp:
-            bad.append(Violation("composition-total", (h, g), "composable pair missing from comp"))
-            continue
-        hg = G.comp[(h, g)]
-        if hg not in aset:
-            bad.append(Violation("composition-closure", (h, g), "composite is not an arrow"))
-            continue
-        if G.src[hg] != G.src[g] or G.tgt[hg] != G.tgt[h]:
-            bad.append(Violation("composition-endpoints", (h, g, hg), "composite endpoints wrong"))
+    stars, col = group_by(arrows, src.__getitem__), []
+    for g in arrows:
+        column, sg = [], src[g]
+        for h in stars.get(tgt[g], ()):
+            hg = comp.get((h, g), _MISSING)
+            i = num.get(hg)
+            if hg is _MISSING:
+                bad.append(Violation("composition-total", (h, g), "composable pair missing from comp"))
+            elif i is None:
+                bad.append(Violation("composition-closure", (h, g), "composite is not an arrow"))
+            elif src[hg] != sg or tgt[hg] != tgt[h]:
+                bad.append(Violation("composition-endpoints", (h, g, hg), "composite endpoints wrong"))
+            column.append(i)
+        col.append(tuple(column))
     if any(v.rule.startswith(("identity", "composition")) or v.rule == "inverse-exists" for v in bad):
         return ValidationReport(tuple(bad))
     for a in arrows:
-        ex, ey = G.id_of[G.src[a]], G.id_of[G.tgt[a]]
-        if G.comp[(a, ex)] != a:
+        ex, ey = G.id_of[src[a]], G.id_of[tgt[a]]
+        if comp[(a, ex)] != a:
             bad.append(Violation("right-identity", (a,), "a∘id != a"))
-        if G.comp[(ey, a)] != a:
+        if comp[(ey, a)] != a:
             bad.append(Violation("left-identity", (a,), "id∘a != a"))
         ai = G.inv[a]
-        if G.src[ai] != G.tgt[a] or G.tgt[ai] != G.src[a]:
+        if src[ai] != tgt[a] or tgt[ai] != src[a]:
             bad.append(Violation("inverse-endpoints", (a, ai), "inverse endpoints wrong"))
             continue
-        if G.comp[(ai, a)] != G.id_of[G.src[a]]:
+        if comp[(ai, a)] != G.id_of[src[a]]:
             bad.append(Violation("inverse-law", (a,), "inv(a)∘a != id(src a)"))
-        if G.comp[(a, ai)] != G.id_of[G.tgt[a]]:
+        if comp[(a, ai)] != G.id_of[tgt[a]]:
             bad.append(Violation("inverse-law", (a,), "a∘inv(a) != id(tgt a)"))
     bad.extend(Violation("associativity", kgh, "associativity fails")
-               for kgh in associativity_failures(arrows, G.src, G.tgt, G.comp))
+               for kgh in associativity_failures(arrows, src, tgt, stars, col))
     return ValidationReport(tuple(bad))
 
 
-def associativity_failures(arrows, src, tgt, comp):
+def associativity_failures(arrows, src, tgt, stars, col):
     """Each (k, h, g) with k∘(h∘g) != (k∘h)∘g: g in the order given, then h
-    and k in the order of their stars.  The arrows must be distinct, and comp
-    total and closed on the composable pairs.
+    and k in the order of stars[x], the arrows out of each x in that order.
+    The arrows must be distinct; col[a] numbers k∘a for k in the star of tgt a.
 
-    By columns of arrow numbers: col[a] lists k∘a for k out of tgt a, at[a]
-    places a in the star of src a.  For all k at once, k∘(h∘g) is col[h∘g]
+    With at[a] placing a in the star of src a, k∘(h∘g) is col[h∘g]
     and (k∘h)∘g is col[g] read at the places of col[h].  Light's test comes
     first: the middle arrows h for which the two agree with every g are
     closed under composition (without identities or associativity), so the
@@ -450,7 +461,8 @@ def associativity_failures(arrows, src, tgt, comp):
     when the table passes; the join's Σ_g |star tgt g| comparisons as well
     when it fails.
     """
-    stars, num, col, at = _columns(arrows, src, tgt, comp)
+    num = {a: i for i, a in enumerate(arrows)}
+    at = {num[a]: i for star in stars.values() for i, a in enumerate(star)}
     # finding A walks every arrow: measured, the test loses up to four columns per arrow and wins from six
     if sum(map(len, col)) > 4 * len(col) and _light(arrows, src, tgt, col, at):
         return
@@ -462,15 +474,6 @@ def associativity_failures(arrows, src, tgt, comp):
                 for k, x, y in zip(stars[tgt[h]], col[hg], right):
                     if x != y:
                         yield k, h, g
-
-
-def _columns(arrows, src, tgt, comp):
-    """`associativity_failures`' stars, arrow numbers, and col and at by arrow number."""
-    stars = group_by(arrows, src.__getitem__)
-    num = {a: i for i, a in enumerate(arrows)}
-    col = [tuple([num[comp[(k, a)]] for k in stars[tgt[a]]]) for a in arrows]
-    pos = {a: i for star in stars.values() for i, a in enumerate(star)}
-    return stars, num, col, list(map(pos.__getitem__, arrows))
 
 
 def _light(arrows, src, tgt, col, at) -> bool:

@@ -14,9 +14,10 @@ package, kept as a test oracle:
   image of every basic window open under every chart or germ;
 - `reference_continuity_witnesses` tests every composable pair, and for
   each one filters all of U_h × U_g for composable pairs;
-- `reference_validate_groupoid` and `reference_validate_group` test
-  associativity one triple at a time, and report a `mul-domain` key the way
-  the package does;
+- `reference_validate_groupoid` and `reference_validate_group` check
+  totality, closure and endpoints in a loop of their own, test
+  associativity one triple at a time, and report a `mul-domain` key the
+  way the package does;
 - `reference_generate_semigroup` closes the bisection codes with every
   element multiplied by every seed, through one left-translation column
   per seed, instead of from a greedy generating set;
@@ -62,8 +63,10 @@ package, kept as a test oracle:
 The column join of `core.associativity_failures`, which compares every
 composable pair, is not an oracle here: it is the package's own failure
 path, run only when Light's test on a generating set finds a failing
-middle arrow, to list the witnesses in order.  The triple loops above are
-the oracles for both paths.
+middle arrow, to list the witnesses in order.  Both read the columns that
+the validators build in the one walk that checks totality, closure and
+endpoints, reading each composite once (a group's straight from `mul`).
+The triple loops above are the oracles for both paths and for the walk.
 """
 
 import itertools

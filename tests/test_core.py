@@ -777,6 +777,19 @@ class TestValidateAgainstReference:
         order = {pair: i for i, pair in enumerate(G.composable_pairs())}
         assert [order[v.witness] for v in got] == sorted(order[v.witness] for v in got)
 
+    @pytest.mark.parametrize("none_at, dropped_at", [(1, 4), (4, 1)])
+    def test_none_composite_is_closure_and_a_missing_pair_is_total(self, none_at, dropped_at):
+        # a comp entry whose value is None is present: only an absent key is composition-total
+        G = pair_groupoid(["x", "y"])
+        pairs = list(G.composable_pairs())
+        comp = {**G.comp, pairs[none_at]: None}
+        del comp[pairs[dropped_at]]
+        H = FiniteGroupoid(G.objects, G.arrows, G.src, G.tgt, G.id_of, G.inv, comp)
+        rep = validate_groupoid(H)
+        want = sorted([("composition-closure", none_at), ("composition-total", dropped_at)], key=itemgetter(1))
+        assert [(v.rule, pairs.index(v.witness)) for v in rep.violations] == want
+        assert rep == reference_validate_groupoid(H)
+
     @settings(max_examples=150, deadline=None)
     @given(mutated_groupoids())
     def test_mutations(self, G):
@@ -832,6 +845,15 @@ class TestValidateGroupAgainstReference:
         assert [v.rule for v in validate_group(broken).violations] == ["mul-domain", "closure"]
         assert validate_group(broken) == reference_validate_group(broken)
 
+    @pytest.mark.parametrize("K, key", [
+        (FiniteGroup((0, 1, 2), {**cyclic_group(3).mul, (1, 2): None}, 0, cyclic_group(3).inv), (1, 2)),
+        (FiniteGroup((None, 1), {(None, None): None, (None, 1): 1, (1, None): 1}, None, {None: None, 1: 1}), (1, 1)),
+    ], ids=["product-none", "element-none"])
+    def test_none_is_a_value_not_a_missing_product(self, K, key):
+        want = (Violation("closure", key, "product missing or outside group"),)
+        assert validate_group(K).violations == want
+        assert validate_group(K) == reference_validate_group(K)
+
     def test_duplicate_elements_stop_the_check(self):
         K = cyclic_group(3)
         twice = FiniteGroup(K.elements + (0,), K.mul, K.identity, K.inv)
@@ -866,16 +888,23 @@ class TestValidateColumns:
             assert rep == reference_validate_groupoid(H)
 
 
+def columns(G):
+    """The col and at that `core.associativity_failures` reads, by arrow number:
+    col[a] numbers k∘a for k out of tgt a, at[a] places a in the star of src a."""
+    stars = group_by(G.arrows, G.src.__getitem__)
+    num = {a: i for i, a in enumerate(G.arrows)}
+    col = [tuple(num[G.comp[k, a]] for k in stars[G.tgt[a]]) for a in G.arrows]
+    return col, {num[a]: i for star in stars.values() for i, a in enumerate(star)}
+
+
 def light_verdict(G):
     """Light's test on G's own greedy generating set: True iff it finds no failure."""
-    _, _, col, at = core._columns(G.arrows, G.src, G.tgt, G.comp)
-    return core._light(G.arrows, G.src, G.tgt, col, at)
+    return core._light(G.arrows, G.src, G.tgt, *columns(G))
 
 
 def generators(G):
     """The greedy generating set that `associativity_failures` checks, as arrows."""
-    _, _, col, at = core._columns(G.arrows, G.src, G.tgt, G.comp)
-    return [G.arrows[h] for h in core._generators(G.arrows, G.src, G.tgt, col, at)]
+    return [G.arrows[h] for h in core._generators(G.arrows, G.src, G.tgt, *columns(G))]
 
 
 def light_corpus():
