@@ -76,26 +76,27 @@ def is_valid_bisection(G: FiniteGroupoid, T0: FiniteTopology, s: LocalBisection)
         if G.src.get(a) != p:  # None for a non-arrow
             return False
     beta = {p: G.tgt[a] for (p, a) in s.values}
-    image = frozenset(beta.values())
-    if len(image) != len(beta) or not T0.is_open(image):
-        return False
-    # domain and image are open, so each minimal open around their points stays inside them
-    inv_beta = {v: k for k, v in beta.items()}
-    return not any(
-        True
-        for f, points in ((beta, s.domain), (inv_beta, image))
-        for _ in discontinuities(f, points, T0.min_open, T0.min_open)
-    )
+    return len(set(beta.values())) == len(beta) and _open_homeomorphism(T0, beta)
 
 
 def is_window_bisection(D: LocalGroupoidData, s: LocalBisection) -> bool:
     """Member of the generating family: window values, window continuity."""
-    if not is_valid_bisection(D.G, D.t_objects, s):
-        return False
-    m = s.as_dict()
-    if not set(m.values()) <= D.window:
-        return False
-    return not any(True for _ in discontinuities(m, s.domain, D.t_objects.min_open, D.t_window.min_open))
+    m, valid = s.as_dict(), is_valid_bisection(D.G, D.t_objects, s)
+    return valid and set(m.values()) <= D.window and _continuous(m, D.t_objects, D.t_window)
+
+
+def _open_homeomorphism(T0: FiniteTopology, beta: dict) -> bool:
+    """Whether beta, injective on an open set of T0, is a homeomorphism onto an open image.
+
+    The one image test of the predicates and the search.
+    """
+    inv_beta = {v: k for k, v in beta.items()}
+    return T0.is_open(inv_beta) and _continuous(beta, T0, T0) and _continuous(inv_beta, T0, T0)
+
+
+def _continuous(f: dict, T: FiniteTopology, T_image: FiniteTopology) -> bool:
+    """Whether f, a map on an open set of T, is continuous into T_image."""
+    return next(discontinuities(f, f, T.min_open, T_image.min_open), None) is None
 
 
 def compose_bisections(G: FiniteGroupoid, s: LocalBisection, t: LocalBisection) -> LocalBisection:
@@ -132,43 +133,44 @@ def left_translate(G: FiniteGroupoid, s: LocalBisection, g):
 # ---------------------------------------------------------------------------
 
 
-def sections_over(G: FiniteGroupoid, carriers, pool, accept) -> list[LocalBisection]:
-    """Every section of the source map over a carrier, valued in pool, with
-    distinct targets, that accept passes.
+def sections_over(G: FiniteGroupoid, T0: FiniteTopology, carriers, pool, t_window=None) -> list[LocalBisection]:
+    """The local bisections of G over T0 on the carriers, which must be open,
+    valued in pool and, given t_window, continuous into it.
 
-    A section whose targets repeat is never a bisection, so it is never
-    built: each carrier's sections grow one point at a time, in repr point
-    order, and a partial section is dropped as soon as a target repeats.
-    The sections come in the order of `itertools.product` over the points'
-    arrows, less those with a repeated target.  Cost: per carrier, one tuple
-    per partial section with distinct targets, those over the points so far
-    held at once, and accept once per full section.  Each section's domain
-    is its carrier set itself, not a copy.
+    Only source sections valued in pool are built, one point at a time in
+    repr point order, and a partial section is dropped at its first repeated
+    target.  So a full section is tested only for an open image, a shadow
+    homeomorphic onto it and, given t_window, window continuity.  Bisections
+    come in `itertools.product` order over the points' arrows, each on its
+    carrier set itself.  Cost: per carrier, one tuple per partial section
+    with distinct targets, and per full section the image test and one walk
+    of its minimal opens per continuity test.
     """
     tgt = G.tgt
     by_src = group_by(sorted(pool, key=repr), G.src.__getitem__)
     out = []
     for U in carriers:
+        points = sorted(U, key=repr)
         partial = [((), ())]  # (values so far, their targets)
-        for p in sorted(U, key=repr):
+        for p in points:
             step = [(((p, a),), tgt[a]) for a in by_src.get(p, ())]
             partial = [(values + pa, hit + (t,)) for values, hit in partial for pa, t in step if t not in hit]
-        for values, _ in partial:
-            s = LocalBisection(U, values)
-            if accept(s):
-                out.append(s)
+        for values, hit in partial:
+            if _open_homeomorphism(T0, dict(zip(points, hit))):
+                if t_window is None or _continuous(dict(values), T0, t_window):
+                    out.append(LocalBisection(U, values))
     return out
 
 
 def local_bisections(G: FiniteGroupoid, T0: FiniteTopology) -> list[LocalBisection]:
     """All local bisections of G over T0 (small instances only)."""
-    out = sections_over(G, T0.opens(), G.arrows, lambda s: is_valid_bisection(G, T0, s))
+    out = sections_over(G, T0, T0.opens(), G.arrows)
     return sorted(out, key=lambda s: (len(s.domain), s.values))
 
 
 def w_bisections(D: LocalGroupoidData) -> list[LocalBisection]:
     """All window-valued continuous local bisections (the local procedures)."""
-    out = sections_over(D.G, D.t_objects.opens(), D.window, lambda s: is_window_bisection(D, s))
+    out = sections_over(D.G, D.t_objects, D.t_objects.opens(), D.window, D.t_window)
     return sorted(out, key=lambda s: (len(s.domain), s.values))
 
 
@@ -195,21 +197,31 @@ class InverseSemigroup:
 
 
 class _Numbering:
-    """Objects and arrows numbered in repr order, and bisections coded on them.
+    """Objects and arrows numbered in repr order, bisections coded on them, and their one product.
 
-    The code of a bisection s is the tuple c over object positions with c[x]
-    the arrow index of s(x), or -1 off the domain; equal codes are equal
-    bisections.  `generate_semigroup` closes codes and
-    `inverse_semigroup_laws` checks them, both on this one numbering.
+    A code c has c[x] the arrow index of s(x), or -1 off the domain.  `mul`
+    gives (s * t)[x] = row[t[x]][s[beta t x]]: row[a] maps each arrow h out
+    of beta a to the index of h . a and -1 to -1, and row[-1] is all -1.
+    Memory: one row entry per composable pair, and 2 |arrows| + 1 more.
     """
 
     def __init__(self, G: FiniteGroupoid):
         self.objects = sorted(G.objects, key=repr)
         self.arrows = sorted(G.arrows, key=repr)
         self.obj_index = {x: i for i, x in enumerate(self.objects)}
-        self.arr_index = {a: i for i, a in enumerate(self.arrows)}
+        self.arr_index = arr_index = {a: i for i, a in enumerate(self.arrows)}
         self.tgt = [self.obj_index[G.tgt[a]] for a in self.arrows]
-        self.inv = [self.arr_index[G.inv[a]] for a in self.arrows]
+        self.inv = [arr_index[G.inv[a]] for a in self.arrows]
+        row: list = [{-1: -1} for _ in self.arrows]
+        for (h, a), c in G.comp.items():
+            row[arr_index[a]][arr_index[h]] = arr_index[c]
+        row.append(dict.fromkeys(range(-1, len(self.arrows)), -1))
+        tgt = self.tgt + [0]  # any position serves -1, whose row is all -1
+
+        def mul(s, t) -> tuple:
+            return tuple([row[a][s[tgt[a]]] for a in t])
+
+        self.mul = mul
 
     def encode(self, s: LocalBisection) -> tuple:
         code, obj_index, arr_index = [-1] * len(self.objects), self.obj_index, self.arr_index
@@ -239,26 +251,26 @@ def generate_semigroup(G: FiniteGroupoid, gens, max_elements: int | None = None)
     max_elements.
 
     The closure runs on the codes of `_Numbering`, and (g * t)[x] =
-    table[t[x]][i] for the i-th generator g: table[a][i] is the index of
-    g(beta a) . a, or -1 off dom g, and the last row, for -1, is all -1.
-    Cost: |closure| * |generators| products, each element by each generator
-    once: in the backfill of a new generator for the elements closed before
-    it, in the walk for the rest.  Memory: (|arrows| + 1) * |generators| ints
-    (columns for generators only) plus one tuple of |objects| ints per
-    element.  Codes are decoded at the end, a generator's code to it.
+    table[t[x]][i] for the i-th generator g: its column, the product of g
+    with the code of every arrow, then -1 for -1.  Cost: |closure| *
+    |generators| products, each element by each generator once: in the
+    backfill of a new generator for the elements closed before it, in the
+    walk for the rest.  Memory: (|arrows| + 1) * |generators| ints (columns
+    for generators only) plus one tuple of |objects| ints per element.
+    Codes are decoded at the end, a generator's code to it.
     """
     num = _Numbering(G)
-    arrows, arr_index, tgt = num.arrows, num.arr_index, num.tgt
+    mul, every_arrow = num.mul, range(len(num.arrows))
     given: dict = {}  # code -> the caller's generator
     for s in gens:
         given.setdefault(num.encode(s), s)
 
     seeds = list(set(given).union(map(num.relative_inverse, given)))
-    table = [[] for _ in range(len(arrows) + 1)]  # a column per generator, appended by adjoin
+    table = [[] for _ in range(len(num.arrows) + 1)]  # a column per generator, appended by adjoin
     walked = []
 
     def adjoin(g, fresh):
-        col = [arr_index[G.comp[(arrows[g[y]], b)]] if g[y] >= 0 else -1 for b, y in zip(arrows, tgt)] + [-1]
+        col = [*mul(g, every_arrow), -1]  # a list: its __getitem__ is the faster to map
         for c, row in zip(col, table):
             row.append(c)
         walked.extend(fresh)
@@ -273,29 +285,16 @@ def generate_semigroup(G: FiniteGroupoid, gens, max_elements: int | None = None)
 def inverse_semigroup_laws(S: InverseSemigroup) -> list:
     """Violations of s s' s = s, s' s s' = s', and commuting idempotents.
 
-    Each element is encoded once by `_Numbering`, and a product is |objects|
-    lookups: (s * t)[x] = row[t[x]][s[beta t x]], where row[a] maps each
-    arrow h out of beta a to the index of h . a, and -1 to -1; the last row,
-    for -1, maps everything to -1.  Elements compare as codes, that is
-    extensionally.  The witnesses are the elements themselves:
-    ("ss's=s", s) and ("s'ss'=s'", s) in element order, then
-    ("idempotents-commute", (e, f)) over the pairs of idempotents in that
-    order.  Cost: 5 |elements| + 2 |idempotents|^2 products.  Memory: one
-    row entry per composable pair, 2 |arrows| + 1 more, and one code per
-    element.
+    Each element is encoded once, and multiplied as a code by the product
+    of `_Numbering`; elements compare as codes, that is extensionally.  The
+    witnesses are the elements themselves: ("ss's=s", s) and ("s'ss'=s'",
+    s) in element order, then ("idempotents-commute", (e, f)) over the
+    pairs of idempotents in that order.  Cost: 5 |elements| + 2
+    |idempotents|^2 products, each |objects| lookups.  Memory: the
+    numbering's, and one code per element.
     """
-    G = S.groupoid
-    num = _Numbering(G)
-    arr_index = num.arr_index
-    row: list = [{-1: -1} for _ in num.arrows]
-    for (h, a), c in G.comp.items():
-        row[arr_index[a]][arr_index[h]] = arr_index[c]
-    row.append(dict.fromkeys(range(-1, len(num.arrows)), -1))
-    tgt = num.tgt + [0]  # any position serves -1, whose row is all -1
-
-    def mul(s, t):
-        return tuple([row[a][s[tgt[a]]] for a in t])
-
+    num = _Numbering(S.groupoid)
+    mul = num.mul
     coded = [(s, num.encode(s)) for s in S.elements]
     bad = []
     for s, c in coded:

@@ -789,10 +789,8 @@ class FiniteTopology:
             raise UnknownPoint(f"unknown point {x!r}") from None
 
     def is_open(self, U) -> bool:
-        U = frozenset(U)
-        if not U <= set(self.points):
-            return False
-        return all(self.min_open[x] <= U for x in U)
+        U, min_open = frozenset(U), self.min_open  # min_open's keys are the points
+        return all(x in min_open and min_open[x] <= U for x in U)
 
     def base(self) -> tuple[frozenset, ...]:
         return tuple(sorted(set(self.min_open.values()), key=lambda s: (len(s), sorted(map(repr, s)))))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
-from .bisections import LocalBisection, is_window_bisection, sections_over
+from .bisections import LocalBisection, sections_over
 from .core import closure, group_by
 from .errors import OutOfDomain
 from .presentations import LocalGroupoidData
@@ -64,7 +64,7 @@ def window_germs(D: LocalGroupoidData) -> tuple[Germ, ...]:
     """
     T0 = D.t_objects
     bases = group_by(D.G.objects, T0.min_open.__getitem__)  # minimal open -> the points it is minimal around
-    sections = sections_over(D.G, bases, D.window, lambda s: is_window_bisection(D, s))
+    sections = sections_over(D.G, T0, bases, D.window, D.t_window)
     out = [Germ(T0.min_open[x], s.values, x) for s in sections for x in bases[s.domain]]
     return tuple(sorted(out, key=lambda g: (repr(g.base), g.values)))
 

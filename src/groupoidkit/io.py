@@ -168,7 +168,7 @@ def local_data_from_dict(doc: dict, G: FiniteGroupoid | None = None) -> LocalGro
     t_w = topology_from_dict(_require(doc, "topology_w", dict, "local data"), "topology_w")
     t_obj = None
     if "topology_objects" in doc:
-        t_obj = topology_from_dict(doc["topology_objects"], "topology_objects")
+        t_obj = topology_from_dict(_require(doc, "topology_objects", dict, "local data"), "topology_objects")
     return local_data(G, window, t_w, t_obj)
 
 

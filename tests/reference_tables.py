@@ -22,7 +22,10 @@ package, kept as a test oracle:
   element multiplied by every seed, through one left-translation column
   per seed, instead of from a greedy generating set;
 - `reference_sections_over` tries every section over each carrier, repeated
-  targets included, and leaves them all to accept;
+  targets included, and leaves them all to accept; filtered by
+  `reference_is_valid_bisection` or `reference_is_window_bisection`, it is
+  the oracle of the section search, which tests only what it does not build
+  in;
 - `reference_inverse_semigroup_laws` composes bisection objects with
   `compose_bisections`, one call per product, instead of codes;
 - `reference_local_data_validate`, `reference_is_valid_bisection` and

@@ -452,41 +452,73 @@ def candidate_sections(G, pool):
     return reference_sections_over(G, every_carrier(G), pool, lambda s: True)
 
 
-def distinct_targets(G, s):
-    targets = [G.tgt[a] for _, a in s.values]
-    return len(set(targets)) == len(targets)
+def inverse_shadow_space():
+    """pair(u, v, x, y) with x and y isolated and u < v.
+
+    x -> u, y -> v is a continuous shadow with a discontinuous inverse.
+    """
+    G = pair_groupoid(["u", "v", "x", "y"])
+    mins = {"u": {"u"}, "v": {"u", "v"}, "x": {"x"}, "y": {"y"}}
+    return G, FiniteTopology(("u", "v", "x", "y"), {p: frozenset(U) for p, U in mins.items()})
+
+
+def window_continuity_data():
+    """C2 acting trivially on a and b, with id:b near id:a and every other window point isolated.
+
+    So b lies in the minimal open of a, and {a: g:1@a, b: id:b} is a local
+    bisection (its shadow is the identity) that is not continuous into the window.
+    """
+    G = action_groupoid(cyclic_group(2), ["a", "b"], {(k, p): p for k in range(2) for p in "ab"})
+    mins = {"g:1@a": {"g:1@a"}, "g:1@b": {"g:1@b"}, "id:a": {"id:a", "id:b"}, "id:b": {"id:b"}}
+    return local_data(G, G.arrows, FiniteTopology(tuple(mins), {w: frozenset(U) for w, U in mins.items()}))
 
 
 class TestSectionSearch:
-    """The pruned section search against every section, filtered to distinct targets."""
+    """The section search against every section filtered by the reference predicates, in order."""
 
     @staticmethod
-    def assert_matches_reference(G, carriers, pool):
+    def assert_matches_reference(G, T0, carriers, pool, D=None):
         carriers = list(carriers)
-        expected = [s for s in reference_sections_over(G, carriers, pool, lambda s: True) if distinct_targets(G, s)]
-        found = sections_over(G, carriers, pool, lambda s: True)
+        if D is None:
+            found = sections_over(G, T0, carriers, pool)
+            expected = reference_sections_over(G, carriers, pool, lambda s: reference_is_valid_bisection(G, T0, s))
+        else:
+            found = sections_over(G, T0, carriers, pool, D.t_window)
+            expected = reference_sections_over(G, carriers, pool, lambda s: reference_is_window_bisection(D, s))
         assert found == expected
         assert [s.values for s in found] == [s.values for s in expected]  # the order of values too
         assert all(any(s.domain is U for U in carriers) for s in found)
+        return found
 
     @pytest.mark.parametrize("name", sorted(SEMIGROUP_CORPUS))
     def test_corpus_matches_reference(self, name):
         D = SEMIGROUP_CORPUS[name]()
-        for carriers in (D.t_objects.opens(), every_carrier(D.G)):
-            for pool in (D.window, D.G.arrows):
-                self.assert_matches_reference(D.G, carriers, pool)
+        G, T0 = D.G, D.t_objects
+        self.assert_matches_reference(G, T0, T0.opens(), D.window, D)
+        self.assert_matches_reference(G, T0, T0.opens(), D.window)
+        self.assert_matches_reference(G, T0, T0.opens(), G.arrows)
 
     @pytest.mark.parametrize("model", [mobius_model, annulus_model])
     @pytest.mark.parametrize("n", [3, 5])
     def test_window_germ_bases_match_reference(self, model, n):
         D = model(n)
-        self.assert_matches_reference(D.G, group_by(D.G.objects, D.t_objects.min_open.__getitem__), D.window)
+        bases = group_by(D.G.objects, D.t_objects.min_open.__getitem__)
+        self.assert_matches_reference(D.G, D.t_objects, bases, D.window, D)
+        self.assert_matches_reference(D.G, D.t_objects, bases, D.window)
 
-    def test_accept_sees_only_distinct_targets(self):
-        D = SEMIGROUP_CORPUS["pair4-full"]()
-        seen = []
-        sections_over(D.G, every_carrier(D.G), D.G.arrows, seen.append)
-        assert seen and all(distinct_targets(D.G, s) for s in seen)
+    def test_inverse_shadow_and_image_tested(self):
+        G, T0 = inverse_shadow_space()
+        found = self.assert_matches_reference(G, T0, T0.opens(), G.arrows)
+        assert make_bisection({"x": "x>u", "y": "y>v"}) not in found  # discontinuous inverse shadow
+        assert make_bisection({"x": "x>v"}) not in found  # open domain, image {v} not open
+        assert make_bisection({"x": "x>u"}) in found
+
+    def test_window_continuity_tested(self):
+        D = window_continuity_data()
+        G, T0 = D.G, D.t_objects
+        s = make_bisection({"a": "g:1@a", "b": "id:b"})
+        assert s in self.assert_matches_reference(G, T0, T0.opens(), D.window)
+        assert s not in self.assert_matches_reference(G, T0, T0.opens(), D.window, D)
 
 
 class TestBisectionContinuity:
@@ -505,10 +537,7 @@ class TestBisectionContinuity:
         assert verdicts == {True, False} or name == "no-objects"
 
     def test_discontinuous_inverse_shadow_matches_reference(self):
-        # x and y are isolated and u < v: x -> u, y -> v has a continuous shadow with a discontinuous inverse
-        G = pair_groupoid(["u", "v", "x", "y"])
-        mins = {"u": {"u"}, "v": {"u", "v"}, "x": {"x"}, "y": {"y"}}
-        T0 = FiniteTopology(("u", "v", "x", "y"), {p: frozenset(U) for p, U in mins.items()})
+        G, T0 = inverse_shadow_space()
         assert not is_valid_bisection(G, T0, make_bisection({"x": "x>u", "y": "y>v"}))
         for s in candidate_sections(G, G.arrows):
             assert is_valid_bisection(G, T0, s) == reference_is_valid_bisection(G, T0, s)

@@ -379,6 +379,16 @@ class TestLocalDataValidatedAtLoad:
             1, "", "error: not a groupoid: composition-total('g:1', 'g:1'): composable pair missing from comp\n"
         )
 
+    @pytest.mark.parametrize("command", ["holonomy", "extendible", "monodromy"])
+    def test_numeric_object_topology_is_a_wrong_type(self, capsys, tmp_path, command):
+        doc = json.loads((FIXTURES / "mobius3.json").read_text())
+        doc["topology_objects"] = 5
+        path = tmp_path / "mobius3-numeric-topology.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, command, str(path)) == (
+            2, "", "parse error: local data: field 'topology_objects' has wrong type\n"
+        )
+
 
 class TestDouble:
     def test_box_c2_interchange(self, capsys):

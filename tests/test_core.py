@@ -267,6 +267,12 @@ class TestTopology:
         with pytest.raises(UnknownPoint):
             minimal_open(T, "zz")
 
+    def test_set_with_an_outside_point_is_not_open(self):
+        T = topology_from_opens(["a", "b"], [[], ["a"], ["a", "b"]])
+        assert T.is_open({"a"}) and T.is_open([]) and T.is_open(("a", "b"))
+        assert not T.is_open({"b"})
+        assert not T.is_open({"zz"}) and not T.is_open({"a", "zz"}) and not T.is_open({"a", "b", "zz"})
+
     def test_closure_violation_rejected(self):
         with pytest.raises(UnknownPoint):
             topology_from_opens(["a", "b", "c"], [[], ["a"], ["b"], ["a", "b", "c"]])
