@@ -2,12 +2,14 @@
 
 The germ groupoid J of a window has one arrow per germ of an iterated local
 procedure; its subgroupoid J0 holds the germs that are still local: the
-identity-valued loops among the window germs.  (Without the identity-value condition the projection onto the
-ambient groupoid would not be constant on quotient classes; the literal
-variant is available behind a flag and its failures are reported, not
-raised.)  The holonomy groupoid is the quotient J/J0; the window embeds in
-it and charts transport the window topology onto it.
-J is built from the window germs' closure alone, on its germ codes.
+identity-valued loops among the window germs.  J0 is checked to be a wide,
+normal subgroupoid, and the holonomy groupoid is the quotient J/J0: J's
+tables pushed through the coset map.  The window embeds in it and charts
+transport the window topology onto it.  J is built from the window germs'
+closure alone, on its germ codes.  The literal J0 variant, behind a flag,
+drops the identity-value condition: a J0 that is then not closed under
+composition is refused, and a projection onto the ambient groupoid that is
+not constant on quotient classes is reported, not raised.
 
 The band models shadow the foliation of a band by circles: each of n cells
 carries a three point transversal (an open point on each side of a closed
@@ -28,7 +30,6 @@ from .core import (
     FiniteGroupoid,
     FiniteTopology,
     ValidationReport,
-    composable,
     continuity_witnesses,
     equivalence_groupoid,
     group_by,
@@ -102,7 +103,7 @@ def germ_groupoid(D: LocalGroupoidData) -> GermGroupoid:
 
 
 # ---------------------------------------------------------------------------
-# J0 and its normality
+# J0, checked to be a wide normal subgroupoid
 # ---------------------------------------------------------------------------
 
 
@@ -112,11 +113,13 @@ class LocalitySubgroupoid:
     arrows: frozenset  # arrow ids of J in J0
     wide: bool
     normal: bool
-    witnesses: tuple
+    witnesses: tuple  # (a, d, a d a^-1) outside J0
+    closed: bool
+    closure_witnesses: tuple  # (d, e, d e) outside J0
 
     @property
     def ok(self) -> bool:
-        return self.wide and self.normal
+        return self.wide and self.normal and self.closed
 
 
 def j0(J: GermGroupoid, value_normalised: bool = True) -> LocalitySubgroupoid:
@@ -125,8 +128,12 @@ def j0(J: GermGroupoid, value_normalised: bool = True) -> LocalitySubgroupoid:
     Membership: a loop germ (target equals base) that is one of the window
     germs, the window-valued and window-continuous sections over the minimal
     open at its base; with ``value_normalised`` (the default) the value at
-    the base must be the identity arrow.  The report checks wideness and
-    stability under conjugation exhaustively.
+    the base must be the identity arrow.  The report checks wideness,
+    closure under composition and stability under conjugation exhaustively,
+    listing the failing triples in J arrow order.  Closure under inverses
+    follows: in a finite groupoid some power of each loop is its inverse.
+    Cost: one comp read per pair of J0 loops at a base, and two per J arrow
+    and J0 loop at its source.
     """
     G, K, window = J.data.G, J.groupoid, set(J.generator_germs)
     loops = [
@@ -136,12 +143,14 @@ def j0(J: GermGroupoid, value_normalised: bool = True) -> LocalitySubgroupoid:
     members = frozenset(loops)
     wide = all(K.id_of[x] in members for x in K.objects)
     loops_at = group_by(loops, K.src.__getitem__)
+    unclosed = [
+        (d, e, de) for d in loops for e in loops_at[K.src[d]] for de in [K.comp[(d, e)]] if de not in members
+    ]
     witnesses = [
         (a, d, conj) for a in K.arrows for d in loops_at.get(K.src[a], ())
         for conj in [K.comp[(K.comp[(a, d)], K.inv[a])]] if conj not in members
     ]
-    normal = not witnesses
-    return LocalitySubgroupoid(J, members, wide, normal, tuple(witnesses))
+    return LocalitySubgroupoid(J, members, wide, not witnesses, tuple(witnesses), not unclosed, tuple(unclosed))
 
 
 # ---------------------------------------------------------------------------
@@ -187,28 +196,37 @@ class HolonomyGroupoid:
 def holonomy_groupoid(J: GermGroupoid, J0: LocalitySubgroupoid) -> HolonomyGroupoid:
     """Quotient of the germ groupoid by the locality subgroupoid.
 
-    A projection that is not constant on a class (possible only for the
+    A J0 that is not a wide normal subgroupoid is refused with
+    `WellDefinednessFailure`; one that is not closed is named by its first
+    failing pair.  The cosets of such a J0 partition J, so they sort as their
+    least members do: each is named h<i> in that order, and src, tgt,
+    id_of, inv and comp are J's tables pushed through `coset_of`.  A
+    projection that is not constant on a class (possible only for the
     literal J0 variant) is recorded in ``projection_constant`` and
-    ``projection_witness``, not raised.
+    ``projection_witness``, not raised.  Cost: one comp read per J arrow
+    and J0 loop at its source, then one pass over each of J's tables.
     """
     D = J.data
     K = J.groupoid
-    if not J0.ok:
+    if not (J0.wide and J0.normal):
         raise WellDefinednessFailure("J0 is not a wide normal subgroupoid; cannot form the quotient")
+    if not J0.closed:
+        d, e, de = J0.closure_witnesses[0]
+        raise WellDefinednessFailure(
+            f"J0 is not closed under composition: {d!r} after {e!r} is {de!r}; cannot form the quotient")
     loops_at = group_by(J0.arrows, K.src.__getitem__)
-    coset_key = {a: frozenset([K.comp[(a, d)] for d in loops_at.get(K.src[a], ())]) for a in K.arrows}
-    classes = sorted(set(coset_key.values()), key=sorted)
-    name = {cls: f"h{i}" for i, cls in enumerate(classes)}
-    coset_of = {a: name[coset_key[a]] for a in K.arrows}
-    members = {name[cls]: cls for cls in classes}
+    least = {a: min([K.comp[(a, d)] for d in loops_at[K.src[a]]]) for a in K.arrows}
+    name = {m: f"h{i}" for i, m in enumerate(sorted(set(least.values())))}
+    coset_of = {a: name[least[a]] for a in K.arrows}
+    # K.arrows is in repr order, which orders the j<i> names as min does, so members lists h0, h1, ... in turn
+    members = {h: frozenset(cls) for h, cls in group_by(K.arrows, coset_of.__getitem__).items()}
 
     arrows = sorted(members)
-    rep = {h: next(iter(members[h])) for h in arrows}
-    src = {h: K.src[rep[h]] for h in arrows}
-    tgt = {h: K.tgt[rep[h]] for h in arrows}
-    id_of = {x: coset_of[K.id_of[x]] for x in K.objects}
-    inv = {h: coset_of[K.inv[rep[h]]] for h in arrows}
-    comp = {(h, g): coset_of[K.comp[(rep[h], rep[g])]] for h, g in composable(arrows, src, tgt)}
+    src = {coset_of[a]: x for a, x in K.src.items()}
+    tgt = {coset_of[a]: y for a, y in K.tgt.items()}
+    id_of = {x: coset_of[a] for x, a in K.id_of.items()}
+    inv = {coset_of[a]: coset_of[b] for a, b in K.inv.items()}
+    comp = {(coset_of[h], coset_of[g]): coset_of[hg] for (h, g), hg in K.comp.items()}
     groupoid = make_groupoid(K.objects, arrows, src, tgt, id_of, inv, comp)
 
     # the projection should be constant on classes; the first class where it is not is the witness
@@ -230,20 +248,8 @@ def holonomy_groupoid(J: GermGroupoid, J0: LocalitySubgroupoid) -> HolonomyGroup
         embedding[w] = sorted(cosets)[0]
     injective = len(set(embedding.values())) == len(embedding)
 
-    return HolonomyGroupoid(
-        D,
-        J,
-        J0,
-        groupoid,
-        coset_of,
-        members,
-        projection,
-        embedding,
-        witness is None,
-        witness,
-        well_defined,
-        injective,
-    )
+    return HolonomyGroupoid(D, J, J0, groupoid, coset_of, members, projection, embedding,
+                            witness is None, witness, well_defined, injective)
 
 
 def holonomy_pipeline(D: LocalGroupoidData) -> HolonomyGroupoid:

@@ -10,6 +10,9 @@ package, kept as a test oracle:
   germs with `compose_bisections` and names the product by its germ;
 - `reference_chart` composes each restriction of s with every window germ
   through each window arrow;
+- `reference_holonomy_groupoid` names each class of J/J0 by its sorted coset
+  and builds the quotient's tables from one arbitrary representative per
+  class, composing every composable pair of the quotient;
 - `reference_holonomy_topology` and `reference_check_extendible` take the
   image of every basic window open under every chart or germ;
 - `reference_continuity_witnesses` tests every composable pair, and for
@@ -73,6 +76,7 @@ The triple loops above are the oracles for both paths and for the walk.
 """
 
 import itertools
+from operator import attrgetter
 
 from groupoidkit.bisections import LocalBisection, compose_bisections, identity_bisection, relative_inverse
 from groupoidkit.core import (
@@ -96,7 +100,7 @@ from groupoidkit.errors import (
     WellDefinednessFailure,
 )
 from groupoidkit.germs import germ, germ_closure, germ_target, window_germs
-from groupoidkit.holonomy import GermGroupoid
+from groupoidkit.holonomy import GermGroupoid, HolonomyGroupoid
 from groupoidkit.presentations import (
     PairRewriting,
     Word,
@@ -192,6 +196,48 @@ def reference_chart(hol, s_germ) -> dict:
             raise WellDefinednessFailure(f"chart value at {w!r} depends on the bisection choice")
         out[w] = values.pop()
     return out
+
+
+def reference_holonomy_groupoid(J, J0) -> HolonomyGroupoid:
+    """J/J0 with the cosets as frozensets and each table read at a representative."""
+    D = J.data
+    K = J.groupoid
+    if not J0.ok:
+        raise WellDefinednessFailure("J0 is not a wide normal subgroupoid; cannot form the quotient")
+    loops_at = group_by(J0.arrows, K.src.__getitem__)
+    coset_key = {a: frozenset([K.comp[(a, d)] for d in loops_at.get(K.src[a], ())]) for a in K.arrows}
+    classes = sorted(set(coset_key.values()), key=sorted)
+    name = {cls: f"h{i}" for i, cls in enumerate(classes)}
+    coset_of = {a: name[coset_key[a]] for a in K.arrows}
+    members = {name[cls]: cls for cls in classes}
+
+    arrows = sorted(members)
+    rep = {h: next(iter(members[h])) for h in arrows}
+    src = {h: K.src[rep[h]] for h in arrows}
+    tgt = {h: K.tgt[rep[h]] for h in arrows}
+    id_of = {x: coset_of[K.id_of[x]] for x in K.objects}
+    inv = {h: coset_of[K.inv[rep[h]]] for h in arrows}
+    comp = {(h, g): coset_of[K.comp[(rep[h], rep[g])]] for h, g in composable(arrows, src, tgt)}
+    groupoid = make_groupoid(K.objects, arrows, src, tgt, id_of, inv, comp)
+
+    values = {h: {J.germ_of_arrow[a].value for a in members[h]} for h in arrows}
+    projection = {h: min(vs, key=repr) for h, vs in values.items()}
+    witness = next(((h, frozenset(vs)) for h, vs in values.items() if len(vs) > 1), None)
+
+    gen_by_value = group_by(J.generator_germs, attrgetter("base", "value"))
+    embedding = {}
+    well_defined = True
+    for w in sorted(D.window, key=repr):
+        through = gen_by_value.get((D.G.src[w], w), [])
+        if not through:
+            raise NotSectionable(f"no window bisection through {w!r}")
+        cosets = {coset_of[J.arrow_of_germ[g]] for g in through}
+        if len(cosets) != 1:
+            well_defined = False
+        embedding[w] = sorted(cosets)[0]
+    injective = len(set(embedding.values())) == len(embedding)
+    return HolonomyGroupoid(D, J, J0, groupoid, coset_of, members, projection, embedding,
+                            witness is None, witness, well_defined, injective)
 
 
 def reference_holonomy_subbase(hol) -> set:

@@ -275,6 +275,13 @@ class TestHolonomy:
         assert res["projection_constant"] is False
         assert res["well_definedness_witness"] is not None
 
+    def test_literal_j0_that_is_not_closed_is_refused(self, capsys, tmp_path):
+        target = tmp_path / "hol.dot"
+        assert run(capsys, "holonomy", fx("c4-window.json"), "--paper-literal-j0", "--emit-dot", str(target)) == (
+            3, "", "diagnostic: J0 is not closed under composition: 'j0' after 'j0' is 'j1'; cannot form the quotient\n"
+        )
+        assert not target.exists()
+
     def test_window_arrow_without_a_bisection_is_refused(self, capsys):
         assert run(capsys, "holonomy", fx("sierpinski.json")) == (
             1, "", "error: no window bisection through 'a>b'\n"

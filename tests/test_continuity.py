@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from corpus import monodromy_corpus, small_targets
 from groupoidkit.bisections import check_extendible
 from groupoidkit.core import FiniteGroupoid, continuity_witnesses, topology_from_subbase
-from groupoidkit.errors import NotSectionable
+from groupoidkit.errors import NotSectionable, WellDefinednessFailure
 from groupoidkit.holonomy import (
     annulus_model,
     germ_groupoid,
@@ -46,7 +46,7 @@ def checked_topologies(D):
     for value_normalised in (True, False):
         try:
             hol = holonomy_groupoid(J, j0(J, value_normalised))
-        except NotSectionable:
+        except (NotSectionable, WellDefinednessFailure):
             continue
         out.append((hol.groupoid, holonomy_topology(hol)[0]))
     out.append((D.G, check_extendible(D).topology))
@@ -73,7 +73,10 @@ def test_fixtures_match_reference():
         found[name] = [witnesses(G, T) for G, T in checked_topologies(D)]
     # sierpinski.json has no holonomy quotient; its ambient witness is the one the CLI pins
     assert found["sierpinski.json"] == [(None, ("a>b", "b>a", "a>b", "id:a"))]
-    assert all(len(f) == 3 for name, f in found.items() if name != "sierpinski.json")
+    # c4-window.json's literal J0 is not closed, so only its normalised J0 has a quotient
+    assert {name: len(f) for name, f in found.items()} == {
+        "annulus3.json": 3, "c4-window.json": 2, "full-window.json": 3, "mobius3.json": 3, "sierpinski.json": 1,
+    }
 
 
 CORPUS = [D.G for _, D in monodromy_corpus()] + [G for _, G in small_targets()]

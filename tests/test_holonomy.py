@@ -1,5 +1,8 @@
 """Germ groupoids, J0, holonomy quotients, charts, and the band models."""
 
+import json
+import pathlib
+
 import pytest
 
 import holonomy_oracle as oracle
@@ -7,6 +10,7 @@ from corpus import (
     cyclic_window,
     full_window,
     identity_window,
+    monodromy_corpus,
     sierpinski_pair_data,
     swap3_groupoid,
 )
@@ -29,6 +33,7 @@ from groupoidkit.errors import (
     NotFiniteOnInstance,
     OutOfDomain,
     TooSmall,
+    WellDefinednessFailure,
 )
 from groupoidkit.germs import germ, germ_target
 from groupoidkit.holonomy import (
@@ -43,6 +48,7 @@ from groupoidkit.holonomy import (
     monodromy_pair,
     projection_continuous,
 )
+from groupoidkit.io import local_data_from_dict
 
 
 def swap3_data():
@@ -168,10 +174,26 @@ class TestJ0:
         assert g.value == "id:c0"  # identity value, yet not window-local
 
     def test_normality_exhaustive_on_corpus(self):
-        for D in (swap3_data(), cyclic_window(4, 1), mobius_model(3), annulus_model(3)):
+        band = [m(n) for m in (mobius_model, annulus_model) for n in (3, 5, 8)]
+        for D in (swap3_data(), *(D for _, D in monodromy_corpus()), *band):
             J = germ_groupoid(D)
             N = j0(J)
-            assert N.wide and N.normal
+            assert N.wide and N.normal and N.closed and N.ok
+            assert N.witnesses == N.closure_witnesses == ()
+
+    def test_literal_j0_on_c4_window_is_not_closed(self):
+        fixture = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "c4-window.json"
+        J = germ_groupoid(local_data_from_dict(json.loads(fixture.read_text())))
+        literal = j0(J, value_normalised=False)
+        assert literal.wide and literal.normal and not literal.closed and not literal.ok
+        # j0 is the window germ through g:1, whose square j1 (through g:2) is no window germ
+        assert literal.closure_witnesses[0] == ("j0", "j0", "j1")
+        assert (J.germ_of_arrow["j0"].value, J.germ_of_arrow["j1"].value) == ("g:1", "g:2")
+        with pytest.raises(WellDefinednessFailure) as refused:
+            holonomy_groupoid(J, literal)
+        assert str(refused.value) == (
+            "J0 is not closed under composition: 'j0' after 'j0' is 'j1'; cannot form the quotient"
+        )
 
 
 class TestHolonomyQuotient:

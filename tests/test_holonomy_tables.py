@@ -3,12 +3,16 @@
 import dataclasses
 import gc
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import weakref
 
 import pytest
 
-from corpus import cyclic_window, full_window, klein_window, sierpinski_pair_data, swap3_groupoid
+from corpus import cyclic_window, full_window, klein_window, monodromy_corpus, sierpinski_pair_data, swap3_groupoid
+import groupoidkit
 from groupoidkit import bisections, germs, holonomy
 from groupoidkit.bisections import check_extendible, generate_semigroup, identity_bisection, w_bisections
 from groupoidkit.core import FiniteTopology, closure, cyclic_group, disjoint_union, one_object_groupoid
@@ -33,6 +37,7 @@ from reference_tables import (
     reference_extendible_subbase,
     reference_germ_closure,
     reference_germ_groupoid_from_closure,
+    reference_holonomy_groupoid,
     reference_holonomy_subbase,
     reference_holonomy_topology,
     reference_is_window_bisection,
@@ -341,3 +346,89 @@ def test_kept_tables_are_freed_with_the_window():
     finally:
         gc.enable()
     assert ext.closure_germs == germ_closure(mobius_model(3))[1]  # the result outlives its window
+
+
+# ---------------------------------------------------------------------------
+# J/J0: J's tables pushed through the coset map
+# ---------------------------------------------------------------------------
+
+# the band models, every local-data fixture with a quotient, and the monodromy corpus (swap3-full among it)
+QUOTIENT_CORPUS = {
+    **{f"{m.__name__.split('_')[0]}({n})": (lambda m=m, n=n: m(n))
+       for m in (mobius_model, annulus_model) for n in (3, 5, 8)},
+    **{f"{name}.json": fixture_data(f"{name}.json")
+       for name in ("annulus3", "c4-window", "c6-window-2", "full-window", "mobius3")},
+    **{name: (lambda D=D: D) for name, D in monodromy_corpus()},
+}
+# where the literal J0 holds a loop d with d∘d, or a product of two loops, outside J0
+LITERAL_J0_NOT_CLOSED = {
+    "c4-window.json", "c6-window-2.json", "c4-window-1", "c6-window-1", "c6-window-2",
+    "c8-window-1", "c8-window-2", "klein-window", "s3-transpositions",
+}
+
+
+def quotient_fields(hol):
+    """What the quotient reads: class orders as lists, the five tables as dicts."""
+    K = hol.groupoid
+    return (list(hol.coset_of.items()), list(hol.members.items()), K.objects, K.arrows,
+            K.src, K.tgt, K.id_of, K.inv, K.comp, list(hol.projection.items()), hol.projection_witness,
+            list(hol.embedding.items()), hol.projection_constant, hol.embedding_well_defined, hol.embedding_injective)
+
+
+@pytest.mark.parametrize("value_normalised", [True, False], ids=["normalised", "literal"])
+@pytest.mark.parametrize("name", sorted(QUOTIENT_CORPUS))
+def test_quotient_matches_reference(name, value_normalised):
+    J = germ_groupoid(QUOTIENT_CORPUS[name]())
+    N = j0(J, value_normalised)
+    assert N.closed == (value_normalised or name not in LITERAL_J0_NOT_CLOSED)
+    if not N.closed:
+        d, e, de = N.closure_witnesses[0]
+        with pytest.raises(WellDefinednessFailure) as refused:
+            holonomy_groupoid(J, N)
+        assert str(refused.value) == (
+            f"J0 is not closed under composition: {d!r} after {e!r} is {de!r}; cannot form the quotient")
+        return
+    hol = holonomy_groupoid(J, N)
+    assert quotient_fields(hol) == quotient_fields(reference_holonomy_groupoid(J, N))
+    # each class is named in the order of its least member
+    assert [min(cls) for cls in hol.members.values()] == sorted(min(cls) for cls in hol.members.values())
+
+
+QUOTIENT_DIGEST = """
+import hashlib, json, pathlib, sys
+from groupoidkit.cli import _load_local_data
+from groupoidkit.errors import GroupoidKitError
+from groupoidkit.holonomy import germ_groupoid, holonomy_groupoid, j0
+
+digest = hashlib.sha256()
+for path in sorted(pathlib.Path(sys.argv[1]).glob("*.json")):
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError:
+        continue
+    if not isinstance(doc, dict) or "window" not in doc:
+        continue
+    for value_normalised in (True, False):
+        try:
+            J = germ_groupoid(_load_local_data(doc))
+            hol = holonomy_groupoid(J, j0(J, value_normalised))
+            K = hol.groupoid
+            seen = [sorted(table.items()) for table in (hol.coset_of, K.src, K.tgt, K.id_of, K.inv, K.comp)]
+        except GroupoidKitError as refused:
+            seen = f"{type(refused).__name__}: {refused}"
+        digest.update(repr((path.name, value_normalised, seen)).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_quotient_tables_independent_of_hash_seed():
+    # a J0 that is not closed gives overlapping classes, whose tables would
+    # follow the set order of whichever member stood for its class
+    src = str(pathlib.Path(groupoidkit.__file__).resolve().parent.parent)
+    digests = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", QUOTIENT_DIGEST, str(FIXTURES)],
+                              capture_output=True, text=True, env=env, check=True, timeout=120)
+        digests.add(proc.stdout)
+    assert len(digests) == 1
