@@ -19,6 +19,8 @@ from .errors import (
     CapExceeded,
     EmptyNotAllowed,
     InvalidMorphism,
+    NotAGroupoid,
+    NotAPartition,
     NotComposable,
     UnknownObject,
     UnknownPoint,
@@ -586,22 +588,51 @@ def unique_lifting_holds(p: GroupoidMorphism) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _groupoid_of_cells(units: dict, cells, name, ends, inverse, compose) -> FiniteGroupoid:
+    """The one table builder of the constructions: each arrow is a hashable cell, named name(c).
+
+    ends(c) is its (source, target), inverse(c) and compose(h, g) (h after
+    g) are listed cells, and units maps each object, in order, to its unit
+    cell.  src, tgt and inv follow cell order, id_of object order and comp
+    `composable`, so no insertion order follows the hash seed.  Two cells
+    with one name raise NotAGroupoid naming the first.  Cost: one name call
+    per cell and one compose call per composable pair.  The germ groupoid J
+    fills its comp from whole columns of `germs.left_translations` (its fast
+    path), and the holonomy quotient pushes J's tables through `coset_of`:
+    neither composes pair by pair, so neither is built here.
+    """
+    cells = list(cells)
+    arrows = list(map(name, cells))
+    cell_of, named = dict(zip(arrows, cells)), dict(zip(cells, arrows))
+    if len(cell_of) != len(cells):
+        shared = next(a for a, n in Counter(arrows).items() if n > 1)
+        raise NotAGroupoid(f"two arrows are named {shared!r}")
+    src, tgt = {}, {}
+    for a, c in zip(arrows, cells):
+        src[a], tgt[a] = ends(c)
+    inv = {a: named[inverse(c)] for a, c in zip(arrows, cells)}
+    id_of = {x: named[u] for x, u in units.items()}
+    comp = {(h, g): named[compose(cell_of[h], cell_of[g])] for h, g in composable(arrows, src, tgt)}
+    return make_groupoid(units, arrows, src, tgt, id_of, inv, comp)
+
+
 def indiscrete(n: int) -> FiniteGroupoid:
     """Exactly one arrow between each ordered pair of the objects 0..n-1."""
     if n < 1:
         raise EmptyNotAllowed("indiscrete needs n >= 1")
     objects = [str(i) for i in range(n)]
-    return _pairs_groupoid(objects, [objects], lambda i, j: f"id:{i}" if i == j else f"a:{i}->{j}")
+    return _pairs_groupoid(objects, [objects], lambda c: f"id:{c[0]}" if c[0] == c[1] else f"a:{c[0]}->{c[1]}")
 
 
 def one_object_groupoid(K: FiniteGroup) -> FiniteGroupoid:
     """The group K as a groupoid on one object ``o``: K acting on one point.
 
     Arrow ids are ``g:<element>`` apart from the identity ``id:o``;
-    ``K.mul[(a, b)]`` ("a followed by b") is ``G.compose(b, a)``.
+    ``K.mul[(a, b)]`` ("a followed by b") is ``G.compose(b, a)``.  Two
+    elements whose ids coincide are refused with NotAGroupoid.
     """
     act = {(g, "o"): "o" for g in K.elements}
-    return _action_groupoid(K, ["o"], act, lambda g, x: "id:o" if g == K.identity else f"g:{g}")
+    return _action_groupoid(K, ["o"], act, lambda c: "id:o" if c[0] == K.identity else f"g:{c[0]}")
 
 
 def action_groupoid(K: FiniteGroup, points, act: dict) -> FiniteGroupoid:
@@ -609,56 +640,54 @@ def action_groupoid(K: FiniteGroup, points, act: dict) -> FiniteGroupoid:
 
     ``act[(g, x)]`` is the point reached from x by g, with
     ``act[(K.mul[(g, h)], x)] == act[(h, act[(g, x)])]``  (apply g, then h).
-    Arrows are (g, x): x -> g.x, named ``id:x`` for the identity of K.
+    Arrows are (g, x): x -> g.x, named ``id:x`` for the identity of K; two
+    arrows whose ids coincide are refused with NotAGroupoid.
     """
-    return _action_groupoid(K, points, act, lambda g, x: f"id:{x}" if g == K.identity else f"g:{g}@{x}")
+    return _action_groupoid(K, points, act, lambda c: f"id:{c[1]}" if c[0] == K.identity else f"g:{c[0]}@{c[1]}")
 
 
 def _action_groupoid(K: FiniteGroup, points, act: dict, name) -> FiniteGroupoid:
-    """`action_groupoid` with the arrow (g, x) named name(g, x)."""
+    """`action_groupoid` with the arrow (g, x) named name((g, x))."""
     points = list(points)
-    arrows, src, tgt, id_of, inv = [], {}, {}, {}, {}
-    data = {}
-    for g in K.elements:
-        for x in points:
-            a = name(g, x)
-            arrows.append(a)
-            data[a] = (g, x)
-            src[a], tgt[a] = x, act[(g, x)]
-            inv[a] = name(K.inv[g], act[(g, x)])
-    for x in points:
-        id_of[x] = name(K.identity, x)
-    comp = {(a, b): name(K.mul[(data[b][0], data[a][0])], data[b][1]) for a, b in composable(arrows, src, tgt)}
-    return make_groupoid(points, arrows, src, tgt, id_of, inv, comp)
+    return _groupoid_of_cells(
+        {x: (K.identity, x) for x in points},
+        [(g, x) for g in K.elements for x in points],
+        name,
+        lambda c: (c[1], act[c]),
+        lambda c: (K.inv[c[0]], act[c]),
+        lambda h, g: (K.mul[(g[0], h[0])], g[1]),
+    )
 
 
 def equivalence_groupoid(points, blocks) -> FiniteGroupoid:
-    """Arrows are the ordered same-block pairs: the pair (x, y) is x -> y."""
-    return _pairs_groupoid(points, blocks, lambda x, y: f"id:{x}" if x == y else f"{x}>{y}")
+    """Arrows are the ordered same-block pairs: the pair (x, y) is x -> y.
+
+    The blocks must partition the points: a point in no block or in two,
+    or a block member that is not a point, is refused with NotAPartition.
+    """
+    return _pairs_groupoid(points, blocks, lambda c: f"id:{c[0]}" if c[0] == c[1] else f"{c[0]}>{c[1]}")
 
 
 def _pairs_groupoid(points, blocks, name) -> FiniteGroupoid:
-    """`equivalence_groupoid` with the pair (x, y) named name(x, y).
+    """`equivalence_groupoid` with the pair (x, y) named name((x, y)).
 
     Each block is read in the order given, so the tables' insertion order
     does not follow the hash seed.
     """
-    points = list(points)
-    block_of = {}
-    for b in blocks:
-        b = tuple(dict.fromkeys(b))
-        for x in b:
-            block_of[x] = b
-    arrows, src, tgt, id_of, inv = [], {}, {}, {}, {}
-    for x in points:
-        for y in block_of[x]:
-            a = name(x, y)
-            arrows.append(a)
-            src[a], tgt[a] = x, y
-            inv[a] = name(y, x)
-        id_of[x] = name(x, x)
-    comp = {(a, b): name(src[b], tgt[a]) for a, b in composable(arrows, src, tgt)}
-    return make_groupoid(points, arrows, src, tgt, id_of, inv, comp)
+    points, blocks = list(points), [tuple(dict.fromkeys(b)) for b in blocks]
+    known, held = set(points), Counter(x for b in blocks for x in b)
+    for x in (*points, *held):
+        if x not in known or held[x] != 1:
+            raise NotAPartition(f"point {x!r} is in {held[x]} blocks" if x in known else f"{x!r} is not a point")
+    block_of = {x: b for b in blocks for x in b}
+    return _groupoid_of_cells(
+        {x: (x, x) for x in points},
+        [(x, y) for x in points for y in block_of[x]],
+        name,
+        lambda c: c,
+        lambda c: (c[1], c[0]),
+        lambda h, g: (g[0], h[1]),
+    )
 
 
 def pair_groupoid(points) -> FiniteGroupoid:
@@ -666,59 +695,38 @@ def pair_groupoid(points) -> FiniteGroupoid:
 
 
 def product_groupoid(G: FiniteGroupoid, H: FiniteGroupoid) -> FiniteGroupoid:
-    """Componentwise product; arrows are pairs written ``a|b``."""
-    objects = [f"{x}|{y}" for x in G.objects for y in H.objects]
-    arrows, src, tgt, id_of, inv = [], {}, {}, {}, {}
+    """Componentwise product; arrows are pairs written ``a|b``, and two that coincide raise NotAGroupoid."""
+    def name(c):
+        a, b = c
+        return f"id:{G.src[a]}|{H.src[b]}" if G.is_identity(a) and H.is_identity(b) else f"{a}|{b}"
 
-    def name(a, b):
-        if a == G.id_of[G.src[a]] and b == H.id_of[H.src[b]]:
-            return f"id:{G.src[a]}|{H.src[b]}"
-        return f"{a}|{b}"
-
-    pairs = {}
-    for a in G.arrows:
-        for b in H.arrows:
-            n = name(a, b)
-            arrows.append(n)
-            pairs[n] = (a, b)
-            src[n] = f"{G.src[a]}|{H.src[b]}"
-            tgt[n] = f"{G.tgt[a]}|{H.tgt[b]}"
-            inv[n] = name(G.inv[a], H.inv[b])
-    for x in G.objects:
-        for y in H.objects:
-            id_of[f"{x}|{y}"] = name(G.id_of[x], H.id_of[y])
-    comp = {
-        (n1, n2): name(G.comp[(pairs[n1][0], pairs[n2][0])], H.comp[(pairs[n1][1], pairs[n2][1])])
-        for n1, n2 in composable(arrows, src, tgt)
-    }
-    return make_groupoid(objects, arrows, src, tgt, id_of, inv, comp)
+    return _groupoid_of_cells(
+        {f"{x}|{y}": (G.id_of[x], H.id_of[y]) for x in G.objects for y in H.objects},
+        itertools.product(G.arrows, H.arrows),
+        name,
+        lambda c: (f"{G.src[c[0]]}|{H.src[c[1]]}", f"{G.tgt[c[0]]}|{H.tgt[c[1]]}"),
+        lambda c: (G.inv[c[0]], H.inv[c[1]]),
+        lambda h, g: (G.comp[(h[0], g[0])], H.comp[(h[1], g[1])]),
+    )
 
 
 def disjoint_union(G: FiniteGroupoid, H: FiniteGroupoid, tags=("L", "R")) -> FiniteGroupoid:
-    """Disjoint union with objects and arrows tagged to avoid collisions."""
+    """Disjoint union with objects and arrows tagged to avoid collisions.  Tags that
+    let two arrow ids coincide (equal tags on parts sharing an id) raise NotAGroupoid."""
+    def name(c):
+        t, K, a = c
+        return f"id:{t}.{K.src[a]}" if K.is_identity(a) else f"{t}.{a}"
+
     lt, rt = tags
-
-    def tagid(t, a, G_):
-        x = G_.src[a]
-        if a == G_.id_of[x]:
-            return f"id:{t}.{x}"
-        return f"{t}.{a}"
-
-    objects = [f"{lt}.{x}" for x in G.objects] + [f"{rt}.{x}" for x in H.objects]
-    arrows, src, tgt, id_of, inv, comp = [], {}, {}, {}, {}, {}
-    for t, K in ((lt, G), (rt, H)):
-        ren = {a: tagid(t, a, K) for a in K.arrows}
-        for a in K.arrows:
-            ra = ren[a]
-            arrows.append(ra)
-            src[ra] = f"{t}.{K.src[a]}"
-            tgt[ra] = f"{t}.{K.tgt[a]}"
-            inv[ra] = ren[K.inv[a]]
-        for x in K.objects:
-            id_of[f"{t}.{x}"] = ren[K.id_of[x]]
-        for (h, g), hg in K.comp.items():
-            comp[(ren[h], ren[g])] = ren[hg]
-    return make_groupoid(objects, arrows, src, tgt, id_of, inv, comp)
+    parts = ((lt, G), (rt, H))
+    return _groupoid_of_cells(
+        {f"{t}.{x}": (t, K, K.id_of[x]) for t, K in parts for x in K.objects},
+        [(t, K, a) for t, K in parts for a in K.arrows],
+        name,
+        lambda c: (f"{c[0]}.{c[1].src[c[2]]}", f"{c[0]}.{c[1].tgt[c[2]]}"),
+        lambda c: (c[0], c[1], c[1].inv[c[2]]),
+        lambda h, g: (g[0], g[1], g[1].comp[(h[2], g[2])]),
+    )
 
 
 def groupoid_isomorphism(G: FiniteGroupoid, H: FiniteGroupoid) -> tuple[dict, dict] | None:

@@ -39,7 +39,7 @@ from functools import cached_property
 from itertools import product as iproduct, repeat
 from operator import attrgetter, itemgetter
 
-from .core import FiniteGroup, FiniteGroupoid, group_by, one_object_groupoid, validate_group
+from .core import FiniteGroup, FiniteGroupoid, group_by, one_object_groupoid, validate_group, vertex_group
 from .errors import (
     CapExceeded,
     NotACrossedModule,
@@ -282,16 +282,8 @@ def double_to_xmod(D: DoubleGroupoid) -> CrossedModule:
     for e in G.arrows:
         if not (D.has_square(gamma_minus(D, e)) and D.has_square(gamma_plus(D, e))):
             raise NotSpecialDouble(f"missing connection squares for edge {e!r}")
-    obj = G.objects[0]
-    one = G.id_of[obj]
-
-    edges = tuple(sorted(G.arrows, key=repr))
-    P = FiniteGroup(
-        edges,
-        {(x, y): D.seq(x, y) for x in edges for y in edges},
-        one,
-        {x: G.inv[x] for x in edges},
-    )
+    P = vertex_group(G, G.objects[0])
+    one = P.identity
     m_squares = tuple(
         sorted(
             (u for u in D.squares if u.right == one and u.left == one and u.bottom == one),
@@ -314,7 +306,7 @@ def double_to_xmod(D: DoubleGroupoid) -> CrossedModule:
         corner = compose_squares(D, 1, gamma_plus(D, pinv), gamma_minus(D, pinv))
         return compose_squares(D, 1, conj, corner)
 
-    action = {(p, u): act(p, u) for p in edges for u in m_squares}
+    action = {(p, u): act(p, u) for p in P.elements for u in m_squares}
     X = CrossedModule(P, M, boundary, action)
     bad = validate_crossed_module(X)
     if bad:
@@ -475,7 +467,8 @@ def square_groupoid_axioms(D: DoubleGroupoid, direction: int) -> list:
 
     Exhaustive over the square rows, witnesses in repr order.  Associativity
     is cubic, so the squares are counted first: past MAX_AXIOM_SQUARES of
-    them it raises CapExceeded before any law is checked.
+    them it raises CapExceeded before any law is checked.  A degenerate
+    square missing from D raises NotComposable naming it.
     """
     if len(D.squares) > MAX_AXIOM_SQUARES:
         raise CapExceeded(f"axiom sweep limited to {MAX_AXIOM_SQUARES} squares")
@@ -483,13 +476,11 @@ def square_groupoid_axioms(D: DoubleGroupoid, direction: int) -> list:
         raise NotComposable(f"direction must be 1 or 2, got {direction!r}")
     tab = D.tables
     sq, idx = tab.squares, tab.index
-    comp, inv = (tab.comp1, tab.inv1) if direction == 1 else (tab.comp2, tab.inv2)
+    comp, inv, degenerate = (tab.comp1, tab.inv1, eps1) if direction == 1 else (tab.comp2, tab.inv2, eps2)
     bad = []
     for u, s in enumerate(sq):
-        if direction == 1:
-            lid, rid = idx[eps1(D, s.top)], idx[eps1(D, s.bottom)]
-        else:
-            lid, rid = idx[eps2(D, s.left)], idx[eps2(D, s.right)]
+        ends = (s.top, s.bottom) if direction == 1 else (s.left, s.right)
+        lid, rid = (idx[_check_member(D, degenerate(D, e))] for e in ends)
         if comp[lid].get(u) != u:
             bad.append(("left-identity", s))
         if comp[u].get(rid) != u:
@@ -673,6 +664,7 @@ class SquareTables:
 
 
 def square_tables(D: DoubleGroupoid) -> SquareTables:
+    """D's `SquareTables`; a connection square missing from D raises NotComposable naming it."""
     # The rows compose on a copy of D without its cached tables: a builder
     # that held D itself would close a cycle D -> tables -> builder -> D.
     ops = replace(D)
@@ -690,8 +682,8 @@ def square_tables(D: DoubleGroupoid) -> SquareTables:
 
     inv1 = _Lazy(lambda u: index[inverse_square(ops, 1, squares[u])])
     inv2 = _Lazy(lambda u: index[inverse_square(ops, 2, squares[u])])
-    gplus = {e: index[gamma_plus(D, e)] for e in D.edge.arrows}
-    gminus = {e: index[gamma_minus(D, e)] for e in D.edge.arrows}
+    gplus = {e: index[_check_member(D, gamma_plus(D, e))] for e in D.edge.arrows}
+    gminus = {e: index[_check_member(D, gamma_minus(D, e))] for e in D.edge.arrows}
     return SquareTables(squares, index, _Lazy(row1), _Lazy(row2), inv1, inv2, gplus, gminus, D.edge.inv)
 
 

@@ -14,7 +14,11 @@ class SchemaError(GroupoidKitError):
 
 
 class NotAGroupoid(GroupoidKitError):
-    """A groupoid document fails the groupoid axioms."""
+    """A groupoid document, or a construction's tables, fails the groupoid axioms."""
+
+
+class NotAPartition(GroupoidKitError):
+    """Blocks miss a point, hold one twice, or hold a member that is not a point."""
 
 
 class NotComposable(GroupoidKitError):

@@ -25,11 +25,11 @@ from .core import (
     FiniteTopology,
     ValidationReport,
     Violation,
+    _groupoid_of_cells,
     closure,
     composable,
     discontinuities,
     group_by,
-    make_groupoid,
 )
 from .errors import (
     IllFormedWord,
@@ -594,28 +594,19 @@ def enumerate_monodromy_arrows(M: MonodromyResult) -> list[Word]:
 def monodromy_groupoid(M: MonodromyResult) -> tuple[FiniteGroupoid, dict]:
     """Materialise a finite monodromy instance as explicit tables.
 
+    The normal forms are the cells, in (length, repr) order: composites and
+    inverses are normal forms of concatenations and formal inverses.
     Returns the groupoid together with the translation from each normal-form
     `Word` to its arrow id.
     """
-    words = enumerate_monodromy_arrows(M)
-    graph = M.presentation.graph
-    name = {}
-    for w in sorted(words, key=lambda w: (len(w), repr(w))):
-        if not w.letters:
-            name[w] = f"id:{w.start}"
-        else:
-            name[w] = "w:" + ".".join(e for (e, _) in w.letters)
-    arrows = list(name.values())
-    src = {name[w]: word_source(w) for w in words}
-    tgt = {name[w]: word_target(graph, w) for w in words}
-    id_of = {x: f"id:{x}" for x in graph.objects}
-    inv = {}
-    for w in words:
-        wi = M.rewriting.normal_form(word_inverse(graph, w))
-        inv[name[w]] = name[wi]
-    word_of = {name[w]: w for w in words}
-    comp = {
-        (h, g): name[M.rewriting.normal_form(concat(graph, word_of[h], word_of[g]))]
-        for h, g in composable(arrows, src, tgt)
-    }
-    return make_groupoid(graph.objects, arrows, src, tgt, id_of, inv, comp), name
+    graph, normal_form = M.presentation.graph, M.rewriting.normal_form
+    words = sorted(enumerate_monodromy_arrows(M), key=lambda w: (len(w), repr(w)))
+    name = {w: "w:" + ".".join(e for (e, _) in w.letters) if w.letters else f"id:{w.start}" for w in words}
+    return _groupoid_of_cells(
+        {x: empty_word(x) for x in graph.objects},
+        words,
+        name.__getitem__,
+        lambda w: (word_source(w), word_target(graph, w)),
+        lambda w: normal_form(word_inverse(graph, w)),
+        lambda h, g: normal_form(concat(graph, h, g)),
+    ), name

@@ -16,17 +16,25 @@ from groupoidkit.core import (
 from groupoidkit.presentations import local_data
 
 
-def swap2_groupoid():
+def swap_actions():
+    """The actions behind `swap2_groupoid` and `swap3_groupoid`, as (name, K, points, act)."""
     c2 = cyclic_group(2)
-    act = {(0, "p"): "p", (0, "q"): "q", (1, "p"): "q", (1, "q"): "p"}
-    return action_groupoid(c2, ["p", "q"], act)
+    return [
+        ("swap2", c2, ["p", "q"], {(0, "p"): "p", (0, "q"): "q", (1, "p"): "q", (1, "q"): "p"}),
+        ("swap3", c2, ["1", "2", "3"],
+         {(0, "1"): "1", (0, "2"): "2", (0, "3"): "3", (1, "1"): "2", (1, "2"): "1", (1, "3"): "3"}),
+    ]
+
+
+def swap2_groupoid():
+    _, K, points, act = swap_actions()[0]
+    return action_groupoid(K, points, act)
 
 
 def swap3_groupoid():
     """C2 acting on three points, swapping two and fixing the third."""
-    c2 = cyclic_group(2)
-    act = {(0, "1"): "1", (0, "2"): "2", (0, "3"): "3", (1, "1"): "2", (1, "2"): "1", (1, "3"): "3"}
-    return action_groupoid(c2, ["1", "2", "3"], act)
+    _, K, points, act = swap_actions()[1]
+    return action_groupoid(K, points, act)
 
 
 def full_window(G):

@@ -62,9 +62,12 @@ package, kept as a test oracle:
   with a recursive three-colour depth-first search instead of peeling;
 - `reference_compose_squares` and `reference_inverse_square` write each
   filler formula once per model, branching on `D.kind`;
-- `reference_indiscrete` and `reference_one_object_groupoid` build their
-  tables by their own loops, and `reference_topology_from_opens`
-  intersects the opens around each point itself.
+- `reference_indiscrete`, `reference_one_object_groupoid`,
+  `reference_action_groupoid`, `reference_equivalence_groupoid`,
+  `reference_product_groupoid` and `reference_disjoint_union` build their
+  tables by their own loops instead of from cells, and
+  `reference_topology_from_opens` intersects the opens around each point
+  itself.
 
 The column join of `core.associativity_failures`, which compares every
 composable pair, is not an oracle here: it is the package's own failure
@@ -1276,6 +1279,103 @@ def reference_one_object_groupoid(K, obj="o"):
     inv = {a: name(K.inv[elem_of[a]]) for a in arrows}
     comp = {(h, g): name(K.mul[(elem_of[g], elem_of[h])]) for h, g in composable(arrows, src, tgt)}
     return make_groupoid([obj], arrows, src, tgt, id_of, inv, comp)
+
+
+def reference_action_groupoid(K, points, act):
+    def name(g, x):
+        return f"id:{x}" if g == K.identity else f"g:{g}@{x}"
+
+    points = list(points)
+    arrows, src, tgt, id_of, inv = [], {}, {}, {}, {}
+    data = {}
+    for g in K.elements:
+        for x in points:
+            a = name(g, x)
+            arrows.append(a)
+            data[a] = (g, x)
+            src[a], tgt[a] = x, act[(g, x)]
+            inv[a] = name(K.inv[g], act[(g, x)])
+    for x in points:
+        id_of[x] = name(K.identity, x)
+    comp = {(a, b): name(K.mul[(data[b][0], data[a][0])], data[b][1]) for a, b in composable(arrows, src, tgt)}
+    return make_groupoid(points, arrows, src, tgt, id_of, inv, comp)
+
+
+def reference_equivalence_groupoid(points, blocks):
+    def name(x, y):
+        return f"id:{x}" if x == y else f"{x}>{y}"
+
+    points = list(points)
+    block_of = {}
+    for b in blocks:
+        b = tuple(dict.fromkeys(b))
+        for x in b:
+            block_of[x] = b
+    arrows, src, tgt, id_of, inv = [], {}, {}, {}, {}
+    for x in points:
+        for y in block_of[x]:
+            a = name(x, y)
+            arrows.append(a)
+            src[a], tgt[a] = x, y
+            inv[a] = name(y, x)
+        id_of[x] = name(x, x)
+    comp = {(a, b): name(src[b], tgt[a]) for a, b in composable(arrows, src, tgt)}
+    return make_groupoid(points, arrows, src, tgt, id_of, inv, comp)
+
+
+def reference_product_groupoid(G, H):
+    objects = [f"{x}|{y}" for x in G.objects for y in H.objects]
+    arrows, src, tgt, id_of, inv = [], {}, {}, {}, {}
+
+    def name(a, b):
+        if a == G.id_of[G.src[a]] and b == H.id_of[H.src[b]]:
+            return f"id:{G.src[a]}|{H.src[b]}"
+        return f"{a}|{b}"
+
+    pairs = {}
+    for a in G.arrows:
+        for b in H.arrows:
+            n = name(a, b)
+            arrows.append(n)
+            pairs[n] = (a, b)
+            src[n] = f"{G.src[a]}|{H.src[b]}"
+            tgt[n] = f"{G.tgt[a]}|{H.tgt[b]}"
+            inv[n] = name(G.inv[a], H.inv[b])
+    for x in G.objects:
+        for y in H.objects:
+            id_of[f"{x}|{y}"] = name(G.id_of[x], H.id_of[y])
+    comp = {
+        (n1, n2): name(G.comp[(pairs[n1][0], pairs[n2][0])], H.comp[(pairs[n1][1], pairs[n2][1])])
+        for n1, n2 in composable(arrows, src, tgt)
+    }
+    return make_groupoid(objects, arrows, src, tgt, id_of, inv, comp)
+
+
+def reference_disjoint_union(G, H, tags=("L", "R")):
+    """`disjoint_union` with each part's comp renamed in that part's own order."""
+    lt, rt = tags
+
+    def tagid(t, a, G_):
+        x = G_.src[a]
+        if a == G_.id_of[x]:
+            return f"id:{t}.{x}"
+        return f"{t}.{a}"
+
+    objects = [f"{lt}.{x}" for x in G.objects] + [f"{rt}.{x}" for x in H.objects]
+    arrows, src, tgt, id_of, inv, comp = [], {}, {}, {}, {}, {}
+    for t, K in ((lt, G), (rt, H)):
+        ren = {a: tagid(t, a, K) for a in K.arrows}
+        for a in K.arrows:
+            ra = ren[a]
+            arrows.append(ra)
+            src[ra] = f"{t}.{K.src[a]}"
+            tgt[ra] = f"{t}.{K.tgt[a]}"
+            inv[ra] = ren[K.inv[a]]
+        for x in K.objects:
+            id_of[f"{t}.{x}"] = ren[K.id_of[x]]
+        for (h, g), hg in K.comp.items():
+            comp[(ren[h], ren[g])] = ren[hg]
+    return make_groupoid(objects, arrows, src, tgt, id_of, inv, comp)
 
 
 def reference_topology_from_opens(points, opens) -> FiniteTopology:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpus import monodromy_corpus, small_targets
+from corpus import monodromy_corpus, small_targets, swap2_groupoid, swap_actions
 from groupoidkit import core
 from groupoidkit.core import (
     FiniteGroup,
@@ -49,15 +49,29 @@ from groupoidkit.core import (
     validate_morphism,
     vertex_group,
 )
-from groupoidkit.errors import CapExceeded, EmptyNotAllowed, NotComposable, UnknownObject, UnknownPoint
+from groupoidkit.errors import (
+    CapExceeded,
+    EmptyNotAllowed,
+    NotAGroupoid,
+    NotAPartition,
+    NotComposable,
+    UnknownObject,
+    UnknownPoint,
+)
 from groupoidkit.holonomy import mobius_model
 from groupoidkit.io import crossed_module_from_dict, groupoid_from_dict
+from groupoidkit.presentations import monodromy, monodromy_groupoid, monodromy_is_finite
 from reference_tables import (
+    reference_action_groupoid,
+    reference_disjoint_union,
+    reference_equivalence_groupoid,
     reference_group_isomorphism,
     reference_groupoid_isomorphism,
     reference_indiscrete,
+    reference_monodromy_groupoid,
     reference_one_object_groupoid,
     reference_opens,
+    reference_product_groupoid,
     reference_topology_from_opens,
     reference_topology_from_subbase,
     reference_validate_group,
@@ -371,26 +385,87 @@ def iso_groups():
     return out
 
 
-def table_items(G):
-    """Every table of G as item lists, so that insertion order counts."""
-    return (G.objects, G.arrows, *(list(t.items()) for t in (G.src, G.tgt, G.id_of, G.inv, G.comp)))
+def assert_same_tables(G, H, unordered=()):
+    """G and H have the same objects, arrows and tables, each table in one insertion order unless named in unordered."""
+    assert (G.objects, G.arrows) == (H.objects, H.arrows)
+    for table in ("src", "tgt", "id_of", "inv", "comp"):
+        mine, theirs = getattr(G, table), getattr(H, table)
+        assert mine == theirs, table
+        if table not in unordered:
+            assert list(mine) == list(theirs), table
+
+
+def constructor_cases():
+    """(id, build): build() gives a constructor's groupoid, its oracle's, and the tables whose insertion order changed.
+
+    disjoint_union's comp follows `composable`, the oracle's each part's own comp.
+    """
+    C, one = cyclic_group, one_object_groupoid
+    cases = [(f"I{n}", lambda n=n: (indiscrete(n), reference_indiscrete(n), ())) for n in range(1, 7)]
+    cases += [(f"one-{name}", lambda K=K: (one(K), reference_one_object_groupoid(K), ())) for name, K in iso_groups()]
+    s3 = symmetric_group(3)
+    actions = swap_actions() + [
+        ("C4-on-2", C(4), ["p", "q"], {(k, x): x if k % 2 == 0 else "pq"[x == "p"] for k in range(4) for x in "pq"}),
+        ("C2-fixing-2", C(2), ["p", "q"], {(k, x): x for k in range(2) for x in "pq"}),
+        ("S3-on-3", s3, [0, 1, 2], {(p, i): p[i] for p in s3.elements for i in range(3)}),
+    ]
+    cases += [(f"action-{name}", lambda a=(K, points, act): (action_groupoid(*a), reference_action_groupoid(*a), ()))
+              for name, K, points, act in actions]
+    partitions = [("abcd", [["a", "b"], ["c", "d"]]), ("abcd", [["a", "b", "c"], ["d"]]), ("abcd", [["a", "b", "c", "d"]]),
+                  ("abcd", [["d"], ["c", "a"], ["b"]]), ("xyz", [["x"], ["y"], ["z"]]), ("ab", [["b", "a", "b"]])]
+    cases += [(f"blocks-{i}", lambda pb=pb: (equivalence_groupoid(*pb), reference_equivalence_groupoid(*pb), ()))
+              for i, pb in enumerate(partitions)]
+    parts = [("I1", indiscrete(1)), ("I2", indiscrete(2)), ("C2", one(C(2))), ("C3", one(C(3))),
+             ("swap2", swap2_groupoid()), ("blocks", equivalence_groupoid("abc", [["a", "b"], ["c"]]))]
+    for (na, A), (nb, B) in itertools.product(parts, repeat=2):
+        cases.append((f"{na}x{nb}", lambda A=A, B=B: (product_groupoid(A, B), reference_product_groupoid(A, B), ())))
+        cases.append((f"{na}+{nb}", lambda A=A, B=B: (disjoint_union(A, B), reference_disjoint_union(A, B), ("comp",))))
+    return cases
+
+
+CONSTRUCTOR_CASES = constructor_cases()
 
 
 class TestStandardBuilders:
-    """The standard groupoids on their general builders, against their own loops."""
+    """The standard constructions, built from cells, against the table loops they replaced."""
 
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_indiscrete_matches_reference_in_order(self, n):
-        assert table_items(indiscrete(n)) == table_items(reference_indiscrete(n))
+    @pytest.mark.parametrize("build", [b for _, b in CONSTRUCTOR_CASES], ids=[i for i, _ in CONSTRUCTOR_CASES])
+    def test_constructor_matches_its_oracle(self, build):
+        G, H, unordered = build()
+        assert_same_tables(G, H, unordered)
+        assert validate_groupoid(G).ok
+
+    def test_monodromy_groupoid_matches_its_oracle(self):
+        """On the finite instances of the corpus; src, tgt and inv now follow the arrow order."""
+        finite = 0
+        for name, D in monodromy_corpus():
+            M = monodromy(D)
+            if M.rewriting.confluent and monodromy_is_finite(M):
+                (G, name_of), (H, keyed) = monodromy_groupoid(M), reference_monodromy_groupoid(M)
+                assert_same_tables(G, H, ("src", "tgt", "inv"))
+                assert [((w.start, w.letters), a) for w, a in name_of.items()] == list(keyed.items()), name
+                finite += 1
+        assert finite == 17
 
     def test_indiscrete_refuses_no_objects(self):
         for build in (indiscrete, reference_indiscrete):
             with pytest.raises(EmptyNotAllowed, match="n >= 1"):
                 build(0)
 
-    @pytest.mark.parametrize("name, K", iso_groups(), ids=[name for name, _ in iso_groups()])
-    def test_one_object_matches_reference_in_order(self, name, K):
-        assert table_items(one_object_groupoid(K)) == table_items(reference_one_object_groupoid(K))
+    def test_two_arrows_with_one_name_are_refused(self):
+        H = indiscrete(2)
+        assert disjoint_union(H, H, tags=("A", "B")).arrows[:2] == ("A.a:0->1", "A.a:1->0")
+        with pytest.raises(NotAGroupoid, match="two arrows are named 'A.a:0->1'"):
+            disjoint_union(H, H, tags=("A", "A"))
+
+    @pytest.mark.parametrize("points, blocks, message", [
+        ("abc", [["a", "b"]], "point 'c' is in 0 blocks"),
+        ("ab", [["a", "b", "z"]], "'z' is not a point"),
+        ("abc", [["a", "b"], ["b", "c"]], "point 'b' is in 2 blocks"),
+    ], ids=["point-in-no-block", "member-not-a-point", "point-in-two-blocks"])
+    def test_blocks_that_do_not_partition_are_refused(self, points, blocks, message):
+        with pytest.raises(NotAPartition, match=message):
+            equivalence_groupoid(points, blocks)
 
     def test_blocks_are_read_in_the_order_given(self):
         G = equivalence_groupoid("ab", [["b", "a", "b"]])

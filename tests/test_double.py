@@ -226,6 +226,20 @@ class TestLaws:
             assert square_groupoid_axioms(D, 1) == []
             assert square_groupoid_axioms(D, 2) == []
 
+    def test_a_missing_connection_square_is_named(self):
+        D = box_c2()
+        gone = gamma_minus(D, "g:1")
+        with pytest.raises(NotComposable) as refused:
+            square_tables(dataclasses.replace(D, squares=D.squares - {gone}))
+        assert repr(gone) in str(refused.value)
+
+    def test_a_missing_degenerate_square_is_named(self):
+        D = box_c2()
+        gone = eps1(D, "g:1")
+        with pytest.raises(NotComposable) as refused:
+            square_groupoid_axioms(dataclasses.replace(D, squares=D.squares - {gone}), 1)
+        assert repr(gone) in str(refused.value)
+
     def test_transport_reduces_to_absorption_on_identities(self):
         D = box_c2()
         e = "id:o"
