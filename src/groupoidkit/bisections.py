@@ -312,7 +312,7 @@ def inverse_semigroup_laws(S: InverseSemigroup) -> list:
 
 
 # germs build on the bisection operations above, so import them only here
-from .germs import germ_closure, window_germs, window_translations  # noqa: E402
+from .germs import germ_closure, left_translations, window_germs  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +350,9 @@ def check_extendible(D: LocalGroupoidData) -> ExtendibilityResult:
     left-translation images L_s(V) with s running over the generated
     bisections.  Each L_s(V) is a union of germ-level pieces, so the germs
     suffice as translation data: the pieces of V under every germ at x zip
-    V's columns of the window's kept `window_translations`, for each V with
-    an arrow into min_open[x] (indexed once, by target).  Failure kinds:
+    V's columns of `left_translations` over the window arrows, built once
+    per call from the window's kept closure, for each V with an arrow into
+    min_open[x] (indexed once, by target).  Failure kinds:
 
     - ``window-not-open``: W is not open in the result;
     - ``window-subspace``: the result does not restrict to the window
@@ -365,7 +366,7 @@ def check_extendible(D: LocalGroupoidData) -> ExtendibilityResult:
     window_base = TW.base()
     subbase: set = set(window_base)
     meeting = opens_meeting(window_base, G.tgt.__getitem__)
-    for x, col in window_translations(D)[1].items():
+    for x, col in left_translations(D, closure, D.window).items():
         for V in meeting(D.t_objects.min_open[x]):
             subbase.update(map(frozenset, zip(*[col[v] for v in V if v in col])))
     T_arr = topology_from_subbase(G.arrows, subbase)

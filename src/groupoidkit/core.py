@@ -641,7 +641,8 @@ def action_groupoid(K: FiniteGroup, points, act: dict) -> FiniteGroupoid:
     ``act[(g, x)]`` is the point reached from x by g, with
     ``act[(K.mul[(g, h)], x)] == act[(h, act[(g, x)])]``  (apply g, then h).
     Arrows are (g, x): x -> g.x, named ``id:x`` for the identity of K; two
-    arrows whose ids coincide are refused with NotAGroupoid.
+    arrows whose ids coincide are refused with NotAGroupoid, and a pair
+    (g, x) that ``act`` misses or sends outside the points with UnknownPoint.
     """
     return _action_groupoid(K, points, act, lambda c: f"id:{c[1]}" if c[0] == K.identity else f"g:{c[0]}@{c[1]}")
 
@@ -649,9 +650,15 @@ def action_groupoid(K: FiniteGroup, points, act: dict) -> FiniteGroupoid:
 def _action_groupoid(K: FiniteGroup, points, act: dict, name) -> FiniteGroupoid:
     """`action_groupoid` with the arrow (g, x) named name((g, x))."""
     points = list(points)
+    cells, known = [(g, x) for g in K.elements for x in points], set(points)
+    for c in cells:
+        if c not in act:
+            raise UnknownPoint(f"act has no value at {c!r}")
+        if act[c] not in known:
+            raise UnknownPoint(f"act sends {c!r} to {act[c]!r}, which is not a point")
     return _groupoid_of_cells(
         {x: (K.identity, x) for x in points},
-        [(g, x) for g in K.elements for x in points],
+        cells,
         name,
         lambda c: (c[1], act[c]),
         lambda c: (K.inv[c[0]], act[c]),
@@ -691,7 +698,8 @@ def _pairs_groupoid(points, blocks, name) -> FiniteGroupoid:
 
 
 def pair_groupoid(points) -> FiniteGroupoid:
-    return equivalence_groupoid(points, [list(points)])
+    points = list(points)
+    return equivalence_groupoid(points, [points])
 
 
 def product_groupoid(G: FiniteGroupoid, H: FiniteGroupoid) -> FiniteGroupoid:

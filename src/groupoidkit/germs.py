@@ -10,7 +10,8 @@ therefore the arrow set of the germ groupoid without ever materialising the
 full inverse semigroup.  The closure runs on codes through `core.closure`,
 as the semigroup's does: a germ at x is coded (x, its arrows over min_open[x] in repr
 point order), and every germ product h(beta a) . a is read from one table,
-`left_translations`.
+`left_translations`.  The generators and their closure are kept with the
+window, in a weak-keyed table freed with it; no translation table is kept.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .core import closure, group_by
 from .errors import OutOfDomain
 from .presentations import LocalGroupoidData
 
-_windows = weakref.WeakKeyDictionary()  # window -> [generator germs, closure, window table once built]
+_windows = weakref.WeakKeyDictionary()  # window -> (generator germs, closure)
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ def left_translations(D: LocalGroupoidData, germs, arrows) -> dict:
     (beta t maps min_open[x] into min_open[y]) and carries h(beta a) . a at each
     arrow a of t, so zipping the columns of t's arrows yields every h * t.  A
     caller passes the arrows it reads: all of them for products of germs, the
-    window arrows to translate window germs and window opens.
+    window arrows to translate window opens.
     """
     G = D.G
     into = group_by(arrows, G.tgt.__getitem__)  # point -> the arrows into it
@@ -128,15 +129,5 @@ def germ_closure(D: LocalGroupoidData) -> tuple[tuple[Germ, ...], tuple[Germ, ..
             x, arrows = code
             return given.get(code) or Germ(min_open[x], tuple(zip(points[x], arrows)), x)
 
-        _windows[D] = [gens, tuple(sorted(map(decode, codes), key=lambda g: (repr(g.base), g.values)))]
-    return tuple(_windows[D][:2])
-
-
-def window_translations(D: LocalGroupoidData) -> tuple[tuple[Germ, ...], dict]:
-    """(the kept closure, its `left_translations` on the window arrows), the table kept on first request."""
-    if D not in _windows:
-        germ_closure(D)
-    kept = _windows[D]
-    if len(kept) == 2:
-        kept.append(left_translations(D, kept[1], D.window))
-    return kept[1], kept[2]
+        _windows[D] = gens, tuple(sorted(map(decode, codes), key=lambda g: (repr(g.base), g.values)))
+    return _windows[D]

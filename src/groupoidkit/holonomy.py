@@ -44,7 +44,7 @@ from .errors import (
     TooSmall,
     WellDefinednessFailure,
 )
-from .germs import Germ, germ_closure, germ_code, left_translations, point_orders, window_translations
+from .germs import Germ, germ, germ_closure, germ_code, left_translations, point_orders
 from .germs import window_germs  # noqa: F401  (perfbench traces holonomy.window_germs)
 from .presentations import (
     LocalGroupoidData,
@@ -175,17 +175,15 @@ class HolonomyGroupoid:
 
     @cached_property
     def chart_index(self) -> tuple:
-        """(the window's kept `window_translations` columns, germ code -> (its place
-        among the closure's germs at its base, as in the columns, its class), x -> the
-        window arrows into min_open[x] in repr order, w -> the codes of the window germs
-        through w).  Built once from plain tables, so no quotient sits in a cycle."""
-        closure, columns = window_translations(self.data)
-        index = {germ_code(g): (i, self.coset_of[self.J.arrow_of_germ[g]])
-                 for star in group_by(closure, attrgetter("base")).values() for i, g in enumerate(star)}
-        through = {w: list(map(germ_code, gs))
-                   for w, gs in group_by(self.J.generator_germs, attrgetter("value")).items()}
-        covered = {x: sorted(col, key=repr) for x, col in columns.items()}
-        return columns, index, covered, through
+        """(x -> the window arrows into min_open[x] in repr order, w -> the J arrows
+        of the window germs through w).  Built once from plain tables, so no quotient
+        sits in a cycle.  Cost: one membership test per object and window arrow."""
+        D, J = self.data, self.J
+        window, tgt = sorted(D.window, key=repr), D.G.tgt
+        covered = {x: [w for w in window if tgt[w] in U] for x, U in D.t_objects.min_open.items()}
+        through = {w: [J.arrow_of_germ[g] for g in gs]
+                   for w, gs in group_by(J.generator_germs, attrgetter("value")).items()}
+        return covered, through
 
     def vertex_orders(self) -> dict:
         K = self.groupoid
@@ -265,17 +263,19 @@ def holonomy_pipeline(D: LocalGroupoidData) -> HolonomyGroupoid:
 def chart(hol: HolonomyGroupoid, s_germ: Germ) -> dict:
     """The partial map sigma_s on window arrows whose target s covers.
 
-    sigma_s(w) is the class of s * f for any window germ f through w, coded
-    (alpha w, s(beta b) . b for the arrows b of f) and read off s's place in
-    the columns of `HolonomyGroupoid.chart_index`.  Independence from the
-    choice of f is enforced in window repr order, raising at the
-    repr-smallest failing w."""
-    columns, index, covered, through = hol.chart_index
-    x = s_germ.base
-    col, (i, _) = columns[x], index[germ_code(s_germ)]
+    sigma_s(w) is the class of s * f for any window germ f through w: J's
+    composite of the germ of s at beta w with f, read off J's `comp` and
+    pushed through `coset_of`.  Independence from the choice of f is
+    enforced in window repr order, raising at the repr-smallest failing w.
+    Cost: one germ of s per point of its domain, and one comp read per
+    covered w and window germ through it."""
+    covered, through = hol.chart_index
+    J, comp, coset_of, tgt = hol.J, hol.J.groupoid.comp, hol.coset_of, hol.data.G.tgt
+    s_at = {y: J.arrow_of_germ[germ(hol.data, s_germ, y)] for y in s_germ.domain}
     out = {}
-    for w in covered[x]:
-        classes = {index[(f, tuple([col[b][i] for b in arrs]))][1] for f, arrs in through[w]}
+    for w in covered[s_germ.base]:
+        s_w = s_at[tgt[w]]
+        classes = {coset_of[comp[(s_w, f)]] for f in through[w]}
         if len(classes) > 1:
             raise WellDefinednessFailure(f"chart value at {w!r} depends on the bisection choice")
         out[w] = classes.pop()

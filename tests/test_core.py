@@ -467,6 +467,18 @@ class TestStandardBuilders:
         with pytest.raises(NotAPartition, match=message):
             equivalence_groupoid(points, blocks)
 
+    def test_pair_groupoid_lists_its_points_once(self):
+        assert_same_tables(pair_groupoid(iter("ab")), pair_groupoid("ab"))
+
+    @pytest.mark.parametrize("act, message", [
+        ({(0, "p"): "p"}, "act has no value at (1, 'p')"),
+        ({(0, "p"): "p", (1, "p"): "z"}, "act sends (1, 'p') to 'z', which is not a point"),
+    ], ids=["no-value", "image-not-a-point"])
+    def test_an_action_off_the_points_is_refused(self, act, message):
+        with pytest.raises(UnknownPoint) as refused:
+            action_groupoid(cyclic_group(2), ["p"], act)
+        assert str(refused.value) == message
+
     def test_blocks_are_read_in_the_order_given(self):
         G = equivalence_groupoid("ab", [["b", "a", "b"]])
         assert list(G.src) == ["a>b", "id:a", "id:b", "b>a"]
