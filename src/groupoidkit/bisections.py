@@ -17,6 +17,7 @@ continuous.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .core import (
     FiniteGroupoid,
@@ -195,6 +196,11 @@ class InverseSemigroup:
     def idempotents(self) -> tuple:
         return tuple(s for s in self.elements if self.multiply(s, s) == s)
 
+    @cached_property
+    def _numbering(self) -> _Numbering:
+        """The numbering that `inverse_semigroup_laws` codes on; `generate_semigroup` keeps its closure's."""
+        return _Numbering(self.groupoid)
+
 
 class _Numbering:
     """Objects and arrows numbered in repr order, bisections coded on them, and their one product.
@@ -279,21 +285,24 @@ def generate_semigroup(G: FiniteGroupoid, gens, max_elements: int | None = None)
     elements = closure(seeds, lambda t: zip(*map(table.__getitem__, t)), max_elements, adjoin)
     decoded = [given.get(code) or num.decode(code) for code in elements]  # bisections are truthy
     out = sorted(decoded, key=lambda s: (len(s.domain), s.values))
-    return InverseSemigroup(G, tuple(out))
+    S = InverseSemigroup(G, tuple(out))
+    vars(S)["_numbering"] = num  # the laws code on the closure's numbering
+    return S
 
 
 def inverse_semigroup_laws(S: InverseSemigroup) -> list:
     """Violations of s s' s = s, s' s s' = s', and commuting idempotents.
 
     Each element is encoded once, and multiplied as a code by the product
-    of `_Numbering`; elements compare as codes, that is extensionally.  The
-    witnesses are the elements themselves: ("ss's=s", s) and ("s'ss'=s'",
-    s) in element order, then ("idempotents-commute", (e, f)) over the
-    pairs of idempotents in that order.  Cost: 5 |elements| + 2
-    |idempotents|^2 products, each |objects| lookups.  Memory: the
-    numbering's, and one code per element.
+    of `S._numbering`: the closure's own when `generate_semigroup` built S,
+    so no numbering is built twice.  Elements compare as codes, that is
+    extensionally.  The witnesses are the elements themselves: ("ss's=s",
+    s) and ("s'ss'=s'", s) in element order, then ("idempotents-commute",
+    (e, f)) over the pairs of idempotents in that order.  Cost: 5
+    |elements| + 2 |idempotents|^2 products, each |objects| lookups.
+    Memory: one code per element; the numbering lives as long as S.
     """
-    num = _Numbering(S.groupoid)
+    num = S._numbering
     mul = num.mul
     coded = [(s, num.encode(s)) for s in S.elements]
     bad = []

@@ -202,9 +202,13 @@ def validate_group(K: FiniteGroup) -> ValidationReport:
     for key in K.mul:  # a key that is not a pair of elements is reported, not unpacked
         if not (isinstance(key, tuple) and len(key) == 2 and key[0] in num and key[1] in num):
             bad.append(Violation("mul-domain", key, "mul defined outside elements × elements"))
-    col = [tuple([num.get(K.mul.get((a, b), _MISSING)) for b in elems]) for a in elems]
-    bad.extend(Violation("closure", (a, b), "product missing or outside group")
-               for a, column in zip(elems, col) for b, ab in zip(elems, column) if ab is None)
+    col = []
+    for a in elems:
+        try:
+            col.append(tuple([num[K.mul.get((a, b), _MISSING)] for b in elems]))
+        except KeyError:  # a product missing or outside the group: this column lists each
+            bad.extend(Violation("closure", (a, b), "product missing or outside group")
+                       for b in elems if K.mul.get((a, b), _MISSING) not in num)
     if bad:
         return ValidationReport(tuple(bad))
     for a in elems:

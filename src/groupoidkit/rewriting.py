@@ -8,7 +8,9 @@ with it.  `overlaps` (with `inclusions` on its index) finds completion's
 critical pairs; the monodromy check joins its pair table instead.
 Completion builds free cancellation in as explicit rules; an instance that
 does not complete within the bound reports that instead of silently
-mis-deciding equality.
+mis-deciding equality.  `count_normal_forms` counts a complete system's
+normal forms on the automaton of its left-hand sides; `enumerate_elements`
+lists them, and is the counter's oracle.
 """
 
 from __future__ import annotations
@@ -197,13 +199,12 @@ def knuth_bendix(generators, relators) -> GroupRewriting:
     )
 
 
-def enumerate_elements(system: GroupRewriting, max_len: int):
-    """Distinct normal forms of all words up to the length bound; needs a complete system.
+def _freely_reduced_letters(system: GroupRewriting) -> list:
+    """The signed letters of a complete system that cancels each x x^-1, in generator order.
 
-    Each is a shorter one extended by one letter and reduced from the tail,
-    which needs freely reduced normal forms: a system that lacks the
-    cancellation rule x x^-1 -> 1 of some letter x (completion keeps them
-    all) is refused."""
+    Refuses, with RewritingNotConfluent, an incomplete system, and then the
+    first letter x whose cancellation rule x x^-1 -> 1 is missing (completion
+    keeps them all): without it a normal form need not be freely reduced."""
     if not system.complete:
         raise RewritingNotConfluent("rewriting system did not complete")
     letters = [(g, s) for g in system.generators for s in (POS, NEG)]
@@ -211,6 +212,19 @@ def enumerate_elements(system: GroupRewriting, max_len: int):
     for lhs in ((x, (x[0], -x[1])) for x in letters):
         if (lhs, ()) not in rules:
             raise RewritingNotConfluent(f"rewriting system lacks the cancellation rule {lhs!r} -> ()")
+    return letters
+
+
+def enumerate_elements(system: GroupRewriting, max_len: int):
+    """Distinct normal forms of all words up to the length bound; needs a complete system.
+
+    Each is a shorter one extended by one letter and reduced from the tail,
+    which needs freely reduced normal forms: `_freely_reduced_letters`
+    refuses a system that cannot promise them.  A negative bound lists the
+    empty word alone.  `count_normal_forms` counts the same set without
+    building it.  Cost: 2 |generators| tail reductions per normal form of
+    length < max_len; memory: every normal form."""
+    letters = _freely_reduced_letters(system)
     seen = {()}
     frontier = [()]
     for _ in range(max_len):
@@ -223,3 +237,61 @@ def enumerate_elements(system: GroupRewriting, max_len: int):
                     nxt.append(nf)
         frontier = nxt
     return seen
+
+
+def count_normal_forms(system: GroupRewriting, max_len: int) -> int:
+    """len(enumerate_elements(system, max_len)), counted without listing a word.
+
+    Every rule is length-nonincreasing (`_orient` puts the shortlex-larger
+    word on the left), so the normal form of a word of length <= max_len is
+    an irreducible word of length <= max_len; and an irreducible word is its
+    own normal form.  So the count is the number of words of length <=
+    max_len with no left-hand side as a factor (Sims, *Computation with
+    Finitely Presented Groups*, 1994).  Those are the walks from the root of
+    the Aho-Corasick automaton of the left-hand sides (CACM 18, 1975) that
+    never enter a state ending one; a count per live state is carried level
+    by level.  Refuses what `enumerate_elements` refuses, through the same
+    `_freely_reduced_letters`: an irreducible word is freely reduced only if
+    every cancellation rule is there.  A negative bound counts the empty
+    word alone.  Cost: |letters| steps per trie state to build, then at most
+    max_len * |states| * |letters| additions, with |states| <= 1 + the
+    total length of the left-hand sides.
+    """
+    letters = _freely_reduced_letters(system)
+    goto: list = [{}]  # the trie of the left-hand sides; state 0 is the empty prefix
+    dead = [False]  # the state's prefix ends with a left-hand side
+    for lhs, _ in system.rules:
+        state = 0
+        for x in lhs:
+            if x not in goto[state]:
+                goto[state][x] = len(goto)
+                goto.append({})
+                dead.append(False)
+            state = goto[state][x]
+        dead[state] = True
+    # breadth first, so that a failure link (the longest proper suffix that
+    # is a prefix) is complete before its state is read; a letter outside
+    # the generators is never followed
+    fail, delta, order = [0] * len(goto), [None] * len(goto), [0]
+    for u in order:
+        row = delta[u] = []
+        for i, x in enumerate(letters):
+            via_fail = delta[fail[u]][i] if u else 0  # where x leads from the longest proper suffix
+            v = goto[u].get(x)
+            if v is None:
+                row.append(via_fail)
+                continue
+            fail[v] = via_fail
+            dead[v] = dead[v] or dead[via_fail]
+            order.append(v)
+            row.append(v)
+    live = {u: [v for v in delta[u] if not dead[v]] for u in order}
+    counts, total = {0: 1}, 1
+    for _ in range(max_len):
+        nxt: dict = {}
+        for u, c in counts.items():
+            for v in live[u]:
+                nxt[v] = nxt.get(v, 0) + c
+        counts = nxt
+        total += sum(counts.values())
+    return total

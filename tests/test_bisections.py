@@ -15,6 +15,7 @@ from corpus import (
     swap2_groupoid,
     swap3_groupoid,
 )
+from groupoidkit import bisections
 from groupoidkit.bisections import (
     EMPTY_BISECTION,
     InverseSemigroup,
@@ -584,6 +585,24 @@ class TestLawsKernel:
         assert [w for kind, w in laws if kind == "ss's=s"] == off_section
         e, f = make_bisection({"a": "a>b", "b": "id:b"}), make_bisection({"a": "id:a", "b": "b>a"})
         assert ("idempotents-commute", (e, f)) in laws
+
+    def test_one_numbering_serves_the_closure_and_the_laws(self, monkeypatch):
+        built = []
+
+        class Counted(bisections._Numbering):
+            def __init__(self, G):
+                built.append(G)
+                super().__init__(G)
+
+        monkeypatch.setattr(bisections, "_Numbering", Counted)
+        D = full_window(pair_groupoid(list("abc")))
+        S = generate_semigroup(D.G, w_bisections(D))
+        assert inverse_semigroup_laws(S) == reference_inverse_semigroup_laws(S) == []
+        assert built == [D.G]
+        # a semigroup given by its elements numbers its groupoid on the first call of the laws, once
+        T = InverseSemigroup(D.G, S.elements)
+        assert inverse_semigroup_laws(T) == inverse_semigroup_laws(T) == []
+        assert built == [D.G, D.G]
 
     def test_laws_find_the_idempotents(self):
         # every idempotent of pair(2) but the empty and the full identity fails to commute with another,

@@ -422,6 +422,65 @@ class TestHnn:
             hnn_from_pushout(HnnInput(K, C, images, images))
 
 
+def colimit_presentations():
+    """(name, GroupPresentation) for every group presentation this module builds.
+
+    The HNN group of C4 over C2 is left out: its completion runs into the
+    bounds only after minutes.
+    """
+    I = interval_presentation()
+    ident = PresentationMorphism(I, I, {x: x for x in I.objects}, {"e": Word("0", (("e", POS),))})
+    glued = pushout(ident, ident).apex
+    out = [("identity-glue", vertex_group_presentation(glued, sorted(glued.objects)[0])),
+           ("interval", vertex_group_presentation(I, "0"))]
+    circle = circle_pushout().apex
+    base, _ = sorted(circle.objects)
+    out.append(("circle", vertex_group_presentation(circle, base)))
+    out += [(f"circle-tree-{e}", vertex_group_presentation(with_tree_edge(circle, e), base))
+            for e in sorted(circle.generators())]
+    c1, c2 = diagram_circle_one_object(), diagram_circle_one_object()
+    obj = next(iter(c1.apex.objects))
+    A = discrete_presentation([obj])
+    wedge = pushout(PresentationMorphism(A, c1.apex, {obj: obj}, {}), PresentationMorphism(A, c2.apex, {obj: obj}, {}))
+    out.append(("wedge", vertex_group_presentation(wedge.apex, sorted(wedge.apex.objects)[0])))
+    theta = free_groupoid(reflexive_graph(["0", "1"], [("e1", "0", "1"), ("e2", "0", "1"), ("e3", "0", "1")]))
+    out += [(f"theta-tree-{e}", vertex_group_presentation(with_tree_edge(theta, e), "0")) for e in ("e1", "e2", "e3")]
+    c2a = GroupPresentation(("a",), ((("a", POS), ("a", POS)),))
+    c4a = GroupPresentation(("a",), ((("a", POS),) * 4,))
+    c2t = GroupPresentation(("t",), ((("t", POS), ("t", POS)),))
+    c3t = GroupPresentation(("t",), ((("t", POS),) * 3,))
+    trivial = GroupPresentation((), ())
+    out += [("c2", c2a), ("c4", c4a), ("c2-edge", c2t), ("c3-edge", c3t), ("trivial", trivial)]
+    out.append(("hnn-trivial", hnn_from_pushout(HnnInput(trivial, trivial, {}, {}))[0]))
+    images = {"t": (("a", POS),)}
+    out.append(("hnn-c2", hnn_from_pushout(HnnInput(c2a, c2t, images, images))[0]))
+    r, s_ = ("r", POS), ("s", POS)
+    out.append(("s3", GroupPresentation(("r", "s"), ((r,) * 3, (s_,) * 2, (r, s_) * 2))))
+    return out
+
+
+COLIMIT_PRESENTATIONS = colimit_presentations()
+
+
+class TestElementCount:
+    @pytest.mark.parametrize("name,pres", COLIMIT_PRESENTATIONS, ids=[name for name, _ in COLIMIT_PRESENTATIONS])
+    def test_the_count_is_the_number_of_listed_normal_forms(self, name, pres):
+        system = knuth_bendix(pres.generators, pres.relators)
+        assert system.complete
+        for n in range(9):
+            assert pres.element_count_up_to(n) == len(enumerate_elements(system, n)), n
+
+    def test_the_counts_are_the_groups_balls(self):
+        counts = {name: pres.element_count_up_to(8) for name, pres in COLIMIT_PRESENTATIONS}
+        # Z: 2 * 8 + 1; the free group of rank 2: 1 + 4 (3^8 - 1) / 2; C2 x Z: u^-8..u^8, then a u^-7..a u^7
+        assert counts["circle"] == counts["circle-tree-B.eU"] == counts["circle-tree-C.eV"] == 17
+        assert counts["hnn-trivial"] == 17
+        assert counts["wedge"] == counts["theta-tree-e1"] == counts["theta-tree-e2"] == counts["theta-tree-e3"] == 13121
+        assert counts["identity-glue"] == counts["interval"] == counts["trivial"] == 1
+        assert (counts["c2"], counts["c4"], counts["c3-edge"], counts["s3"]) == (2, 4, 3, 6)
+        assert counts["hnn-c2"] == 17 + 15
+
+
 class TestRewritingHelper:
     def test_s3_element_count(self):
         s3 = symmetric_group(3)

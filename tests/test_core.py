@@ -938,6 +938,18 @@ class TestValidateGroupAgainstReference:
         assert [v.rule for v in validate_group(broken).violations] == ["mul-domain", "closure"]
         assert validate_group(broken) == reference_validate_group(broken)
 
+    def test_closure_violations_follow_the_mul_domain_ones_in_pair_order(self):
+        # missing and outside products in several columns, read in the one walk over the table
+        K = cyclic_group(4)
+        mul = {**K.mul, (2, 2): "z", (3, 1): 7, (0, "q"): 1}
+        del mul[(1, 0)], mul[(0, 2)], mul[(2, 3)]
+        broken = FiniteGroup(K.elements, mul, K.identity, K.inv)
+        got = validate_group(broken)
+        assert [(v.rule, v.witness) for v in got.violations] == [
+            ("mul-domain", (0, "q")), ("closure", (0, 2)), ("closure", (1, 0)),
+            ("closure", (2, 2)), ("closure", (2, 3)), ("closure", (3, 1))]
+        assert got == reference_validate_group(broken)
+
     @pytest.mark.parametrize("K, key", [
         (FiniteGroup((0, 1, 2), {**cyclic_group(3).mul, (1, 2): None}, 0, cyclic_group(3).inv), (1, 2)),
         (FiniteGroup((None, 1), {(None, None): None, (None, 1): 1, (1, None): 1}, None, {None: None, 1: 1}), (1, 1)),

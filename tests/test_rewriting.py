@@ -4,7 +4,9 @@
 group presentations and the monodromy pair rules; `rewriting.overlaps`
 finds completion's critical pairs, and the monodromy check joins its
 pair-rule table instead.  `enumerate_elements` reduces each normal form
-extended by one letter from its tail.  The oracles in `reference_tables`
+extended by one letter from its tail, and is in turn the oracle of
+`count_normal_forms`, which counts the same set on the automaton of the
+left-hand sides.  The oracles in `reference_tables`
 are the two separate rewriters these replaced, the enumeration that reduces
 every word from scratch, and the overlap scan over the monodromy letter
 rules.
@@ -52,6 +54,7 @@ from groupoidkit.presentations import (
 )
 from groupoidkit.rewriting import (
     GroupRewriting,
+    count_normal_forms,
     enumerate_elements,
     free_reduce,
     inclusions,
@@ -326,6 +329,13 @@ class TestEnumeration:
             assert enumerate_elements(system, 4) == reference_enumerate_elements(system, 4)
 
 
+def refusal(count_or_list, system):
+    """The exception type and message with which `count_or_list` refuses `system`."""
+    with pytest.raises(RewritingNotConfluent) as refused:
+        count_or_list(system, 2)
+    return type(refused.value), str(refused.value)
+
+
 class TestKnuthBendix:
     @pytest.mark.parametrize("name,pres", PRESENTATIONS, ids=[name for name, _ in PRESENTATIONS])
     def test_rules_and_verdict_equal_the_oracle(self, name, pres):
@@ -406,18 +416,22 @@ class TestKnuthBendix:
         assert system.complete
         assert [len(enumerate_elements(system, n)) for n in range(5)] == reference_ball_sizes("abc"[:rank], [], 4)
 
+    # count_normal_forms refuses each of these as enumerate_elements does: same exception, same message
+
     def test_enumerate_elements_refuses_an_incomplete_system(self):
         c2 = knuth_bendix(("a",), [(("a", POS),) * 2])
         assert c2.complete and len(enumerate_elements(c2, 2)) == 2
-        with pytest.raises(RewritingNotConfluent):
-            enumerate_elements(GroupRewriting(c2.generators, c2.rules, complete=False), 2)
+        incomplete = GroupRewriting(c2.generators, c2.rules, complete=False)
+        assert refusal(enumerate_elements, incomplete) == refusal(count_normal_forms, incomplete)
 
     def test_enumerate_elements_refuses_a_system_without_free_cancellation(self):
-        # b -> a^-1 alone leaves a a^-1 irreducible: its normal forms are not freely reduced
+        # b -> a^-1 alone leaves a a^-1 irreducible: its normal forms are not freely reduced,
+        # and the count would take a a^-1 for one
         b_to_a_inverse = ((("b", POS),), (("a", NEG),))
         system = GroupRewriting(("a", "b"), (b_to_a_inverse,), complete=True)
         with pytest.raises(RewritingNotConfluent, match=re.escape(repr((("a", POS), ("a", NEG))))):
             enumerate_elements(system, 3)
+        assert refusal(enumerate_elements, system) == refusal(count_normal_forms, system)
 
     @pytest.mark.parametrize("dropped", range(4))
     def test_enumerate_elements_names_the_missing_cancellation_rule(self, dropped):
@@ -425,8 +439,84 @@ class TestKnuthBendix:
         core = [((g, s), (g, -s)) for g in ("a", "b") for s in (POS, NEG)]
         assert c2.complete and all((lhs, ()) in c2.rules for lhs in core)
         rules = tuple(rule for rule in c2.rules if rule[0] != core[dropped])
+        system = GroupRewriting(c2.generators, rules, complete=True)
         with pytest.raises(RewritingNotConfluent, match=re.escape(repr(core[dropped]))):
-            enumerate_elements(GroupRewriting(c2.generators, rules, complete=True), 2)
+            enumerate_elements(system, 2)
+        assert refusal(enumerate_elements, system) == refusal(count_normal_forms, system)
+
+
+# elements_up_to_8 of the benchmark's pushout jobs; loop-plus-isolated is not connected
+PUSHOUT_COUNTS = {
+    "circle-two-points": 17, "circle-one-object": 17, "wedge-two-loops": 13121, "identity-glue": 1,
+    "theta-graph": 13121, "c2-wedge-c2": 17, "c2-wedge-c3": 106, "two-segments": 1,
+    "interval-against-loop": 13121, "swapped-circle": 17,
+}
+
+
+def assert_count_lists_nothing_else(system, lengths=range(9), most=None):
+    """`count_normal_forms` equals the size of `enumerate_elements` at each length; past `most` words, stop."""
+    for n in lengths:
+        count = count_normal_forms(system, n)
+        assert count == len(enumerate_elements(system, n)), n
+        if most is not None and count > most:
+            return
+
+
+class TestNormalFormCount:
+    """The automaton count against the listed normal forms, its oracle."""
+
+    def test_the_benchmark_pushouts_keep_their_counts(self):
+        # the parametrized test below checks each of these against the listed normal forms
+        counts = {name.removeprefix("pushout-"): count_normal_forms(knuth_bendix(pres.generators, pres.relators), 8)
+                  for name, pres in PRESENTATIONS if name.startswith("pushout-")}
+        assert counts == PUSHOUT_COUNTS
+
+    @pytest.mark.parametrize("name,pres", PRESENTATIONS, ids=[name for name, _ in PRESENTATIONS])
+    def test_counts_equal_the_listed_normal_forms(self, name, pres):
+        system = knuth_bendix(pres.generators, pres.relators)
+        assert system.complete
+        assert_count_lists_nothing_else(system)
+        assert pres.element_count_up_to(8) == count_normal_forms(system, 8)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda k: st.tuples(
+        st.just("abc"[:k]),
+        st.lists(st.lists(st.tuples(st.sampled_from("abc"[:k]), st.sampled_from([POS, NEG])), min_size=1, max_size=3),
+                 max_size=3),
+    )))
+    def test_random_presentations_count_what_they_list(self, presentation):
+        generators, relators = tuple(presentation[0]), [tuple(r) for r in presentation[1]]
+        system = knuth_bendix(generators, relators)
+        if system.complete:
+            # every length up to 8, or up to the first past 500 normal forms
+            assert_count_lists_nothing_else(system, most=500)
+
+    def test_a_left_hand_side_holding_another_is_counted_by_its_suffixes(self):
+        # completion inter-reduces its rules, so this needs a system built by hand: with b -> a^-1, the
+        # redundant rule a^-1 b a^-1 -> a^-1 makes a^-1 b a trie state that ends the left-hand side b
+        c2 = knuth_bendix(*C2_BY_TWO_GENERATORS)
+        a_, b = ("a", NEG), ("b", POS)
+        system = GroupRewriting(c2.generators, c2.rules + (((a_, b, a_), (a_,)),), complete=True)
+        assert_count_lists_nothing_else(system)
+        assert count_normal_forms(system, 8) == 2
+
+    def test_a_relator_letter_outside_the_generators_is_never_read(self):
+        # <a | b a>: the trie holds states that only the letter b reaches
+        system = knuth_bendix(("a",), [(("b", POS), ("a", POS))])
+        assert system.complete
+        assert_count_lists_nothing_else(system)
+
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_a_negative_bound_counts_the_empty_word(self, n):
+        for name, pres in PRESENTATIONS:
+            system = knuth_bendix(pres.generators, pres.relators)
+            assert count_normal_forms(system, n) == len(enumerate_elements(system, n)) == 1, name
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_free_groups_reach_the_closed_form_at_length_40(self, rank):
+        system = knuth_bendix(tuple("abcd"[:rank]), [])
+        # far past what listing could reach: 2 * 3^40 - 1 words at rank 2
+        assert count_normal_forms(system, 40) == 1 + 2 * rank * ((2 * rank - 1) ** 40 - 1) // (2 * rank - 2)
 
 
 GENERATED_WINDOW_GROUPOIDS = [
