@@ -34,10 +34,11 @@ and the closure sweep read.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import product as iproduct, repeat
 from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 from .core import FiniteGroup, FiniteGroupoid, group_by, one_object_groupoid, validate_group, vertex_group
 from .errors import (
@@ -54,8 +55,9 @@ from .errors import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Square:
+class Square(NamedTuple):
+    """A square as a named 5-tuple: its four edges, then its filler."""
+
     top: object
     right: object
     left: object
@@ -98,7 +100,8 @@ class DoubleGroupoid:
         return self.edge.inv[x]
 
     def has_square(self, u: Square) -> bool:
-        return u in self.squares
+        """u is a `Square` of D; a plain tuple equal to one is not."""
+        return isinstance(u, Square) and u in self.squares
 
     @cached_property
     def tables(self) -> SquareTables:
@@ -141,36 +144,58 @@ def gamma_plus(D: DoubleGroupoid, e) -> Square:
     return _thin(D, G.id_of[G.src[e]], e, G.id_of[G.src[e]], e)
 
 
+def _filler_algebra(D: DoubleGroupoid) -> dict:
+    """Each direction's (compose, inverse), one formula each, on squares as 5-tuples.
+
+    compose(u, v) is u then v, downward in direction 1 and rightward in
+    direction 2; both return the plain 5-tuple of the result, which a
+    `Square` equals and hashes as.  Nothing is checked: the callers check
+    membership and boundaries.  The formulas read D's edge, filler and
+    action tables, not D, so whatever keeps them keeps no reference to D.
+    """
+    comp, einv, mul, inv, act = D.edge.comp, D.edge.inv, D.fillers.mul, D.fillers.inv, D.act
+
+    def down(u, v):
+        return u.top, comp[v.right, u.right], comp[v.left, u.left], v.bottom, mul[v.filler, act[einv[v.right], u.filler]]
+
+    def across(u, v):
+        return comp[v.top, u.top], v.right, u.left, comp[v.bottom, u.bottom], mul[act[einv[v.bottom], u.filler], v.filler]
+
+    return {
+        1: (down, lambda u: (u.bottom, einv[u.right], einv[u.left], u.top, inv[act[u.right, u.filler]])),
+        2: (across, lambda u: (einv[u.top], u.left, u.right, einv[u.bottom], act[u.bottom, inv[u.filler]])),
+    }
+
+
+def _numbered(index: dict, squares: list) -> list:
+    """The index of each of `squares`; NotComposable names the first that is not in `index`."""
+    out = list(map(index.get, squares))
+    if None in out:
+        raise NotComposable(f"square {Square(*squares[out.index(None)])!r} does not belong to this double groupoid")
+    return out
+
+
+# Each direction's name, the side of v that meets u, and the side of u it meets.
+_MEETS = {1: ("vertical", "top", "bottom"), 2: ("horizontal", "left", "right")}
+
+
 def compose_squares(D: DoubleGroupoid, direction: int, u: Square, v: Square) -> Square:
     """u then v: downward for direction 1, rightward for direction 2."""
     _check_member(D, u)
     _check_member(D, v)
-    mul, act = D.fillers.mul, D.act
-    if direction == 1:
-        if v.top != u.bottom:
-            raise NotComposable("vertical composition needs v.top == u.bottom")
-        filler = mul[(v.filler, act[(D.einv(v.right), u.filler)])]
-        out = Square(u.top, D.seq(u.right, v.right), D.seq(u.left, v.left), v.bottom, filler)
-    elif direction == 2:
-        if v.left != u.right:
-            raise NotComposable("horizontal composition needs v.left == u.right")
-        filler = mul[(act[(D.einv(v.bottom), u.filler)], v.filler)]
-        out = Square(D.seq(u.top, v.top), v.right, u.left, D.seq(u.bottom, v.bottom), filler)
-    else:
+    if direction not in (1, 2):
         raise NotComposable(f"direction must be 1 or 2, got {direction!r}")
-    return _check_member(D, out)
+    name, meets, side = _MEETS[direction]
+    if getattr(v, meets) != getattr(u, side):
+        raise NotComposable(f"{name} composition needs v.{meets} == u.{side}")
+    return _check_member(D, Square(*_filler_algebra(D)[direction][0](u, v)))
 
 
 def inverse_square(D: DoubleGroupoid, direction: int, u: Square) -> Square:
     _check_member(D, u)
-    inv, act = D.fillers.inv, D.act
-    if direction == 1:
-        out = Square(u.bottom, D.einv(u.right), D.einv(u.left), u.top, inv[act[(u.right, u.filler)]])
-    elif direction == 2:
-        out = Square(D.einv(u.top), u.left, u.right, D.einv(u.bottom), act[(u.bottom, inv[u.filler])])
-    else:
+    if direction not in (1, 2):
         raise NotComposable(f"direction must be 1 or 2, got {direction!r}")
-    return _check_member(D, out)
+    return _check_member(D, Square(*_filler_algebra(D)[direction][1](u)))
 
 
 def commuting_squares(G: FiniteGroupoid) -> DoubleGroupoid:
@@ -291,10 +316,7 @@ def double_to_xmod(D: DoubleGroupoid) -> CrossedModule:
         )
     )
     ident = _thin(D, one, one, one, one)
-    mul = {}
-    for u in m_squares:
-        for v in m_squares:
-            mul[(u, v)] = compose_squares(D, 2, u, v)
+    mul = {(u, v): compose_squares(D, 2, u, v) for u, v in iproduct(m_squares, m_squares)}
     inv = {u: inverse_square(D, 2, u) for u in m_squares}
     M = FiniteGroup(m_squares, mul, ident, inv)
     boundary = {u: u.top for u in m_squares}
@@ -624,12 +646,12 @@ class SquareTables:
     Squares are numbered in repr order.  ``comp1[u]`` and ``comp2[u]`` are
     rows mapping each square v composable after u to the index of the
     composite; ``inv1[u]`` and ``inv2[u]`` are inverse indices.  All four
-    are memos over `compose_squares` and `inverse_square`, filled one row
-    or entry at a time on first lookup, so every entry is an actual
-    operation result and a caller pays only for the rows it reads.
-    ``einv`` is the edge inverse map.  Nothing here refers back to the
-    double that owns the tables, so the double is freed by reference
-    counting alone.
+    are memos over the `_filler_algebra` formulas that `compose_squares`
+    and `inverse_square` also apply, filled one row or entry at a time on
+    first lookup, so a caller pays only for the rows it reads.  ``einv``
+    is the edge inverse map.  Nothing here refers back to the double that
+    owns the tables: the row builders hold its edge, filler and action
+    tables, so the double is freed by reference counting alone.
     """
 
     squares: tuple
@@ -664,27 +686,30 @@ class SquareTables:
 
 
 def square_tables(D: DoubleGroupoid) -> SquareTables:
-    """D's `SquareTables`; a connection square missing from D raises NotComposable naming it."""
-    # The rows compose on a copy of D without its cached tables: a builder
-    # that held D itself would close a cycle D -> tables -> builder -> D.
-    ops = replace(D)
+    """D's `SquareTables`; a connection square missing from D raises NotComposable naming it.
+
+    Each row entry and inverse is one `_filler_algebra` formula and one
+    index lookup; a composite outside D raises NotComposable naming it
+    when its row or inverse is read.
+    """
     squares = tuple(sorted(D.squares, key=repr))
     index = {u: i for i, u in enumerate(squares)}
-    by_top, by_left = group_by(squares, attrgetter("top")), group_by(squares, attrgetter("left"))
+    (down, inverse1), (across, inverse2) = _filler_algebra(D).values()
 
-    def row1(u: int) -> dict:
+    def row(compose, bucket: dict, side: str, u: int) -> dict:
+        """Row u: each v in the bucket of u's `side` edge, mapped to the index of compose(u, v)."""
         s = squares[u]
-        return {index[v]: index[compose_squares(ops, 1, s, v)] for v in by_top.get(s.bottom, ())}
+        vs = bucket.get(getattr(s, side), ())
+        return dict(zip(vs, _numbered(index, [compose(s, v) for v in map(squares.__getitem__, vs)])))
 
-    def row2(u: int) -> dict:
-        s = squares[u]
-        return {index[v]: index[compose_squares(ops, 2, s, v)] for v in by_left.get(s.right, ())}
-
-    inv1 = _Lazy(lambda u: index[inverse_square(ops, 1, squares[u])])
-    inv2 = _Lazy(lambda u: index[inverse_square(ops, 2, squares[u])])
+    n = range(len(squares))
+    by_top, by_left = group_by(n, lambda v: squares[v].top), group_by(n, lambda v: squares[v].left)
+    comp1, comp2 = _Lazy(partial(row, down, by_top, "bottom")), _Lazy(partial(row, across, by_left, "right"))
+    inv1 = _Lazy(lambda u: _numbered(index, [inverse1(squares[u])])[0])
+    inv2 = _Lazy(lambda u: _numbered(index, [inverse2(squares[u])])[0])
     gplus = {e: index[_check_member(D, gamma_plus(D, e))] for e in D.edge.arrows}
     gminus = {e: index[_check_member(D, gamma_minus(D, e))] for e in D.edge.arrows}
-    return SquareTables(squares, index, _Lazy(row1), _Lazy(row2), inv1, inv2, gplus, gminus, D.edge.inv)
+    return SquareTables(squares, index, comp1, comp2, inv1, inv2, gplus, gminus, D.edge.inv)
 
 
 def _columns(tab: SquareTables, direction: int, cols: tuple) -> _Lazy:

@@ -23,6 +23,12 @@ from .errors import RewritingNotConfluent
 
 POS, NEG = 1, -1
 MAX_RULES, MAX_LEN = 300, 16  # found during completion, which gives up past these
+# Critical pairs formed over all rounds of one completion, counted before a
+# round joins them.  A system can stay under MAX_RULES and MAX_LEN and still
+# join thousands of pairs a round for 80 rounds (ten minutes on one
+# three-generator instance).  The largest completion in the tests forms 432,
+# and in the benchmark's pushouts 33.
+MAX_PAIRS = 5000
 
 
 def invert(word):
@@ -53,9 +59,7 @@ def rewriter(rules: dict):
     """The reducer of the rewriting system `rules` (lhs -> rhs), built once per dict.
 
     The reducer freely reduces a word, then replaces the leftmost left-hand
-    side in it (at one position the shorter first) until none is left.  With
-    `extended` and a word w·x whose w is irreducible, x cancels w's last
-    letter or every left-hand side ends at x: same rewrites, confluent or not.
+    side in it (at one position the shorter first) until none is left.
     It reads `rules` live: a rule removed later stops applying, and a rule
     added later applies if its lhs is no longer than the longest at build time.
     """
@@ -63,10 +67,8 @@ def rewriter(rules: dict):
     lengths = range(1, longest + 1)
     get = rules.get
 
-    def reduce(word, extended=False):
-        if extended and len(word) > 1 and word[-2] == (word[-1][0], -word[-1][1]):
-            return word[:-2]
-        word, i = (word, max(0, len(word) - longest)) if extended else (free_reduce(word), 0)
+    def reduce(word):
+        word, i = free_reduce(word), 0
         while i < len(word):
             for n in lengths:
                 rhs = get(word[i : i + n])
@@ -146,7 +148,8 @@ def knuth_bendix(generators, relators) -> GroupRewriting:
     round joins every overlap and every inclusion of two left-hand sides;
     inter-reduction leaves the core alone.  Returns a system flagged
     `complete=False` when a bound is hit: more than MAX_RULES rules, a lhs
-    longer than MAX_LEN, or 80 rounds.
+    longer than MAX_LEN, more than MAX_PAIRS critical pairs over all rounds,
+    or 80 rounds.
     """
     rules: dict = {((g, s), (g, -s)): () for g in generators for s in (POS, NEG)}
     core = set(rules)
@@ -162,6 +165,7 @@ def knuth_bendix(generators, relators) -> GroupRewriting:
         return True
 
     ok = True
+    formed = 0
     for r in relators:
         ok &= add_rule(tuple(r), ())
         ok &= add_rule(invert(tuple(r)), ())
@@ -174,6 +178,10 @@ def knuth_bendix(generators, relators) -> GroupRewriting:
         reduce = rewriter(rules)
         pairs = [(rules[l1] + l2[k:], l1[:-k] + rules[l2]) for l1, l2, k in overlaps(rules)]
         pairs += [(rules[l1], l1[:i] + rules[l2] + l1[i + len(l2) :]) for l1, l2, i in inclusions(rules)]
+        formed += len(pairs)
+        if formed > MAX_PAIRS:
+            ok = False
+            break
         new_pairs = [(a, b) for a, b in (map(reduce, pair) for pair in pairs) if a != b]
         if not new_pairs:
             break
@@ -218,11 +226,11 @@ def _freely_reduced_letters(system: GroupRewriting) -> list:
 def enumerate_elements(system: GroupRewriting, max_len: int):
     """Distinct normal forms of all words up to the length bound; needs a complete system.
 
-    Each is a shorter one extended by one letter and reduced from the tail,
-    which needs freely reduced normal forms: `_freely_reduced_letters`
-    refuses a system that cannot promise them.  A negative bound lists the
+    Each is a shorter one extended by one letter and reduced from scratch.
+    `_freely_reduced_letters` refuses the systems that `count_normal_forms`
+    refuses, so the two answer the same inputs.  A negative bound lists the
     empty word alone.  `count_normal_forms` counts the same set without
-    building it.  Cost: 2 |generators| tail reductions per normal form of
+    building it.  Cost: 2 |generators| reductions per normal form of
     length < max_len; memory: every normal form."""
     letters = _freely_reduced_letters(system)
     seen = {()}
@@ -231,7 +239,7 @@ def enumerate_elements(system: GroupRewriting, max_len: int):
         nxt = []
         for w in frontier:
             for let in letters:
-                nf = system.reduce(w + (let,), extended=True)
+                nf = system.reduce(w + (let,))
                 if nf not in seen:
                     seen.add(nf)
                     nxt.append(nf)
