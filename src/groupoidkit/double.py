@@ -389,42 +389,30 @@ class InterchangeReport:
     witnesses: tuple
 
 
-def _interchange_blocks(D: DoubleGroupoid) -> int:
-    """The blocks (u, v, w, z) that `_interchange_direct` walks, counted from the squares' edges alone.
-
-    Each edge r and bottoms (b1, b2) give #{u: right r, bottom b1} x #{v: left r, bottom b2}
-    x the sum over w with top b1 of #{z: top b2, left = right of w}.  The
-    MAX_INTERCHANGE_BLOCKS cap is counted first: CapExceeded as soon as the count passes it.
-    """
-    def grouped(first, second) -> dict:
-        """Each `first` edge mapped to {`second` edge: the number of squares with both}."""
-        out: dict = {}
-        for (x, y), n in Counter(map(attrgetter(first, second), D.squares)).items():
-            out.setdefault(x, {})[y] = n
-        return out
-
-    right_bottom, left_bottom, top_right = grouped("right", "bottom"), grouped("left", "bottom"), grouped("top", "right")
-    top_left = Counter(map(attrgetter("top", "left"), D.squares))
-    lower = _Lazy(lambda b: sum(n * top_left[b[1], e] for e, n in top_right.get(b[0], {}).items()))
-    blocks = 0
-    for r, uppers in right_bottom.items():
-        for b2, nv in left_bottom.get(r, {}).items():
-            for b1, nu in uppers.items():
-                blocks += nu * nv * lower[b1, b2]
-                if blocks > MAX_INTERCHANGE_BLOCKS:
-                    raise CapExceeded(f"interchange check passed the cap of {MAX_INTERCHANGE_BLOCKS} blocks")
-    return blocks
-
-
 def _interchange_direct(D: DoubleGroupoid) -> InterchangeReport:
     """Every block read off the square rows, in repr order of (u, v, w, z).
 
+    A block is four squares, u and v over w and z, on a 3x3 grid of points.
+    A commuting-squares double (``D.xmod is None``) has exactly
+    sum_x s(x)^8 blocks, s(x) the number of arrows out of x: each square is
+    fixed by its boundary (the double is thin; Brown & Higgins, "On the
+    algebra of cubes", JPAA 21, 1981), and a commuting grid by its corner x
+    and one arrow from x to each of the other eight points.  So such a
+    double past MAX_INTERCHANGE_BLOCKS raises CapExceeded before any row is
+    read.  A crossed-module double reaches here from `interchange_check`
+    only with at most 40 squares, so with at most 40^4 blocks, under the
+    cap.  The walk counts its blocks too, and raises the same CapExceeded
+    once the count passes the cap: that keeps the cap binding on a double
+    built by hand.
+
     A block's lower row (w, z) depends only on the bottom edges of u and v,
-    so its columns w, z and w +2 z are built once per edge pair.  The
-    blocks are counted first (`_interchange_blocks`), so a double past
-    MAX_INTERCHANGE_BLOCKS raises CapExceeded before any row is read.
+    so its columns w, z and w +2 z are built once per edge pair.  Cost: one
+    pass over the edges to count, then four row reads per block.
     """
-    _interchange_blocks(D)
+    refused = f"interchange check passed the cap of {MAX_INTERCHANGE_BLOCKS} blocks"
+    stars = Counter(map(D.edge.src.__getitem__, D.edge.arrows))
+    if D.xmod is None and sum(s ** 8 for s in stars.values()) > MAX_INTERCHANGE_BLOCKS:
+        raise CapExceeded(refused)
     tab = D.tables
     sq, c1, c2 = tab.squares, tab.comp1, tab.comp2
     lower: dict = {}
@@ -438,6 +426,8 @@ def _interchange_direct(D: DoubleGroupoid) -> InterchangeReport:
                 lower[key] = tuple(zip(*pairs)) or ((), (), ())
             ws, zs, wzs = lower[key]
             blocks += len(ws)
+            if blocks > MAX_INTERCHANGE_BLOCKS:
+                raise CapExceeded(refused)
             uws = map(c1[u].__getitem__, ws)
             lhs = list(map(c1[uv].__getitem__, wzs))
             rhs = list(map(dict.__getitem__, map(c2.__getitem__, uws), map(c1[v].__getitem__, zs)))

@@ -489,12 +489,11 @@ def monodromy(D: LocalGroupoidData) -> MonodromyResult:
     if not rep.ok:
         raise IllFormedWord("invalid monodromy graph: " + "; ".join(map(str, rep.violations)))
     rules = {}
-    ending_at = group_by(gens, G.tgt.__getitem__)
-    for u in gens:
-        for v in ending_at.get(G.src[u], ()):
-            uv = G.comp[(u, v)]
-            if uv in W:
-                rules[(u, v)] = None if G.is_identity(uv) else uv
+    # with src and tgt swapped the join yields (v, u): u in generator order, then v
+    for v, u in composable(gens, G.tgt, G.src):
+        uv = G.comp[(u, v)]
+        if uv in W:
+            rules[(u, v)] = None if G.is_identity(uv) else uv
     rewriting = _pair_rewriting(graph, {w: G.inv[w] for w in gens}, rules)
     relations = tuple(
         (Word(G.src[v], ((u, POS), (v, POS))), Word(G.src[v], () if uv is None else ((uv, POS),)))

@@ -37,8 +37,6 @@ package, kept as a test oracle:
 - `reference_rewrite` rescans the word once per rule, in rule order, and
   `reference_knuth_bendix` completes with it over the all-pairs overlap
   and inclusion loops `reference_overlaps` and `reference_inclusions`;
-- `reference_enumerate_elements` reduces each word w·x from scratch instead
-  of from its tail;
 - `reference_exhaust` and `reference_check_confluence` are the monodromy
   pair rewriting written on its own: signs normalised first, then the
   leftmost pair rewritten, restarting from the left;
@@ -674,23 +672,6 @@ def reference_knuth_bendix(generators, relators, max_rules=300, max_len=16) -> G
     return GroupRewriting(
         tuple(generators), tuple(sorted(rules.items(), key=lambda kv: _shortlex_key(kv[0]))), ok
     )
-
-
-def reference_enumerate_elements(system: GroupRewriting, max_len: int) -> set:
-    """Distinct normal forms of all words up to the length bound, each w·x reduced from scratch."""
-    seen = {()}
-    frontier = [()]
-    letters = [(g, s) for g in system.generators for s in (POS, NEG)]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for let in letters:
-                nf = system.reduce(w + (let,))
-                if nf not in seen:
-                    seen.add(nf)
-                    nxt.append(nf)
-        frontier = nxt
-    return seen
 
 
 def reference_rewrite_once(pair_rules, w):

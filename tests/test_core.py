@@ -52,6 +52,7 @@ from groupoidkit.core import (
 from groupoidkit.errors import (
     CapExceeded,
     EmptyNotAllowed,
+    InvalidMorphism,
     NotAGroupoid,
     NotAPartition,
     NotComposable,
@@ -141,6 +142,15 @@ class TestValidation:
         rep = validate_groupoid(broken)
         assert [v.rule for v in rep.violations] == [rule]
         assert "1" in rep.violations[0].witness
+        assert rep.violations == tuple(reference_validate(broken))
+
+    def test_composite_with_wrong_endpoints_is_reported_at_the_witness(self):
+        G = indiscrete(2)
+        comp = {**G.comp, ("a:1->0", "a:0->1"): "id:1"}  # a loop at 0 given the loop at 1
+        broken = FiniteGroupoid(G.objects, G.arrows, G.src, G.tgt, G.id_of, G.inv, comp)
+        rep = validate_groupoid(broken)
+        assert [(v.rule, v.witness) for v in rep.violations] == [
+            ("composition-endpoints", ("a:1->0", "a:0->1", "id:1"))]
         assert rep.violations == tuple(reference_validate(broken))
 
     def test_action_groupoid_valid_exhaustively(self):
@@ -236,6 +246,24 @@ class TestCovering:
         H = indiscrete(1)
         p = GroupoidMorphism(G, H, {x: "0" for x in G.objects}, {a: "id:0" for a in G.arrows})
         assert not is_covering(p)
+
+    @pytest.mark.parametrize("source, target, obj_map, arr_map, violations", [
+        (indiscrete(1), indiscrete(2), {}, {"id:0": "id:0"}, [("object-map", ("0",))]),
+        (indiscrete(1), indiscrete(2), {"0": "0"}, {"id:0": "nope"}, [("arrow-map", ("id:0",))]),
+        (indiscrete(1), indiscrete(2), {"0": "0"}, {"id:0": "id:1"},
+         [("endpoint-preservation", ("id:0",)), ("identity-preservation", ("0",))]),
+        (indiscrete(1), one_object_groupoid(cyclic_group(2)), {"0": "o"}, {"id:0": "g:1"},
+         [("identity-preservation", ("0",)), ("composition-preservation", ("id:0", "id:0"))]),
+        (one_object_groupoid(cyclic_group(2)), one_object_groupoid(cyclic_group(3)), {"o": "o"},
+         {"id:o": "id:o", "g:1": "g:1"}, [("composition-preservation", ("g:1", "g:1"))]),
+    ], ids=["object-map", "arrow-map", "endpoint-preservation", "identity-preservation", "composition-preservation"])
+    def test_a_broken_morphism_is_reported_at_the_witness(self, source, target, obj_map, arr_map, violations):
+        p = GroupoidMorphism(source, target, obj_map, arr_map)
+        rep = validate_morphism(p)
+        assert [(v.rule, v.witness) for v in rep.violations] == violations
+        with pytest.raises(InvalidMorphism) as info:
+            is_covering(p)
+        assert str(info.value) == str(rep)
 
     def test_two_fold_cover_of_c2(self):
         p = c2_collapse_morphism()

@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from operator import itemgetter
 
 import pytest
@@ -24,10 +25,10 @@ from groupoidkit.core import (
     pair_groupoid,
     symmetric_group,
     trivial_group,
+    validate_groupoid,
 )
 from groupoidkit.double import (
     CrossedModule,
-    _interchange_blocks,
     _interchange_direct,
     _interchange_factored,
     Square,
@@ -116,6 +117,26 @@ SWEEP_CORPUS = {
 DOUBLE_FIXTURES = (
     "annulus3", "box-c2", "c4-window", "full-window", "interval", "sierpinski", "xmod-c2c2", "xmod-trivial",
 )
+
+
+def commuting_fixtures():
+    """The fixtures the `double` command reads as a groupoid, and so as the double of its commuting squares."""
+    out = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        try:
+            doc = json.loads(path.read_text())
+            if "P" not in doc and validate_groupoid(groupoid_from_dict(doc)).ok:
+                out.append(path.stem)
+        except (ValueError, GroupoidKitError):  # truncated.json is not JSON; the rest are not groupoids
+            continue
+    return out
+
+
+# sum_x s(x)^8 on each commuting-squares fixture, s(x) the number of arrows out of x
+COMMUTING_BLOCKS = {
+    "annulus3": 59_049, "box-c2": 256, "c4-window": 65_536, "c6-window-2": 1_679_616, "full-window": 768,
+    "interval": 512, "mobius3": 10_097_379, "open-window": 10_097_379, "sierpinski": 512,
+}
 
 
 def three_crossed_modules():
@@ -1065,13 +1086,22 @@ class TestSquareEngine:
             interchange_check(D)
         assert "255" in str(info.value)
 
-    @pytest.mark.parametrize("name, blocks", [
-        ("box-c2", 256), ("xmod-trivial", 256), ("interval", 512),
-        ("full-window", 768), ("c4-window", 65_536), ("xmod-c2c2", 4_096),
-    ])
-    def test_interchange_count_matches_the_walk(self, name, blocks):
+    @pytest.mark.parametrize("name", commuting_fixtures())
+    def test_thin_blocks_and_squares_are_powers_of_the_star_sizes(self, name):
         D = fixture_double(name)
-        assert _interchange_blocks(D) == _interchange_direct(D).blocks_checked == blocks
+        stars = Counter(map(D.edge.src.__getitem__, D.edge.arrows)).values()
+        assert sum(s ** 3 for s in stars) == len(D.squares)
+        assert sum(s ** 8 for s in stars) == _interchange_direct(D).blocks_checked == COMMUTING_BLOCKS[name]
+
+    def test_the_walk_refuses_past_the_cap_by_its_own_count(self, monkeypatch):
+        D = fixture_double("xmod-c2c2")  # 8 squares, walked directly: no count before the walk
+        monkeypatch.setattr(double, "MAX_INTERCHANGE_BLOCKS", 4_096)
+        rep = interchange_check(D)
+        assert (rep.ok, rep.method, rep.blocks_checked) == (True, "direct", 4_096)
+        monkeypatch.setattr(double, "MAX_INTERCHANGE_BLOCKS", 4_095)
+        with pytest.raises(CapExceeded) as info:
+            interchange_check(D)
+        assert str(info.value) == "interchange check passed the cap of 4095 blocks"
 
     def test_interchange_cap_refused_before_any_table_read(self, monkeypatch):
         # the commuting squares of the pair groupoid on 7 points form 7^9 blocks, past the cap of 2^25
