@@ -733,12 +733,12 @@ def cube_closure_sweep(D: DoubleGroupoid) -> dict:
     commutative shells.  The verdict `tab.is_commutative` is a pure
     function of the 6-tuple, and it has already been evaluated on every
     enumerated shell; a composite equal to a shell that passed is
-    therefore commutative by that evaluation.  A c1 with any composite
-    outside the set is a suspect in that direction.  The suspects are
-    then walked pair by pair, in c1-then-direction order, and each
-    composite outside the set is evaluated again; it is a violation
-    exactly when that evaluation fails.  The set changes how often the
-    fold runs, never a verdict.
+    therefore commutative by that evaluation.  When some composite of a
+    c1 lies outside the set, that c1's composites outside it are evaluated
+    again in the same pass; each is a violation exactly when that
+    evaluation fails.  The set changes how often the fold runs, never a
+    verdict.  Violations are listed in the order of c1 among the
+    commutative cubes, then of direction, then of c2 in its bucket.
 
     Raises CapExceeded when the shells pass MAX_CUBE_SHELLS, found during
     their enumeration, or when the composites, counted first, would pass
@@ -750,32 +750,29 @@ def cube_closure_sweep(D: DoubleGroupoid) -> dict:
     known = set(commutative)
     joins = [
         (direction, {k: (c2s, tuple(zip(*c2s))) for k, c2s in group_by(commutative, itemgetter(keep)).items()},
-         keep ^ 1, group_by(commutative, itemgetter(keep ^ 1)))
+         group_by(commutative, itemgetter(keep ^ 1)))
         for direction, (keep, _) in _DIRECTIONS.items()
     ]
     checked = sum(
-        len(c2s) * len(meeting.get(k, ())) for _, buckets, _, meeting in joins for k, (c2s, _) in buckets.items()
+        len(c2s) * len(meeting.get(k, ())) for _, buckets, meeting in joins for k, (c2s, _) in buckets.items()
     )
     if checked > MAX_CUBE_COMPOSITES:
         raise CapExceeded(
             f"cube closure sweep would check {checked} composites, over the cap of {MAX_CUBE_COMPOSITES}"
         )
-    suspects = set()
-    for direction, buckets, _, meeting in joins:
-        for k, (_, cols) in buckets.items():
+    violations = []
+    for direction, buckets, meeting in joins:
+        for k, (bucket, cols) in buckets.items():
             columns = _columns(tab, direction, cols)
             for c1 in meeting.get(k, ()):
                 if not known.issuperset(_composites(direction, c1, cols, columns)):
-                    suspects.add((c1, direction))
-    violations = []
-    for c1 in commutative:
-        for direction, buckets, face, _ in joins:
-            if (c1, direction) not in suspects:
-                continue
-            bucket, cols = buckets[c1[face]]
-            for c2, out in zip(bucket, _composites(direction, c1, cols, _columns(tab, direction, cols))):
-                if out not in known and not tab.is_commutative(out):
-                    violations.append((direction, c1, c2))
+                    violations += [
+                        (direction, c1, c2) for c2, out in zip(bucket, _composites(direction, c1, cols, columns))
+                        if out not in known and not tab.is_commutative(out)
+                    ]
+    if violations:
+        at = {c: i for i, c in enumerate(commutative)}
+        violations.sort(key=lambda v: (at[v[1]], v[0]))
     return {
         "cubes": len(cubes),
         "commutative": len(commutative),

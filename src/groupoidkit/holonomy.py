@@ -345,55 +345,27 @@ def _band_model(n: int, twist: bool) -> LocalGroupoidData:
         raise TooSmall("band models need at least 3 segments")
     centres = [f"c{i}" for i in range(n)]
     sides = [f"{i}{s}" for i in range(n) for s in "+-"]
-    points = centres + sides
+    # leaves: with the twist, one side leaf runs through both sheets
+    side_leaves = [sides] if twist else [[f"{i}+" for i in range(n)], [f"{i}-" for i in range(n)]]
+    R = equivalence_groupoid(centres + sides, [centres] + side_leaves)
 
-    # leaves
-    if twist:
-        side_leaves = [sides]  # one leaf through both sheets
-    else:
-        side_leaves = [[f"{i}+" for i in range(n)], [f"{i}-" for i in range(n)]]
-    leaves = [centres] + side_leaves
-    R = equivalence_groupoid(points, leaves)
-
-    def pair(a, b):
-        return f"id:{a}" if a == b else f"{a}>{b}"
-
-    # window: identities plus one-cell slides along the leaves
-    window = {f"id:{p}" for p in points}
-    forward_blocks = []
+    # window: each cell's transversal (centre, + side, - side) over the identities,
+    # the one-cell slides along the leaves and their inverses; the twist swaps
+    # the sides on the slide that wraps around
+    triples = [(f"id:c{i}", f"id:{i}+", f"id:{i}-") for i in range(n)]
     for i in range(n):
         j = (i + 1) % n
-        centre_slide = pair(f"c{i}", f"c{j}")
-        if i + 1 < n:
-            plus, minus = pair(f"{i}+", f"{j}+"), pair(f"{i}-", f"{j}-")
-        elif twist:
-            plus, minus = pair(f"{i}+", f"{j}-"), pair(f"{i}-", f"{j}+")
-        else:
-            plus, minus = pair(f"{i}+", f"{j}+"), pair(f"{i}-", f"{j}-")
-        window.update({centre_slide, plus, minus})
-        forward_blocks.append((centre_slide, plus, minus))
+        ends = "-+" if twist and j == 0 else "+-"
+        slide = (f"c{i}>c{j}", f"{i}+>{j}{ends[0]}", f"{i}->{j}{ends[1]}")
+        triples += [slide, tuple(map(R.inv.__getitem__, slide))]
 
-    inv_arrow = {a: R.inv[a] for a in R.arrows}
-    window.update({inv_arrow[w] for w in set(window)})
-
-    # window topology: identity blocks over each cell, slide blocks over
-    # each overlap (centre value inseparable from its side companions)
+    # window topology: the centre arrow is inseparable from its side companions,
+    # and each side arrow is an open point
     mins = {}
-    for i in range(n):
-        block = frozenset({f"id:c{i}", f"id:{i}+", f"id:{i}-"})
-        mins[f"id:c{i}"] = block
-        mins[f"id:{i}+"] = frozenset({f"id:{i}+"})
-        mins[f"id:{i}-"] = frozenset({f"id:{i}-"})
-    for (centre_slide, plus, minus) in forward_blocks:
-        mins[centre_slide] = frozenset({centre_slide, plus, minus})
-        mins[plus] = frozenset({plus})
-        mins[minus] = frozenset({minus})
-        back = inv_arrow[centre_slide]
-        mins[back] = frozenset({back, inv_arrow[plus], inv_arrow[minus]})
-        mins[inv_arrow[plus]] = frozenset({inv_arrow[plus]})
-        mins[inv_arrow[minus]] = frozenset({inv_arrow[minus]})
-    t_window = FiniteTopology(tuple(sorted(window)), mins)
-    return local_data(R, window, t_window)
+    for centre, plus, minus in triples:
+        mins[centre] = frozenset((centre, plus, minus))
+        mins[plus], mins[minus] = frozenset((plus,)), frozenset((minus,))
+    return local_data(R, mins.keys(), FiniteTopology(tuple(sorted(mins)), mins))
 
 
 def mobius_model(n: int) -> LocalGroupoidData:

@@ -79,6 +79,15 @@ def _name_rows(doc, key, where, shape, optional=False):
     return rows
 
 
+def _edges_from(doc, key, where):
+    """doc[key], a list of {id, src, tgt} objects of strings, as (id, src, tgt) triples."""
+    edges = []
+    for i, e in enumerate(_require(doc, key, list, where)):
+        at = f"{where}.{key}[{i}]"
+        edges.append((_require(e, "id", str, at), _require(e, "src", str, at), _require(e, "tgt", str, at)))
+    return edges
+
+
 # ---------------------------------------------------------------------------
 # groupoids
 # ---------------------------------------------------------------------------
@@ -98,12 +107,9 @@ def groupoid_to_dict(G: FiniteGroupoid) -> dict:
 
 def groupoid_from_dict(doc: dict) -> FiniteGroupoid:
     objects = _require(doc, "objects", list, "groupoid", strings=True)
-    arrows, src, tgt = [], {}, {}
-    for i, a in enumerate(_require(doc, "arrows", list, "groupoid")):
-        aid = _require(a, "id", str, f"groupoid.arrows[{i}]")
-        arrows.append(aid)
-        src[aid] = _require(a, "src", str, f"groupoid.arrows[{i}]")
-        tgt[aid] = _require(a, "tgt", str, f"groupoid.arrows[{i}]")
+    edges = _edges_from(doc, "arrows", "groupoid")
+    arrows = [a for a, _, _ in edges]
+    src, tgt = {a: x for a, x, _ in edges}, {a: y for a, _, y in edges}
     id_of = {}
     for x in objects:
         ident = f"id:{x}"
@@ -212,16 +218,7 @@ def presentation_to_dict(P: FpGroupoid) -> dict:
 
 def presentation_from_dict(doc: dict) -> FpGroupoid:
     objects = _require(doc, "objects", list, "presentation", strings=True)
-    gens = []
-    for i, g in enumerate(_require(doc, "generators", list, "presentation")):
-        gens.append(
-            (
-                _require(g, "id", str, f"presentation.generators[{i}]"),
-                _require(g, "src", str, f"presentation.generators[{i}]"),
-                _require(g, "tgt", str, f"presentation.generators[{i}]"),
-            )
-        )
-    graph = reflexive_graph(objects, gens)
+    graph = reflexive_graph(objects, _edges_from(doc, "generators", "presentation"))
     relations = []
     for i, pair in enumerate(_require(doc, "relations", list, "presentation") if "relations" in doc else ()):
         if not isinstance(pair, list) or len(pair) != 2:

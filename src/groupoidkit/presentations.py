@@ -343,9 +343,10 @@ def is_local_morphism(D: LocalGroupoidData, H: FiniteGroupoid, f: WindowMap) -> 
     """True iff f preserves the partial structure the window inherits from G.
 
     Preservation of products is demanded only for u, v in W with uv defined
-    in G and lying in W again.
+    in G and lying in W again.  A missing value raises PartialMap, naming
+    the sorted-first window arrow without one, else the first such object.
     """
-    G, W = D.G, D.window
+    G, W = D.G, sorted(D.window)
     for w in W:
         if w not in f.arrow_map:
             raise PartialMap(f"no value for window arrow {w!r}")

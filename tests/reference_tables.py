@@ -65,7 +65,10 @@ package, kept as a test oracle:
   `reference_product_groupoid` and `reference_disjoint_union` build their
   tables by their own loops instead of from cells, and
   `reference_topology_from_opens` intersects the opens around each point
-  itself.
+  itself;
+- `reference_band_model` writes out every minimal open of the band models'
+  window, with one branch per gluing for the wrap-around slide, instead of
+  filling them from the (centre, + side, - side) triples.
 
 The column join of `core.associativity_failures`, which compares every
 composable pair, is not an oracle here: it is the package's own failure
@@ -86,6 +89,7 @@ from groupoidkit.core import (
     Violation,
     composable,
     discontinuities,
+    equivalence_groupoid,
     group_by,
     make_groupoid,
 )
@@ -97,12 +101,14 @@ from groupoidkit.errors import (
     NotFiniteOnInstance,
     NotFree,
     NotSectionable,
+    TooSmall,
     UnknownPoint,
     WellDefinednessFailure,
 )
 from groupoidkit.germs import germ, germ_closure, germ_target, window_germs
 from groupoidkit.holonomy import GermGroupoid, HolonomyGroupoid
 from groupoidkit.presentations import (
+    LocalGroupoidData,
     PairRewriting,
     Word,
     _next_letters,
@@ -110,6 +116,7 @@ from groupoidkit.presentations import (
     empty_word,
     enumerate_monodromy_arrows,
     letter_src,
+    local_data,
     letter_tgt,
     word_inverse,
     word_source,
@@ -1380,3 +1387,59 @@ def reference_topology_from_opens(points, opens) -> FiniteTopology:
             m &= U
         mins[x] = m
     return FiniteTopology(points, mins)
+
+
+def reference_band_model(n: int, twist: bool) -> LocalGroupoidData:
+    if n < 3:
+        raise TooSmall("band models need at least 3 segments")
+    centres = [f"c{i}" for i in range(n)]
+    sides = [f"{i}{s}" for i in range(n) for s in "+-"]
+    points = centres + sides
+
+    # leaves
+    if twist:
+        side_leaves = [sides]  # one leaf through both sheets
+    else:
+        side_leaves = [[f"{i}+" for i in range(n)], [f"{i}-" for i in range(n)]]
+    leaves = [centres] + side_leaves
+    R = equivalence_groupoid(points, leaves)
+
+    def pair(a, b):
+        return f"id:{a}" if a == b else f"{a}>{b}"
+
+    # window: identities plus one-cell slides along the leaves
+    window = {f"id:{p}" for p in points}
+    forward_blocks = []
+    for i in range(n):
+        j = (i + 1) % n
+        centre_slide = pair(f"c{i}", f"c{j}")
+        if i + 1 < n:
+            plus, minus = pair(f"{i}+", f"{j}+"), pair(f"{i}-", f"{j}-")
+        elif twist:
+            plus, minus = pair(f"{i}+", f"{j}-"), pair(f"{i}-", f"{j}+")
+        else:
+            plus, minus = pair(f"{i}+", f"{j}+"), pair(f"{i}-", f"{j}-")
+        window.update({centre_slide, plus, minus})
+        forward_blocks.append((centre_slide, plus, minus))
+
+    inv_arrow = {a: R.inv[a] for a in R.arrows}
+    window.update({inv_arrow[w] for w in set(window)})
+
+    # window topology: identity blocks over each cell, slide blocks over
+    # each overlap (centre value inseparable from its side companions)
+    mins = {}
+    for i in range(n):
+        block = frozenset({f"id:c{i}", f"id:{i}+", f"id:{i}-"})
+        mins[f"id:c{i}"] = block
+        mins[f"id:{i}+"] = frozenset({f"id:{i}+"})
+        mins[f"id:{i}-"] = frozenset({f"id:{i}-"})
+    for (centre_slide, plus, minus) in forward_blocks:
+        mins[centre_slide] = frozenset({centre_slide, plus, minus})
+        mins[plus] = frozenset({plus})
+        mins[minus] = frozenset({minus})
+        back = inv_arrow[centre_slide]
+        mins[back] = frozenset({back, inv_arrow[plus], inv_arrow[minus]})
+        mins[inv_arrow[plus]] = frozenset({inv_arrow[plus]})
+        mins[inv_arrow[minus]] = frozenset({inv_arrow[minus]})
+    t_window = FiniteTopology(tuple(sorted(window)), mins)
+    return local_data(R, window, t_window)

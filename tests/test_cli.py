@@ -101,6 +101,16 @@ class TestValidate:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize("field", ["id", "src", "tgt"])
+    def test_arrow_without_a_field_is_named(self, capsys, tmp_path, field):
+        doc = json.loads((FIXTURES / "interval.json").read_text())
+        del doc["arrows"][3][field]
+        path = tmp_path / "interval-short-arrow.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "validate", str(path)) == (
+            2, "", f"parse error: groupoid.arrows[3]: missing field {field!r}\n"
+        )
+
     def test_broken_assoc_lists_associativity_witnesses(self, capsys):
         # broken-assoc.json is C4 with the composites g:1∘g:1 and g:1∘g:2 swapped
         code, out, _ = run(capsys, "validate", fx("broken-assoc.json"))
@@ -377,6 +387,24 @@ class TestLocalDataValidatedAtLoad:
             "error: invalid local groupoid data: window-inverse-closed('0+>1+',): inverse leaves the window\n"
         }
 
+    def test_missing_extension_value_independent_of_hash_seed(self, tmp_path):
+        # extend-c8.json keeping only its id:o arrow row: g:1 and g:3 have no value, and the sorted-first is named
+        doc = json.loads((FIXTURES / "extend-c8.json").read_text())
+        doc["arrows"] = [row for row in doc["arrows"] if row[0] == "id:o"]
+        path = tmp_path / "extend-c8-identity-only.json"
+        path.write_text(json.dumps(doc))
+        src = str(pathlib.Path(groupoidkit.__file__).resolve().parent.parent)
+        errors = set()
+        for seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "groupoidkit.cli", "monodromy", fx("c4-window.json"), "--extend", str(path)],
+                capture_output=True, text=True, env=env, check=False, timeout=120,
+            )
+            assert (proc.returncode, proc.stdout) == (1, "")
+            errors.add(proc.stderr)
+        assert errors == {"error: no value for window arrow 'g:1'\n"}
+
     def test_broken_extension_target_exits_1(self, capsys, tmp_path):
         doc = json.loads((FIXTURES / "extend-c8.json").read_text())
         doc["target"]["comp"] = [row for row in doc["target"]["comp"] if row[:2] != ["g:1", "g:1"]]
@@ -523,6 +551,19 @@ class TestVertexGroup:
         assert out == ""
         assert "parse error: presentation.objects[0]" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edge, message", [
+        ({"id": "eU", "src": "p"}, "presentation.generators[0]: missing field 'tgt'"),
+        ({"id": "eU"}, "presentation.generators[0]: missing field 'src'"),
+        ({"id": "eU", "src": 7, "tgt": "m"}, "presentation.generators[0]: field 'src' has wrong type"),
+        ("eU", "presentation.generators[0]: missing field 'id'"),
+    ], ids=["missing-tgt", "missing-src-and-tgt", "numeric-src", "not-an-object"])
+    def test_malformed_generator_is_a_parse_error(self, capsys, tmp_path, edge, message):
+        doc = json.loads((FIXTURES / "circle-u.json").read_text())
+        doc["generators"][0] = edge
+        path = tmp_path / "bad-generator.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "vertex-group", str(path), "m") == (2, "", f"parse error: {message}\n")
 
     def test_unknown_generator_in_a_relation_is_refused(self, capsys):
         assert run(capsys, "vertex-group", fx("bad-relation.json"), "m") == (1, "", BAD_RELATION)

@@ -49,6 +49,7 @@ from groupoidkit.holonomy import (
     projection_continuous,
 )
 from groupoidkit.io import local_data_from_dict
+from reference_tables import reference_band_model
 
 
 def swap3_data():
@@ -270,8 +271,21 @@ class TestHolonomyQuotient:
 
 class TestBandModels:
     def test_too_small(self):
-        with pytest.raises(TooSmall):
-            mobius_model(2)
+        for model in (mobius_model, annulus_model):
+            with pytest.raises(TooSmall):
+                model(2)
+
+    @pytest.mark.parametrize("n", range(3, 18))
+    @pytest.mark.parametrize("model, twist", [(mobius_model, True), (annulus_model, False)], ids=["mobius", "annulus"])
+    def test_models_match_the_written_out_reference(self, model, twist, n):
+        D, ref = model(n), reference_band_model(n, twist)
+        for table in ("src", "tgt", "id_of", "inv", "comp"):
+            assert list(getattr(D.G, table).items()) == list(getattr(ref.G, table).items()), table
+        assert D.window == ref.window
+        assert D.t_window.points == ref.t_window.points
+        assert list(D.t_window.min_open.items()) == list(ref.t_window.min_open.items())
+        assert D.t_objects.points == ref.t_objects.points
+        assert list(D.t_objects.min_open.items()) == list(ref.t_objects.min_open.items())
 
     def test_annulus_leaves_are_two_cycles(self):
         D = annulus_model(3)

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from groupoidkit.core import (
     FiniteTopology,
+    Violation,
     cyclic_group,
     discrete_topology,
+    equivalence_groupoid,
     make_groupoid,
     one_object_groupoid,
     validate_groupoid,
@@ -180,6 +182,33 @@ class TestLocalMorphism:
         f = WindowMap({"o": "o"}, {"id:o": "id:o", "g:1": "g:3", "g:3": "g:3"})
         assert not is_local_morphism(D, H, f)  # fails at (g, g^-1) -> 1
         assert broken_product(D, H, f) == ("g:1", "g:3")
+
+    def test_missing_arrow_value_names_the_sorted_first(self):
+        D = c4_window_data()
+        with pytest.raises(PartialMap, match=r"^no value for window arrow 'g:1'$"):
+            is_local_morphism(D, D.G, WindowMap({"o": "o"}, {"id:o": "id:o"}))
+
+    def test_missing_object_value_is_refused(self):
+        D = c4_window_data()
+        with pytest.raises(PartialMap, match=r"^no value for object 'o'$"):
+            is_local_morphism(D, D.G, WindowMap({}, {w: w for w in D.window}))
+
+    def test_value_outside_the_target_is_not_local(self):
+        D = c4_window_data()
+        assert is_local_morphism(D, D.G, WindowMap({"o": "o"}, {"id:o": "id:o", "g:1": "g:1", "g:3": "h"})) is False
+
+    def test_value_with_the_wrong_endpoints_is_not_local(self):
+        # g:1 is a loop at o, its value o>p ends at p, the image of no object
+        D = c4_window_data()
+        H = equivalence_groupoid(["o", "p"], [["o", "p"]])
+        f = WindowMap({"o": "o"}, {"id:o": "id:o", "g:1": "o>p", "g:3": "p>o"})
+        assert is_local_morphism(D, H, f) is False
+
+    def test_identity_sent_off_the_identity_is_not_local(self):
+        D = c4_window_data()
+        f = WindowMap({"o": "o"}, {w: "g:2" for w in D.window})
+        assert broken_product(D, D.G, f) is not None
+        assert is_local_morphism(D, D.G, f) is False
 
     def test_broken_product_is_the_sorted_first_pair(self):
         D = full_window_data(one_object_groupoid(cyclic_group(4)))
@@ -377,6 +406,26 @@ class TestLocalDataValidation:
         G = one_object_groupoid(cyclic_group(4))
         with pytest.raises(PartialMap):
             local_data(G, ["g:1", "g:3"], discrete_topology(["g:1", "g:3"]))
+
+    def test_window_topology_must_have_the_window_as_points(self):
+        G = one_object_groupoid(cyclic_group(4))
+        W = frozenset({"id:o", "g:1", "g:3"})
+        D = LocalGroupoidData(G, W, discrete_topology(["id:o", "g:1"]), discrete_topology(["o"]))
+        violation = Violation("window-topology-points", (), "window topology points differ from window")
+        assert D.validate().violations == (violation,)
+        with pytest.raises(PartialMap) as info:
+            local_data(G, W, discrete_topology(["id:o", "g:1"]))
+        assert str(info.value) == f"invalid local groupoid data: {violation}"
+
+    def test_object_topology_must_have_the_objects_as_points(self):
+        G = one_object_groupoid(cyclic_group(4))
+        W = ["id:o", "g:1", "g:3"]
+        D = LocalGroupoidData(G, frozenset(W), discrete_topology(W), discrete_topology(["o", "p"]))
+        violation = Violation("object-topology-points", (), "object topology points differ from objects")
+        assert D.validate().violations == (violation,)
+        with pytest.raises(PartialMap) as info:
+            local_data(G, W, discrete_topology(W), discrete_topology(["o", "p"]))
+        assert str(info.value) == f"invalid local groupoid data: {violation}"
 
     def test_object_topology_must_be_the_identity_subspace(self):
         G = one_object_groupoid(cyclic_group(4))
