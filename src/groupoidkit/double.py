@@ -36,11 +36,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import product as iproduct, repeat
+from itertools import filterfalse, product as iproduct, repeat
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
-from .core import FiniteGroup, FiniteGroupoid, group_by, one_object_groupoid, validate_group, vertex_group
+from .core import FiniteGroup, FiniteGroupoid, _greedy_batches, group_by, one_object_groupoid, validate_group, vertex_group
 from .errors import (
     CapExceeded,
     NotACrossedModule,
@@ -209,6 +209,11 @@ def commuting_squares(G: FiniteGroupoid) -> DoubleGroupoid:
         Square(a, b, c, d) for paths in factorisations.values() for b, a in paths for d, c in paths
     )
     return DoubleGroupoid(G, squares, NO_FILLERS, {(e, None): None for e in G.arrows})
+
+
+def _stars(D: DoubleGroupoid):
+    """s(x), the number of edges out of x, for each object x of D's edge groupoid."""
+    return Counter(map(D.edge.src.__getitem__, D.edge.arrows)).values()
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +415,7 @@ def _interchange_direct(D: DoubleGroupoid) -> InterchangeReport:
     pass over the edges to count, then four row reads per block.
     """
     refused = f"interchange check passed the cap of {MAX_INTERCHANGE_BLOCKS} blocks"
-    stars = Counter(map(D.edge.src.__getitem__, D.edge.arrows))
-    if D.xmod is None and sum(s ** 8 for s in stars.values()) > MAX_INTERCHANGE_BLOCKS:
+    if D.xmod is None and sum(s ** 8 for s in _stars(D)) > MAX_INTERCHANGE_BLOCKS:
         raise CapExceeded(refused)
     tab = D.tables
     sq, c1, c2 = tab.squares, tab.comp1, tab.comp2
@@ -616,6 +620,9 @@ MAX_CUBE_SHELLS = 1 << 16
 MAX_CUBE_COMPOSITES = 1 << 25
 MAX_INTERCHANGE_BLOCKS = 1 << 25
 MAX_AXIOM_SQUARES = 40
+# The greedy closure of `cube_closure_sweep` gives way to the all-pairs sweep
+# once its products pass this fraction of the composable pairs.
+GREEDY_PRODUCT_FRACTION = 1 / 50
 
 
 class _Lazy(dict):
@@ -718,12 +725,36 @@ def _composites(direction: int, c1: tuple, cols: tuple, columns: _Lazy):
     return zip(*out)
 
 
-def cube_closure_sweep(D: DoubleGroupoid) -> dict:
-    """Exhaustively compose all pairs of commutative cubes in each direction.
+def _commutative_cubes(D: DoubleGroupoid) -> tuple:
+    """(shells, commutative cubes, composites_checked) of D's closure sweep.
 
-    Returns counts plus the (hopefully empty) list of violating pairs.
-    ``composites_checked`` counts every composite tested, one per pair and
-    direction.
+    composites_checked counts the composable pairs of commutative cubes
+    over the three directions, from how many meet on each square, before
+    any composite is built.  Raises CapExceeded when the shells pass
+    MAX_CUBE_SHELLS, found during their enumeration, or when the pairs pass
+    MAX_CUBE_COMPOSITES.
+    """
+    tab = D.tables
+    cubes = enumerate_cubes(D)
+    commutative = [c for c in cubes if tab.is_commutative(c)]
+    meets = [(Counter(map(itemgetter(keep), commutative)), Counter(map(itemgetter(keep ^ 1), commutative)))
+             for keep, _ in _DIRECTIONS.values()]
+    checked = sum(n * firsts[k] for seconds, firsts in meets for k, n in seconds.items())
+    _check_composites(checked)
+    return cubes, commutative, checked
+
+
+def _check_composites(checked: int) -> None:
+    if checked > MAX_CUBE_COMPOSITES:
+        raise CapExceeded(f"cube closure sweep would check {checked} composites, over the cap of {MAX_CUBE_COMPOSITES}")
+
+
+def _sweep(D: DoubleGroupoid, parts: tuple) -> dict:
+    """`cube_closure_sweep`'s answer from every composable pair of commutative cubes.
+
+    `parts` is `_commutative_cubes(D)`.  This is the kernel that lists the
+    violations, and the fallback of `cube_closure_sweep`; unlike the
+    greedy walk, it does not need cube composition to be associative.
 
     The commutative cubes are bucketed per direction by the face c2 meets
     c1 on.  Within a bucket a composite's face column depends only on the
@@ -733,36 +764,20 @@ def cube_closure_sweep(D: DoubleGroupoid) -> dict:
     commutative shells.  The verdict `tab.is_commutative` is a pure
     function of the 6-tuple, and it has already been evaluated on every
     enumerated shell; a composite equal to a shell that passed is
-    therefore commutative by that evaluation.  When some composite of a
-    c1 lies outside the set, that c1's composites outside it are evaluated
+    therefore commutative by that evaluation.  When some composite of a c1
+    lies outside the set, that c1's composites outside it are evaluated
     again in the same pass; each is a violation exactly when that
     evaluation fails.  The set changes how often the fold runs, never a
     verdict.  Violations are listed in the order of c1 among the
     commutative cubes, then of direction, then of c2 in its bucket.
-
-    Raises CapExceeded when the shells pass MAX_CUBE_SHELLS, found during
-    their enumeration, or when the composites, counted first, would pass
-    MAX_CUBE_COMPOSITES: that cap is met before any composite is built.
     """
-    tab = D.tables
-    cubes = enumerate_cubes(D)
-    commutative = [c for c in cubes if tab.is_commutative(c)]
-    known = set(commutative)
-    joins = [
-        (direction, {k: (c2s, tuple(zip(*c2s))) for k, c2s in group_by(commutative, itemgetter(keep)).items()},
-         group_by(commutative, itemgetter(keep ^ 1)))
-        for direction, (keep, _) in _DIRECTIONS.items()
-    ]
-    checked = sum(
-        len(c2s) * len(meeting.get(k, ())) for _, buckets, meeting in joins for k, (c2s, _) in buckets.items()
-    )
-    if checked > MAX_CUBE_COMPOSITES:
-        raise CapExceeded(
-            f"cube closure sweep would check {checked} composites, over the cap of {MAX_CUBE_COMPOSITES}"
-        )
+    cubes, commutative, checked = parts
+    tab, known = D.tables, set(commutative)
     violations = []
-    for direction, buckets, meeting in joins:
-        for k, (bucket, cols) in buckets.items():
+    for direction, (keep, _) in _DIRECTIONS.items():
+        meeting = group_by(commutative, itemgetter(keep ^ 1))
+        for k, bucket in group_by(commutative, itemgetter(keep)).items():
+            cols = tuple(zip(*bucket))
             columns = _columns(tab, direction, cols)
             for c1 in meeting.get(k, ()):
                 if not known.issuperset(_composites(direction, c1, cols, columns)):
@@ -779,6 +794,103 @@ def cube_closure_sweep(D: DoubleGroupoid) -> dict:
         "composites_checked": checked,
         "violations": violations,
     }
+
+
+def _generated_closed(tab: SquareTables, commutative: list, budget: float) -> bool:
+    """True when, in each direction, the commutative cubes are shown closed within `budget` products.
+
+    The cubes are seeds, in order, of the greedy closure step of Froidure
+    and Pin ("Algorithms for computing finite semigroups", FoCM 1997),
+    `core.closure`'s with adjoin: a seed joins the generators A unless the
+    cubes that A generates already hold it, and the walk composes each cube
+    it holds with each generator that follows it.  Once every seed is in,
+    the walk has grown the sub-category that the commutative cubes S
+    generate.  If no product leaves S, then S is that sub-category, closed
+    under composition after each generator; and with t = a0 a1 ... ak,
+    s t = ((s a0) a1) ... ak is built one generator at a time, so S is
+    closed.  That needs cube composition to be associative, and it is on
+    every double built here: both constructors compose squares by
+    `_filler_algebra` over a validated groupoid or crossed module.  False
+    at the first product outside S, or once the products pass `budget`.
+    """
+    known, products = set(commutative), 0
+    for direction, (keep, composed) in _DIRECTIONS.items():
+        gens, walked, buckets = {}, {}, {}  # generators by face keep, walked cubes by face keep ^ 1
+        no_bucket = ((),) * 6, _columns(tab, direction, ((),) * 6)
+
+        def after(t):
+            """t composed with each generator that follows it, through its bucket's face columns."""
+            nonlocal products
+            cols, columns = buckets.get(t[keep ^ 1], no_bucket)
+            products += len(cols[keep])
+            return _composites(direction, t, cols, columns)
+
+        def adjoin(g, fresh):
+            """Each cube walked so far that g follows, composed with g."""
+            nonlocal products
+            for t in fresh:
+                walked.setdefault(t[keep ^ 1], []).append(t)
+            gens.setdefault(g[keep], []).append(g)
+            cols = tuple(zip(*gens[g[keep]]))
+            buckets[g[keep]] = cols, _columns(tab, direction, cols)
+            out = list(zip(*walked.get(g[keep], ()))) or [()] * 6
+            products += len(out[keep])
+            out[keep ^ 1] = repeat(g[keep ^ 1])
+            for face, table in composed:
+                out[face] = map(dict.__getitem__, map(getattr(tab, table).__getitem__, out[face]), repeat(g[face]))
+            return zip(*out)
+
+        seen, elements = set(), []
+        for batch in _greedy_batches(commutative, after, adjoin, seen, elements):
+            fresh = dict.fromkeys(filterfalse(seen.__contains__, batch))
+            if products > budget or not known.issuperset(fresh):
+                return False
+            seen.update(fresh)
+            elements.extend(fresh)
+    return True
+
+
+def cube_closure_sweep(D: DoubleGroupoid) -> dict:
+    """Whether the commutative cubes of D are closed under composition in each direction.
+
+    Returns the shells as ``cubes``, the commutative ones, the composable
+    pairs of commutative cubes over the three directions as
+    ``composites_checked``, and the violating pairs (direction, c1, c2),
+    listed as `_sweep` lists them.
+
+    A commuting-squares double (``D.xmod is None``, with the sum_x s(x)^3
+    squares that `commuting_squares` builds, s(x) the number of edges out
+    of x) is thin: a square is fixed by its boundary.  A cube's fold has
+    the boundary of its sixth face, so the fold is that face and every
+    shell commutes (Brown & Higgins, "On the algebra of cubes", JPAA 21,
+    1981).  A shell is fixed by its corner x and one edge from x to each of
+    the other seven corners, and a composable pair of shells by x and
+    eleven edges; so ``cubes`` = ``commutative`` = sum_x s(x)^7,
+    ``composites_checked`` = 3 sum_x s(x)^11, and there is no violation.
+    The caps are met from these counts, the shell cap first.  Cost: one
+    pass over the edges; no shell, no composite and no square table.
+
+    On any other double, such as one built by hand from some of those
+    squares, the shells are enumerated and folded, and the caps met, by
+    `_commutative_cubes`.  `_generated_closed` then grows the sub-category
+    the commutative cubes generate.  When it shows them closed there is no
+    violation; otherwise, at a product outside them or past
+    GREEDY_PRODUCT_FRACTION of the composable pairs, `_sweep` lists the
+    violations from every pair.  Cost: the shells' enumeration and fold,
+    then fewer than two products per hundred composable pairs on the
+    crossed-module doubles of small groups that are closed.
+    """
+    if D.xmod is None and len(D.squares) == sum(s ** 3 for s in _stars(D)):
+        shells = sum(s ** 7 for s in _stars(D))
+        if shells > MAX_CUBE_SHELLS:
+            raise CapExceeded(f"cube enumeration passed the cap of {MAX_CUBE_SHELLS} shells")
+        checked = 3 * sum(s ** 11 for s in _stars(D))
+        _check_composites(checked)
+        return {"cubes": shells, "commutative": shells, "composites_checked": checked, "violations": []}
+    cubes, commutative, checked = parts = _commutative_cubes(D)
+    if _generated_closed(D.tables, commutative, checked * GREEDY_PRODUCT_FRACTION):
+        return {"cubes": len(cubes), "commutative": len(commutative), "composites_checked": checked, "violations": []}
+    return _sweep(D, parts)
 
 
 def enumerate_cubes(D: DoubleGroupoid) -> list[tuple]:

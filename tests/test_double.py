@@ -10,6 +10,8 @@ import subprocess
 import sys
 import weakref
 from collections import Counter
+from functools import partial
+from itertools import islice, product as iproduct
 from operator import itemgetter
 
 import pytest
@@ -20,9 +22,11 @@ import groupoidkit
 from groupoidkit import double
 from groupoidkit.core import (
     cyclic_group,
+    disjoint_union,
     indiscrete,
     one_object_groupoid,
     pair_groupoid,
+    product_groupoid,
     symmetric_group,
     trivial_group,
     validate_groupoid,
@@ -286,6 +290,65 @@ FILLER_CORPUS = {
     **{f"xmod-{name}": (lambda X=X: xmod_to_double(X))
        for name, X in zip(("trivial", "c2", "inner-s3"), three_crossed_modules())},
 }
+
+
+def skewed_double():
+    """Every boundary over C2 with either filler in C2, under an "action" that adds the filler 1.
+
+    A double built by hand: the action moves the identity filler, so every
+    law that composes degenerate or connection squares fails on it.
+    """
+    M = cyclic_group(2)
+    E = one_object_groupoid(M)
+    squares = frozenset(Square(*edges, m) for edges in iproduct(E.arrows, repeat=4) for m in M.elements)
+    return double.DoubleGroupoid(E, squares, M, {(e, m): M.mul[(m, 1)] for e in E.arrows for m in M.elements})
+
+
+class TestRefusalWitnesses:
+    """The refusal branches that no double the constructors build reaches, on doubles built by hand."""
+
+    def test_transport_minus(self):
+        bad = transport_check(skewed_double())
+        assert [w for w in bad if w[0] == "transport-minus"] == [
+            ("transport-minus", pair) for pair in (("g:1", "g:1"), ("g:1", "id:o"), ("id:o", "g:1"), ("id:o", "id:o"))
+        ]
+
+    def test_transport_plus(self):
+        bad = transport_check(skewed_double())
+        assert [w for w in bad if w[0] == "transport-plus"] == [
+            ("transport-plus", pair) for pair in (("g:1", "g:1"), ("g:1", "id:o"), ("id:o", "g:1"), ("id:o", "id:o"))
+        ]
+
+    @pytest.mark.parametrize("direction", [1, 2])
+    def test_square_identity_laws(self, direction):
+        bad = square_groupoid_axioms(skewed_double(), direction)
+        first = Square("g:1", "g:1", "g:1", "g:1", 0)
+        assert bad[:2] == [("left-identity", first), ("right-identity", first)]
+
+    def test_square_laws_need_a_direction(self):
+        with pytest.raises(NotComposable) as refused:
+            square_groupoid_axioms(box_c2(), 3)
+        assert str(refused.value) == "direction must be 1 or 2, got 3"
+
+    def test_factored_interchange_names_its_triple(self):
+        # trivial boundary and action on the nonabelian S3: the identity fails where m_z m_u != m_u m_z
+        P, M = trivial_group(), symmetric_group(3)
+        X = CrossedModule(P, M, {m: P.identity for m in M.elements}, {(P.identity, m): m for m in M.elements})
+        rep = _interchange_factored(dataclasses.replace(xmod_to_double(xmod_c2()), xmod=X))
+        assert (rep.ok, rep.method, rep.blocks_checked) == (False, "factored", 36)
+        assert rep.witnesses[0] == ((0, 2, 1), (1, 0, 2), P.identity)
+
+    def test_extraction_needs_the_connection_squares(self):
+        D = box_c2()
+        with pytest.raises(NotSpecialDouble) as refused:
+            double_to_xmod(dataclasses.replace(D, squares=D.squares - {gamma_minus(D, "g:1")}))
+        assert str(refused.value) == "missing connection squares for edge 'g:1'"
+
+    def test_extraction_refuses_data_that_is_not_a_crossed_module(self):
+        with pytest.raises(NotSpecialDouble) as refused:
+            double_to_xmod(skewed_double())
+        unit = Square("g:1", "id:o", "id:o", "id:o", 0)
+        assert str(refused.value).startswith(f"extracted data fails crossed module axioms: [('M-identity-law', ({unit!r},))")
 
 
 def composition_outcome(op, *args):
@@ -830,6 +893,11 @@ def reference_cubes(D):
     return [tuple(map(D.tables.index.__getitem__, c)) for c in out]
 
 
+def sweep_kernel(D):
+    """The all-pairs kernel that `cube_closure_sweep` keeps to list violations, on its own."""
+    return double._sweep(D, double._commutative_cubes(D))
+
+
 def tables_with_one_filler_flipped(D):
     """Square tables whose first vertical composite has its filler changed.
 
@@ -891,19 +959,26 @@ def tables_with_flips(D, flips):
 
 
 class TestSweepKernel:
-    """The column-kernel sweep and its suspect walk against the per-pair loop."""
+    """The closure sweep, and its all-pairs kernel `double._sweep`, against the per-pair loop.
+
+    Flipped table entries make square composition non-associative, which no
+    double the constructors build can be; the greedy argument of
+    `cube_closure_sweep` does not cover that, so the flips test the kernel.
+    """
 
     @pytest.mark.parametrize("name", sorted(SWEEP_CORPUS))
     def test_matches_reference(self, name):
         D = SWEEP_CORPUS[name]()
-        assert cube_closure_sweep(D) == reference_sweep(D)
+        expected = reference_sweep(D)
+        assert cube_closure_sweep(D) == expected
+        assert sweep_kernel(D) == expected
 
     def test_cache_cannot_hide_a_violation(self, monkeypatch):
         D = xmod_to_double(xmod_c2())
         monkeypatch.setattr(double, "square_tables", tables_with_one_filler_flipped)
         expected = reference_sweep(D)
         assert expected["violations"]
-        assert cube_closure_sweep(D) == expected
+        assert sweep_kernel(D) == expected
 
     # Each example runs both sweeps: about 0.02 s on box-c2, 0.5 s on box-C3
     # and 3.5 s on xmod-C2, whose 3,145,728 composites the reference builds
@@ -918,12 +993,18 @@ class TestSweepKernel:
         def check(flips):
             monkeypatch.setattr(double, "square_tables", lambda D: tables_with_flips(D, flips))
             D = SWEEP_CORPUS[name]()
-            assert cube_closure_sweep(D) == reference_sweep(D)
+            assert sweep_kernel(D) == reference_sweep(D)
 
         check()
 
     def test_composite_cap_boundary(self, monkeypatch):
-        D = box_c2()
+        self.check_composite_cap_boundary(monkeypatch, box_c2())
+
+    def test_composite_cap_boundary_fillered(self, monkeypatch):
+        self.check_composite_cap_boundary(monkeypatch, xmod_to_double(xmod_trivial()))
+
+    @staticmethod
+    def check_composite_cap_boundary(monkeypatch, D):
         checked = cube_closure_sweep(D)["composites_checked"]
         monkeypatch.setattr(double, "MAX_CUBE_COMPOSITES", checked)
         assert cube_closure_sweep(D)["composites_checked"] == checked
@@ -939,6 +1020,135 @@ class TestSweepKernel:
             out = cube_closure_sweep(fixture_double(name))
             assert double.MAX_CUBE_SHELLS >= 2.5 * out["cubes"], name
             assert double.MAX_CUBE_COMPOSITES >= 2.5 * out["composites_checked"], name
+
+
+def star_sizes(D):
+    """s(x), the number of edges out of x, for each object x of D's edge groupoid."""
+    return Counter(map(D.edge.src.__getitem__, D.edge.arrows)).values()
+
+
+def kernel_or_reference(D):
+    """`reference_sweep` on D, or the kept kernel `double._sweep` past 2,000,000 composable pairs of
+    a commuting-squares double, where the per-pair loop takes more than a few seconds."""
+    if D.xmod is None and 3 * sum(s ** 11 for s in star_sizes(D)) > 2_000_000:
+        return sweep_kernel(D)
+    return reference_sweep(D)
+
+
+def commuting_fixtures_under_the_shell_cap():
+    return [name for name in commuting_fixtures()
+            if sum(s ** 7 for s in star_sizes(fixture_double(name))) <= double.MAX_CUBE_SHELLS]
+
+
+# Thin doubles beyond SWEEP_CORPUS: box doubles, and one product and one disjoint union of them.
+THIN_CORPUS = {
+    "box-c4": lambda: commuting_squares(one_object_groupoid(cyclic_group(4))),
+    "indiscrete-3": lambda: commuting_squares(indiscrete(3)),
+    "product-c2-c2": lambda: commuting_squares(
+        product_groupoid(one_object_groupoid(cyclic_group(2)), one_object_groupoid(cyclic_group(2)))),
+    "union-c3-indiscrete-2": lambda: commuting_squares(
+        disjoint_union(one_object_groupoid(cyclic_group(3)), indiscrete(2))),
+}
+
+# Fillered doubles beyond SWEEP_CORPUS, whose xmod-c2 and xmod-c2c2-fixture are fillered too.
+FILLERED_CORPUS = {
+    "xmod-trivial-fixture": lambda: fixture_double("xmod-trivial"),
+    "inner-c2": lambda: xmod_to_double(inner_crossed_module(cyclic_group(2))),
+    "xmod-c1-c4": lambda: xmod_to_double(trivial_boundary_crossed_module(cyclic_group(1), cyclic_group(4))),
+}
+
+
+def one_verdict_flipped(monkeypatch, shell):
+    """Make `shell` fail the fold.  Composition is untouched, so it stays associative."""
+    fold = double.SquareTables.is_commutative
+    monkeypatch.setattr(double.SquareTables, "is_commutative", lambda tab, cube: cube != shell and fold(tab, cube))
+
+
+class TestClosurePaths:
+    """The star-size formulas on thin doubles and the greedy generators on fillered ones, against the sweeps."""
+
+    @pytest.mark.parametrize("name", [f"fixture:{n}" for n in commuting_fixtures_under_the_shell_cap()]
+                             + sorted(THIN_CORPUS))
+    def test_thin_formulas_match_the_sweep(self, name):
+        D = fixture_double(name[8:]) if name.startswith("fixture:") else THIN_CORPUS[name]()
+        stars = star_sizes(D)
+        out = cube_closure_sweep(D)
+        assert out == kernel_or_reference(D)
+        assert out["cubes"] == out["commutative"] == sum(s ** 7 for s in stars)
+        assert out["composites_checked"] == 3 * sum(s ** 11 for s in stars)
+
+    @pytest.mark.parametrize("name", sorted(set(commuting_fixtures()) - set(commuting_fixtures_under_the_shell_cap())))
+    def test_thin_shell_cap_refused_as_the_enumeration_refuses(self, monkeypatch, name):
+        D = fixture_double(name)
+        with pytest.raises(CapExceeded) as enumerated:
+            enumerate_cubes(D)
+        monkeypatch.setattr(double, "square_tables", lambda D: pytest.fail("square tables read"))
+        with pytest.raises(CapExceeded) as counted:
+            cube_closure_sweep(fixture_double(name))
+        assert str(counted.value) == str(enumerated.value) == "cube enumeration passed the cap of 65536 shells"
+
+    def test_thin_composite_cap_met_from_the_formula(self, monkeypatch):
+        D = box_c2()
+        monkeypatch.setattr(double, "MAX_CUBE_COMPOSITES", 6143)
+        monkeypatch.setattr(double, "square_tables", lambda D: pytest.fail("square tables read"))
+        with pytest.raises(CapExceeded) as info:
+            cube_closure_sweep(D)
+        assert str(info.value) == "cube closure sweep would check 6144 composites, over the cap of 6143"
+
+    def test_a_subset_of_the_commuting_squares_is_not_taken_for_thin(self):
+        # the formulas count the full double; with a square gone, the walk meets the gap and names it
+        D = box_c2()
+        gone = Square("g:1", "g:1", "g:1", "g:1")
+        with pytest.raises(NotComposable) as refused:
+            cube_closure_sweep(dataclasses.replace(D, squares=D.squares - {gone}))
+        assert repr(gone) in str(refused.value)
+
+    @pytest.mark.parametrize("name", sorted(FILLERED_CORPUS))
+    def test_fillered_matches_reference(self, name):
+        D = FILLERED_CORPUS[name]()
+        assert cube_closure_sweep(D) == reference_sweep(D)
+
+    @pytest.mark.parametrize("name", ["xmod-c2", "xmod-c2c2-fixture", "inner-c2", "xmod-c1-c4"])
+    def test_generators_answer_within_the_fraction(self, monkeypatch, name):
+        D = {**SWEEP_CORPUS, **FILLERED_CORPUS}[name]()
+        monkeypatch.setattr(double, "_sweep", lambda D, parts: pytest.fail("the sweep ran"))
+        out = cube_closure_sweep(D)
+        assert out["violations"] == [] and out["commutative"] > 0
+
+    def test_a_fraction_too_small_falls_back_to_the_sweep(self, monkeypatch):
+        D = fixture_double("xmod-c2c2")
+        ran = []
+        sweep = double._sweep
+        monkeypatch.setattr(double, "_sweep", lambda D, parts: ran.append(D) or sweep(D, parts))
+        monkeypatch.setattr(double, "GREEDY_PRODUCT_FRACTION", 1e-4)
+        out = cube_closure_sweep(D)
+        assert ran == [D] and out == sweep_kernel(D)
+
+    # A shell that is the composite of two commutative cubes is made to fail the fold.
+    # Each id builds 3,145,728 composites in the reference: about 4 s.
+    @pytest.mark.parametrize("name, pick", [("xmod-c2", 0), ("xmod-c2", 997), ("xmod-c2c2-fixture", 0)])
+    def test_a_composite_that_fails_the_fold_is_listed(self, monkeypatch, name, pick):
+        D = SWEEP_CORPUS[name]()
+        composites = ((d, c1, c2, compose_cubes(D, d, c1, c2)) for d, c1, c2 in commutative_pairs(D))
+        d, c1, c2, shell = next(islice((x for x in composites if x[3] not in x[1:3]), pick, None))
+        one_verdict_flipped(monkeypatch, shell)
+        commutative = [c for c in enumerate_cubes(D) if D.tables.is_commutative(c)]
+        assert not double._generated_closed(D.tables, commutative, float("inf"))
+        expected = reference_sweep(D)
+        assert (d, c1, c2) in expected["violations"]
+        assert cube_closure_sweep(D) == expected
+
+    def test_square_laws_hold_on_the_small_corpus_doubles(self):
+        # the greedy argument needs associative cube composition: these are its premise
+        builds = {**SWEEP_CORPUS, **THIN_CORPUS, **FILLERED_CORPUS,
+                  **{f"fixture:{n}": partial(fixture_double, n) for n in DOUBLE_FIXTURES}}
+        checked = []
+        for name, build in sorted(builds.items()):
+            D = build()
+            if len(D.squares) <= double.MAX_AXIOM_SQUARES:
+                assert square_groupoid_axioms(D, 1) == square_groupoid_axioms(D, 2) == [], name
+                checked.append(name)
+        assert len(checked) >= 10, checked
 
 
 class TestEnumerateCubes:
@@ -980,15 +1190,23 @@ class TestEnumerateCubes:
         assert digests == {hashlib.sha256(repr(enumerate_cubes(D)).encode()).hexdigest() + "\n"}
 
     def test_shell_cap_boundary(self, monkeypatch):
-        D = box_c2()
+        self.check_shell_cap_boundary(monkeypatch, box_c2())
+
+    def test_shell_cap_boundary_fillered(self, monkeypatch):
+        self.check_shell_cap_boundary(monkeypatch, xmod_to_double(xmod_trivial()))
+
+    @staticmethod
+    def check_shell_cap_boundary(monkeypatch, D):
         count = len(enumerate_cubes(D))
         monkeypatch.setattr(double, "MAX_CUBE_SHELLS", count)
         assert len(enumerate_cubes(D)) == count
+        assert cube_closure_sweep(D)["cubes"] == count
         monkeypatch.setattr(double, "MAX_CUBE_SHELLS", count - 1)
         with pytest.raises(CapExceeded):
             enumerate_cubes(D)
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded) as info:
             cube_closure_sweep(D)
+        assert str(info.value) == f"cube enumeration passed the cap of {count - 1} shells"
 
 
 def commutative_pairs(D):
